@@ -243,8 +243,4 @@ def generate_graph(
 
 def realized_label_counts(graph: LabelledGraph) -> Dict[str, int]:
     """Label → vertex count (Table 1 reporting helper)."""
-    counts: Dict[str, int] = {}
-    for v in graph.vertices():
-        label = graph.label(v)
-        counts[label] = counts.get(label, 0) + 1
-    return counts
+    return graph.label_counts()

@@ -13,6 +13,7 @@ are short strings.  Edges are unordered pairs, normalised so that
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Set, Tuple
 
 Vertex = Hashable
@@ -152,6 +153,10 @@ class LabelledGraph:
     def label_set(self) -> Set[str]:
         """The set of distinct labels present (``LV`` in the paper)."""
         return set(self._labels.values())
+
+    def label_counts(self) -> Dict[str, int]:
+        """Label → number of vertices carrying it, in first-seen label order."""
+        return dict(Counter(self._labels.values()))
 
     def vertices_with_label(self, label: str) -> List[Vertex]:
         return [v for v, lab in self._labels.items() if lab == label]

@@ -49,10 +49,7 @@ def search_plan(
     full-vertex scan; when supplied it must equal the scan's result.
     """
     if label_counts is None:
-        label_counts = {}
-        for v in graph.vertices():
-            label = graph.label(v)
-            label_counts[label] = label_counts.get(label, 0) + 1
+        label_counts = graph.label_counts()
 
     # Pattern vertices in declaration order; the rank map is the hash-free,
     # repr-free tie-breaker everywhere below.

@@ -174,10 +174,7 @@ class LiveCluster:
         self.request_timeout = request_timeout
 
         self.index = RoutingIndex.from_state(graph, state)
-        self._label_counts: Dict[str, int] = {}
-        for v in graph.vertices():
-            label = graph.label(v)
-            self._label_counts[label] = self._label_counts.get(label, 0) + 1
+        self._label_counts = graph.label_counts()
         self._queries: Dict[str, _CompiledQuery] = {}
         self._compile_plans()
 
@@ -387,7 +384,8 @@ class LiveCluster:
         Edge rows go out in sorted-key chunks of :data:`BOOTSTRAP_CHUNK`:
         shard adjacency is insort-maintained, so the final stores are
         independent of the delivery order, and chunking bounds the size of
-        any single queue message.
+        any single queue message.  No request can have been admitted yet,
+        so these rounds carry ``invalidate=False`` (see :meth:`_send_round`).
         """
         vertex_rows = self.index.take_new_vertices()
         edge_pairs = [unpack_edge(key) for key in sorted(self.index._edges)]
@@ -438,9 +436,17 @@ class LiveCluster:
         edge_pairs: List[Tuple[int, int]],
         drop_queries: Tuple[str, ...],
     ) -> None:
-        """One barriered EdgeUpdate round + its invalidation waves."""
+        """One barriered EdgeUpdate round + its invalidation waves.
+
+        Until the first :meth:`submit` no shard has executed a root or
+        accepted a :class:`CachePut`, so every cache is empty and the round
+        tells the shards to skip the wave.  Only the driver can know that:
+        a shard whose own cache is empty still has to run its BFS, because
+        the ghosts it settles may be cached roots on another shard.
+        """
         n = self.num_shards
         self._seq += 1
+        invalidate = self._next_request_id > 0
         per_shard_vertices: List[List[Tuple[int, int, int]]] = [[] for _ in range(n)]
         per_shard_edges: List[List[Tuple[int, int, int, int, int, int]]] = [[] for _ in range(n)]
         label_of = self.index.label_id_of
@@ -460,6 +466,7 @@ class LiveCluster:
                 tuple(per_shard_vertices[shard]),
                 tuple(per_shard_edges[shard]),
                 drop_queries,
+                invalidate,
             )
             self._put(self._ingest_queues, shard, update)
         self._barrier(set(range(n)))

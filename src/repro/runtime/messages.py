@@ -53,7 +53,7 @@ from repro.graph.labelled_graph import Vertex
 
 #: Version of the wire protocol defined by this module.  Bump on any
 #: field change; :func:`check_schema` rejects mismatched peers.
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 #: End-of-stream sentinel on a worker input queue.
 END_OF_STREAM = None
@@ -325,10 +325,12 @@ class EdgeUpdate:
     was re-rooted this round (cached entries are meaningless under the new
     root).  Sent to *every* shard each round — possibly with empty rows —
     so the ingest sequence number advances uniformly across the cluster
-    (the cache-epoch rule compares them).
+    (the cache-epoch rule compares them).  ``invalidate`` is ``False``
+    while the driver has admitted no request: every cache in the cluster is
+    then empty, so the shard skips the invalidation wave.
     """
 
-    __slots__ = ("seq", "vertices", "edges", "drop_queries")
+    __slots__ = ("seq", "vertices", "edges", "drop_queries", "invalidate")
     schema_version = SCHEMA_VERSION
 
     def __init__(
@@ -337,14 +339,19 @@ class EdgeUpdate:
         vertices: Tuple[Tuple[int, int, int], ...] = (),
         edges: Tuple[Tuple[int, int, int, int, int, int], ...] = (),
         drop_queries: Tuple[str, ...] = (),
+        invalidate: bool = True,
     ) -> None:
         self.seq = seq
         self.vertices = tuple(vertices)
         self.edges = tuple(edges)
         self.drop_queries = tuple(drop_queries)
+        self.invalidate = invalidate
 
     def __reduce__(self):
-        return (EdgeUpdate, (self.seq, self.vertices, self.edges, self.drop_queries))
+        return (
+            EdgeUpdate,
+            (self.seq, self.vertices, self.edges, self.drop_queries, self.invalidate),
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<EdgeUpdate seq={self.seq} edges={len(self.edges)}>"

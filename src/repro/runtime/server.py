@@ -120,7 +120,8 @@ class ShardServer:
     # Ingest side
     # ------------------------------------------------------------------
     def apply_update(self, update: EdgeUpdate) -> IngestAck:
-        """Apply one edge round; returns the ack with invalidation forwards."""
+        """Apply one edge round; returns the ack with invalidation forwards
+        (none when the driver marked the round ``invalidate=False``)."""
         self.seq = update.seq
         self._round_settled = {}
         stores = self.stores
@@ -136,7 +137,7 @@ class ShardServer:
             if self.cache is not None:
                 self.cache.drop_query(name)
         forwards: List[Tuple[int, int]] = []
-        if self.cache is not None and new_pairs and self.query_depths:
+        if update.invalidate and self.cache is not None and new_pairs and self.query_depths:
             seeds = [(vid, 0) for pair in new_pairs for vid in pair]
             wave, forwards = stores.bfs_forward(
                 seeds, max(self.query_depths.values()), self._round_settled

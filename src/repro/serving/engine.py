@@ -211,10 +211,7 @@ class ServingEngine:
         self.stores = ServingStores.from_state(graph, state)
         # The graph's label histogram, maintained incrementally by ingest:
         # recompiling plans per batch must not rescan every vertex.
-        self._label_counts: Dict[str, int] = {}
-        for v in graph.vertices():
-            label = graph.label(v)
-            self._label_counts[label] = self._label_counts.get(label, 0) + 1
+        self._label_counts = graph.label_counts()
         self._queries: Dict[str, _CompiledQuery] = {}
         self._compile_plans()
         # Observability (repro.obs): bound at construction; NULL stubs

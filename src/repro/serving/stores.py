@@ -25,12 +25,72 @@ label strings survive only at the boundary.
 from __future__ import annotations
 
 from bisect import insort
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple, Union
 
-from repro.graph.interning import LabelInterner, pack_edge
+from repro.graph.interning import EDGE_SHIFT, LabelInterner, pack_edge
 from repro.graph.labelled_graph import LabelledGraph, Vertex
 from repro.graph.stream import EdgeEvent
 from repro.partitioning.state import UNASSIGNED, PartitionState
+
+
+def _cold_rows(
+    target: "Union[ServingStores, RoutingIndex]", graph: LabelledGraph
+) -> Iterator[Tuple[int, int, int, List[int], List[int]]]:
+    """The one id-space pass behind both ``from_state`` builds.
+
+    Per *placed* vertex, in ``graph.vertices()`` order, yields ``(vid,
+    label_id, partition, nbrs, remote)``: the ids of its placed neighbours
+    and the sub-list of those in another partition, both in the graph's own
+    neighbour-set order (the caller sorts what it keeps).  On the way it
+    fills what :class:`ServingStores` and :class:`RoutingIndex` share on
+    ``target`` — ``_label_of`` and the label ids, each store's
+    ``_by_label``, ``_edges``, ``_pending`` (edges with an unplaced
+    endpoint, in ``graph.edges()`` order) and, once exhausted, both edge
+    counters.
+    """
+    state = target.state
+    partition_of = state.assignment_vector
+    id_map = state.interner.id_map
+    known = len(partition_of)
+    placed: Dict[Vertex, int] = {}
+    for v in graph.vertices():
+        vid = id_map.get(v)
+        if vid is not None and vid < known and partition_of[vid] != UNASSIGNED:
+            placed[v] = vid
+    id_of = placed.get
+    label = graph.label
+    complete = len(placed) == graph.num_vertices
+    if not complete:
+        target._pending.extend(
+            EdgeEvent(u, label(u), v, label(v))
+            for u, v in graph.edges()
+            if u not in placed or v not in placed
+        )
+    intern = target.labels.intern
+    label_of = target._label_of
+    by_label = [store._by_label for store in target.stores]
+    edges = target._edges
+    cut_ends = 0
+    for u in graph.vertices():
+        uid = id_of(u)
+        nbrs = list(map(id_of, graph.neighbors(u)))
+        if not complete:
+            if uid is None:
+                continue
+            nbrs = [wid for wid in nbrs if wid is not None]
+        label_id = label_of[uid] = intern(label(u))
+        partition = partition_of[uid]
+        by_label[partition].setdefault(label_id, []).append(uid)
+        high = uid << EDGE_SHIFT
+        edges.update([high | wid for wid in nbrs if wid > uid])
+        remote = [wid for wid in nbrs if partition_of[wid] != partition]
+        cut_ends += len(remote)
+        yield uid, label_id, partition, nbrs, remote
+    for index in by_label:
+        for members in index.values():
+            members.sort()
+    target.num_edges = len(edges)
+    target.num_border_edges = cut_ends // 2
 
 
 class PartitionStore:
@@ -48,32 +108,16 @@ class PartitionStore:
         self._by_label: Dict[int, List[int]] = {}
 
     # -- construction ------------------------------------------------------
-    def add_member(self, vid: int, label_id: int, sort: bool = True) -> None:
+    def add_member(self, vid: int, label_id: int) -> None:
         if vid in self._adj:
             return
         self._adj[vid] = []
-        if sort:
-            insort(self._by_label.setdefault(label_id, []), vid)
-        else:
-            self._by_label.setdefault(label_id, []).append(vid)
+        insort(self._by_label.setdefault(label_id, []), vid)
 
-    def add_neighbor(self, vid: int, other: int, remote: bool, sort: bool = True) -> None:
-        if sort:
-            insort(self._adj[vid], other)
-        else:
-            self._adj[vid].append(other)
+    def add_neighbor(self, vid: int, other: int, remote: bool) -> None:
+        insort(self._adj[vid], other)
         if remote:
-            if sort:
-                insort(self._border.setdefault(vid, []), other)
-            else:
-                self._border.setdefault(vid, []).append(other)
-
-    def sort_indexes(self) -> None:
-        """Sort every index in place — the bulk-build counterpart of the
-        incremental ``insort`` path (append unsorted, sort each list once)."""
-        for index in (self._adj, self._border, self._by_label):
-            for values in index.values():
-                values.sort()
+            insort(self._border.setdefault(vid, []), other)
 
     # -- queries -----------------------------------------------------------
     def neighbors(self, vid: int) -> List[int]:
@@ -120,7 +164,6 @@ class ServingStores:
         "_label_of",
         "_edges",
         "_pending",
-        "_sorted",
         "num_edges",
         "num_border_edges",
     )
@@ -129,9 +172,6 @@ class ServingStores:
         self.state = state
         #: Label ↔ id bijection shared with the engine's compiled plans.
         self.labels = labels if labels is not None else LabelInterner()
-        #: True once construction is incremental: inserts keep lists sorted.
-        #: ``from_state`` clears it during its bulk build (append, sort once).
-        self._sorted = True
         self.stores: List[PartitionStore] = [PartitionStore(p) for p in range(state.k)]
         #: vertex id → label id, for every stored vertex.
         self._label_of: Dict[int, int] = {}
@@ -147,23 +187,31 @@ class ServingStores:
         """Materialise stores for every placed vertex/edge of ``graph``.
 
         Edges with an unplaced endpoint go to the pending buffer (none, in
-        the common fully-partitioned case).
+        the common fully-partitioned case).  Field for field the result of
+        replaying :meth:`ingest_edge` over ``graph.edges()``.
         """
         stores = cls(state)
-        # Bulk build: append into the index lists and sort each once at the
-        # end, instead of paying insort's O(degree) shift per edge.
-        stores._sorted = False
-        try:
-            for v in graph.vertices():
-                vid = state.interner.id_of(v)
-                if vid is not None and state.partition_of_id(vid) != UNASSIGNED:
-                    stores._add_member(vid, graph.label(v))
-            for u, v in graph.edges():
-                stores.ingest_edge(EdgeEvent(u, graph.label(u), v, graph.label(v)))
-        finally:
-            stores._sorted = True
-            for store in stores.stores:
-                store.sort_indexes()
+        partition_of = state.assignment_vector
+        reprs = list(map(repr, state.interner.vertices()))
+        border_rows: Dict[int, List[int]] = {}
+        #: Endpoints of the cut edges in the order the replay meets them; a
+        #: vertex's first appearance is where its ``_border`` key is made.
+        cut_walk: List[int] = []
+        for vid, _label_id, partition, nbrs, remote in _cold_rows(stores, graph):
+            if remote:
+                # graph.edges() yields {u, w} in the turn of the endpoint
+                # whose repr sorts first, walking u's neighbour set in order.
+                own = reprs[vid]
+                yielded = [w for w in remote if own <= reprs[w]]
+                if yielded:
+                    cut_walk.append(vid)
+                    cut_walk += yielded
+                remote.sort()
+                border_rows[vid] = remote
+            nbrs.sort()
+            stores.stores[partition]._adj[vid] = nbrs
+        for vid in dict.fromkeys(cut_walk):
+            stores.stores[partition_of[vid]]._border[vid] = border_rows[vid]
         return stores
 
     # ------------------------------------------------------------------
@@ -174,7 +222,7 @@ class ServingStores:
             return
         lid = self.labels.intern(label)
         self._label_of[vid] = lid
-        self.stores[self.state.partition_of_id(vid)].add_member(vid, lid, sort=self._sorted)
+        self.stores[self.state.partition_of_id(vid)].add_member(vid, lid)
 
     def ingest_edge(self, event: EdgeEvent) -> Optional[Tuple[int, int]]:
         """Admit one streamed edge if both endpoints are placed.
@@ -203,8 +251,8 @@ class ServingStores:
         pu = self.state.partition_of_id(uid)
         pv = self.state.partition_of_id(vid)
         remote = pu != pv
-        self.stores[pu].add_neighbor(uid, vid, remote, sort=self._sorted)
-        self.stores[pv].add_neighbor(vid, uid, remote, sort=self._sorted)
+        self.stores[pu].add_neighbor(uid, vid, remote)
+        self.stores[pv].add_neighbor(vid, uid, remote)
         if remote:
             self.num_border_edges += 1
         return (uid, vid)
@@ -324,11 +372,8 @@ class _PartitionIndex:
         self._by_label: Dict[int, List[int]] = {}
         self.num_members = 0
 
-    def add_member(self, label_id: int, vid: int, sort: bool = True) -> None:
-        if sort:
-            insort(self._by_label.setdefault(label_id, []), vid)
-        else:
-            self._by_label.setdefault(label_id, []).append(vid)
+    def add_member(self, label_id: int, vid: int) -> None:
+        insort(self._by_label.setdefault(label_id, []), vid)
         self.num_members += 1
 
     def candidates(self, label_id: int) -> List[int]:
@@ -336,10 +381,6 @@ class _PartitionIndex:
 
     def candidate_count(self, label_id: int) -> int:
         return len(self._by_label.get(label_id, ()))
-
-    def sort_indexes(self) -> None:
-        for values in self._by_label.values():
-            values.sort()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<_PartitionIndex p={self.partition} members={self.num_members}>"
@@ -370,7 +411,6 @@ class RoutingIndex:
         "_edges",
         "_pending",
         "_new_vertices",
-        "_sorted",
         "num_edges",
         "num_border_edges",
     )
@@ -378,7 +418,6 @@ class RoutingIndex:
     def __init__(self, state: PartitionState, labels: Optional[LabelInterner] = None) -> None:
         self.state = state
         self.labels = labels if labels is not None else LabelInterner()
-        self._sorted = True
         self.stores: List[_PartitionIndex] = [_PartitionIndex(p) for p in range(state.k)]
         self._label_of: Dict[int, int] = {}
         self._edges: Set[int] = set()
@@ -391,20 +430,12 @@ class RoutingIndex:
 
     @classmethod
     def from_state(cls, graph: LabelledGraph, state: PartitionState) -> "RoutingIndex":
-        """Bulk-build the index for every placed vertex/edge of ``graph``."""
+        """Bulk-build the index for every placed vertex/edge of ``graph`` —
+        the same pass, and the same contract, as :meth:`ServingStores.from_state`."""
         index = cls(state)
-        index._sorted = False
-        try:
-            for v in graph.vertices():
-                vid = state.interner.id_of(v)
-                if vid is not None and state.partition_of_id(vid) != UNASSIGNED:
-                    index._add_member(vid, graph.label(v))
-            for u, v in graph.edges():
-                index.ingest_edge(EdgeEvent(u, graph.label(u), v, graph.label(v)))
-        finally:
-            index._sorted = True
-            for store in index.stores:
-                store.sort_indexes()
+        for vid, label_id, partition, _nbrs, _remote in _cold_rows(index, graph):
+            index.stores[partition].num_members += 1
+            index._new_vertices.append((vid, label_id, partition))
         return index
 
     def _add_member(self, vid: int, label: str) -> None:
@@ -413,7 +444,7 @@ class RoutingIndex:
         lid = self.labels.intern(label)
         self._label_of[vid] = lid
         partition = self.state.partition_of_id(vid)
-        self.stores[partition].add_member(lid, vid, sort=self._sorted)
+        self.stores[partition].add_member(lid, vid)
         self._new_vertices.append((vid, lid, partition))
 
     def ingest_edge(self, event: EdgeEvent) -> Optional[Tuple[int, int]]:

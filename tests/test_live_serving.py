@@ -308,6 +308,99 @@ def test_unplaced_root_short_circuits():
 
 
 # ----------------------------------------------------------------------
+# Rounds before the first request: nothing cached, nothing to invalidate
+# ----------------------------------------------------------------------
+class _TappedCluster(LiveCluster):
+    """Records every message the driver sends and receives, boot included."""
+
+    def __init__(self, *args, **kwargs):
+        self.sent, self.received = [], []
+        super().__init__(*args, **kwargs)
+
+    def _put(self, queues, shard, item):
+        self.sent.append(item)
+        super()._put(queues, shard, item)
+
+    def _next_message(self, deadline, soft=False):
+        message = super()._next_message(deadline, soft)
+        self.received.append(message)
+        return message
+
+
+def _wave_traffic(cluster):
+    """The invalidation-wave messages tapped so far: hops sent, forwards acked."""
+    hops = [m for m in cluster.sent if isinstance(m, InvalidationHops)]
+    forwards = [m for m in cluster.received if isinstance(m, IngestAck) and m.forwards]
+    return hops, forwards
+
+
+def test_bootstrap_sends_no_invalidation_wave(monkeypatch):
+    """Booting over a partitioned graph ships the stores and nothing else:
+    the caches are empty cluster-wide, so no shard runs the radius BFS and
+    the shards end up exactly as in a cache-less boot."""
+    # Several rounds: a later chunk's BFS reaches ghosts of an earlier one.
+    monkeypatch.setattr("repro.runtime.live.BOOTSTRAP_CHUNK", 16)
+    graph, workload = _random_case()
+    state = _partition("hash", graph, workload, k=4)
+    with _TappedCluster(graph, state, workload, num_shards=2, cache=True) as cached:
+        updates = [m for m in cached.sent if isinstance(m, EdgeUpdate)]
+        assert len(updates) > 2 and not any(m.invalidate for m in updates)
+        assert _wave_traffic(cached) == ([], [])
+        cached_stats = [shard.as_dict() for shard in cached.shard_stats()]
+    with LiveCluster(graph, state, workload, num_shards=2, cache=False) as plain:
+        plain_stats = [shard.as_dict() for shard in plain.shard_stats()]
+    assert sum(shard["border_edges"] for shard in cached_stats) > 0  # waves had work to skip
+    for with_cache, without in zip(cached_stats, plain_stats):
+        assert with_cache.pop("cache_stats") == {
+            "entries": 0,
+            "hits": 0,
+            "misses": 0,
+            "invalidations": 0,
+            "hit_rate": 0.0,
+        }
+        assert without.pop("cache_stats") is None
+        assert with_cache == without
+
+
+def test_invalidation_starts_with_the_first_request():
+    """Ingest rounds before any request skip the wave; every round after
+    one runs it — and from there on the cluster's cache counters are the
+    single-process engine's."""
+    graph, workload = _random_case()
+    early, more, late = batched(list(stream_edges(graph, "random", seed=3)), 50)
+
+    def server(cls, **kwargs):
+        state = PartitionState.for_graph(4, graph.num_vertices)
+        partitioner = registry.create("hash", state, graph=graph, workload=workload, seed=0)
+        return cls(LabelledGraph("live"), state, workload, partitioner=partitioner, **kwargs)
+
+    def serve_all(target):
+        return [
+            (name, root, target.serve_root(name, root).embeddings)
+            for name in target.query_names()
+            for root in target.root_candidates(name)
+        ]
+
+    engine = server(ServingEngine, cache=True)
+    with server(_TappedCluster, num_shards=2, cache=True) as cluster:
+        for batch in (early, more):
+            assert cluster.ingest(batch) == engine.ingest(batch)
+        assert not any(m.invalidate for m in cluster.sent if isinstance(m, EdgeUpdate))
+        assert _wave_traffic(cluster) == ([], [])
+        assert [s.cache_stats["invalidations"] for s in cluster.shard_stats()] == [0, 0]
+
+        assert serve_all(cluster) == serve_all(engine)  # fills the caches
+        del cluster.sent[:]
+        assert cluster.ingest(late) == engine.ingest(late)
+        assert all(m.invalidate for m in cluster.sent if isinstance(m, EdgeUpdate))
+        hops, forwards = _wave_traffic(cluster)
+        assert hops and forwards
+        assert serve_all(cluster) == serve_all(engine)
+        invalidated = sum(s.cache_stats["invalidations"] for s in cluster.shard_stats())
+        assert invalidated == engine.cache.invalidations > 0
+
+
+# ----------------------------------------------------------------------
 # Failure surface: death and poison become diagnosable errors
 # ----------------------------------------------------------------------
 def test_killed_server_raises_with_signal_name_quickly():
@@ -351,7 +444,7 @@ def test_poison_message_surfaces_remote_traceback():
 # ----------------------------------------------------------------------
 _WIRE_SAMPLES = [
     ServeSpec(shard_id=1, num_shards=4, k=8, query_depths=(("abc", 2),)),
-    EdgeUpdate(3, ((5, 0, 1),), ((5, 0, 1, 6, 1, 2),), ("abc",)),
+    EdgeUpdate(3, ((5, 0, 1),), ((5, 0, 1, 6, 1, 2),), ("abc",), False),
     InvalidationHops(3, ((7, 1), (9, 2))),
     IngestAck(1, 3, 2, ((7, 1, 0),)),
     QueryRequest(11, None, 5, 1),
@@ -388,6 +481,16 @@ def test_schema_mismatch_is_rejected():
     with pytest.raises(RuntimeError, match="schema mismatch"):
         check_schema(Future())
     check_schema(ServerFailure(0, "boom", "tb"))  # same version passes
+
+    class PreviousEdgeUpdate(EdgeUpdate):
+        """A peer from before the ``invalidate`` field."""
+
+        __slots__ = ()
+        schema_version = SCHEMA_VERSION - 1
+
+    with pytest.raises(RuntimeError, match="schema mismatch"):
+        check_schema(PreviousEdgeUpdate(0))
+    assert EdgeUpdate(0).invalidate is True  # unless the driver says otherwise
 
 
 def test_detlint_mp_pickle_scope_covers_live_modules():

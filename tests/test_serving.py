@@ -1,11 +1,15 @@
 """The serving layer's parts: stores, routers, engine, cache, traffic."""
 
+import random
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.datasets.figure1 import figure1_graph, figure1_workload
+from repro.graph.labelled_graph import LabelledGraph
 from repro.graph.stream import EdgeEvent, stream_edges
 from repro.partitioning import registry
-from repro.partitioning.state import PartitionState
+from repro.partitioning.state import UNASSIGNED, PartitionState
 from repro.serving import (
     ResultCache,
     ServingEngine,
@@ -16,6 +20,7 @@ from repro.serving import (
     register_router,
 )
 from repro.serving.router import BUILTIN_ROUTERS, Router, unregister_router
+from repro.serving.stores import RoutingIndex
 from repro.serving.traffic import percentile
 
 
@@ -86,6 +91,79 @@ class TestServingStores:
         assert stores.ingest_edge(EdgeEvent("x", "a", "y", "b")) is not None
         assert stores.ingest_edge(EdgeEvent("y", "b", "x", "a")) is None
         assert stores.num_edges == 1
+
+
+def _replay(cls, graph, state):
+    """What ``from_state`` must equal — the definition of a cold build: the
+    placed vertices join, then ``graph.edges()`` streams through
+    ``ingest_edge``."""
+    built = cls(state)
+    for v in graph.vertices():
+        vid = state.interner.id_of(v)
+        if vid is not None and state.partition_of_id(vid) != UNASSIGNED:
+            built._add_member(vid, graph.label(v))
+    for u, v in graph.edges():
+        built.ingest_edge(EdgeEvent(u, graph.label(u), v, graph.label(v)))
+    return built
+
+
+def _fields(built):
+    """Every field but ``state``; dicts as item lists, so key order counts."""
+
+    def ordered(value):
+        return list(value.items()) if isinstance(value, dict) else value
+
+    out = {}
+    for slot in type(built).__slots__:
+        if slot == "state":
+            continue
+        value = getattr(built, slot)
+        if slot == "labels":
+            value = list(value.labels())
+        elif slot == "stores":
+            value = [
+                {name: ordered(getattr(store, name)) for name in type(store).__slots__}
+                for store in value
+            ]
+        out[slot] = ordered(value)
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10_000), k=st.integers(1, 5))
+@pytest.mark.parametrize("cls", [ServingStores, RoutingIndex])
+def test_from_state_equals_replaying_the_edges(cls, seed, k):
+    rng = random.Random(seed)
+    # Ids run past 9 so repr order (which orients graph.edges()) and id
+    # order disagree; insertion order is shuffled; some vertices isolated.
+    vertices = rng.sample(range(40), rng.randint(2, 24))
+    graph = LabelledGraph("random")
+    for v in vertices:
+        graph.add_vertex(v, rng.choice("abc"))
+    for _ in range(rng.randint(0, 3 * len(vertices))):
+        u, v = rng.sample(vertices, 2)
+        graph.add_edge(u, v)
+    # A partial assignment: placed, interned but unplaced (inside and past
+    # the assignment vector), and never seen — interned in a third order.
+    state = PartitionState(k, capacity=len(vertices))
+    for v in rng.sample(vertices, len(vertices)):
+        fate = rng.random()
+        if fate < 0.6:
+            state.assign(v, rng.randrange(k))
+        elif fate < 0.7:
+            state.intern(v)
+        elif fate < 0.8:
+            state.interner.intern(v)
+
+    built, reference = cls.from_state(graph, state), _replay(cls, graph, state)
+    assert _fields(built) == _fields(reference)
+
+    for v in vertices:
+        if not state.is_assigned(v):
+            state.assign(v, rng.randrange(k))
+    assert built.flush_pending() == reference.flush_pending()
+    assert _fields(built) == _fields(reference)
+    assert built.num_edges == graph.num_edges and built.num_pending == 0
 
 
 class TestRouterRegistry:

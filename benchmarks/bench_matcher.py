@@ -10,19 +10,17 @@ allocation that keeps the window at capacity and the matchList churning.
 No partition state exists, so a regression here is a matcher regression,
 full stop.
 
-Both execution paths run every invocation: the per-edge scalar loop
-(:meth:`StreamMatcher.offer`) and the columnar batch path
-(:meth:`StreamMatcher.offer_batch`, the default in Loom).  Their core
-counters are asserted equal — the benchmark doubles as an equivalence
-smoke test — and each path reports per-repeat min/median so the spread is
-visible next to the headline (best-of-N hides run-to-run variance).
+The stream is offered in ``--batch-size`` chunks through
+:meth:`StreamMatcher.offer_batch` — the matcher's one ingest path — and
+the per-repeat min/median are reported so the spread is visible next to
+the headline (best-of-N hides run-to-run variance).
 
 Run from the repository root::
 
     python benchmarks/bench_matcher.py             # writes BENCH_matcher.json
     python benchmarks/bench_matcher.py --edges 4000 --window 500 --repeats 2
 
-``gain_vs_baseline`` compares the columnar headline against the previously
+``gain_vs_baseline`` compares the headline against the previously
 committed ``BENCH_matcher.json`` (same caveats as bench_throughput: it is
 a cross-run ratio and absorbs machine drift).  CI runs a reduced-scale
 pass so matcher regressions fail visibly.
@@ -64,41 +62,20 @@ def _evict_cluster(matcher: StreamMatcher) -> None:
         matcher.remove_cluster({eviction.ekey})
 
 
-def _drain(matcher: StreamMatcher) -> None:
-    while matcher.pending() > 0:
-        _evict_cluster(matcher)
-
-
-def drive_scalar(matcher: StreamMatcher, events, batch_size: int) -> None:
-    """Offer every event; on overflow, evict the oldest edge's own cluster."""
-    offer = matcher.offer
-    needs_eviction = matcher.needs_eviction
-    for event in events:
-        if offer(event):
-            while needs_eviction():
-                _evict_cluster(matcher)
-    _drain(matcher)
-
-
-def drive_columnar(matcher: StreamMatcher, events, batch_size: int) -> None:
-    """The batch twin: one gate pass per chunk, same eviction policy."""
+def timed_run(index: MotifIndex, window: int, events, batch_size: int):
+    """One pass: offer the stream in chunks; on overflow, evict the oldest
+    edge's own cluster; drain at the end."""
+    matcher = StreamMatcher(index, window)
     offer_batch = matcher.offer_batch
     overflow = lambda: _evict_cluster(matcher)  # noqa: E731
-    for chunk in batched(events, batch_size):
-        offer_batch(chunk, on_overflow=overflow)
-    _drain(matcher)
-
-
-DRIVERS = {"scalar": drive_scalar, "columnar": drive_columnar}
-
-
-def timed_run(index: MotifIndex, window: int, events, driver, batch_size: int):
-    matcher = StreamMatcher(index, window)
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
         start = time.perf_counter()
-        driver(matcher, events, batch_size)
+        for chunk in batched(events, batch_size):
+            offer_batch(chunk, on_overflow=overflow)
+        while matcher.pending() > 0:
+            _evict_cluster(matcher)
         elapsed = time.perf_counter() - start
     finally:
         if gc_was_enabled:
@@ -107,14 +84,13 @@ def timed_run(index: MotifIndex, window: int, events, driver, batch_size: int):
     return elapsed, matcher
 
 
-def run_path(name, index, args, events):
-    """All repeats of one execution path: per-repeat seconds + the last
-    matcher (for stats; every repeat's stats are identical by determinism)."""
-    driver = DRIVERS[name]
+def run_repeats(index, args, events):
+    """All repeats: per-repeat seconds + the last matcher (for stats; every
+    repeat's stats are identical by determinism)."""
     seconds = []
     matcher = None
     for _ in range(max(1, args.repeats)):
-        elapsed, matcher = timed_run(index, args.window, events, driver, args.batch_size)
+        elapsed, matcher = timed_run(index, args.window, events, args.batch_size)
         seconds.append(elapsed)
     best = min(seconds)
     median = statistics.median(seconds)
@@ -151,9 +127,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--window", type=int, default=DEFAULT_WINDOW)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--batch-size", type=int, default=DEFAULT_BATCH_SIZE,
-                        help="events per columnar gate chunk")
+                        help="events per offer_batch chunk")
     parser.add_argument("--repeats", type=int, default=3,
-                        help="timings per path (headline is best-of-N; the "
+                        help="timed passes (headline is best-of-N; the "
                         "median and spread are reported alongside)")
     parser.add_argument("--out", default=str(Path(__file__).resolve().parent.parent / "BENCH_matcher.json"))
     parser.add_argument("--baseline", default=None,
@@ -162,38 +138,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(args, baseline=None) -> dict:
-    """Time both execution paths over one stream; the results tree.
-
-    Raises :class:`AssertionError` when the scalar and columnar core
-    counters diverge — batch/scalar equivalence is a hard invariant of
-    this benchmark, whichever entry point (script or trial) drove it.
-    """
+    """Time the matcher over one stream; the results tree."""
     events = list(synthetic_stream(args.vertices, args.edges, seed=args.seed))
     index = MotifIndex(TPSTry.from_workload(bench_workload()), 0.4)
 
-    paths = {}
-    matchers = {}
-    for name in ("scalar", "columnar"):
-        paths[name], matchers[name] = run_path(name, index, args, events)
-
-    scalar_core = matchers["scalar"].stats.core_counters()
-    columnar_core = matchers["columnar"].stats.core_counters()
-    if scalar_core != columnar_core:
-        raise AssertionError(
-            "scalar/columnar core counters diverged: "
-            f"scalar={scalar_core} columnar={columnar_core}"
-        )
-
-    # The columnar path is the production default (Loom's ingest), so it is
-    # the headline and the number the regression gate tracks.
-    headline = paths["columnar"]
-    eps = headline["edges_per_sec"]
-    results = {
-        "seconds": headline["seconds"],
-        "edges_per_sec": eps,
-        "paths": paths,
-        "matcher_stats": matchers["columnar"].stats.as_dict(),
-    }
+    results, matcher = run_repeats(index, args, events)
+    eps = results["edges_per_sec"]
+    results["matcher_stats"] = matcher.stats.as_dict()
     note = ""
     if comparable(baseline, args):
         base_eps = baseline.get("results", {}).get("edges_per_sec")
@@ -201,13 +152,11 @@ def run(args, baseline=None) -> dict:
             results["baseline_edges_per_sec"] = base_eps
             results["gain_vs_baseline"] = round(eps / base_eps, 3)
             note = f", {eps / base_eps:.2f}x vs committed baseline"
-    for name in ("scalar", "columnar"):
-        p = paths[name]
-        print(
-            f"{name:>8}: {p['edges_per_sec']:>12,.0f} edges/s best "
-            f"(median {p['median_edges_per_sec']:,.0f}, spread {p['spread_pct']:.1f}%)"
-        )
-    print(f"matcher: {eps:>12,.0f} edges/s ({args.edges:,} edges{note})")
+    print(
+        f"matcher: {eps:>12,.0f} edges/s best (median "
+        f"{results['median_edges_per_sec']:,.0f}, spread {results['spread_pct']:.1f}%; "
+        f"{args.edges:,} edges{note})"
+    )
     return results
 
 
@@ -221,12 +170,7 @@ def matcher_trial(ctx):
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     baseline = load_baseline(args.baseline if args.baseline is not None else args.out)
-    try:
-        results = run(args, baseline)
-    except AssertionError as exc:
-        print(f"ERROR: {exc}", file=sys.stderr)
-        return 1
-
+    results = run(args, baseline)
     payload = {
         "benchmark": "matcher-only offer/extend/evict loop (no placement)",
         "config": {

@@ -5,12 +5,10 @@ worker processes, then shows what the merge had to resolve and what the
 partitioning quality paid for the parallelism — the trade
 `benchmarks/bench_scaling.py` measures systematically.
 
-Each worker's Loom runs the columnar ingest path by default: every queue
-batch is gated through the matcher's batch gate (one numpy classification
-per chunk), bypassed edges are tallied columnar, and only root-gate hits
-take the scalar matching core.  The per-shard `batches_offered` /
-`vector_bypassed` / `scalar_fallbacks` counters printed below come from
-exactly that machinery (see ARCHITECTURE.md, "Columnar execution").
+Each worker's Loom gates every edge of its slice against the single-edge
+motifs: the per-shard `edges_bypassed` (placed at once by LDG, never
+windowed) and `root_hits` (passed: windowed and matched) printed below
+are that gate's two verdicts.
 
 Run:  python examples/sharded_ingest.py
 """
@@ -64,16 +62,15 @@ def main() -> None:
         )
         print(f"  worker timings:    {slices}")
         gates = ", ".join(
-            "shard {}: {} chunks, {} bypassed columnar, {} scalar fallbacks".format(
+            "shard {}: {} bypassed, {} passed".format(
                 r.shard_id,
-                r.matcher_stats["batches_offered"],
-                r.matcher_stats["vector_bypassed"],
-                r.matcher_stats["scalar_fallbacks"],
+                r.matcher_stats["edges_bypassed"],
+                r.matcher_stats["root_hits"],
             )
             for r in result.shard_results
             if r.matcher_stats
         )
-        print(f"  columnar gate:     {gates}\n")
+        print(f"  single-edge gate:  {gates}\n")
 
     print(
         "Reading the numbers: one shard reproduces the single-process run\n"

@@ -3,9 +3,9 @@
 Loom's reproduction guarantees (bit-identical placements, digests and
 counters across runs, shards and processes) rest on invariants that unit
 tests only catch probabilistically: no string orderings on hot paths
-(PR 2), nothing unpicklable across worker queues (PR 4), explicit int64
-dtypes in the columnar mirrors (PR 6).  detlint makes those invariants
-static: ~8 AST rules (:mod:`repro.analysis.rules`), scoped per layer in
+(PR 2), nothing unpicklable across worker queues (PR 4), no raw vertex
+objects below the interning boundary (PR 1).  detlint makes those
+invariants static: 7 AST rules (:mod:`repro.analysis.rules`), scoped per layer in
 :mod:`repro.analysis.config`, runnable as::
 
     python -m repro.analysis [paths...]

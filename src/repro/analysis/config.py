@@ -21,7 +21,6 @@ How to scope a new module
   into ordered results, :data:`ORDERING_SENSITIVE_MODULES` (DET-setiter).
 * Accumulates floats whose order affects the result?  Add it to
   :data:`FP_ACCUM_MODULES` (FLT-accum).
-* Builds numpy arrays that mirror int64 state?  :data:`NP_DTYPE_MODULES`.
 * Crosses the worker process boundary?  :data:`MP_PICKLE_MODULES`.
 * Lives below the interning boundary?  :data:`INT_BOUNDARY_MODULES`.
 
@@ -84,16 +83,6 @@ FP_ACCUM_MODULES: Tuple[str, ...] = (
     "src/repro/partitioning/*",
 )
 
-#: Columnar-adjacent code: every numpy constructor names an explicit dtype
-#: (numpy's default integer dtype is C `long` — 32-bit on Windows — which
-#: silently truncates packed 64-bit edge keys).
-NP_DTYPE_MODULES: Tuple[str, ...] = (
-    "src/repro/core/*",
-    "src/repro/runtime/*",
-    "src/repro/serving/*",
-    "src/repro/graph/*",
-)
-
 #: The process boundary: only wire types from runtime/messages.py, ids and
 #: primitives may cross it (PR 4's deadlock class: an unpicklable payload
 #: kills the worker mid-put and the driver used to hang).
@@ -153,7 +142,6 @@ RULE_SCOPES: Dict[str, Scope] = {
     "DET-random": Scope(include=("*",), exclude=RANDOM_EXEMPT),
     "DET-time": Scope(include=("*",), exclude=TIME_EXEMPT),
     "FLT-accum": Scope(include=FP_ACCUM_MODULES),
-    "NP-dtype": Scope(include=NP_DTYPE_MODULES),
     "MP-pickle": Scope(include=MP_PICKLE_MODULES),
     "INT-boundary": Scope(include=INT_BOUNDARY_MODULES),
 }

@@ -19,5 +19,4 @@ from repro.analysis.rules import (  # noqa: F401  (imported for registration)
     flt_accum,
     int_boundary,
     mp_pickle,
-    np_dtype,
 )

@@ -27,15 +27,13 @@ from __future__ import annotations
 from typing import Dict, Optional, Set
 
 from repro.core.allocation import DEFAULT_ALPHA, DEFAULT_BALANCE_CAP, EqualOpportunism
-from repro.core.columnar import classify_roots
 from repro.core.matching import StreamMatcher
 from repro.core.motifs import MotifIndex
 from repro.core.signature import DEFAULT_PRIME, SignatureScheme
 from repro.core.tpstry import TPSTry
-from repro.core.window import LabelConflictError
 from repro import obs
 from repro.graph.labelled_graph import Vertex
-from repro.graph.stream import EdgeEvent, batched
+from repro.graph.stream import EdgeEvent
 from repro.partitioning.base import StreamingPartitioner
 from repro.partitioning.ldg import ldg_choose_ids
 from repro.partitioning.state import PartitionState
@@ -46,9 +44,6 @@ DEFAULT_SUPPORT_THRESHOLD = 0.4
 
 DEFAULT_WINDOW_SIZE = 10_000
 """The paper's default window: 10k edges (Sec. 5.1)."""
-
-DEFAULT_INGEST_BATCH_SIZE = 2_048
-"""Events per columnar gate chunk (matches the runtime's queue batch)."""
 
 
 class LoomPartitioner(StreamingPartitioner):
@@ -71,11 +66,7 @@ class LoomPartitioner(StreamingPartitioner):
         rationing_enabled: bool = True,
         support_weighting: bool = True,
         neighbor_aware_bids: bool = False,
-        columnar: bool = True,
-        batch_size: int = DEFAULT_INGEST_BATCH_SIZE,
     ) -> None:
-        if batch_size < 1:
-            raise ValueError("batch_size must be at least 1")
         super().__init__(state)
         self.workload = workload
         self.scheme = scheme or SignatureScheme(workload.label_set(), p=prime, seed=seed)
@@ -115,12 +106,6 @@ class LoomPartitioner(StreamingPartitioner):
                 (lambda vid: self._adj.get(vid, ())) if neighbor_aware_bids else None
             ),
         )
-        #: Columnar batch ingestion: gate whole chunks through the matcher's
-        #: batch gate + numpy root classification instead of per-edge probes.
-        #: Off (``columnar=False``) falls back to the per-edge scalar loop —
-        #: the two are bit-identical (tests/test_columnar.py).
-        self.columnar = columnar
-        self.batch_size = batch_size
         self.stats = {
             "immediate_assignments": 0,
             "evictions": 0,
@@ -145,58 +130,17 @@ class LoomPartitioner(StreamingPartitioner):
     # Streaming protocol
     # ------------------------------------------------------------------
     def ingest(self, event: EdgeEvent) -> None:
-        # Inlined _record: intern both endpoints and update the seen-so-far
-        # adjacency.  state.intern's assignment-vector growth is skipped —
-        # every consumer of the vector guards ``vid < len`` and assign_id
-        # grows it on demand — so this is two dict hits plus the set adds.
-        intern = self.state.interner.intern
-        uid = intern(event.u)
-        vid = intern(event.v)
-        adj = self._adj
-        bucket = adj.get(uid)
-        if bucket is None:
-            adj[uid] = {vid}
-        else:
-            bucket.add(vid)
-        bucket = adj.get(vid)
-        if bucket is None:
-            adj[vid] = {uid}
-        else:
-            bucket.add(uid)
-        if not self.matcher.offer(event, uid, vid):
-            # Sec. 3: the edge can never join a motif match — place it now
-            # with LDG and do not displace window edges.  Endpoints that
-            # currently sit in the window are *not* pinned here: their
-            # placement belongs to the motif cluster they are part of
-            # (Sec. 4's allocation); they are skipped and will be assigned
-            # when their cluster leaves the window.
-            self._ldg_place(event.u, uid)
-            self._ldg_place(event.v, vid)
-            self.stats["immediate_assignments"] += 1
-            return
-        # Inlined matcher.needs_eviction (window FIFO dict + capacity,
-        # bound at construction): one len() per windowed edge.
-        while len(self._window_events) > self._window_capacity:
-            self._evict_once()
+        self._ingest_events((event,), account=False)
 
     def ingest_batch(self, events) -> int:
-        """Batch-offer entry point: :meth:`ingest` semantics over a whole
-        iterable of events.
+        """:meth:`ingest` semantics over a whole iterable of events, plus
+        the batch-level accounting (``edges_ingested``, telemetry).
 
-        With :attr:`columnar` on (the default) the stream is chunked
-        (``batch_size`` events at a time) and each chunk's single-edge gate
-        runs once as a column — :meth:`StreamMatcher.gate_batch` plus one
-        numpy classification — before the per-event walk.  Edges the gate
-        bypassed skip the matcher entirely (LDG placement only); edges it
-        windowed fall back to the scalar matching core in stream order, so
-        placements, window contents and all core matcher counters are
-        bit-identical to the scalar loop (``tests/test_columnar.py`` and
-        ``tests/test_runtime.py`` pin both equivalences).
+        Placements, window contents and every counter are independent of
+        how the stream is cut into batches (the batch ≡ per-event suites
+        under ``tests/`` pin it).
         """
-        if self.columnar:
-            count = self._ingest_batch_columnar(events)
-        else:
-            count = self._ingest_batch_scalar(events)
+        count = self._ingest_events(events, account=True)
         # Batch-granular telemetry: dead calls on the NULL stubs when
         # disabled; deterministic fields (counts, not clocks) when on.
         self._obs_batches.inc()
@@ -214,14 +158,29 @@ class LoomPartitioner(StreamingPartitioner):
             )
         return count
 
-    def _ingest_batch_scalar(self, events) -> int:
-        """The pre-columnar batch loop: :meth:`ingest` semantics, hot
-        locals bound once per batch (the body is the ``ingest`` body
-        verbatim).  Kept as the ``columnar=False`` escape hatch and the
-        equivalence oracle for the columnar path."""
+    def _ingest_events(self, events, account: bool) -> int:
+        """The one per-edge ingest loop, in stream order: intern, record the
+        seen-so-far adjacency, gate, then window-and-match or place.
+
+        Interning and the adjacency must interleave with placements: LDG
+        reads the adjacency as of the edge's arrival, and an eviction
+        triggered by a windowed edge must see exactly the edges before it.
+        The gate is :meth:`StreamMatcher.offer`'s, inlined: one probe of the
+        plan's root memo (its slow path on a miss), with the matcher's gate
+        counters bumped per reached edge — so an exception mid-stream (a
+        :class:`~repro.core.window.LabelConflictError`, say) leaves every
+        counter where a per-event run stopped at the same edge leaves it.
+        ``account`` adds the completed events to ``edges_ingested`` even
+        then; per-event :meth:`ingest` leaves that to its caller, as the
+        base class does.
+        """
         intern = self.state.interner.intern
         adj = self._adj
-        offer = self.matcher.offer
+        matcher = self.matcher
+        root_memo = matcher._root_memo
+        root_entry = matcher._root_entry
+        absorb = matcher._absorb
+        mstats = matcher.stats
         window_events = self._window_events
         window_capacity = self._window_capacity
         stats = self.stats
@@ -230,6 +189,9 @@ class LoomPartitioner(StreamingPartitioner):
         count = 0
         try:
             for event in events:
+                # state.intern's assignment-vector growth is skipped: every
+                # consumer of the vector guards ``vid < len`` and assign_id
+                # grows it on demand.
                 uid = intern(event.u)
                 vid = intern(event.v)
                 bucket = adj.get(uid)
@@ -242,97 +204,32 @@ class LoomPartitioner(StreamingPartitioner):
                     adj[vid] = {uid}
                 else:
                     bucket.add(uid)
-                if not offer(event, uid, vid):
+                mstats.edges_offered += 1
+                got = root_memo.get((event.u_label, event.v_label))
+                if got is None:
+                    got = root_entry(event.u_label, event.v_label)
+                root = got[0]
+                if root < 0:
+                    # Sec. 3: the edge can never join a motif match — place
+                    # it now with LDG and do not displace window edges.
+                    # Endpoints that currently sit in the window are *not*
+                    # pinned here: their placement belongs to the motif
+                    # cluster they are part of (Sec. 4's allocation); they
+                    # are skipped and will be assigned when their cluster
+                    # leaves the window.
+                    mstats.edges_bypassed += 1
                     ldg_place(event.u, uid)
                     ldg_place(event.v, vid)
                     stats["immediate_assignments"] += 1
                 else:
+                    mstats.root_hits += 1
+                    absorb(event, uid, vid, root, got[1], got[2])
                     while len(window_events) > window_capacity:
                         evict_once()
                 count += 1
         finally:
-            self.edges_ingested += count
-        return count
-
-    def _ingest_batch_columnar(self, events) -> int:
-        """The columnar batch loop: one gate pass per chunk, scalar
-        matching core per windowed edge.
-
-        The chunk's root column is computed up front (pure — no matcher
-        state beyond memo tables), then every event is walked **in stream
-        order**: interning and the seen-so-far adjacency must interleave
-        with placements because LDG reads the adjacency as of the edge's
-        arrival, and an eviction triggered by windowed edge *i* must see
-        exactly the adjacency the scalar loop would have built by *i*.
-        The matcher's gate counters are pre-added per chunk and rolled
-        back for the unreached tail if a
-        :class:`~repro.core.window.LabelConflictError` aborts the chunk —
-        the same accounting :meth:`StreamMatcher.offer_batch` does.
-        """
-        intern = self.state.interner.intern
-        adj = self._adj
-        matcher = self.matcher
-        gate_batch = matcher.gate_batch
-        absorb = matcher._absorb
-        mstats = matcher.stats
-        window_events = self._window_events
-        window_capacity = self._window_capacity
-        stats = self.stats
-        ldg_place = self._ldg_place
-        evict_once = self._evict_once
-        count = 0
-        try:
-            for chunk in batched(events, self.batch_size):
-                roots, lus, lvs = gate_batch(chunk)
-                windowed_idx, num_bypassed = classify_roots(roots)
-                n = len(chunk)
-                hits = len(windowed_idx)
-                mstats.edges_offered += n
-                mstats.edges_bypassed += num_bypassed
-                mstats.vector_bypassed += num_bypassed
-                mstats.root_hits += hits
-                mstats.scalar_fallbacks += hits
-                pos = 0
-                next_windowed = windowed_idx[0] if hits else -1
-                for i, event in enumerate(chunk):
-                    uid = intern(event.u)
-                    vid = intern(event.v)
-                    bucket = adj.get(uid)
-                    if bucket is None:
-                        adj[uid] = {vid}
-                    else:
-                        bucket.add(vid)
-                    bucket = adj.get(vid)
-                    if bucket is None:
-                        adj[vid] = {uid}
-                    else:
-                        bucket.add(uid)
-                    if i == next_windowed:
-                        try:
-                            absorb(event, uid, vid, roots[i], lus[i], lvs[i])
-                        except LabelConflictError:
-                            # Un-count the gate verdicts of the edges the
-                            # scalar loop would never have reached.
-                            trailing = n - 1 - i
-                            hits_after = hits - pos - 1
-                            bypassed_after = trailing - hits_after
-                            mstats.edges_offered -= trailing
-                            mstats.root_hits -= hits_after
-                            mstats.scalar_fallbacks -= hits_after
-                            mstats.edges_bypassed -= bypassed_after
-                            mstats.vector_bypassed -= bypassed_after
-                            raise
-                        pos += 1
-                        next_windowed = windowed_idx[pos] if pos < hits else -1
-                        while len(window_events) > window_capacity:
-                            evict_once()
-                    else:
-                        ldg_place(event.u, uid)
-                        ldg_place(event.v, vid)
-                        stats["immediate_assignments"] += 1
-                    count += 1
-        finally:
-            self.edges_ingested += count
+            if account:
+                self.edges_ingested += count
         return count
 
     def finalize(self) -> None:

@@ -31,8 +31,8 @@ and the window's id → label map, motifs are dense plan state ids carried in
 against tables the plan pre-computed from the TPSTry++.  Per-state facts
 (support, extensibility) are flat array reads.
 
-Since the columnar lowering, the matchList itself runs on **dense match
-ids**: every registered match gets a small integer handle into an arena
+The matchList itself runs on **dense match ids**: every registered match
+gets a small integer handle into an arena
 (:class:`MatchList`), the per-vertex and per-edge indexes hold *sets of
 ints* rather than sets of :class:`Match` objects, and duplicate detection
 is one dict probe keyed by the match's canonical ``(edges, state)`` pair.
@@ -45,22 +45,25 @@ needs no per-use sorting), and every ordering — match sort keys,
 orderings are banned on this path (they were both slow and, for
 address-based default reprs, a cross-run determinism bug).
 
-Batch arrival goes through :meth:`StreamMatcher.offer_batch` /
-:meth:`StreamMatcher.gate_batch`: the single-edge gate for a whole batch is
-answered columnar (one numpy classification over per-edge root-state
-columns; see :mod:`repro.core.columnar`), bypassed edges never reach the
-per-edge machinery, and only edges whose root probe actually hits fall back
-to the scalar extension/join path — which is shared verbatim with
-:meth:`offer`, so batch and scalar runs are bit-identical
-(``tests/test_columnar.py`` pins it).
+Batch arrival (:meth:`StreamMatcher.offer_batch`) is the same per-edge work
+with the hot names bound once: one root-memo probe per edge, then the
+matching core :meth:`StreamMatcher._absorb` that :meth:`offer` also runs, so
+a batch run and a per-event run are bit-identical by construction (the
+batch ≡ per-event suites under ``tests/`` pin it).  There is no vectorised
+path: the gate is under 2% of the matcher's time, and a numpy batch gate
+measured no faster while costing every process the numpy import
+(ARCHITECTURE.md explains).
 
 Vertex objects are translated back only at the public boundary
 (:meth:`StreamMatcher.resolve_vertices` / :meth:`StreamMatcher.resolve_edges`);
 trie nodes are reachable for debugging through ``plan.node_of(state)``.
 
 A per-vertex match cap (``max_matches_per_vertex``) bounds the combinatorial
-worst case on dense, label-homogeneous hubs; it is generous by default and
-its effect is measured in the ablation benchmarks.
+worst case on dense, label-homogeneous hubs.  The default of 64 is *not*
+generous: on the reference graph ``capped_registrations / matches_created``
+is 0.33–0.35 (the e2e benchmark's ``core.matching.capped_share``), so every
+quality number this repo reports is Loom under that cap.  Sweeping it is
+ROADMAP item 4a.
 """
 
 from __future__ import annotations
@@ -72,7 +75,6 @@ from typing import (
     Iterable,
     List,
     Optional,
-    Sequence,
     Set,
     Tuple,
     Union,
@@ -308,16 +310,9 @@ class MatcherStats:
     the single-edge gate, ``extension_probes`` counts successor-table
     lookups (extension + pair-join growth), ``leaf_gate_skips`` counts
     matches whose non-extensible (leaf-motif) state let the matcher skip
-    the factor arithmetic entirely.
-
-    The last three are **batch counters**, non-zero only on the columnar
-    path: ``batches_offered`` counts :meth:`StreamMatcher.offer_batch` /
-    :meth:`StreamMatcher.gate_batch` invocations, ``vector_bypassed``
-    counts edges the columnar gate classified out without touching the
-    per-edge machinery, and ``scalar_fallbacks`` counts edges whose root
-    probe hit and therefore took the scalar extension/join path.  Batch
-    and scalar runs of the same stream agree on every *other* counter
-    bit for bit (``MatcherStats.core_counters`` is the comparison key).
+    the factor arithmetic entirely.  No counter depends on how the stream
+    was cut into batches: a batch run and a per-event run of one stream
+    agree on the whole dataclass.
     """
 
     plan_states: int = 0
@@ -331,23 +326,9 @@ class MatcherStats:
     root_hits: int = 0
     extension_probes: int = 0
     leaf_gate_skips: int = 0
-    batches_offered: int = 0
-    vector_bypassed: int = 0
-    scalar_fallbacks: int = 0
-
-    BATCH_COUNTERS = ("batches_offered", "vector_bypassed", "scalar_fallbacks")
 
     def as_dict(self) -> Dict[str, int]:
         return asdict(self)
-
-    def core_counters(self) -> Dict[str, int]:
-        """Everything except the batch counters — identical between a
-        scalar and a columnar run of the same stream (the equivalence
-        suites compare this)."""
-        d = asdict(self)
-        for name in self.BATCH_COUNTERS:
-            del d[name]
-        return d
 
 
 class StreamMatcher:
@@ -440,108 +421,47 @@ class StreamMatcher:
         self._absorb(event, uid, vid, root, lu, lv)
         return True
 
-    def gate_batch(
-        self, events: Sequence[EdgeEvent]
-    ) -> Tuple[List[int], List[int], List[int]]:
-        """The single-edge gate for a whole batch: per-edge columns
-        ``(roots, lus, lvs)``, where ``roots[i] < 0`` means event ``i``
-        can never join a motif match (the Sec. 3 bypass).
-
-        Pure — no matcher state changes beyond the plan's memo tables, so
-        callers are free to interleave the classification with their own
-        per-edge work (Loom places bypassed edges between window
-        evictions).  One shared-memo probe per event; unmemoised label
-        pairs take the plan's slow path exactly as :meth:`offer` would.
-        Counts one batch in ``stats.batches_offered``.
-        """
-        self.stats.batches_offered += 1
-        memo = self._root_memo
-        slow = self._root_entry
-        roots: List[int] = []
-        lus: List[int] = []
-        lvs: List[int] = []
-        append_root = roots.append
-        append_lu = lus.append
-        append_lv = lvs.append
-        for event in events:
-            got = memo.get((event.u_label, event.v_label))
-            if got is None:
-                got = slow(event.u_label, event.v_label)
-            append_root(got[0])
-            append_lu(got[1])
-            append_lv(got[2])
-        return roots, lus, lvs
-
     def offer_batch(
         self,
-        events: Sequence[EdgeEvent],
+        events: Iterable[EdgeEvent],
         on_overflow: Optional[Callable[[], None]] = None,
     ) -> int:
-        """Columnar twin of calling :meth:`offer` on each event in order.
+        """:meth:`offer` on each event in order, hot names bound once.
 
-        The single-edge gate runs once for the whole batch
-        (:meth:`gate_batch` + a numpy classification over the root column;
-        see :mod:`repro.core.columnar`); bypassed edges never reach the
-        per-edge machinery and are tallied columnar.  Edges whose root
-        probe hits fall back to the scalar extension/join path — the same
-        code :meth:`offer` runs — in stream order, so placements, window
-        contents and every core counter are bit-identical to the scalar
-        run (``stats.core_counters``; the batch counters record the
-        classification).  Returns the number of edges that entered the
-        window.
+        The gate is one probe of the plan's root memo per edge (the plan's
+        slow path on a miss, exactly as :meth:`offer` takes it) and an edge
+        that passes runs :meth:`_absorb`, so window contents, the matchList
+        and every counter equal a per-event run's.  Returns the number of
+        edges that entered the window (a duplicate of a buffered edge
+        passes the gate but does not enter).
 
-        ``on_overflow`` is invoked after each windowed edge while
-        :meth:`needs_eviction` holds, exactly where a scalar driver would
-        run its eviction loop; without one the window is left overflowing
-        (the standalone-matcher behaviour of repeated :meth:`offer` calls).
-        A :class:`~repro.core.window.LabelConflictError` aborts the batch
-        at the offending edge with the same counted-then-raised semantics
-        as :meth:`offer` (earlier edges of the batch remain absorbed, and
-        the gate counters pre-added for the *unreached* tail of the batch
-        are rolled back, so even the abort leaves ``core_counters`` equal
-        to a scalar run that stopped at the same edge).
+        ``on_overflow`` is called once after each gate-passing edge that
+        leaves the window over capacity — where a per-event driver would
+        run its eviction; without one the window is left overflowing (the
+        standalone-matcher behaviour of repeated :meth:`offer` calls).  A
+        :class:`~repro.core.window.LabelConflictError` aborts the batch at
+        the offending edge, counted then raised as in :meth:`offer`:
+        earlier edges stay absorbed, later ones were never looked at.
         """
-        from repro.core.columnar import classify_roots
-
         stats = self.stats
-        n = len(events)
-        if n == 0:
-            stats.batches_offered += 1
-            return 0
-        roots, lus, lvs = self.gate_batch(events)
-        windowed_idx, num_bypassed = classify_roots(roots)
-        stats.edges_offered += n
-        stats.edges_bypassed += num_bypassed
-        stats.vector_bypassed += num_bypassed
-        hits = len(windowed_idx)
-        stats.root_hits += hits
-        stats.scalar_fallbacks += hits
-        if not hits:
-            return 0
+        memo = self._root_memo
+        slow = self._root_entry
         intern = self.interner.intern
         absorb = self._absorb
         window_events = self.window._events
         capacity = self.window.capacity
         entered = 0
-        for pos, i in enumerate(windowed_idx):
-            event = events[i]
-            uid = intern(event.u)
-            vid = intern(event.v)
-            try:
-                windowed = absorb(event, uid, vid, roots[i], lus[i], lvs[i])
-            except LabelConflictError:
-                # Un-count the gate verdicts of the edges the scalar path
-                # would never have reached (everything after batch slot i).
-                trailing = n - 1 - i
-                hits_after = hits - pos - 1
-                bypassed_after = trailing - hits_after
-                stats.edges_offered -= trailing
-                stats.root_hits -= hits_after
-                stats.scalar_fallbacks -= hits_after
-                stats.edges_bypassed -= bypassed_after
-                stats.vector_bypassed -= bypassed_after
-                raise
-            if windowed:
+        for event in events:
+            stats.edges_offered += 1
+            got = memo.get((event.u_label, event.v_label))
+            if got is None:
+                got = slow(event.u_label, event.v_label)
+            root = got[0]
+            if root < 0:
+                stats.edges_bypassed += 1
+                continue
+            stats.root_hits += 1
+            if absorb(event, intern(event.u), intern(event.v), root, got[1], got[2]):
                 entered += 1
             if on_overflow is not None and len(window_events) > capacity:
                 on_overflow()
@@ -551,9 +471,10 @@ class StreamMatcher:
         self, event: EdgeEvent, uid: int, vid: int, root: int, lu: int, lv: int
     ) -> bool:
         """The per-edge matching core behind the gate: window the edge,
-        then run extension and pair joins (Alg. 2).  Shared verbatim by
-        :meth:`offer` and the batch path — bit-exactness between the two
-        is structural.  Returns ``False`` for a duplicate edge."""
+        then run extension and pair joins (Alg. 2).  Shared by
+        :meth:`offer`, :meth:`offer_batch` and Loom's ingest loop — their
+        bit-exactness is structural.  Returns ``False`` for a duplicate
+        edge."""
         stats = self.stats
         ekey = pack_edge(uid, vid)
         try:
@@ -598,8 +519,15 @@ class StreamMatcher:
             delta_slow = self._delta_slow
             successor_rows = self._successor_rows
             shift = self._delta_shift
+            # Both endpoints are vertices of every extension, and their
+            # buckets (the base match just created them if need be) only
+            # grow during this loop.
+            at_u = by_vertex[uid]
+            at_v = by_vertex[vid]
+            cap = self.max_matches_per_vertex
             leaf_skips = 0
             probes = 0
+            capped = 0
             for m in existing:
                 m_state = m.state
                 if not extensible[m_state]:
@@ -617,6 +545,13 @@ class StreamMatcher:
                 children = successor_rows[(m_state << shift) | delta]
                 if children is None:
                     continue
+                if len(at_u) >= cap or len(at_v) >= cap:
+                    # Every child would be registered only to be rolled
+                    # back (ekey is new, so none can be a duplicate): a
+                    # third of all registrations on the reference graph.
+                    # Count them as _register would and build nothing.
+                    capped += len(children)
+                    continue
                 extended_edges = m.edges + (ekey,)
                 new_degrees = dict(degrees)
                 new_degrees[uid] = du + 1
@@ -627,6 +562,7 @@ class StreamMatcher:
                         new_matches.append(nm)
             stats.leaf_gate_skips += leaf_skips
             stats.extension_probes += probes
+            stats.capped_registrations += capped
 
         # -- pair joins (lines 11-18): merge a match containing e with a
         #    match on the other side.  Every motif match M ∋ e decomposes as
@@ -748,10 +684,15 @@ class StreamMatcher:
         # ids: duplicates are rejected up front by one canonical-key dict
         # probe (a duplicate is already registered, so the cap holds for it
         # by construction), then a single pass inserts the id while
-        # checking bucket sizes, rolling back on a cap hit (rare — the cap
-        # is generous, so the success path pays one pass only).  The Match
-        # object is only constructed once registration is certain, so
-        # duplicate and capped attempts allocate nothing.
+        # checking bucket sizes, rolling back on a cap hit.  A cap hit is
+        # not rare: with the default cap of 64, capped_registrations /
+        # matches_created is 0.33–0.35 on the reference graph (the e2e
+        # benchmark's core.matching.capped_share; ROADMAP item 4a sweeps
+        # the cap).  The extension loop therefore skips registrations it
+        # can see are doomed before building them; what reaches here pays
+        # one pass on success.  The Match object is only constructed once
+        # registration is certain, so duplicate and capped attempts
+        # allocate nothing.
         edges = tuple(sorted(edges))
         ids = self._ml_ids
         key = (edges, state)

@@ -165,7 +165,7 @@ class MotifPlan:
         #: successors).  Semantically identical to ``_successors`` — the
         #: matcher's inner loop reads this (a C list index instead of an
         #: int-dict probe); the dict stays as the canonical form the
-        #: boundary helpers and the columnar sorted tables compile from.
+        #: boundary helpers (:meth:`successors`) answer from.
         #: Size is ``num_states << delta_shift`` (delta ids never exceed
         #: ``2**delta_shift``), small for any realistic workload.
         self.successor_rows: List[Optional[Tuple[int, ...]]] = [None] * (

@@ -44,7 +44,6 @@ from __future__ import annotations
 
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
-from repro.core.columnar import WindowColumns
 from repro.graph.interning import LabelInterner, VertexInterner, pack_edge, unpack_edge
 from repro.graph.labelled_graph import LabelledGraph, Vertex
 from repro.graph.stream import EdgeEvent
@@ -57,7 +56,7 @@ class LabelConflictError(ValueError):
 class SlidingWindow:
     """A fixed-capacity FIFO of edge events plus their graph (``Ptemp``)."""
 
-    __slots__ = ("capacity", "interner", "labels", "cols", "_events", "_adj", "_labels")
+    __slots__ = ("capacity", "interner", "labels", "_events", "_adj", "_labels")
 
     def __init__(
         self,
@@ -78,10 +77,6 @@ class SlidingWindow:
         self._events: Dict[int, EdgeEvent] = {}  # ekey -> event, insertion-ordered
         self._adj: Dict[int, Set[int]] = {}
         self._labels: Dict[int, int] = {}  # vertex id -> label id
-        #: Columnar mirrors (arrival log + live degrees) maintained
-        #: alongside the dict state for batch consumers; the dicts stay
-        #: the source of truth (see :class:`~repro.core.columnar.WindowColumns`).
-        self.cols = WindowColumns()
 
     # ------------------------------------------------------------------
     # Mutation
@@ -161,7 +156,6 @@ class SlidingWindow:
         adj = self._adj
         adj.setdefault(uid, set()).add(vid)
         adj.setdefault(vid, set()).add(uid)
-        self.cols.record_add(uid, vid, ekey)
         return ekey
 
     def remove_ekeys(self, ekeys: Set[int]) -> List[EdgeEvent]:
@@ -175,14 +169,12 @@ class SlidingWindow:
         removed: List[EdgeEvent] = []
         adj = self._adj
         labels = self._labels
-        record_remove = self.cols.record_remove
         for ekey in sorted(ekeys):
             event = self._events.pop(ekey, None)
             if event is None:
                 continue
             removed.append(event)
             uid, vid = unpack_edge(ekey)
-            record_remove(uid, vid)
             for a, b in ((uid, vid), (vid, uid)):
                 nbrs = adj.get(a)
                 if nbrs is None:

@@ -95,11 +95,17 @@ def bfs_stream(graph: LabelledGraph, seed: int = 0) -> Iterator[EdgeEvent]:
     emitted (tree edges *and* cross edges), so neighbouring edges appear
     close together in the stream — the locality that makes BFS order
     friendly to streaming partitioners (Sec. 5.3).
+
+    Every vertex is enqueued once and all its edges leave when it is
+    dequeued, so an edge was already emitted iff its other endpoint was
+    dequeued earlier: a ``done`` vertex set answers that without building
+    or hashing an edge key.
     """
     rng = random.Random(seed)
     index = _insertion_index(graph)
     rank = index.__getitem__
-    emitted = set()
+    label = graph.label
+    done = set()
     visited = set()
     for root in _ordered_roots(graph, rng):
         if root in visited:
@@ -110,24 +116,30 @@ def bfs_stream(graph: LabelledGraph, seed: int = 0) -> Iterator[EdgeEvent]:
         while head < len(queue):
             u = queue[head]
             head += 1
+            done.add(u)
+            u_label = label(u)
             nbrs = sorted(graph.neighbors(u), key=rank)
             rng.shuffle(nbrs)
             for v in nbrs:
-                e = normalize_edge(u, v)
-                if e not in emitted:
-                    emitted.add(e)
-                    yield _event(graph, u, v)
+                if v not in done:
+                    yield EdgeEvent(u, u_label, v, label(v))
                 if v not in visited:
                     visited.add(v)
                     queue.append(v)
 
 
 def dfs_stream(graph: LabelledGraph, seed: int = 0) -> Iterator[EdgeEvent]:
-    """Emit every edge once, in (iterative) depth-first discovery order."""
+    """Emit every edge once, in (iterative) depth-first discovery order.
+
+    Each vertex is pushed once and emits all its edges when popped, so —
+    as in :func:`bfs_stream` — an edge was already emitted iff its other
+    endpoint was popped earlier.
+    """
     rng = random.Random(seed)
     index = _insertion_index(graph)
     rank = index.__getitem__
-    emitted = set()
+    label = graph.label
+    done = set()
     visited = set()
     for root in _ordered_roots(graph, rng):
         if root in visited:
@@ -136,13 +148,13 @@ def dfs_stream(graph: LabelledGraph, seed: int = 0) -> Iterator[EdgeEvent]:
         stack: List[Vertex] = [root]
         while stack:
             u = stack.pop()
+            done.add(u)
+            u_label = label(u)
             nbrs = sorted(graph.neighbors(u), key=rank)
             rng.shuffle(nbrs)
             for v in nbrs:
-                e = normalize_edge(u, v)
-                if e not in emitted:
-                    emitted.add(e)
-                    yield _event(graph, u, v)
+                if v not in done:
+                    yield EdgeEvent(u, u_label, v, label(v))
                 if v not in visited:
                     visited.add(v)
                     stack.append(v)

@@ -70,14 +70,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--batch-size",
         type=int,
         default=DEFAULT_BATCH_SIZE,
-        help="events per batch: the columnar gate chunk on a single-process "
-        "Loom run, the runtime queue message size on sharded runs",
-    )
-    parser.add_argument(
-        "--no-columnar",
-        action="store_true",
-        help="run Loom's per-edge scalar ingest loop instead of the columnar "
-        "(numpy) batch gate; placements are bit-identical either way",
+        help="events per queue message on sharded runs (--shards > 1); "
+        "placements do not depend on it",
     )
     parser.add_argument(
         "--merge-rule",
@@ -185,20 +179,12 @@ def main(argv: Optional[list] = None) -> int:
         return 2
 
     window = args.window if args.window is not None else scaled_window(graph)
-    loom_kwargs = (
-        {"support_threshold": args.threshold, "columnar": not args.no_columnar}
-        if args.system == "loom"
-        else {}
-    )
+    loom_kwargs = {"support_threshold": args.threshold} if args.system == "loom" else {}
     events = stream_edges(graph, args.order, seed=args.seed)
 
     if args.shards == 1:
         # The established single-process path (also what a sharded run with
         # one worker reproduces bit for bit — tests/test_runtime.py).
-        # --batch-size sizes the columnar gate chunks here; on sharded runs
-        # it sizes the queue messages instead (the workers chunk internally).
-        if args.system == "loom":
-            loom_kwargs["batch_size"] = args.batch_size
         state = PartitionState.for_graph(args.k, graph.num_vertices, args.imbalance)
         partitioner = registry.create(
             args.system,

@@ -157,30 +157,6 @@ def score(weights_list):
     return pinned + listed
 """,
     ),
-    "NP-dtype": (
-        "src/repro/core/mod.py",
-        """
-import numpy as np
-
-
-def build(keys, buf):
-    a = np.array(keys)
-    z = np.zeros(4)
-    f = np.frombuffer(buf)
-    return a, z, f
-""",
-        """
-import numpy as np
-
-
-def build(keys, buf, proto):
-    a = np.array(keys, dtype=np.int64)
-    z = np.zeros(4, np.int64)
-    f = np.frombuffer(buf, dtype=np.int64)
-    like = np.zeros_like(proto)
-    return a, z, f, like
-""",
-    ),
     "MP-pickle": (
         "src/repro/runtime/mod.py",
         """
@@ -278,7 +254,7 @@ def test_rule_silent_on_good_fixture(rule_id):
 
 def test_every_registered_rule_has_a_fixture_and_scope():
     registered = {cls.rule_id for cls in all_rules()}
-    assert len(registered) >= 8
+    assert len(registered) >= 7
     assert registered == set(FIXTURES), "every rule needs bad/good fixtures here"
     assert registered <= set(config.RULE_SCOPES), "every rule needs a scope entry"
 
@@ -346,32 +322,32 @@ def test_file_pragma_and_all_keyword():
 def test_pragma_parser_handles_lists_and_justifications():
     line_disables, file_disables = collect_pragmas(
         "x = 1  # detlint: disable=DET-repr, DET-setiter (both justified here)\n"
-        "# detlint: disable-file=NP-dtype\n"
+        "# detlint: disable-file=DET-time\n"
         's = "# detlint: disable=MP-pickle inside a string is ignored"\n'
     )
     assert line_disables == {1: {"DET-repr", "DET-setiter"}}
-    assert file_disables == {"NP-dtype"}
+    assert file_disables == {"DET-time"}
 
 
 # ----------------------------------------------------------------------
 # Baseline
 # ----------------------------------------------------------------------
 def test_baseline_roundtrip_and_grandfathering(tmp_path):
-    path, bad, _good = FIXTURES["NP-dtype"]
-    findings = _rules_fired(path, bad, "NP-dtype")
-    assert len(findings) == 3
+    path, bad, _good = FIXTURES["DET-repr"]
+    findings = _rules_fired(path, bad, "DET-repr")
+    assert len(findings) == 7
 
     baseline_file = tmp_path / "baseline.json"
     write_baseline(findings, str(baseline_file))
     baseline = load_baseline(str(baseline_file))
 
     new, grandfathered = apply_baseline(findings, baseline)
-    assert new == [] and len(grandfathered) == 3
+    assert new == [] and len(grandfathered) == 7
 
 
 def test_baseline_is_a_multiset_and_keyed_on_code_text(tmp_path):
-    path, bad, _good = FIXTURES["NP-dtype"]
-    findings = _rules_fired(path, bad, "NP-dtype")
+    path, bad, _good = FIXTURES["DET-repr"]
+    findings = _rules_fired(path, bad, "DET-repr")
     baseline_file = tmp_path / "baseline.json"
     write_baseline(findings[:1], str(baseline_file))
     baseline = load_baseline(str(baseline_file))
@@ -379,14 +355,14 @@ def test_baseline_is_a_multiset_and_keyed_on_code_text(tmp_path):
     # Only one entry: the first matching finding is grandfathered, the
     # rest (different code lines) stay new.
     new, grandfathered = apply_baseline(findings, baseline)
-    assert len(grandfathered) == 1 and len(new) == 2
+    assert len(grandfathered) == 1 and len(new) == 6
 
     # A grandfathered line that *changes* loses its grandfather status.
-    changed = bad.replace("np.array(keys)", "np.array(list(keys))")
-    refindings = _rules_fired(path, changed, "NP-dtype")
+    changed = bad.replace("vs.sort(key=repr)", "vs.sort(key=repr, reverse=True)")
+    refindings = _rules_fired(path, changed, "DET-repr")
     new, grandfathered = apply_baseline(refindings, baseline)
-    assert all(f.code != "a = np.array(keys)" for f in grandfathered)
-    assert len(new) == 3
+    assert all(f.code != "vs.sort(key=repr)" for f in grandfathered)
+    assert len(new) == 7
 
 
 # ----------------------------------------------------------------------
@@ -416,8 +392,8 @@ def _write(tmp_path, name, text):
 
 
 def test_cli_exit_codes(tmp_path, capsys):
-    bad = _write(tmp_path, "src/repro/core/mod.py", FIXTURES["NP-dtype"][1])
-    good = _write(tmp_path, "src/repro/core/ok.py", FIXTURES["NP-dtype"][2])
+    bad = _write(tmp_path, "src/repro/core/mod.py", FIXTURES["DET-repr"][1])
+    good = _write(tmp_path, "src/repro/core/ok.py", FIXTURES["DET-repr"][2])
     broken = _write(tmp_path, "src/repro/core/broken.py", "def broken(:\n")
 
     assert detlint_main([str(good)]) == 0
@@ -427,7 +403,7 @@ def test_cli_exit_codes(tmp_path, capsys):
 
 
 def test_cli_json_report_and_baseline_flow(tmp_path, capsys):
-    bad = _write(tmp_path, "src/repro/core/mod.py", FIXTURES["NP-dtype"][1])
+    bad = _write(tmp_path, "src/repro/core/mod.py", FIXTURES["DET-repr"][1])
     report_file = tmp_path / "report.json"
     baseline_file = tmp_path / "baseline.json"
 
@@ -435,8 +411,8 @@ def test_cli_json_report_and_baseline_flow(tmp_path, capsys):
     payload = json.loads(report_file.read_text(encoding="utf-8"))
     assert payload["schema_version"] == 1
     assert payload["ok"] is False
-    assert payload["counts"]["findings"] == 3
-    assert all(f["rule"] == "NP-dtype" for f in payload["findings"])
+    assert payload["counts"]["findings"] == 7
+    assert all(f["rule"] == "DET-repr" for f in payload["findings"])
 
     assert detlint_main([str(bad), "--write-baseline", str(baseline_file)]) == 0
     assert detlint_main([str(bad), "--baseline", str(baseline_file)]) == 0

@@ -6,6 +6,11 @@ every system assigns every vertex, and Loom's window recovers locality on
 randomly-ordered (pseudo-adversarial) streams.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.bench.harness import compare_systems
@@ -100,3 +105,38 @@ class TestWorkloadSensitivity:
         state_b = PartitionState.for_graph(4, g.num_vertices)
         LoomPartitioner(state_b, wl_b, window_size=120).ingest_all(events)
         assert state_a.assignment() != state_b.assignment()
+
+
+# Every process of a deployment (driver, shard servers, CLI) starts by
+# importing the package; numpy used to ride along (16 MB resident, 140 ms)
+# for a matcher path that measured no faster.  Run in a fresh interpreter:
+# the pytest process itself may hold numpy through a plugin.
+NUMPY_FREE = """
+import sys
+
+import repro, repro.runtime.live, repro.serving, repro.partition_cli
+from repro.datasets import load_dataset
+from repro.graph.stream import stream_edges, stream_prefix
+from repro.partitioning import registry
+from repro.partitioning.state import PartitionState
+
+dataset = load_dataset("musicbrainz", 150, seed=1)
+events = stream_prefix(stream_edges(dataset.graph, "bfs", seed=1), 200)
+assert len(events) == 200
+state = PartitionState.for_graph(4, dataset.graph.num_vertices)
+loom = registry.create(
+    "loom", state, graph=dataset.graph, workload=dataset.workload, window_size=25, seed=1
+)
+loom.ingest_all(events)
+assert loom.matcher.stats.edges_windowed > 0 and loom.stats["evictions"] > 0
+assert "numpy" not in sys.modules, "numpy was imported"
+"""
+
+
+def test_package_and_a_loom_pass_never_import_numpy():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c", NUMPY_FREE], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr

@@ -4,14 +4,17 @@ The matcher runs on interned ids; tests translate through
 :meth:`StreamMatcher.edge_key` / ``resolve_*`` at the boundary.
 """
 
+import hashlib
+
 import pytest
 
+from helpers import make_random_labelled_graph
 from repro.core.matching import Match, MatchList, StreamMatcher
 from repro.core.motifs import MotifIndex
 from repro.core.tpstry import TPSTry
 from repro.core.window import LabelConflictError
 from repro.graph.interning import pack_edge
-from repro.graph.stream import EdgeEvent
+from repro.graph.stream import EdgeEvent, stream_edges
 
 
 def build_matcher(workload, window=100, **kwargs) -> StreamMatcher:
@@ -194,6 +197,91 @@ class TestMatchInvariants:
     def test_cap_validation(self, fig5_workload):
         with pytest.raises(ValueError):
             build_matcher(fig5_workload, max_matches_per_vertex=0)
+
+    @pytest.mark.parametrize(
+        "cap, counters, digest",
+        [
+            (2, (131, 131, 0, 398, 469, 0), "4a4a20dfcf6fa7fc"),
+            (5, (131, 153, 1, 433, 563, 41), "f198ec6b7964a711"),
+            (64, (131, 721, 48, 408, 1721, 1811), "431f0fb18826398b"),
+        ],
+    )
+    def test_cap_hits_leave_counters_ids_and_evictions_pinned(
+        self, fig5_workload, cap, counters, digest
+    ):
+        """The extension loop skips registrations it can see the cap will
+        reject instead of building and undoing them.  Values taken from the
+        build-then-undo matcher: every counter, every eviction's match list
+        and the arena slot of every live match must not move."""
+        graph = make_random_labelled_graph(60, 300, seed=8)
+        events = list(stream_edges(graph, "bfs", seed=8))
+        m = build_matcher(fig5_workload, 80, max_matches_per_vertex=cap)
+        h = hashlib.sha256()
+
+        def evict():
+            e = m.next_eviction()
+            h.update(repr((e.ekey, [(x.edges, x.state) for x in e.matches])).encode())
+            m.remove_cluster(e.matches[0].edges)
+
+        m.offer_batch(events, on_overflow=evict)
+        live = [(i, x.edges, x.state) for i, x in enumerate(m.matchlist._arena) if x is not None]
+        h.update(repr(live).encode())
+        stats = m.stats
+        assert (
+            stats.edges_windowed,
+            stats.matches_created,
+            stats.pair_joins,
+            stats.capped_registrations,
+            stats.extension_probes,
+            stats.leaf_gate_skips,
+        ) == counters
+        assert h.hexdigest()[:16] == digest
+
+
+def _sized_containers(obj, path, seen, out):
+    """``(attribute path, len)`` of every container reachable from ``obj``
+    through objects of this package (builtin containers are leaves)."""
+    if id(obj) in seen:
+        return
+    seen.add(id(obj))
+    if not type(obj).__module__.startswith("repro."):
+        if hasattr(obj, "__len__"):
+            out.append((path, len(obj)))
+        return
+    names = list(getattr(obj, "__dict__", ()))
+    for klass in type(obj).__mro__:
+        names += list(getattr(klass, "__slots__", ()))
+    for name in names:
+        if hasattr(obj, name):
+            _sized_containers(getattr(obj, name), f"{path}.{name}", seen, out)
+
+
+class TestBoundedState:
+    def test_window_and_matchlist_hold_order_capacity_on_a_long_stream(self, fig5_workload):
+        """Loom is an online partitioner: after 50 × capacity windowed
+        edges nothing the window or the matchList holds may have grown
+        with the stream.  The stream replays one small graph, so the
+        interners are bounded too; the eviction is Loom's stand-in (drop
+        the oldest edge's own cluster)."""
+        capacity = 40
+        graph = make_random_labelled_graph(2 * capacity, 5 * capacity, seed=8)
+        events = list(stream_edges(graph, "bfs", seed=8))
+        m = build_matcher(fig5_workload, capacity)
+
+        def evict():
+            m.remove_cluster(m.next_eviction().matches[0].edges)
+
+        while m.stats.edges_windowed < 50 * capacity:
+            m.offer_batch(events, on_overflow=evict)
+        assert m.pending() <= capacity
+
+        sizes = []
+        seen = set()
+        _sized_containers(m.window, "window", seen, sizes)
+        _sized_containers(m.matchlist, "matchlist", seen, sizes)
+        assert {"window._events", "matchlist._arena"} <= {path for path, _ in sizes}
+        oversized = [(path, n) for path, n in sizes if n > 10 * capacity]
+        assert not oversized, oversized
 
 
 class TestMatchAndMatchList:

@@ -203,12 +203,8 @@ class TestLoomBatchEntryPoint:
         loom_b.finalize()
 
         assert state_a.assignment() == state_b.assignment()
-        # batches_offered counts gate chunks, so it depends on the batch
-        # layout; every per-edge counter must agree across layouts.
-        stats_a, stats_b = loom_a.matcher.stats, loom_b.matcher.stats
-        assert stats_a.core_counters() == stats_b.core_counters()
-        assert stats_a.vector_bypassed == stats_b.vector_bypassed
-        assert stats_a.scalar_fallbacks == stats_b.scalar_fallbacks
+        # No matcher counter depends on the batch layout.
+        assert loom_a.matcher.stats == loom_b.matcher.stats
         assert loom_a.stats == loom_b.stats
         assert loom_a.edges_ingested == loom_b.edges_ingested == len(events)
 

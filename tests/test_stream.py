@@ -1,9 +1,12 @@
 """Unit and property tests for graph streams and their orderings."""
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.graph.labelled_graph import normalize_edge
+from repro.datasets import load_dataset
+from repro.graph.labelled_graph import LabelledGraph, normalize_edge
 from repro.graph.stream import (
     EdgeEvent,
     StreamOrder,
@@ -53,8 +56,6 @@ class TestOrderings:
         assert a == b
 
     def test_covers_disconnected_components(self, order):
-        from repro.graph.labelled_graph import LabelledGraph
-
         g = LabelledGraph.from_label_map(
             {1: "a", 2: "b", 3: "a", 4: "b"}, [(1, 2), (3, 4)]
         )
@@ -89,6 +90,101 @@ class TestOrderCharacter:
         bfs = [ev.edge for ev in bfs_stream(random_graph, seed=0)]
         dfs = [ev.edge for ev in dfs_stream(random_graph, seed=0)]
         assert bfs != dfs
+
+
+def _disconnected_graph() -> LabelledGraph:
+    """A ring, a clique, a star and a path on interleaved ids (the path's
+    are strings), plus two isolated vertices."""
+    ring = list(range(0, 40, 4))
+    clique = list(range(1, 25, 4))
+    star = list(range(2, 50, 4))
+    path = [f"p{i}" for i in range(7)]
+    edges = [(v, ring[(i + 1) % len(ring)]) for i, v in enumerate(ring)]
+    edges += [(u, v) for i, u in enumerate(clique) for v in clique[i + 1 :]]
+    edges += [(star[0], v) for v in star[1:]]
+    edges += list(zip(path, path[1:]))
+    vertices = ring + clique + star + path + [997, 999]
+    labels = {v: "abc"[i % 3] for i, v in enumerate(vertices)}
+    return LabelledGraph.from_label_map(labels, edges)
+
+
+#: Generated dataset → vertex count (the two LUBM entries share a
+#: generator, so they differ in size).
+_DIGEST_DATASETS = {
+    "dblp": 400,
+    "provgen": 400,
+    "musicbrainz": 400,
+    "lubm-100": 400,
+    "lubm-4000": 900,
+}
+
+#: SHA-256 (first 16 hex digits) of the ``(u, u_label, v, v_label)``
+#: sequence of each traversal order, taken before ``bfs_stream`` /
+#: ``dfs_stream`` replaced their emitted-edge set (``normalize_edge`` keys)
+#: with a processed-vertex set.  Key: ``graph-seed-order``; the seed drives
+#: both the generator and the stream.
+_STREAM_DIGESTS = {
+    "dblp-0-bfs": "693c0a121d0eef9b",
+    "dblp-0-dfs": "0cc6cb2e86f775c4",
+    "dblp-1-bfs": "cfe0be5c16f127b4",
+    "dblp-1-dfs": "22f04589fa731367",
+    "dblp-2-bfs": "43fd67832964f05b",
+    "dblp-2-dfs": "687206f181ba813c",
+    "lubm-100-0-bfs": "92b7ed390c185e54",
+    "lubm-100-0-dfs": "4ba885a388633ceb",
+    "lubm-100-1-bfs": "ef2984758fe2efde",
+    "lubm-100-1-dfs": "547d9e0b374f1950",
+    "lubm-100-2-bfs": "eaa7c880da0cd2dc",
+    "lubm-100-2-dfs": "3754632ad11ded23",
+    "lubm-4000-0-bfs": "42b3460600994d8f",
+    "lubm-4000-0-dfs": "da3aee0e4b1b652e",
+    "lubm-4000-1-bfs": "f4d54fb0583a58fb",
+    "lubm-4000-1-dfs": "0bb571f65034faf9",
+    "lubm-4000-2-bfs": "0e56c0ca4475ea35",
+    "lubm-4000-2-dfs": "ad3223ee3dc4e536",
+    "musicbrainz-0-bfs": "b241da15a27ad003",
+    "musicbrainz-0-dfs": "7047039ee9e68a81",
+    "musicbrainz-1-bfs": "2b4e8b90753cc464",
+    "musicbrainz-1-dfs": "cedf45dbd62af45f",
+    "musicbrainz-2-bfs": "e1598583ba1f0228",
+    "musicbrainz-2-dfs": "7168e3669fa7abb4",
+    "provgen-0-bfs": "a98e1c76e3382ccf",
+    "provgen-0-dfs": "1f2937f11cbb0f92",
+    "provgen-1-bfs": "d919b4da99f5837f",
+    "provgen-1-dfs": "6e0e2b0fd6b28db6",
+    "provgen-2-bfs": "f540414aba3edd31",
+    "provgen-2-dfs": "3a706b77256d658f",
+    "disconnected-0-bfs": "db5403fb92144d81",
+    "disconnected-0-dfs": "146e78abccedf735",
+    "disconnected-1-bfs": "ad564a76c410d6cf",
+    "disconnected-1-dfs": "6fff6ad54c26cfb7",
+    "disconnected-2-bfs": "2e6815628694f141",
+    "disconnected-2-dfs": "adcc81871ea79a03",
+}
+
+
+def _stream_digest(graph: LabelledGraph, order: str, seed: int) -> str:
+    h = hashlib.sha256()
+    for ev in stream_edges(graph, order, seed=seed):
+        h.update(repr((ev.u, ev.u_label, ev.v, ev.v_label)).encode())
+    return h.hexdigest()[:16]
+
+
+class TestTraversalStreamsArePinned:
+    """The e2e benchmark's inputs and every golden digest downstream are
+    functions of these streams: they must not move event for event."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("name", sorted(_DIGEST_DATASETS) + ["disconnected"])
+    def test_event_sequence_digest(self, name, seed):
+        if name == "disconnected":
+            graph = _disconnected_graph()
+        else:
+            graph = load_dataset(name, _DIGEST_DATASETS[name], seed=seed).graph
+        for order in ("bfs", "dfs"):
+            assert (
+                _stream_digest(graph, order, seed) == _STREAM_DIGESTS[f"{name}-{seed}-{order}"]
+            ), (name, seed, order)
 
 
 class TestStreamOrderEnum:

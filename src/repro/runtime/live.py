@@ -47,11 +47,10 @@ import queue as queue_module
 import multiprocessing as mp
 import time
 from collections import deque
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro import obs
 from repro.graph.labelled_graph import LabelledGraph
-from repro.graph.stream import EdgeEvent
 from repro.graph.interning import unpack_edge
 from repro.partitioning.base import StreamingPartitioner
 from repro.partitioning.state import UNASSIGNED, PartitionState
@@ -73,9 +72,9 @@ from repro.runtime.messages import (
     StepRequest,
 )
 from repro.runtime.server import shard_server_main
-from repro.serving.engine import QueryServeReport, RootResult, ServeReport, _CompiledQuery
-from repro.serving.execution import Continuation, LiteralSegment
-from repro.serving.router import Router, create_router
+from repro.serving.engine import RootResult, ServingFrontEnd
+from repro.serving.execution import Continuation, splice_segments
+from repro.serving.router import Router
 from repro.serving.stores import RoutingIndex
 
 DEFAULT_QUEUE_DEPTH = 16
@@ -115,7 +114,6 @@ class _PendingRequest:
         "dispatched_steps",
         "seqs",
         "cached",
-        "result",
     )
 
     def __init__(self, request_id: int, query: str, root: int, plan) -> None:
@@ -131,18 +129,22 @@ class _PendingRequest:
         self.dispatched_steps = 0
         self.seqs: set = set()
         self.cached: Optional[bool] = None
-        self.result: Optional[RootResult] = None
 
 
-class LiveCluster:
+class LiveCluster(ServingFrontEnd):
     """N live shard servers behind one routing/ingest driver.
 
-    Parameters mirror :class:`~repro.serving.engine.ServingEngine` where
-    they overlap (``router``, ``cache``, ``partitioner``); ``num_shards``
-    picks the process topology.  Use as a context manager, or call
-    :meth:`close` — servers are long-lived processes and hold queues open
-    until told to exit.
+    The sharded back end of :class:`~repro.serving.engine.ServingFrontEnd`:
+    plan compilation, batch admission and whole-workload execution are the
+    front end's, so parameters mean what they mean on
+    :class:`~repro.serving.engine.ServingEngine` where they overlap
+    (``router``, ``cache``, ``partitioner``); ``num_shards`` picks the
+    process topology.  Use as a context manager, or call :meth:`close` —
+    servers are long-lived processes and hold queues open until told to
+    exit.
     """
+
+    obs_prefix = "live"
 
     def __init__(
         self,
@@ -162,21 +164,11 @@ class LiveCluster:
     ) -> None:
         if num_shards < 1:
             raise ValueError("num_shards must be at least 1")
-        if partitioner is not None and partitioner.state is not state:
-            raise ValueError("partitioner must share the cluster's PartitionState")
-        self.graph = graph
-        self.state = state
-        self.workload = workload
+        index = RoutingIndex.from_state(graph, state)
+        super().__init__(graph, state, workload, index, router, partitioner)
         self.num_shards = num_shards
-        self.router = create_router(router) if isinstance(router, str) else router
         self.cache_enabled = bool(cache)
-        self.partitioner = partitioner
         self.request_timeout = request_timeout
-
-        self.index = RoutingIndex.from_state(graph, state)
-        self._label_counts = graph.label_counts()
-        self._queries: Dict[str, _CompiledQuery] = {}
-        self._compile_plans()
 
         self._seq = -1
         self._next_request_id = 0
@@ -189,23 +181,21 @@ class LiveCluster:
         self._inbox: "deque[object]" = deque()
         self.hop_messages_sent = 0
         self.requests_completed = 0
+        #: Shard-reported root-step cache flags, summed (``_cache_counts``).
+        self._cache_hits = 0
+        self._cache_misses = 0
         #: Cache flag of the most recent :meth:`wait` completion.
         self.last_cached: Optional[bool] = None
         self._closed = False
 
         # Observability (repro.obs): NULL stubs unless obs.enable() ran
-        # before construction.  Hop attribution is per dispatched
-        # StepRequest, keyed (query, root label id, target partition) —
-        # the per-partition transport-hop signal ROADMAP item 3 needs.
-        self._obs_on = obs.enabled()
+        # before construction.  Hop attribution here is per dispatched
+        # StepRequest, charged to the *target* partition — the
+        # per-partition transport-hop signal ROADMAP item 3 needs.
         self._c_requests = obs.counter("live.requests")
         self._c_cache_hits = obs.counter("live.cache_hits")
         self._c_cache_misses = obs.counter("live.cache_misses")
         self._c_hops = obs.counter("live.hop_messages")
-        self._trace = obs.tracer()
-        self._trace_on = self._trace.enabled
-        self._hop_attribution: Dict[Tuple[str, int, int], int] = {}
-        obs.register_collector("live.hops", self._hop_metrics)
         #: shard id → latest unsolicited StatsReport (intercepted by the
         #: message loop; never interleaves with serving replies).
         self.stats_reports: Dict[int, StatsReport] = {}
@@ -252,37 +242,6 @@ class LiveCluster:
         except BaseException:
             self.close()
             raise
-
-    # ------------------------------------------------------------------
-    # Plan compilation (driver-side twin of the engine's)
-    # ------------------------------------------------------------------
-    def _compile_plans(self) -> Tuple[str, ...]:
-        """(Re)compile every plan; returns the queries whose root slot moved
-        (their shard-side cache entries are dropped via EdgeUpdate)."""
-        dropped: List[str] = []
-        for entry in self.workload:
-            compiled = _CompiledQuery(entry, self.graph, self.index, self._label_counts)
-            previous = self._queries.get(compiled.name)
-            if previous is not None and previous.signature != compiled.signature:
-                dropped.append(compiled.name)
-            self._queries[compiled.name] = compiled
-        return tuple(dropped)
-
-    def query_names(self) -> List[str]:
-        return list(self._queries)
-
-    def root_label_id(self, query_name: str) -> int:
-        return self._plan(query_name).label_ids[0]
-
-    def root_candidates(self, query_name: str) -> List[int]:
-        """All stored root-candidate ids for a query (the traffic surface)."""
-        return self.index.all_candidates(self.root_label_id(query_name))
-
-    def _plan(self, query_name: str) -> _CompiledQuery:
-        plan = self._queries.get(query_name)
-        if plan is None:
-            raise KeyError(f"no query named {query_name!r}; workload has {self.query_names()}")
-        return plan
 
     # ------------------------------------------------------------------
     # Process plumbing
@@ -393,47 +352,15 @@ class LiveCluster:
         for start in range(BOOTSTRAP_CHUNK, len(edge_pairs), BOOTSTRAP_CHUNK):
             self._send_round([], edge_pairs[start : start + BOOTSTRAP_CHUNK], ())
 
-    def ingest(self, events: Iterable[EdgeEvent]) -> int:
-        """Stream a batch through the partitioner and out to the shards.
-
-        The driver-side admission logic is the engine's `ingest` verbatim
-        (same partitioner call, same growth bookkeeping, same pending
-        semantics); the delta then ships as one barriered EdgeUpdate round.
-        Returns the number of edges that became visible this round.
-        """
-        if self.partitioner is None:
-            raise ValueError("cluster has no partitioner attached; cannot ingest")
-        batch = list(events)
-        self.partitioner.ingest_batch(batch)
-        label_counts = self._label_counts
-        for event in batch:
-            for v, label in ((event.u, event.u_label), (event.v, event.v_label)):
-                if not self.graph.has_vertex(v):
-                    label_counts[label] = label_counts.get(label, 0) + 1
-            self.graph.add_edge(event.u, event.v, event.u_label, event.v_label)
-        new_edges = []
-        for event in batch:
-            pair = self.index.ingest_edge(event)
-            if pair is not None:
-                new_edges.append(pair)
-        new_edges.extend(self.index.flush_pending())
-        dropped = self._compile_plans() if new_edges else ()
+    def _publish(self, new_edges: Sequence[Tuple[int, int]], dropped: Tuple[str, ...]) -> None:
+        """Ship the round's delta as one barriered EdgeUpdate round — also
+        when nothing became visible, so the epoch advances uniformly."""
         self._send_round(self.index.take_new_vertices(), new_edges, dropped)
-        return len(new_edges)
-
-    def finalize(self) -> int:
-        """Drain the partitioner (Loom's window) and flush pending edges."""
-        if self.partitioner is not None:
-            self.partitioner.finalize()
-        new_edges = self.index.flush_pending()
-        dropped = self._compile_plans() if new_edges else ()
-        self._send_round(self.index.take_new_vertices(), new_edges, dropped)
-        return len(new_edges)
 
     def _send_round(
         self,
         vertex_rows: List[Tuple[int, int, int]],
-        edge_pairs: List[Tuple[int, int]],
+        edge_pairs: Sequence[Tuple[int, int]],
         drop_queries: Tuple[str, ...],
     ) -> None:
         """One barriered EdgeUpdate round + its invalidation waves.
@@ -523,27 +450,11 @@ class LiveCluster:
         self._next_request_id += 1
         partition = self.state.partition_of_id(root) if root >= 0 else UNASSIGNED
         request = _PendingRequest(request_id, query_name, root, plan)
+        self._pending[request_id] = request
         if partition == UNASSIGNED or root not in self.index._label_of:
             # Unplaced root: nothing is stored anywhere — answer driver-side.
-            request.result = RootResult(query_name, root, (), 0, 0)
-            request.root_received = True
-            self._results[request_id] = request.result
-            self._completed.append(request_id)
-            self.requests_completed += 1
-            self._c_requests.inc()
-            if self._trace_on:
-                self._trace.event(
-                    "live.serve.done",
-                    request=request_id,
-                    query=query_name,
-                    root=root,
-                    hops=0,
-                    embeddings=0,
-                    steps=0,
-                    cached=None,
-                )
+            self._finish(request, RootResult(query_name, root, (), 0, 0), cache_put=False)
             return request_id
-        self._pending[request_id] = request
         message = QueryRequest(request_id, plan, root, partition)
         shard = shard_of_partition(partition, self.num_shards)
         if self._trace_on:
@@ -604,6 +515,9 @@ class LiveCluster:
         """Synchronous one-request convenience (in-flight depth 1)."""
         return self.wait(self.submit(query_name, root))
 
+    def _cache_counts(self) -> Tuple[int, int]:
+        return self._cache_hits, self._cache_misses
+
     def _process_reply(self, message) -> None:
         if not isinstance(message, StepReply):
             raise RuntimeError(f"unexpected message while serving: {message!r}")
@@ -636,8 +550,7 @@ class LiveCluster:
                     # Exact per-hop attribution: each dispatched step is one
                     # cross-partition message, charged to the partition it
                     # lands on (the hot-border signal, ROADMAP item 3).
-                    key = (request.query, request.plan.label_ids[0], segment.target_partition)
-                    self._hop_attribution[key] = self._hop_attribution.get(key, 0) + 1
+                    self._attribute_hops(request.plan, segment.target_partition, 1)
                     if self._trace_on:
                         self._trace.event(
                             "live.hop",
@@ -657,22 +570,10 @@ class LiveCluster:
             self._finish(request, result, cache_put=request.dispatched_steps > 0)
 
     def _fold(self, request: _PendingRequest, container: List[object]):
-        embeddings: List[Tuple[int, ...]] = []
-        hops = 0
-        border = 0
-        for segment in container:
-            if isinstance(segment, LiteralSegment):
-                embeddings.extend(segment.embeddings)
-                hops += segment.hops
-                border += segment.border_expansions
-            else:  # a _Hole for a resolved child step
-                sub_embeddings, sub_hops, sub_border = self._fold(
-                    request, request.steps[segment.step_id]
-                )
-                embeddings.extend(sub_embeddings)
-                hops += sub_hops
-                border += sub_border
-        return embeddings, hops, border
+        """Splice ``container`` in DFS order; each hole is a resolved child step."""
+        return splice_segments(
+            container, lambda hole: self._fold(request, request.steps[hole.step_id])
+        )
 
     def _finish(self, request: _PendingRequest, result: RootResult, cache_put: bool) -> None:
         del self._pending[request.request_id]
@@ -682,8 +583,10 @@ class LiveCluster:
         self.requests_completed += 1
         self._c_requests.inc()
         if request.cached is True:
+            self._cache_hits += 1
             self._c_cache_hits.inc()
         elif request.cached is False:
+            self._cache_misses += 1
             self._c_cache_misses.inc()
         if self._trace_on:
             self._trace.event(
@@ -714,56 +617,6 @@ class LiveCluster:
             )
 
     # ------------------------------------------------------------------
-    # Whole-workload execution (the equivalence surface)
-    # ------------------------------------------------------------------
-    def execute_query(self, query_name: str) -> QueryServeReport:
-        """Full enumeration of one query — route, scan roots, serve each.
-
-        Mirrors :meth:`ServingEngine.execute_query`: same router over the
-        same candidate counts, same root order, so hops and embeddings are
-        comparable entry by entry."""
-        plan = self._plan(query_name)
-        partitions = self.router.route(self.index, plan.label_ids[0])
-        embeddings = traversals = hops = border = roots = 0
-        hits = misses = 0
-        num_edges = plan.pattern.num_edges
-        for partition in partitions:
-            for root in self.index.candidates(partition, plan.label_ids[0]):
-                request_id = self.submit(query_name, root)
-                result = self.wait(request_id)
-                cached = self.last_cached
-                if cached is True:
-                    hits += 1
-                elif cached is False:
-                    misses += 1
-                roots += 1
-                embeddings += result.num_embeddings
-                traversals += result.num_embeddings * num_edges
-                hops += result.hops
-                border += result.border_expansions
-        return QueryServeReport(
-            name=plan.name,
-            frequency=plan.frequency,
-            embeddings=embeddings,
-            traversals=traversals,
-            hops=hops,
-            border_expansions=border,
-            partitions_contacted=len(partitions),
-            roots_scanned=roots,
-            cache_hits=hits,
-            cache_misses=misses,
-        )
-
-    def execute_workload(self, system: str = "") -> ServeReport:
-        """Serve every workload query in full — the executor-equivalent pass."""
-        start = time.perf_counter()
-        report = ServeReport(system=system)
-        for name in self._queries:
-            report.queries.append(self.execute_query(name))
-        report.seconds = time.perf_counter() - start
-        return report
-
-    # ------------------------------------------------------------------
     # Stats / shutdown
     # ------------------------------------------------------------------
     def shard_stats(self) -> List[ServerStats]:
@@ -782,19 +635,6 @@ class LiveCluster:
                 stash.append(message)
         self._inbox.extend(stash)
         return [collected[shard] for shard in range(self.num_shards)]
-
-    def _hop_metrics(self) -> Dict[str, int]:
-        """Hop attribution as dotted names (``<query>.l<label>.p<part>``).
-
-        Keys interpolate query names (workload strings) and ints — value
-        forms, not object reprs — and insertion follows sorted key order.
-        """
-        out: Dict[str, int] = {}
-        for key in sorted(self._hop_attribution):
-            query, label_id, partition = key
-            name = f"{query}.l{label_id}.p{partition}"
-            out[name] = self._hop_attribution[key]
-        return out
 
     def stats(self) -> Dict[str, object]:
         """Cluster-wide counters: per-shard snapshots + driver-side truth.

@@ -37,23 +37,33 @@ the root owner's cache, epoch-guarded by the ingest sequence number;
 :class:`ServerFailure` is the live twin of :class:`WorkerFailure`.
 
 Wire discipline (enforced by ``tests/test_live_serving.py`` and the
-detlint ``MP-pickle`` rule): every message class declares
-``__slots__``, pickles via a compact ``__reduce__`` tuple encoding (no
-per-instance ``__dict__`` crosses a queue), and carries the protocol's
+detlint ``MP-pickle`` rule): every message class has ``__slots__``,
+pickles via a compact ``__reduce__`` tuple encoding (no per-instance
+``__dict__`` crosses a queue), and carries the protocol's
 :data:`SCHEMA_VERSION` as a class attribute so a mixed-version
 driver/server pair fails loudly at handshake rather than corrupting
 state mid-stream.
+
+The schema is **declared once**: a message class is a docstring plus one
+``FIELDS`` table of ``(name, default, convert)`` rows, in constructor
+order — ``default`` is :data:`REQUIRED` or the argument's default,
+``convert`` is ``None`` or a callable the constructor passes the argument
+through (``tuple`` freezes row sequences).  :class:`_WireType` derives
+``__slots__``, ``__init__`` and ``__reduce__`` from the table when the
+module is imported, as plain compiled functions (the ``namedtuple``
+technique — nothing is reflected per call), so adding a field is one row.
 """
 
 from __future__ import annotations
 
+import reprlib
 from typing import Dict, List, Optional, Tuple
 
 from repro.graph.labelled_graph import Vertex
 
 #: Version of the wire protocol defined by this module.  Bump on any
 #: field change; :func:`check_schema` rejects mismatched peers.
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 
 #: End-of-stream sentinel on a worker input queue.
 END_OF_STREAM = None
@@ -72,178 +82,152 @@ def check_schema(message: object) -> None:
         )
 
 
-class GraphTotals:
+#: ``default`` of a field the constructor requires.
+REQUIRED = object()
+
+
+def _dict_or_empty(value: Optional[Dict[str, object]]) -> Dict[str, object]:
+    return value if value is not None else {}
+
+
+def _derive_methods(cls: type, fields: Tuple[Tuple[str, object, object], ...]) -> None:
+    """Compile ``cls.__init__`` and ``cls.__reduce__`` from a field table.
+
+    The sources are what one would write by hand — positional parameters
+    in table order, one assignment per field, ``(cls, (self.a, self.b))``
+    as the reduce value — so a generated message constructs and pickles at
+    the hand-written cost and to the same bytes.
+    """
+    params: List[str] = []
+    body: List[str] = []
+    defaults: List[object] = []
+    namespace: Dict[str, object] = {"__name__": cls.__module__, "_cls": cls}
+    for name, default, convert in fields:
+        if default is REQUIRED:
+            params.append(name)
+        else:
+            params.append(f"{name}=None")  # the value itself goes into __defaults__
+            defaults.append(default)
+        if convert is None:
+            body.append(f"self.{name} = {name}")
+        else:
+            hook = f"_convert_{name}"
+            namespace[hook] = convert
+            body.append(f"self.{name} = {hook}({name})")
+    state = "".join(f"self.{name}, " for name, _default, _convert in fields)
+    source = (
+        f"def __init__(self, {', '.join(params)}):\n    " + "\n    ".join(body) + "\n"
+        f"def __reduce__(self):\n    return (_cls, ({state}))\n"
+    )
+    exec(source, namespace)  # the source holds nothing but names from the tables below
+    namespace["__init__"].__defaults__ = tuple(defaults)
+    for method in (namespace["__init__"], namespace["__reduce__"]):
+        method.__qualname__ = f"{cls.__qualname__}.{method.__name__}"
+        setattr(cls, method.__name__, method)
+
+
+class _WireType(type):
+    """Metaclass of the wire classes: turns a ``FIELDS`` table in the class
+    body into ``__slots__`` (which must exist before the class does) and
+    the derived ``__init__`` / ``__reduce__``.  A subclass that declares no
+    table of its own inherits its parent's schema untouched."""
+
+    #: Every class declared with a table, in declaration order.
+    declared: List[type] = []
+
+    def __new__(mcls, name, bases, namespace):
+        fields = namespace.get("FIELDS")
+        if fields is not None:
+            namespace["__slots__"] = tuple(field for field, _default, _convert in fields)
+        cls = super().__new__(mcls, name, bases, namespace)
+        if fields is not None:
+            _derive_methods(cls, fields)
+            mcls.declared.append(cls)
+        return cls
+
+
+class _Wire(metaclass=_WireType):
+    """Base of every message: the schema version, and no ``__dict__``."""
+
+    __slots__ = ()
+    schema_version = SCHEMA_VERSION
+    #: ``(name, default, convert)`` per field, in constructor order.
+    FIELDS: Tuple[Tuple[str, object, object], ...]
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        # reprlib bounds every value: a round's edge rows must not flood a log.
+        shown = (f"{name}={reprlib.repr(getattr(self, name))}" for name, _d, _c in self.FIELDS)
+        return f"<{type(self).__name__} {' '.join(shown)}>"
+
+
+class GraphTotals(_Wire):
     """A stream's a-priori shape: the two totals factories may ask of
     ``ctx.graph`` (Fennel's α, capacity sizing) without materialising a
     :class:`~repro.graph.labelled_graph.LabelledGraph` in every worker."""
 
-    __slots__ = ("num_vertices", "num_edges")
-    schema_version = SCHEMA_VERSION
-
-    def __init__(self, num_vertices: int, num_edges: int) -> None:
-        self.num_vertices = num_vertices
-        self.num_edges = num_edges
-
-    def __reduce__(self):
-        return (GraphTotals, (self.num_vertices, self.num_edges))
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<GraphTotals n={self.num_vertices} m={self.num_edges}>"
+    FIELDS = (
+        ("num_vertices", REQUIRED, None),
+        ("num_edges", REQUIRED, None),
+    )
 
 
-class WorkerSpec:
+class WorkerSpec(_Wire):
     """Everything a worker needs to build its partitioner from scratch."""
 
-    __slots__ = (
-        "shard_id",
-        "system",
-        "k",
-        "expected_vertices",
-        "expected_edges",
-        "imbalance",
-        "window_size",
-        "seed",
-        "workload",
-        "extra",
-    )
-    schema_version = SCHEMA_VERSION
-
-    def __init__(
-        self,
-        shard_id: int,
-        system: str,
-        k: int,
-        expected_vertices: int,
-        expected_edges: int,
-        imbalance: float = 1.1,
-        window_size: Optional[int] = None,
-        seed: int = 0,
-        workload: Optional[object] = None,
-        extra: Optional[Dict[str, object]] = None,
-    ) -> None:
-        self.shard_id = shard_id
-        self.system = system
-        self.k = k
-        self.expected_vertices = expected_vertices
-        self.expected_edges = expected_edges
-        self.imbalance = imbalance
+    FIELDS = (
+        ("shard_id", REQUIRED, None),
+        ("system", REQUIRED, None),
+        ("k", REQUIRED, None),
+        ("expected_vertices", REQUIRED, None),
+        ("expected_edges", REQUIRED, None),
+        ("imbalance", 1.1, None),
         #: Per-shard window (the driver divides the global budget by the
         #: shard count before building specs); ``None`` for windowless systems.
-        self.window_size = window_size
-        self.seed = seed
+        ("window_size", None, None),
+        ("seed", 0, None),
         #: Loom's workload (picklable); ``None`` for workload-oblivious systems.
-        self.workload = workload
+        ("workload", None, None),
         #: Strategy-specific kwargs forwarded to the registry factory.
-        self.extra: Dict[str, object] = extra if extra is not None else {}
-
-    def __reduce__(self):
-        return (
-            WorkerSpec,
-            (
-                self.shard_id,
-                self.system,
-                self.k,
-                self.expected_vertices,
-                self.expected_edges,
-                self.imbalance,
-                self.window_size,
-                self.seed,
-                self.workload,
-                self.extra,
-            ),
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<WorkerSpec shard={self.shard_id} system={self.system!r} k={self.k}>"
+        ("extra", None, _dict_or_empty),
+    )
 
 
-class ShardResult:
+class ShardResult(_Wire):
     """One worker's complete output, sent once after the sentinel."""
 
-    __slots__ = (
-        "shard_id",
-        "assignment",
-        "edges",
-        "batches",
-        "ingest_seconds",
-        "worker_seconds",
-        "matcher_stats",
-        "partitioner_stats",
-        "queue_wait_seconds",
-    )
-    schema_version = SCHEMA_VERSION
-
-    def __init__(
-        self,
-        shard_id: int,
-        assignment: List[Tuple[Vertex, int]],
-        edges: int,
-        batches: int,
-        ingest_seconds: float,
-        worker_seconds: float,
-        matcher_stats: Optional[Dict[str, int]] = None,
-        partitioner_stats: Optional[Dict[str, int]] = None,
-        queue_wait_seconds: float = 0.0,
-    ) -> None:
-        self.shard_id = shard_id
-        #: The shard's assignment slice, in the worker's first-seen vertex
-        #: order (deterministic for a fixed shard stream).
-        self.assignment = assignment
-        self.edges = edges
-        self.batches = batches
+    FIELDS = (
+        ("shard_id", REQUIRED, None),
+        #: The shard's assignment slice as ``(vertex, partition)`` pairs, in
+        #: the worker's first-seen vertex order (deterministic for a fixed
+        #: shard stream).
+        ("assignment", REQUIRED, None),
+        ("edges", REQUIRED, None),
+        ("batches", REQUIRED, None),
         #: Seconds spent inside ingest_batch/finalize (excludes queue waits).
-        self.ingest_seconds = ingest_seconds
+        ("ingest_seconds", REQUIRED, None),
         #: Wall seconds from worker start to result send (includes queue waits).
-        self.worker_seconds = worker_seconds
-        self.matcher_stats = matcher_stats
-        self.partitioner_stats: Dict[str, int] = (
-            partitioner_stats if partitioner_stats is not None else {}
-        )
+        ("worker_seconds", REQUIRED, None),
+        ("matcher_stats", None, None),
+        ("partitioner_stats", None, _dict_or_empty),
         #: Seconds the worker spent blocked on ``in_queue.get`` — the
         #: feed-side backpressure signal (out-of-band, monotonic-timed).
-        self.queue_wait_seconds = queue_wait_seconds
+        ("queue_wait_seconds", 0.0, None),
+    )
 
     @property
     def edges_per_second(self) -> float:
         """Shard-local ingest rate (excluding time blocked on the queue)."""
         return self.edges / self.ingest_seconds if self.ingest_seconds > 0 else float("inf")
 
-    def __reduce__(self):
-        return (
-            ShardResult,
-            (
-                self.shard_id,
-                self.assignment,
-                self.edges,
-                self.batches,
-                self.ingest_seconds,
-                self.worker_seconds,
-                self.matcher_stats,
-                self.partitioner_stats,
-                self.queue_wait_seconds,
-            ),
-        )
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<ShardResult shard={self.shard_id} edges={self.edges}>"
-
-
-class WorkerFailure:
+class WorkerFailure(_Wire):
     """Sent instead of a :class:`ShardResult` when a worker raises."""
 
-    __slots__ = ("shard_id", "error", "traceback")
-    schema_version = SCHEMA_VERSION
-
-    def __init__(self, shard_id: int, error: str, traceback: str) -> None:
-        self.shard_id = shard_id
-        self.error = error
-        self.traceback = traceback
-
-    def __reduce__(self):
-        return (WorkerFailure, (self.shard_id, self.error, self.traceback))
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<WorkerFailure shard={self.shard_id} {self.error!r}>"
+    FIELDS = (
+        ("shard_id", REQUIRED, None),
+        ("error", REQUIRED, None),
+        ("traceback", REQUIRED, None),
+    )
 
 
 # ----------------------------------------------------------------------
@@ -251,7 +235,7 @@ class WorkerFailure:
 # ----------------------------------------------------------------------
 
 
-class ServeSpec:
+class ServeSpec(_Wire):
     """Boots one live shard server: identity, topology, cache policy.
 
     ``query_depths`` maps query name → invalidation radius (``|Eq|``, the
@@ -260,61 +244,22 @@ class ServeSpec:
     later, riding on each request.
     """
 
-    __slots__ = (
-        "shard_id",
-        "num_shards",
-        "k",
-        "query_depths",
-        "cache_enabled",
-        "cache_capacity",
-        "obs_enabled",
-        "stats_every",
-    )
-    schema_version = SCHEMA_VERSION
-
-    def __init__(
-        self,
-        shard_id: int,
-        num_shards: int,
-        k: int,
-        query_depths: Tuple[Tuple[str, int], ...],
-        cache_enabled: bool = True,
-        cache_capacity: Optional[int] = None,
-        obs_enabled: bool = False,
-        stats_every: int = 0,
-    ) -> None:
-        self.shard_id = shard_id
-        self.num_shards = num_shards
-        self.k = k
-        self.query_depths = tuple(query_depths)
-        self.cache_enabled = cache_enabled
-        self.cache_capacity = cache_capacity
+    FIELDS = (
+        ("shard_id", REQUIRED, None),
+        ("num_shards", REQUIRED, None),
+        ("k", REQUIRED, None),
+        ("query_depths", REQUIRED, tuple),
+        ("cache_enabled", True, None),
+        ("cache_capacity", None, None),
         #: Switch the server process's repro.obs registry on at boot.
-        self.obs_enabled = obs_enabled
+        ("obs_enabled", False, None),
         #: Ship a :class:`StatsReport` after every N ingest rounds
         #: (0 = never) — telemetry piggybacked on the reply queue.
-        self.stats_every = stats_every
-
-    def __reduce__(self):
-        return (
-            ServeSpec,
-            (
-                self.shard_id,
-                self.num_shards,
-                self.k,
-                self.query_depths,
-                self.cache_enabled,
-                self.cache_capacity,
-                self.obs_enabled,
-                self.stats_every,
-            ),
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<ServeSpec shard={self.shard_id}/{self.num_shards} k={self.k}>"
+        ("stats_every", 0, None),
+    )
 
 
-class EdgeUpdate:
+class EdgeUpdate(_Wire):
     """One ingest round's delta for one shard, driver → server.
 
     ``vertices`` announce newly placed vertices in the shard's owned
@@ -330,34 +275,16 @@ class EdgeUpdate:
     then empty, so the shard skips the invalidation wave.
     """
 
-    __slots__ = ("seq", "vertices", "edges", "drop_queries", "invalidate")
-    schema_version = SCHEMA_VERSION
-
-    def __init__(
-        self,
-        seq: int,
-        vertices: Tuple[Tuple[int, int, int], ...] = (),
-        edges: Tuple[Tuple[int, int, int, int, int, int], ...] = (),
-        drop_queries: Tuple[str, ...] = (),
-        invalidate: bool = True,
-    ) -> None:
-        self.seq = seq
-        self.vertices = tuple(vertices)
-        self.edges = tuple(edges)
-        self.drop_queries = tuple(drop_queries)
-        self.invalidate = invalidate
-
-    def __reduce__(self):
-        return (
-            EdgeUpdate,
-            (self.seq, self.vertices, self.edges, self.drop_queries, self.invalidate),
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<EdgeUpdate seq={self.seq} edges={len(self.edges)}>"
+    FIELDS = (
+        ("seq", REQUIRED, None),
+        ("vertices", (), tuple),
+        ("edges", (), tuple),
+        ("drop_queries", (), tuple),
+        ("invalidate", True, None),
+    )
 
 
-class InvalidationHops:
+class InvalidationHops(_Wire):
     """A continuation of the invalidation BFS wave, driver → server.
 
     ``seeds`` are ``(vid, dist)`` pairs another shard settled on ghosts
@@ -365,93 +292,55 @@ class InvalidationHops:
     strictly increase along forwards, which bounds the rounds).
     """
 
-    __slots__ = ("seq", "seeds")
-    schema_version = SCHEMA_VERSION
-
-    def __init__(self, seq: int, seeds: Tuple[Tuple[int, int], ...]) -> None:
-        self.seq = seq
-        self.seeds = tuple(seeds)
-
-    def __reduce__(self):
-        return (InvalidationHops, (self.seq, self.seeds))
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<InvalidationHops seq={self.seq} seeds={len(self.seeds)}>"
+    FIELDS = (
+        ("seq", REQUIRED, None),
+        ("seeds", REQUIRED, tuple),
+    )
 
 
-class IngestAck:
+class IngestAck(_Wire):
     """Barrier acknowledgement for one ingest/invalidation wave,
     server → driver.  ``forwards`` lists ghost distances the wave settled,
     as ``(vid, dist, partition)`` — the driver routes each to the
     partition's owning shard in the next :class:`InvalidationHops` wave.
     """
 
-    __slots__ = ("shard_id", "seq", "new_edges", "forwards")
-    schema_version = SCHEMA_VERSION
-
-    def __init__(
-        self,
-        shard_id: int,
-        seq: int,
-        new_edges: int,
-        forwards: Tuple[Tuple[int, int, int], ...] = (),
-    ) -> None:
-        self.shard_id = shard_id
-        self.seq = seq
-        self.new_edges = new_edges
-        self.forwards = tuple(forwards)
-
-    def __reduce__(self):
-        return (IngestAck, (self.shard_id, self.seq, self.new_edges, self.forwards))
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<IngestAck shard={self.shard_id} seq={self.seq}>"
+    FIELDS = (
+        ("shard_id", REQUIRED, None),
+        ("seq", REQUIRED, None),
+        ("new_edges", REQUIRED, None),
+        ("forwards", (), tuple),
+    )
 
 
-class QueryRequest:
+class QueryRequest(_Wire):
     """Serve one ``(query, root)``: sent to the shard owning the root's
     partition.  Carries the full compiled plan — plans are a few dozen
     ints, and riding along lets the server adopt recompiled plans lazily
     (signature mismatch with a cached entry reads as a miss).
     """
 
-    __slots__ = ("request_id", "plan", "root", "root_partition")
-    schema_version = SCHEMA_VERSION
-
-    def __init__(self, request_id: int, plan, root: int, root_partition: int) -> None:
-        self.request_id = request_id
-        self.plan = plan
-        self.root = root
-        self.root_partition = root_partition
-
-    def __reduce__(self):
-        return (QueryRequest, (self.request_id, self.plan, self.root, self.root_partition))
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<QueryRequest #{self.request_id} {self.plan.name!r} root={self.root}>"
+    FIELDS = (
+        ("request_id", REQUIRED, None),
+        ("plan", REQUIRED, None),
+        ("root", REQUIRED, None),
+        ("root_partition", REQUIRED, None),
+    )
 
 
-class StepRequest:
+class StepRequest(_Wire):
     """Resume a handed-off DFS subtree at the shard owning its target
     partition — the cross-partition hop as an actual message."""
 
-    __slots__ = ("request_id", "step_id", "plan", "continuation")
-    schema_version = SCHEMA_VERSION
-
-    def __init__(self, request_id: int, step_id: int, plan, continuation) -> None:
-        self.request_id = request_id
-        self.step_id = step_id
-        self.plan = plan
-        self.continuation = continuation
-
-    def __reduce__(self):
-        return (StepRequest, (self.request_id, self.step_id, self.plan, self.continuation))
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<StepRequest #{self.request_id}.{self.step_id} {self.plan.name!r}>"
+    FIELDS = (
+        ("request_id", REQUIRED, None),
+        ("step_id", REQUIRED, None),
+        ("plan", REQUIRED, None),
+        ("continuation", REQUIRED, None),
+    )
 
 
-class StepReply:
+class StepReply(_Wire):
     """One step's output, server → driver.
 
     For a root step answered from the shard cache, ``result`` carries the
@@ -464,160 +353,66 @@ class StepReply:
     for root steps (the hit/miss accounting), ``None`` for continuations.
     """
 
-    __slots__ = ("request_id", "step_id", "shard_id", "seq", "segments", "cached", "result")
-    schema_version = SCHEMA_VERSION
-
-    def __init__(
-        self,
-        request_id: int,
-        step_id: int,
-        shard_id: int,
-        seq: int,
-        segments: Tuple = (),
-        cached: Optional[bool] = None,
-        result=None,
-    ) -> None:
-        self.request_id = request_id
-        self.step_id = step_id
-        self.shard_id = shard_id
-        self.seq = seq
-        self.segments = tuple(segments)
-        self.cached = cached
-        self.result = result
-
-    def __reduce__(self):
-        return (
-            StepReply,
-            (
-                self.request_id,
-                self.step_id,
-                self.shard_id,
-                self.seq,
-                self.segments,
-                self.cached,
-                self.result,
-            ),
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<StepReply #{self.request_id}.{self.step_id} shard={self.shard_id}>"
+    FIELDS = (
+        ("request_id", REQUIRED, None),
+        ("step_id", REQUIRED, None),
+        ("shard_id", REQUIRED, None),
+        ("seq", REQUIRED, None),
+        ("segments", (), tuple),
+        ("cached", None, None),
+        ("result", None, None),
+    )
 
 
-class CachePut:
+class CachePut(_Wire):
     """Write a driver-assembled multi-shard result into the root owner's
     cache.  ``seq`` is the uniform epoch every contributing step reported;
     the server accepts only if it still *is* that epoch (an intervening
     EdgeUpdate could have invalidated what the result was computed from)
     and the plan signature still matches."""
 
-    __slots__ = ("query", "signature", "root", "result", "seq")
-    schema_version = SCHEMA_VERSION
-
-    def __init__(self, query: str, signature: Tuple, root: int, result, seq: int) -> None:
-        self.query = query
-        self.signature = tuple(signature)
-        self.root = root
-        self.result = result
-        self.seq = seq
-
-    def __reduce__(self):
-        return (CachePut, (self.query, self.signature, self.root, self.result, self.seq))
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<CachePut {self.query!r} root={self.root} seq={self.seq}>"
+    FIELDS = (
+        ("query", REQUIRED, None),
+        ("signature", REQUIRED, tuple),
+        ("root", REQUIRED, None),
+        ("result", REQUIRED, None),
+        ("seq", REQUIRED, None),
+    )
 
 
-class StatsRequest:
+class StatsRequest(_Wire):
     """Ask a server for a :class:`ServerStats` snapshot."""
 
-    __slots__ = ("shard_id",)
-    schema_version = SCHEMA_VERSION
-
-    def __init__(self, shard_id: int) -> None:
-        self.shard_id = shard_id
-
-    def __reduce__(self):
-        return (StatsRequest, (self.shard_id,))
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<StatsRequest shard={self.shard_id}>"
+    FIELDS = (("shard_id", REQUIRED, None),)
 
 
-class ServerStats:
+class ServerStats(_Wire):
     """One live server's counters, server → driver on :class:`StatsRequest`."""
 
-    __slots__ = (
-        "shard_id",
-        "seq",
-        "members",
-        "ghosts",
-        "edges",
-        "border_edges",
-        "requests_served",
-        "steps_executed",
-        "hop_messages",
-        "ingest_rounds",
-        "cache_stats",
-    )
-    schema_version = SCHEMA_VERSION
-
-    def __init__(
-        self,
-        shard_id: int,
-        seq: int,
-        members: int,
-        ghosts: int,
-        edges: int,
-        border_edges: int,
-        requests_served: int,
-        steps_executed: int,
-        hop_messages: int,
-        ingest_rounds: int,
-        cache_stats: Optional[Dict[str, float]] = None,
-    ) -> None:
-        self.shard_id = shard_id
-        self.seq = seq
-        self.members = members
-        self.ghosts = ghosts
-        self.edges = edges
-        self.border_edges = border_edges
-        self.requests_served = requests_served
+    FIELDS = (
+        ("shard_id", REQUIRED, None),
+        ("seq", REQUIRED, None),
+        ("members", REQUIRED, None),
+        ("ghosts", REQUIRED, None),
+        ("edges", REQUIRED, None),
+        ("border_edges", REQUIRED, None),
+        ("requests_served", REQUIRED, None),
         #: Continuation steps executed for other shards' requests.
-        self.steps_executed = steps_executed
+        ("steps_executed", REQUIRED, None),
         #: StepRequests received — the transport-level hop count.
-        self.hop_messages = hop_messages
-        self.ingest_rounds = ingest_rounds
-        self.cache_stats = cache_stats
+        ("hop_messages", REQUIRED, None),
+        ("ingest_rounds", REQUIRED, None),
+        ("cache_stats", None, None),
+        #: CachePuts discarded by the epoch guard (stale ``seq`` or plan
+        #: signature) — results assembled across an edge round.
+        ("cache_rejects", 0, None),
+    )
 
     def as_dict(self) -> Dict[str, object]:
         return {name: getattr(self, name) for name in self.__slots__}
 
-    def __reduce__(self):
-        return (
-            ServerStats,
-            (
-                self.shard_id,
-                self.seq,
-                self.members,
-                self.ghosts,
-                self.edges,
-                self.border_edges,
-                self.requests_served,
-                self.steps_executed,
-                self.hop_messages,
-                self.ingest_rounds,
-                self.cache_stats,
-            ),
-        )
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"<ServerStats shard={self.shard_id} seq={self.seq} "
-            f"requests={self.requests_served}>"
-        )
-
-
-class StatsReport:
+class StatsReport(_Wire):
     """Unsolicited periodic shard telemetry, server → driver.
 
     Unlike the request/response :class:`StatsRequest`/:class:`ServerStats`
@@ -629,59 +424,25 @@ class StatsReport:
     merged over its :meth:`ServerStats.as_dict` counters).
     """
 
-    __slots__ = ("shard_id", "seq", "metrics")
-    schema_version = SCHEMA_VERSION
-
-    def __init__(self, shard_id: int, seq: int, metrics: Dict[str, object]) -> None:
-        self.shard_id = shard_id
+    FIELDS = (
+        ("shard_id", REQUIRED, None),
         #: The server's ingest epoch when the snapshot was taken.
-        self.seq = seq
-        self.metrics = metrics
-
-    def __reduce__(self):
-        return (StatsReport, (self.shard_id, self.seq, self.metrics))
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<StatsReport shard={self.shard_id} seq={self.seq} n={len(self.metrics)}>"
+        ("seq", REQUIRED, None),
+        ("metrics", REQUIRED, None),
+    )
 
 
-class ServerFailure:
+class ServerFailure(_Wire):
     """Sent by a live shard server when it raises — the driver re-raises
     with the embedded traceback instead of deadlocking (the live twin of
     :class:`WorkerFailure`)."""
 
-    __slots__ = ("shard_id", "error", "traceback")
-    schema_version = SCHEMA_VERSION
-
-    def __init__(self, shard_id: int, error: str, traceback: str) -> None:
-        self.shard_id = shard_id
-        self.error = error
-        self.traceback = traceback
-
-    def __reduce__(self):
-        return (ServerFailure, (self.shard_id, self.error, self.traceback))
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<ServerFailure shard={self.shard_id} {self.error!r}>"
+    FIELDS = (
+        ("shard_id", REQUIRED, None),
+        ("error", REQUIRED, None),
+        ("traceback", REQUIRED, None),
+    )
 
 
-#: Every class that may cross a queue — the pickle-roundtrip test and the
-#: detlint MP-pickle allow-list both read this.
-WIRE_TYPES: Tuple[type, ...] = (
-    GraphTotals,
-    WorkerSpec,
-    ShardResult,
-    WorkerFailure,
-    ServeSpec,
-    EdgeUpdate,
-    InvalidationHops,
-    IngestAck,
-    QueryRequest,
-    StepRequest,
-    StepReply,
-    CachePut,
-    StatsRequest,
-    ServerStats,
-    StatsReport,
-    ServerFailure,
-)
+#: Every class that may cross a queue — the wire tests sample each one.
+WIRE_TYPES: Tuple[type, ...] = tuple(_WireType.declared)

@@ -114,6 +114,7 @@ class ShardServer:
         self.steps_executed = 0
         self.hop_messages = 0
         self.ingest_rounds = 0
+        #: CachePuts the epoch guard discarded (reported in ServerStats).
         self.cache_rejects = 0
 
     # ------------------------------------------------------------------
@@ -290,6 +291,7 @@ class ShardServer:
             hop_messages=self.hop_messages,
             ingest_rounds=self.ingest_rounds,
             cache_stats=self.cache.stats() if self.cache is not None else None,
+            cache_rejects=self.cache_rejects,
         )
 
     def stats_report(self) -> StatsReport:

@@ -3,8 +3,8 @@
 The offline :class:`~repro.query.executor.WorkloadExecutor` scores a
 partitioning after the fact; this package *serves* a query workload
 through the partitions.  Per-partition subgraph stores
-(:mod:`repro.serving.stores`) materialise interned-id adjacency plus a
-border index of cut edges; a pluggable router
+(:mod:`repro.serving.stores`) materialise interned-id adjacency over one
+admission index; a pluggable router
 (:mod:`repro.serving.router`) picks the partitions a query starts in;
 the engine (:mod:`repro.serving.engine`) expands embeddings
 partition-locally and charges an explicit **hop** whenever expansion

@@ -23,6 +23,11 @@ attached :class:`~repro.partitioning.base.StreamingPartitioner` (via
 ``ingest_batch``), admits the newly placed edges into the stores, and
 invalidates exactly the cached ``(query, root)`` results the new edges can
 have changed (:mod:`repro.serving.cache`).
+
+Whatever here does not depend on where the adjacency lives — plans,
+admission, whole-workload execution, hop attribution — is
+:class:`ServingFrontEnd`; the engine is its in-process back end and
+:class:`~repro.runtime.live.LiveCluster` its sharded one.
 """
 
 from __future__ import annotations
@@ -41,7 +46,7 @@ from repro.query.workload import Workload
 from repro.serving.cache import ResultCache, invalidation_sets
 from repro.serving.execution import CompiledPlan, GlobalView, enumerate_root, splice_segments
 from repro.serving.router import Router, create_router
-from repro.serving.stores import ServingStores
+from repro.serving.stores import RoutingIndex, ServingStores
 
 
 @dataclass(frozen=True)
@@ -136,7 +141,7 @@ class _CompiledQuery:
         self,
         entry,
         graph: LabelledGraph,
-        stores: ServingStores,
+        index: RoutingIndex,
         label_counts: Optional[Dict[str, int]] = None,
     ) -> None:
         self.name = entry.pattern.name
@@ -146,7 +151,7 @@ class _CompiledQuery:
         slot_of = {pv: i for i, (pv, _anchors) in enumerate(plan)}
         #: Wanted label id per slot, in plan order.
         self.label_ids: List[int] = [
-            stores.labels.intern(entry.pattern.label(pv)) for pv, _a in plan
+            index.labels.intern(entry.pattern.label(pv)) for pv, _a in plan
         ]
         #: Earlier-slot indices each slot must be adjacent to (slot 0: none).
         self.anchors: List[List[int]] = [[slot_of[a] for a in anchors] for _pv, anchors in plan]
@@ -162,7 +167,219 @@ class _CompiledQuery:
         )
 
 
-class ServingEngine:
+class ServingFrontEnd:
+    """Every driver-side serving job that does not depend on where the
+    adjacency lives, written once.
+
+    Two back ends stand behind it: :class:`ServingEngine` keeps the
+    adjacency in process (:class:`~repro.serving.stores.ServingStores`);
+    :class:`~repro.runtime.live.LiveCluster` keeps only the
+    :class:`~repro.serving.stores.RoutingIndex` and shards the adjacency
+    across server processes.  The front end owns plan compilation, the
+    traffic surface, batch admission (:meth:`ingest` / :meth:`finalize`),
+    whole-workload execution and hop attribution; a back end supplies
+    ``index`` and three methods — :meth:`serve_root`, :meth:`_publish` and
+    :meth:`_cache_counts` — so the two deployments answer, admit and
+    account identically by construction.
+    """
+
+    #: First component of this deployment's obs names (``<prefix>.hops.*``).
+    obs_prefix = "serve"
+
+    def __init__(
+        self,
+        graph: LabelledGraph,
+        state: PartitionState,
+        workload: Workload,
+        index: RoutingIndex,
+        router: Union[Router, str],
+        partitioner: Optional[StreamingPartitioner],
+    ) -> None:
+        if partitioner is not None and partitioner.state is not state:
+            raise ValueError(f"partitioner must share {type(self).__name__}'s PartitionState")
+        self.graph = graph
+        self.state = state
+        self.workload = workload
+        self.index = index
+        self.router = create_router(router) if isinstance(router, str) else router
+        self.partitioner = partitioner
+        # The graph's label histogram, maintained incrementally by ingest:
+        # recompiling plans per batch must not rescan every vertex.
+        self._label_counts = graph.label_counts()
+        self._queries: Dict[str, _CompiledQuery] = {}
+        self._compile_plans()
+        # Observability (repro.obs): bound at construction; NULL stubs
+        # when disabled, so the serve path pays one flag check per root.
+        # Hop attribution is keyed (query, root label id, partition) — the
+        # per-partition signal ROADMAP item 3's hot-border replication
+        # needs — and joins snapshots via a collector.
+        self._obs_on = obs.enabled()
+        self._trace = obs.tracer()
+        self._trace_on = self._trace.enabled
+        self._hop_attribution: Dict[Tuple[str, int, int], int] = {}
+        obs.register_collector(f"{self.obs_prefix}.hops", self._hop_metrics)
+
+    # ------------------------------------------------------------------
+    # What a back end supplies
+    # ------------------------------------------------------------------
+    def serve_root(self, query_name: str, root: int) -> RootResult:
+        """Serve one ``(query, root vertex id)`` request."""
+        raise NotImplementedError
+
+    def _publish(self, new_edges: Sequence[Tuple[int, int]], dropped: Tuple[str, ...]) -> None:
+        """Make one admission round visible to serving: ``new_edges`` are
+        the id pairs the index just admitted, ``dropped`` the queries the
+        round re-rooted (entries cached under the old root are void)."""
+        raise NotImplementedError
+
+    def _cache_counts(self) -> Tuple[int, int]:
+        """Cumulative ``(hits, misses)`` of the result cache(s)."""
+        raise NotImplementedError
+
+    # ------------------------------------------------------------------
+    # Plan compilation
+    # ------------------------------------------------------------------
+    def _compile_plans(self) -> Tuple[str, ...]:
+        """(Re)compile every query plan against the current graph.
+
+        Label rarity drives the root-slot choice, so graph growth can
+        reorder a plan.  Returns the queries whose root slot moved: entries
+        cached under the old root meaning must be dropped wholesale — the
+        radius rule cannot cover a re-rooting.
+        """
+        dropped: List[str] = []
+        for entry in self.workload:
+            compiled = _CompiledQuery(entry, self.graph, self.index, self._label_counts)
+            previous = self._queries.get(compiled.name)
+            if previous is not None and previous.signature != compiled.signature:
+                dropped.append(compiled.name)
+            self._queries[compiled.name] = compiled
+        return tuple(dropped)
+
+    def query_names(self) -> List[str]:
+        return list(self._queries)
+
+    def root_label_id(self, query_name: str) -> int:
+        return self._plan(query_name).label_ids[0]
+
+    def root_candidates(self, query_name: str) -> List[int]:
+        """All stored root-candidate ids for a query, across partitions
+        (the traffic surface)."""
+        return self.index.all_candidates(self.root_label_id(query_name))
+
+    def _plan(self, query_name: str) -> _CompiledQuery:
+        plan = self._queries.get(query_name)
+        if plan is None:
+            raise KeyError(f"no query named {query_name!r}; workload has {self.query_names()}")
+        return plan
+
+    # ------------------------------------------------------------------
+    # Whole-workload execution (the equivalence surface)
+    # ------------------------------------------------------------------
+    def execute_query(self, query_name: str) -> QueryServeReport:
+        """Full enumeration of one query: route, scan roots, serve each.
+
+        Same router over the same candidate counts and the same root order
+        on either back end, so hops and embeddings are comparable entry by
+        entry."""
+        plan = self._plan(query_name)
+        root_label = plan.label_ids[0]
+        partitions = self.router.route(self.index, root_label)
+        embeddings = traversals = hops = border = roots = 0
+        hits0, misses0 = self._cache_counts()
+        num_edges = plan.pattern.num_edges
+        for partition in partitions:
+            for root in self.index.candidates(partition, root_label):
+                result = self.serve_root(query_name, root)
+                roots += 1
+                embeddings += result.num_embeddings
+                traversals += result.num_embeddings * num_edges
+                hops += result.hops
+                border += result.border_expansions
+        hits, misses = self._cache_counts()
+        return QueryServeReport(
+            name=plan.name,
+            frequency=plan.frequency,
+            embeddings=embeddings,
+            traversals=traversals,
+            hops=hops,
+            border_expansions=border,
+            partitions_contacted=len(partitions),
+            roots_scanned=roots,
+            cache_hits=hits - hits0,
+            cache_misses=misses - misses0,
+        )
+
+    def execute_workload(self, system: str = "") -> ServeReport:
+        """Serve every workload query in full — the executor-equivalent pass."""
+        start = time.perf_counter()
+        report = ServeReport(system=system)
+        for name in self._queries:
+            report.queries.append(self.execute_query(name))
+        report.seconds = time.perf_counter() - start
+        return report
+
+    # ------------------------------------------------------------------
+    # Online ingest (composes with StreamingPartitioner.ingest_batch)
+    # ------------------------------------------------------------------
+    def ingest(self, events: Iterable[EdgeEvent]) -> int:
+        """Stream a batch: partition it, grow the index, publish the delta.
+
+        Returns the number of edges that became *visible* (both endpoints
+        placed) this round; Loom-deferred edges park in the index's pending
+        buffer until a later round or :meth:`finalize` places them.
+        """
+        if self.partitioner is None:
+            raise ValueError(f"{type(self).__name__} has no partitioner attached; cannot ingest")
+        batch = list(events)
+        self.partitioner.ingest_batch(batch)
+        label_counts = self._label_counts
+        for event in batch:
+            for v, label in ((event.u, event.u_label), (event.v, event.v_label)):
+                if not self.graph.has_vertex(v):
+                    label_counts[label] = label_counts.get(label, 0) + 1
+            self.graph.add_edge(event.u, event.v, event.u_label, event.v_label)
+        new_edges = []
+        for event in batch:
+            pair = self.index.ingest_edge(event)
+            if pair is not None:
+                new_edges.append(pair)
+        new_edges.extend(self.index.flush_pending())
+        # Plans first: label counts moved, so root slots may have too; the
+        # back end then publishes the round under the new plans.
+        self._publish(new_edges, self._compile_plans() if new_edges else ())
+        if self._trace_on:
+            self._trace.event("serve.ingest", n=len(batch), visible=len(new_edges))
+        return len(new_edges)
+
+    def finalize(self) -> int:
+        """Drain the partitioner (Loom's window) and flush pending edges."""
+        if self.partitioner is not None:
+            self.partitioner.finalize()
+        new_edges = self.index.flush_pending()
+        self._publish(new_edges, self._compile_plans() if new_edges else ())
+        return len(new_edges)
+
+    def _attribute_hops(self, plan, partition: int, hops: int) -> None:
+        """Charge ``hops`` of a ``plan`` request to ``partition``."""
+        key = (plan.name, plan.label_ids[0], partition)
+        self._hop_attribution[key] = self._hop_attribution.get(key, 0) + hops
+
+    def _hop_metrics(self) -> Dict[str, int]:
+        """Hop attribution as dotted names (``<query>.l<label>.p<part>``).
+
+        Keys interpolate query names (workload strings) and ints — value
+        forms, not object reprs — and insertion follows sorted key order.
+        """
+        out: Dict[str, int] = {}
+        for key in sorted(self._hop_attribution):
+            query, label_id, partition = key
+            name = f"{query}.l{label_id}.p{partition}"
+            out[name] = self._hop_attribution[key]
+        return out
+
+
+class ServingEngine(ServingFrontEnd):
     """Serve a :class:`Workload` through per-partition stores.
 
     Parameters
@@ -195,77 +412,22 @@ class ServingEngine:
         cache: Union[ResultCache, bool, None] = None,
         partitioner: Optional[StreamingPartitioner] = None,
     ) -> None:
-        if partitioner is not None and partitioner.state is not state:
-            raise ValueError("partitioner must share the engine's PartitionState")
-        self.graph = graph
-        self.state = state
-        self.workload = workload
-        self.router = create_router(router) if isinstance(router, str) else router
         if cache is True:
             self.cache: Optional[ResultCache] = ResultCache()
         elif cache is False or cache is None:
             self.cache = None
         else:
             self.cache = cache  # a caller-configured ResultCache (even an empty one)
-        self.partitioner = partitioner
         self.stores = ServingStores.from_state(graph, state)
-        # The graph's label histogram, maintained incrementally by ingest:
-        # recompiling plans per batch must not rescan every vertex.
-        self._label_counts = graph.label_counts()
-        self._queries: Dict[str, _CompiledQuery] = {}
-        self._compile_plans()
-        # Observability (repro.obs): bound at construction; NULL stubs
-        # when disabled, so the serve path pays one flag check per root.
-        # Hop attribution is keyed (query, root label id, root partition)
-        # — the per-partition signal ROADMAP item 3's hot-border
-        # replication needs — and joins snapshots via a collector.
+        super().__init__(graph, state, workload, self.stores, router, partitioner)
         # The per-request path stays lean on purpose: one window record,
         # one attribution add, one (guarded) trace event.  Request totals
         # and latency percentiles come from the windowed rollup; cache
         # hit/miss counts already live on the cache — a collector reads
         # them at snapshot time instead of double-counting per request.
-        self._obs_on = obs.enabled()
         self._obs_window = obs.window("serving")
-        self._trace = obs.tracer()
-        self._trace_on = self._trace.enabled
-        self._hop_attribution: Dict[Tuple[str, int, int], int] = {}
-        obs.register_collector("serve.hops", self._hop_metrics)
         if self.cache is not None:
             obs.register_collector("serve.cache", self.cache.stats)
-
-    # ------------------------------------------------------------------
-    # Plan compilation
-    # ------------------------------------------------------------------
-    def _compile_plans(self) -> None:
-        """(Re)compile every query plan against the current graph.
-
-        Label rarity drives the root-slot choice, so graph growth can
-        reorder a plan; entries cached under the old root meaning are
-        dropped wholesale — the radius rule cannot cover a re-rooting.
-        """
-        for entry in self.workload:
-            compiled = _CompiledQuery(entry, self.graph, self.stores, self._label_counts)
-            previous = self._queries.get(compiled.name)
-            if previous is not None and previous.signature != compiled.signature:
-                if self.cache is not None:
-                    self.cache.drop_query(compiled.name)
-            self._queries[compiled.name] = compiled
-
-    def query_names(self) -> List[str]:
-        return list(self._queries)
-
-    def root_label_id(self, query_name: str) -> int:
-        return self._plan(query_name).label_ids[0]
-
-    def root_candidates(self, query_name: str) -> List[int]:
-        """All stored root-candidate ids for a query, across partitions."""
-        return self.stores.all_candidates(self.root_label_id(query_name))
-
-    def _plan(self, query_name: str) -> _CompiledQuery:
-        plan = self._queries.get(query_name)
-        if plan is None:
-            raise KeyError(f"no query named {query_name!r}; workload has {self.query_names()}")
-        return plan
 
     # ------------------------------------------------------------------
     # Serving
@@ -295,10 +457,10 @@ class ServingEngine:
         rollup, hop attribution, one trace event when tracing is on.  Every
         trace field is deterministic; the clock feeds only latency metrics."""
         latency_us = int((time.perf_counter() - t0) * 1e6)
-        vec = self.state.assignment_vector
-        partition = vec[root] if root < len(vec) else -1
-        key = (plan.name, plan.label_ids[0], partition)
-        self._hop_attribution[key] = self._hop_attribution.get(key, 0) + result.hops
+        # An unplaced root (never interned, negative, unassigned) lands on
+        # p-1, never on a real partition.
+        partition = self.state.partition_of_id(root)
+        self._attribute_hops(plan, partition, result.hops)
         self._obs_window.record(plan.name, result.hops, latency_us)
         if self._trace_on:
             self._trace.event(
@@ -310,19 +472,6 @@ class ServingEngine:
                 embeddings=result.num_embeddings,
                 cached=hit,
             )
-
-    def _hop_metrics(self) -> Dict[str, int]:
-        """Hop attribution as dotted names (``<query>.l<label>.p<part>``).
-
-        Keys interpolate query names (workload strings) and ints — value
-        forms, not object reprs — and insertion follows sorted key order.
-        """
-        out: Dict[str, int] = {}
-        for key in sorted(self._hop_attribution):
-            query, label_id, partition = key
-            name = f"{query}.l{label_id}.p{partition}"
-            out[name] = self._hop_attribution[key]
-        return out
 
     def serve_vertex(self, query_name: str, root_vertex: Vertex) -> RootResult:
         """Vertex-keyed :meth:`serve_root` (the public request boundary)."""
@@ -351,93 +500,17 @@ class ServingEngine:
         embeddings, hops_total, border_expansions = splice_segments(segments, _reject_continuation)
         return RootResult(plan.name, root, tuple(embeddings), hops_total, border_expansions)
 
-    def execute_query(self, query_name: str) -> QueryServeReport:
-        """Full enumeration of one query: route, scan roots, serve each."""
-        plan = self._plan(query_name)
-        partitions = self.router.route(self.stores, plan.label_ids[0])
-        embeddings = traversals = hops = border = roots = 0
-        hits0 = self.cache.hits if self.cache is not None else 0
-        misses0 = self.cache.misses if self.cache is not None else 0
-        num_edges = plan.pattern.num_edges
-        for partition in partitions:
-            for root in self.stores.candidates(partition, plan.label_ids[0]):
-                result = self.serve_root(query_name, root)
-                roots += 1
-                embeddings += result.num_embeddings
-                traversals += result.num_embeddings * num_edges
-                hops += result.hops
-                border += result.border_expansions
-        return QueryServeReport(
-            name=plan.name,
-            frequency=plan.frequency,
-            embeddings=embeddings,
-            traversals=traversals,
-            hops=hops,
-            border_expansions=border,
-            partitions_contacted=len(partitions),
-            roots_scanned=roots,
-            cache_hits=(self.cache.hits - hits0) if self.cache is not None else 0,
-            cache_misses=(self.cache.misses - misses0) if self.cache is not None else 0,
-        )
+    def _cache_counts(self) -> Tuple[int, int]:
+        return (self.cache.hits, self.cache.misses) if self.cache is not None else (0, 0)
 
-    def execute_workload(self, system: str = "") -> ServeReport:
-        """Serve every workload query in full — the executor-equivalent pass."""
-        start = time.perf_counter()
-        report = ServeReport(system=system)
-        for name in self._queries:
-            report.queries.append(self.execute_query(name))
-        report.seconds = time.perf_counter() - start
-        return report
-
-    # ------------------------------------------------------------------
-    # Online ingest (composes with StreamingPartitioner.ingest_batch)
-    # ------------------------------------------------------------------
-    def ingest(self, events: Iterable[EdgeEvent]) -> int:
-        """Stream a batch: partition it, grow the stores, invalidate caches.
-
-        Returns the number of edges that became *visible* (both endpoints
-        placed) this round; Loom-deferred edges park in the stores' pending
-        buffer until a later round or :meth:`finalize` places them.
-        """
-        if self.partitioner is None:
-            raise ValueError("engine has no partitioner attached; cannot ingest")
-        batch = list(events)
-        self.partitioner.ingest_batch(batch)
-        label_counts = self._label_counts
-        for event in batch:
-            for v, label in ((event.u, event.u_label), (event.v, event.v_label)):
-                if not self.graph.has_vertex(v):
-                    label_counts[label] = label_counts.get(label, 0) + 1
-            self.graph.add_edge(event.u, event.v, event.u_label, event.v_label)
-        new_edges = []
-        for event in batch:
-            pair = self.stores.ingest_edge(event)
-            if pair is not None:
-                new_edges.append(pair)
-        new_edges.extend(self.stores.flush_pending())
-        self._after_growth(new_edges)
-        if self._trace_on:
-            self._trace.event("serve.ingest", n=len(batch), visible=len(new_edges))
-        return len(new_edges)
-
-    def finalize(self) -> int:
-        """Drain the partitioner (Loom's window) and flush pending edges."""
-        if self.partitioner is not None:
-            self.partitioner.finalize()
-        new_edges = self.stores.flush_pending()
-        self._after_growth(new_edges)
-        return len(new_edges)
-
-    def _after_growth(self, new_edges: Sequence[Tuple[int, int]]) -> None:
-        if not new_edges:
+    def _publish(self, new_edges: Sequence[Tuple[int, int]], dropped: Tuple[str, ...]) -> None:
+        if self.cache is None or not new_edges:
             return
-        # Plans first: label counts moved, so root slots may have too (which
-        # drops those queries' caches wholesale)...
-        self._compile_plans()
-        if self.cache is None:
-            return
-        # ...then the radius rule for everything still cached: only roots
-        # within |Eq| hops of a new edge can have gained embeddings.
+        # Re-rooted queries lose their entries wholesale; the radius rule
+        # covers everything still cached: only roots within |Eq| hops of a
+        # new edge can have gained embeddings.
+        for name in dropped:
+            self.cache.drop_query(name)
         depths = {name: plan.depth for name, plan in self._queries.items()}
         for name, roots in invalidation_sets(self.stores, new_edges, depths).items():
             if roots:

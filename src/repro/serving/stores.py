@@ -1,22 +1,24 @@
 """Per-partition subgraph stores: the data layer of the serving engine.
 
-A :class:`ServingStores` is materialised from a
-:class:`~repro.graph.labelled_graph.LabelledGraph` plus a
-:class:`~repro.partitioning.state.PartitionState` assignment.  Each
-partition owns one :class:`PartitionStore` holding the adjacency of its
-member vertices on dense interner ids (sorted neighbour arrays, CSR in
-spirit: the flat sorted runs are what the engine's inner loop scans), a
-**border index** — for each member, the sorted sub-list of neighbours that
-live in a *different* partition — and a label index (label id → sorted
-member ids) that feeds root-candidate scans and the routers.
+One admission index, two back ends.  A :class:`RoutingIndex` is built from
+a :class:`~repro.graph.labelled_graph.LabelledGraph` plus a
+:class:`~repro.partitioning.state.PartitionState` assignment and keeps what
+routing and request admission need: per partition a label index (label id
+→ sorted member ids) that feeds root-candidate scans and the routers, plus
+the visible-edge set and the pending buffer.  A live driver uses it as is;
+:class:`ServingStores` is the same index over :class:`PartitionStore`
+partitions, which also hold the adjacency of their member vertices on dense
+interner ids (sorted neighbour arrays, CSR in spirit: the flat sorted runs
+are what the engine's inner loop scans).  :class:`ShardStores` is the slice
+of that adjacency one shard server owns, built from wire rows.
 
-The stores are **online**: :meth:`ServingStores.ingest_edge` admits a
+The index is **online**: :meth:`RoutingIndex.ingest_edge` admits a
 streamed edge the moment both endpoints have been *assigned* by the
 partitioner.  Edges whose endpoint is still unplaced (Loom holds vertices
 in its sliding window before clustering them) park in a pending buffer and
-surface via :meth:`flush_pending` once the assignment lands — so the
-visible subgraph only ever contains fully-placed edges, which is exactly
-the set the offline executor can score.
+surface via :meth:`RoutingIndex.flush_pending` once the assignment lands —
+so the visible subgraph only ever contains fully-placed edges, which is
+exactly the set the offline executor can score.
 
 Everything is keyed by the ids of ``state.interner``; vertex objects and
 label strings survive only at the boundary.
@@ -25,7 +27,7 @@ label strings survive only at the boundary.
 from __future__ import annotations
 
 from bisect import insort
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.graph.interning import EDGE_SHIFT, LabelInterner, pack_edge
 from repro.graph.labelled_graph import LabelledGraph, Vertex
@@ -34,18 +36,17 @@ from repro.partitioning.state import UNASSIGNED, PartitionState
 
 
 def _cold_rows(
-    target: "Union[ServingStores, RoutingIndex]", graph: LabelledGraph
-) -> Iterator[Tuple[int, int, int, List[int], List[int]]]:
+    target: "RoutingIndex", graph: LabelledGraph
+) -> Iterator[Tuple[int, int, int, List[int]]]:
     """The one id-space pass behind both ``from_state`` builds.
 
     Per *placed* vertex, in ``graph.vertices()`` order, yields ``(vid,
-    label_id, partition, nbrs, remote)``: the ids of its placed neighbours
-    and the sub-list of those in another partition, both in the graph's own
-    neighbour-set order (the caller sorts what it keeps).  On the way it
-    fills what :class:`ServingStores` and :class:`RoutingIndex` share on
-    ``target`` — ``_label_of`` and the label ids, each store's
-    ``_by_label``, ``_edges``, ``_pending`` (edges with an unplaced
-    endpoint, in ``graph.edges()`` order) and, once exhausted, both edge
+    label_id, partition, nbrs)``: the ids of its placed neighbours in the
+    graph's own neighbour-set order (the caller sorts what it keeps).  On
+    the way it fills everything :class:`RoutingIndex` holds on ``target``
+    — ``_label_of`` and the label ids, each partition's ``_by_label``,
+    ``_edges``, ``_pending`` (edges with an unplaced endpoint, in
+    ``graph.edges()`` order) and, once exhausted, the member and edge
     counters.
     """
     state = target.state
@@ -83,50 +84,38 @@ def _cold_rows(
         by_label[partition].setdefault(label_id, []).append(uid)
         high = uid << EDGE_SHIFT
         edges.update([high | wid for wid in nbrs if wid > uid])
-        remote = [wid for wid in nbrs if partition_of[wid] != partition]
-        cut_ends += len(remote)
-        yield uid, label_id, partition, nbrs, remote
-    for index in by_label:
-        for members in index.values():
+        for wid in nbrs:
+            if partition_of[wid] != partition:
+                cut_ends += 1
+        yield uid, label_id, partition, nbrs
+    for store in target.stores:
+        for members in store._by_label.values():
             members.sort()
+            store.num_members += len(members)
     target.num_edges = len(edges)
     target.num_border_edges = cut_ends // 2
 
 
-class PartitionStore:
-    """One partition's vertex-local view: members, adjacency, border, labels."""
+class _PartitionIndex:
+    """One partition's *membership* view: labels and counts, no adjacency.
 
-    __slots__ = ("partition", "_adj", "_border", "_by_label")
+    Enough surface (``candidate_count`` / ``candidates`` / ``num_members``)
+    for every :mod:`repro.serving.router` policy and for root-candidate
+    scans, at a fraction of the memory: on a live driver the adjacency
+    lives only on the shard that owns the partition.
+    """
+
+    __slots__ = ("partition", "_by_label", "num_members")
 
     def __init__(self, partition: int) -> None:
         self.partition = partition
-        #: member id → sorted ids of *all* its neighbours (local and remote).
-        self._adj: Dict[int, List[int]] = {}
-        #: member id → sorted ids of its *remote* neighbours (the border index).
-        self._border: Dict[int, List[int]] = {}
         #: label id → sorted member ids carrying that label.
         self._by_label: Dict[int, List[int]] = {}
+        self.num_members = 0
 
-    # -- construction ------------------------------------------------------
-    def add_member(self, vid: int, label_id: int) -> None:
-        if vid in self._adj:
-            return
-        self._adj[vid] = []
+    def add_member(self, label_id: int, vid: int) -> None:
         insort(self._by_label.setdefault(label_id, []), vid)
-
-    def add_neighbor(self, vid: int, other: int, remote: bool) -> None:
-        insort(self._adj[vid], other)
-        if remote:
-            insort(self._border.setdefault(vid, []), other)
-
-    # -- queries -----------------------------------------------------------
-    def neighbors(self, vid: int) -> List[int]:
-        """All neighbours of member ``vid``, sorted.  Do not mutate."""
-        return self._adj[vid]
-
-    def border_neighbors(self, vid: int) -> List[int]:
-        """The remote neighbours of member ``vid``, sorted.  Do not mutate."""
-        return self._border.get(vid, [])
+        self.num_members += 1
 
     def candidates(self, label_id: int) -> List[int]:
         """Sorted member ids labelled ``label_id``.  Do not mutate."""
@@ -135,27 +124,48 @@ class PartitionStore:
     def candidate_count(self, label_id: int) -> int:
         return len(self._by_label.get(label_id, ()))
 
-    @property
-    def num_members(self) -> int:
-        return len(self._adj)
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"<{type(self).__name__} p={self.partition} members={self.num_members}>"
 
-    @property
-    def num_border_vertices(self) -> int:
-        """Members with at least one cut edge (the partition's frontier)."""
-        return len(self._border)
+
+class PartitionStore(_PartitionIndex):
+    """One partition's vertex-local view: the membership index plus the
+    adjacency of its members."""
+
+    __slots__ = ("_adj",)
+
+    def __init__(self, partition: int) -> None:
+        super().__init__(partition)
+        #: member id → sorted ids of *all* its neighbours (local and remote).
+        self._adj: Dict[int, List[int]] = {}
+
+    def add_member(self, label_id: int, vid: int) -> None:
+        super().add_member(label_id, vid)
+        self._adj[vid] = []
+
+    def neighbors(self, vid: int) -> List[int]:
+        """All neighbours of member ``vid``, sorted.  Do not mutate."""
+        return self._adj[vid]
 
     def __contains__(self, vid: int) -> bool:
         return vid in self._adj
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"<PartitionStore p={self.partition} members={self.num_members} "
-            f"frontier={self.num_border_vertices}>"
-        )
 
+class RoutingIndex:
+    """The admission and routing index both serving back ends stand on.
 
-class ServingStores:
-    """The k per-partition stores over one shared assignment and id space."""
+    Holds exactly what routing and request admission need — vertex → label
+    id, per-partition label indexes, the visible-edge key set (dedup) and
+    the pending buffer — and no adjacency: a live driver uses it as is,
+    with the adjacency sharded across the servers, and
+    :class:`ServingStores` is this index *plus* adjacency.  Every routing
+    policy and the traffic drivers therefore see one surface (``k``,
+    ``stores``, ``candidate_counts``, ``candidates``, ``all_candidates``),
+    and there is one admission rule (both endpoints placed, duplicates
+    dropped): a live cluster and a single-process engine fed the same
+    stream admit the identical edge sequence — the bedrock of the
+    equivalence suites.
+    """
 
     __slots__ = (
         "state",
@@ -164,55 +174,42 @@ class ServingStores:
         "_label_of",
         "_edges",
         "_pending",
+        "_new_vertices",
         "num_edges",
         "num_border_edges",
     )
 
+    #: The per-partition view this index keeps.
+    _partition_type = _PartitionIndex
+
     def __init__(self, state: PartitionState, labels: Optional[LabelInterner] = None) -> None:
         self.state = state
-        #: Label ↔ id bijection shared with the engine's compiled plans.
+        #: Label ↔ id bijection shared with the front end's compiled plans.
         self.labels = labels if labels is not None else LabelInterner()
-        self.stores: List[PartitionStore] = [PartitionStore(p) for p in range(state.k)]
+        self.stores = [self._partition_type(p) for p in range(state.k)]
         #: vertex id → label id, for every stored vertex.
         self._label_of: Dict[int, int] = {}
         #: packed edge keys of every *visible* edge (both endpoints placed).
         self._edges: Set[int] = set()
         #: events whose endpoint was unassigned on arrival, in arrival order.
         self._pending: List[EdgeEvent] = []
+        #: (vid, label_id, partition) rows stored since the last take — the
+        #: live driver turns these into EdgeUpdate vertex rows each round.
+        self._new_vertices: List[Tuple[int, int, int]] = []
         self.num_edges = 0
         self.num_border_edges = 0
 
     @classmethod
-    def from_state(cls, graph: LabelledGraph, state: PartitionState) -> "ServingStores":
-        """Materialise stores for every placed vertex/edge of ``graph``.
+    def from_state(cls, graph: LabelledGraph, state: PartitionState) -> "RoutingIndex":
+        """Bulk-build the index for every placed vertex/edge of ``graph``.
 
         Edges with an unplaced endpoint go to the pending buffer (none, in
         the common fully-partitioned case).  Field for field the result of
         replaying :meth:`ingest_edge` over ``graph.edges()``.
         """
-        stores = cls(state)
-        partition_of = state.assignment_vector
-        reprs = list(map(repr, state.interner.vertices()))
-        border_rows: Dict[int, List[int]] = {}
-        #: Endpoints of the cut edges in the order the replay meets them; a
-        #: vertex's first appearance is where its ``_border`` key is made.
-        cut_walk: List[int] = []
-        for vid, _label_id, partition, nbrs, remote in _cold_rows(stores, graph):
-            if remote:
-                # graph.edges() yields {u, w} in the turn of the endpoint
-                # whose repr sorts first, walking u's neighbour set in order.
-                own = reprs[vid]
-                yielded = [w for w in remote if own <= reprs[w]]
-                if yielded:
-                    cut_walk.append(vid)
-                    cut_walk += yielded
-                remote.sort()
-                border_rows[vid] = remote
-            nbrs.sort()
-            stores.stores[partition]._adj[vid] = nbrs
-        for vid in dict.fromkeys(cut_walk):
-            stores.stores[partition_of[vid]]._border[vid] = border_rows[vid]
-        return stores
+        index = cls(state)
+        index._new_vertices.extend(row[:3] for row in _cold_rows(index, graph))
+        return index
 
     # ------------------------------------------------------------------
     # Construction / streaming
@@ -222,13 +219,23 @@ class ServingStores:
             return
         lid = self.labels.intern(label)
         self._label_of[vid] = lid
-        self.stores[self.state.partition_of_id(vid)].add_member(vid, lid)
+        partition = self.state.partition_of_id(vid)
+        self.stores[partition].add_member(lid, vid)
+        self._announce(vid, lid, partition)
+
+    def _announce(self, vid: int, label_id: int, partition: int) -> None:
+        """Queue a newly stored vertex for :meth:`take_new_vertices`."""
+        self._new_vertices.append((vid, label_id, partition))
+
+    def _link(self, uid: int, pu: int, vid: int, pv: int) -> None:
+        """A new visible edge ``uid — vid`` between partitions ``pu`` and
+        ``pv``: where a back end that keeps adjacency records it."""
 
     def ingest_edge(self, event: EdgeEvent) -> Optional[Tuple[int, int]]:
         """Admit one streamed edge if both endpoints are placed.
 
         Returns the visible ``(uid, vid)`` id pair when the edge entered the
-        stores, ``None`` when it parked in the pending buffer (unknown or
+        index, ``None`` when it parked in the pending buffer (unknown or
         unassigned endpoint).  Duplicate edges are no-ops returning ``None``.
         """
         id_of = self.state.interner.id_of
@@ -250,11 +257,9 @@ class ServingStores:
         self.num_edges += 1
         pu = self.state.partition_of_id(uid)
         pv = self.state.partition_of_id(vid)
-        remote = pu != pv
-        self.stores[pu].add_neighbor(uid, vid, remote)
-        self.stores[pv].add_neighbor(vid, uid, remote)
-        if remote:
+        if pu != pv:
             self.num_border_edges += 1
+        self._link(uid, pu, vid, pv)
         return (uid, vid)
 
     def flush_pending(self) -> List[Tuple[int, int]]:
@@ -272,29 +277,21 @@ class ServingStores:
                 visible.append(pair)
         return visible
 
+    def take_new_vertices(self) -> List[Tuple[int, int, int]]:
+        """Drain the ``(vid, label_id, partition)`` rows stored since the
+        last call — one EdgeUpdate round's worth of vertex announcements."""
+        rows, self._new_vertices = self._new_vertices, []
+        return rows
+
     @property
     def num_pending(self) -> int:
         return len(self._pending)
 
     # ------------------------------------------------------------------
-    # Queries (the engine's inner-loop surface)
+    # The routing / admission surface
     # ------------------------------------------------------------------
-    def owner(self, vid: int) -> int:
-        """The partition storing ``vid``; raises ``KeyError`` if unstored."""
-        p = self.state.partition_of_id(vid)
-        if p == UNASSIGNED or vid not in self._label_of:
-            raise KeyError(f"vertex id {vid} is not stored in any partition")
-        return p
-
     def label_id_of(self, vid: int) -> int:
         return self._label_of[vid]
-
-    def has_edge(self, uid: int, vid: int) -> bool:
-        return pack_edge(uid, vid) in self._edges
-
-    def neighbors(self, vid: int) -> List[int]:
-        """All visible neighbours of ``vid`` (via its owner store), sorted."""
-        return self.stores[self.owner(vid)].neighbors(vid)
 
     def candidates(self, partition: int, label_id: int) -> List[int]:
         return self.stores[partition].candidates(label_id)
@@ -310,6 +307,65 @@ class ServingStores:
             out.extend(store.candidates(label_id))
         out.sort()
         return out
+
+    @property
+    def k(self) -> int:
+        return self.state.k
+
+    @property
+    def num_vertices(self) -> int:
+        return len(self._label_of)
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return (
+            f"<{type(self).__name__} k={self.k} |V|={self.num_vertices} "
+            f"|E|={self.num_edges} border={self.num_border_edges} "
+            f"pending={self.num_pending}>"
+        )
+
+
+class ServingStores(RoutingIndex):
+    """The k per-partition stores over one shared assignment and id space:
+    a :class:`RoutingIndex` whose partitions also hold their members'
+    adjacency (the engine's inner-loop surface)."""
+
+    __slots__ = ()
+
+    _partition_type = PartitionStore
+
+    @classmethod
+    def from_state(cls, graph: LabelledGraph, state: PartitionState) -> "ServingStores":
+        """Materialise stores for every placed vertex/edge of ``graph`` —
+        the same pass, and the same contract, as :meth:`RoutingIndex.from_state`."""
+        stores = cls(state)
+        for vid, _label_id, partition, nbrs in _cold_rows(stores, graph):
+            nbrs.sort()
+            stores.stores[partition]._adj[vid] = nbrs
+        return stores
+
+    def _announce(self, vid: int, label_id: int, partition: int) -> None:
+        """Nobody takes vertex rows from in-process stores: queue none."""
+
+    def _link(self, uid: int, pu: int, vid: int, pv: int) -> None:
+        insort(self.stores[pu]._adj[uid], vid)
+        insort(self.stores[pv]._adj[vid], uid)
+
+    # ------------------------------------------------------------------
+    # Queries (the engine's inner-loop surface)
+    # ------------------------------------------------------------------
+    def owner(self, vid: int) -> int:
+        """The partition storing ``vid``; raises ``KeyError`` if unstored."""
+        p = self.state.partition_of_id(vid)
+        if p == UNASSIGNED or vid not in self._label_of:
+            raise KeyError(f"vertex id {vid} is not stored in any partition")
+        return p
+
+    def has_edge(self, uid: int, vid: int) -> bool:
+        return pack_edge(uid, vid) in self._edges
+
+    def neighbors(self, vid: int) -> List[int]:
+        """All visible neighbours of ``vid`` (via its owner store), sorted."""
+        return self.stores[self.owner(vid)].neighbors(vid)
 
     def bfs_within(self, sources: Iterable[int], depth: int) -> Dict[int, int]:
         """Id → distance for every stored id within ``depth`` hops of
@@ -336,192 +392,8 @@ class ServingStores:
             frontier = nxt
         return dist
 
-    @property
-    def k(self) -> int:
-        return self.state.k
-
-    @property
-    def num_vertices(self) -> int:
-        return len(self._label_of)
-
     def vertex(self, vid: int) -> Vertex:
         return self.state.interner.vertex(vid)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"<ServingStores k={self.k} |V|={self.num_vertices} "
-            f"|E|={self.num_edges} border={self.num_border_edges} "
-            f"pending={self.num_pending}>"
-        )
-
-
-class _PartitionIndex:
-    """One partition's *membership* view: labels and counts, no adjacency.
-
-    The driver-side routing twin of :class:`PartitionStore` — enough
-    surface (``candidate_count`` / ``candidates`` / ``num_members``) for
-    every :mod:`repro.serving.router` policy and for root-candidate scans,
-    at a fraction of the memory: adjacency lives only on the shard that
-    owns the partition.
-    """
-
-    __slots__ = ("partition", "_by_label", "num_members")
-
-    def __init__(self, partition: int) -> None:
-        self.partition = partition
-        self._by_label: Dict[int, List[int]] = {}
-        self.num_members = 0
-
-    def add_member(self, label_id: int, vid: int) -> None:
-        insort(self._by_label.setdefault(label_id, []), vid)
-        self.num_members += 1
-
-    def candidates(self, label_id: int) -> List[int]:
-        return self._by_label.get(label_id, [])
-
-    def candidate_count(self, label_id: int) -> int:
-        return len(self._by_label.get(label_id, ()))
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<_PartitionIndex p={self.partition} members={self.num_members}>"
-
-
-class RoutingIndex:
-    """The live driver's adjacency-free twin of :class:`ServingStores`.
-
-    Holds exactly what routing and request admission need — vertex → label
-    id, per-partition label indexes, the visible-edge key set (dedup) and
-    the pending buffer — while the adjacency itself lives sharded across
-    the servers.  Duck-types the :class:`ServingStores` surface the routers
-    and the traffic driver touch (``k``, ``stores``, ``candidate_counts``,
-    ``candidates``, ``all_candidates``), so every routing policy works
-    unchanged against either.
-
-    ``ingest_edge``/``flush_pending`` follow the same admission rule as
-    :class:`ServingStores` (both endpoints placed, duplicates dropped), so
-    a live cluster and a single-process engine fed the same stream admit
-    the identical edge sequence — the bedrock of the equivalence suites.
-    """
-
-    __slots__ = (
-        "state",
-        "labels",
-        "stores",
-        "_label_of",
-        "_edges",
-        "_pending",
-        "_new_vertices",
-        "num_edges",
-        "num_border_edges",
-    )
-
-    def __init__(self, state: PartitionState, labels: Optional[LabelInterner] = None) -> None:
-        self.state = state
-        self.labels = labels if labels is not None else LabelInterner()
-        self.stores: List[_PartitionIndex] = [_PartitionIndex(p) for p in range(state.k)]
-        self._label_of: Dict[int, int] = {}
-        self._edges: Set[int] = set()
-        self._pending: List[EdgeEvent] = []
-        #: (vid, label_id, partition) rows stored since the last take — the
-        #: driver turns these into EdgeUpdate vertex rows each round.
-        self._new_vertices: List[Tuple[int, int, int]] = []
-        self.num_edges = 0
-        self.num_border_edges = 0
-
-    @classmethod
-    def from_state(cls, graph: LabelledGraph, state: PartitionState) -> "RoutingIndex":
-        """Bulk-build the index for every placed vertex/edge of ``graph`` —
-        the same pass, and the same contract, as :meth:`ServingStores.from_state`."""
-        index = cls(state)
-        for vid, label_id, partition, _nbrs, _remote in _cold_rows(index, graph):
-            index.stores[partition].num_members += 1
-            index._new_vertices.append((vid, label_id, partition))
-        return index
-
-    def _add_member(self, vid: int, label: str) -> None:
-        if vid in self._label_of:
-            return
-        lid = self.labels.intern(label)
-        self._label_of[vid] = lid
-        partition = self.state.partition_of_id(vid)
-        self.stores[partition].add_member(lid, vid)
-        self._new_vertices.append((vid, lid, partition))
-
-    def ingest_edge(self, event: EdgeEvent) -> Optional[Tuple[int, int]]:
-        """Same admission protocol as :meth:`ServingStores.ingest_edge`."""
-        id_of = self.state.interner.id_of
-        uid, vid = id_of(event.u), id_of(event.v)
-        if (
-            uid is None
-            or vid is None
-            or self.state.partition_of_id(uid) == UNASSIGNED
-            or self.state.partition_of_id(vid) == UNASSIGNED
-        ):
-            self._pending.append(event)
-            return None
-        ekey = pack_edge(uid, vid)
-        if ekey in self._edges:
-            return None
-        self._add_member(uid, event.u_label)
-        self._add_member(vid, event.v_label)
-        self._edges.add(ekey)
-        self.num_edges += 1
-        if self.state.partition_of_id(uid) != self.state.partition_of_id(vid):
-            self.num_border_edges += 1
-        return (uid, vid)
-
-    def flush_pending(self) -> List[Tuple[int, int]]:
-        parked, self._pending = self._pending, []
-        visible: List[Tuple[int, int]] = []
-        for event in parked:
-            pair = self.ingest_edge(event)
-            if pair is not None:
-                visible.append(pair)
-        return visible
-
-    def take_new_vertices(self) -> List[Tuple[int, int, int]]:
-        """Drain the ``(vid, label_id, partition)`` rows stored since the
-        last call — one EdgeUpdate round's worth of vertex announcements."""
-        rows, self._new_vertices = self._new_vertices, []
-        return rows
-
-    # -- the routing / admission surface -------------------------------
-    def label_id_of(self, vid: int) -> int:
-        return self._label_of[vid]
-
-    def partition_of(self, vid: int) -> int:
-        return self.state.partition_of_id(vid)
-
-    def candidates(self, partition: int, label_id: int) -> List[int]:
-        return self.stores[partition].candidates(label_id)
-
-    def candidate_counts(self, label_id: int) -> List[int]:
-        return [store.candidate_count(label_id) for store in self.stores]
-
-    def all_candidates(self, label_id: int) -> List[int]:
-        out: List[int] = []
-        for store in self.stores:
-            out.extend(store.candidates(label_id))
-        out.sort()
-        return out
-
-    @property
-    def num_pending(self) -> int:
-        return len(self._pending)
-
-    @property
-    def k(self) -> int:
-        return self.state.k
-
-    @property
-    def num_vertices(self) -> int:
-        return len(self._label_of)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"<RoutingIndex k={self.k} |V|={self.num_vertices} "
-            f"|E|={self.num_edges} pending={self.num_pending}>"
-        )
 
 
 class ShardStores:

@@ -10,6 +10,7 @@ a killed or crashing server must become a diagnosable exception, never a
 hang.
 """
 
+import hashlib
 import os
 import pickle
 import signal
@@ -33,19 +34,26 @@ from repro.runtime.messages import (
     SCHEMA_VERSION,
     CachePut,
     EdgeUpdate,
+    GraphTotals,
     IngestAck,
     InvalidationHops,
     QueryRequest,
     ServeSpec,
     ServerFailure,
     ServerStats,
+    ShardResult,
+    StatsReport,
     StatsRequest,
     StepReply,
     StepRequest,
     WIRE_TYPES,
+    WorkerFailure,
+    WorkerSpec,
     check_schema,
 )
-from repro.serving import ServingEngine
+from repro.runtime.server import ShardServer
+from repro.serving import RootResult, ServingEngine
+from repro.serving.execution import CompiledPlan, Continuation, LiteralSegment
 from repro.serving.router import BUILTIN_ROUTERS
 from repro.serving.stores import RoutingIndex, ServingStores
 from repro.serving.traffic import LiveTrafficDriver, TrafficDriver
@@ -401,6 +409,54 @@ def test_invalidation_starts_with_the_first_request():
 
 
 # ----------------------------------------------------------------------
+# The cache epoch guard, on a ShardServer driven in-process
+# ----------------------------------------------------------------------
+def test_cache_put_epoch_guard_accepts_current_and_counts_rejects():
+    """A write-back is adopted only at the epoch it was assembled in and
+    under the plan signature the shard knows; every discard is counted."""
+    server = ShardServer(ServeSpec(shard_id=0, num_shards=1, k=1, query_depths=(("ab", 1),)))
+    plan = CompiledPlan("ab", (0, 1), ((), (0,)), 1, (0, 1))
+    # a(0) — b(1) — a(2), all in partition 0; roots of "ab" are 0 and 2.
+    server.handle_ingest_message(
+        EdgeUpdate(0, ((0, 0, 0), (1, 1, 0), (2, 0, 0)), ((0, 0, 0, 1, 1, 0), (1, 1, 0, 2, 0, 0)))
+    )
+
+    def assembled(root):  # not what local execution would return: hits are telling
+        return RootResult("ab", root, ((root, 99),), 7, 7)
+
+    # Current epoch, first signature this shard sees: adopted, served back.
+    server.handle_request_message(CachePut("ab", plan.signature, 0, assembled(0), server.seq))
+    reply = server.handle_request_message(QueryRequest(1, plan, 0, 0))
+    assert reply.cached is True and reply.result == assembled(0)
+    assert server.stats_snapshot().cache_rejects == 0
+
+    # One more round (even an empty one) moves the epoch: the same put is stale.
+    stale = server.seq
+    server.handle_ingest_message(EdgeUpdate(stale + 1))
+    server.handle_request_message(CachePut("ab", plan.signature, 2, assembled(2), stale))
+    assert ("ab", 2) not in server.cache
+    assert server.stats_snapshot().cache_rejects == 1
+
+    # Current epoch but another plan signature than the one adopted above.
+    server.handle_request_message(CachePut("ab", (1, 0), 2, assembled(2), server.seq))
+    assert ("ab", 2) not in server.cache
+    stats = server.stats_snapshot()
+    assert stats.cache_rejects == 2 and stats.as_dict()["cache_rejects"] == 2
+    assert server.stats_report().metrics["cache_rejects"] == 2
+
+    # The guard discards; it does not poison: the current put still lands.
+    server.handle_request_message(CachePut("ab", plan.signature, 2, assembled(2), server.seq))
+    assert server.cache.get(("ab", 2)) == assembled(2)
+
+
+def test_cluster_stats_surface_cache_rejects():
+    graph, workload = _random_case()
+    state = _partition("hash", graph, workload, k=4)
+    with LiveCluster(graph, state, workload, num_shards=2) as cluster:
+        assert [shard["cache_rejects"] for shard in cluster.stats()["shards"]] == [0, 0]
+
+
+# ----------------------------------------------------------------------
 # Failure surface: death and poison become diagnosable errors
 # ----------------------------------------------------------------------
 def test_killed_server_raises_with_signal_name_quickly():
@@ -443,6 +499,10 @@ def test_poison_message_surfaces_remote_traceback():
 # Wire discipline: slots, tuple encodings, schema version
 # ----------------------------------------------------------------------
 _WIRE_SAMPLES = [
+    GraphTotals(60, 130),
+    WorkerSpec(1, "loom", 8, 60, 130, window_size=16, extra={"alpha": 1.5}),
+    ShardResult(1, [("v", 3)], 65, 2, 0.25, 0.5, {"edges_offered": 65}, None, 0.125),
+    WorkerFailure(1, "ValueError: boom", "Traceback ..."),
     ServeSpec(shard_id=1, num_shards=4, k=8, query_depths=(("abc", 2),)),
     EdgeUpdate(3, ((5, 0, 1),), ((5, 0, 1, 6, 1, 2),), ("abc",), False),
     InvalidationHops(3, ((7, 1), (9, 2))),
@@ -453,7 +513,13 @@ _WIRE_SAMPLES = [
     CachePut("abc", (0, 1, 2), 5, None, 3),
     StatsRequest(1),
     ServerStats(1, 3, 10, 2, 20, 4, 7, 3, 3, 5, {"hits": 1}),
+    StatsReport(1, 3, {"requests_served": 7}),
+    ServerFailure(1, "ValueError: boom", "Traceback ..."),
 ]
+
+
+def test_wire_samples_cover_every_wire_type():
+    assert {type(message) for message in _WIRE_SAMPLES} == set(WIRE_TYPES)
 
 
 @pytest.mark.parametrize(
@@ -465,6 +531,30 @@ def test_wire_messages_pickle_roundtrip_without_dict(message):
     for slot in type(message).__slots__:
         assert getattr(clone, slot) == getattr(message, slot)
     check_schema(clone)  # current-version messages pass
+
+
+def test_benchmarked_messages_pickle_to_pinned_bytes():
+    """``runtime.messages.bytes_per_msg`` weighs these four shapes (see
+    ``e2e_layers.pass_runtime``); digests taken before the schema moved
+    into field tables, so a table edit cannot silently change the wire."""
+    plan = CompiledPlan("q", (0, 1, 0, 2), ((), (0,), (1,), (2,)), 3, (0, 1, 2, 3))
+    segment = LiteralSegment()
+    segment.embeddings = [(17, 23 + i, 29, 31 + i) for i in range(5)]
+    rows = tuple((i, i % 7, i % 8, i + 1, (i + 1) % 7, (i + 1) % 8) for i in range(1024))
+    messages = [
+        QueryRequest(1, plan, 17, 3),
+        StepRequest(1, 2, plan, Continuation(2, (17, 23, -1, -1), (3, 5, -1, -1), 1, 5)),
+        StepReply(1, 2, 0, 9, (segment,), None),
+        EdgeUpdate(9, (), rows),
+    ]
+    pickled = [pickle.dumps(message, 5) for message in messages]
+    assert [len(data) for data in pickled] == [157, 228, 182, 16962]
+    assert [hashlib.sha256(data).hexdigest() for data in pickled] == [
+        "e994117f7efcffa66cdf8b9d1b8340add75ab2d7b59c01830af1881912b992ec",
+        "db92c2305e9c949035541a5a171ed58424b45d3955be6b02c6ea4fa1470e1c2d",
+        "2877a7a0825d24d525bc20d7938bd1b37d7dc4cd5e1002feba48a3e4004a4a56",
+        "bc490cb51d3bc259eca1738e9d8f0934ef4f1bd3440f9b9f66eee55ddc1715b2",
+    ]
 
 
 def test_every_wire_type_declares_slots_and_schema_version():

@@ -355,6 +355,20 @@ class TestComponentBinding:
             key.startswith("serve.cache.") for key in snap
         )
 
+    def test_unplaced_roots_are_charged_to_no_real_partition(self, dataset):
+        """A negative or never-interned root id is unplaced: both land on
+        the ``p-1`` key, neither on (the last vertex's) real partition."""
+        from repro.serving import ServingEngine
+
+        obs.enable()
+        state, _ = _loom_over(dataset)
+        engine = ServingEngine(dataset.graph, state, dataset.workload)
+        name = engine.query_names()[0]
+        for root in (-1, 10**6):
+            assert engine.serve_root(name, root).embeddings == ()
+        hop_keys = [key for key in obs.snapshot() if key.startswith("serve.hops.")]
+        assert hop_keys == [f"serve.hops.{name}.l{engine.root_label_id(name)}.p-1"]
+
     def test_identical_results_with_and_without_obs(self, dataset):
         baseline_state, _ = _loom_over(dataset)
         obs.enable(trace=True)

@@ -53,11 +53,12 @@ class TestServingStores:
             if state.partition_of(u) != state.partition_of(v)
         )
         assert stores.num_border_edges == cut
-        # Each cut edge appears in both endpoints' border lists.
+        # Each cut edge appears in both endpoints' adjacency lists.
         listed = sum(
-            len(store.border_neighbors(vid))
+            state.partition_of_id(other) != store.partition
             for store in stores.stores
-            for vid in list(store._adj)
+            for row in store._adj.values()
+            for other in row
         )
         assert listed == 2 * cut
 
@@ -92,6 +93,19 @@ class TestServingStores:
         assert stores.ingest_edge(EdgeEvent("y", "b", "x", "a")) is None
         assert stores.num_edges == 1
 
+    def test_in_process_stores_queue_no_vertex_rows(self):
+        """Only a live driver takes vertex announcements; stores nobody
+        drains must not grow a row per vertex with the stream."""
+        graph, _workload, state = _partitioned_figure1()
+        stores, index = ServingStores(state), RoutingIndex(state)
+        for u, v in graph.edges():
+            event = EdgeEvent(u, graph.label(u), v, graph.label(v))
+            assert stores.ingest_edge(event) == index.ingest_edge(event)
+        assert stores.num_vertices == index.num_vertices == graph.num_vertices
+        assert stores._new_vertices == []
+        assert ServingStores.from_state(graph, state)._new_vertices == []
+        assert len(index.take_new_vertices()) == graph.num_vertices
+
 
 def _replay(cls, graph, state):
     """What ``from_state`` must equal — the definition of a cold build: the
@@ -107,6 +121,11 @@ def _replay(cls, graph, state):
     return built
 
 
+def _slots(obj):
+    """Every slot of ``obj``, inherited ones included."""
+    return [slot for cls in type(obj).__mro__ for slot in getattr(cls, "__slots__", ())]
+
+
 def _fields(built):
     """Every field but ``state``; dicts as item lists, so key order counts."""
 
@@ -114,7 +133,7 @@ def _fields(built):
         return list(value.items()) if isinstance(value, dict) else value
 
     out = {}
-    for slot in type(built).__slots__:
+    for slot in _slots(built):
         if slot == "state":
             continue
         value = getattr(built, slot)
@@ -122,11 +141,19 @@ def _fields(built):
             value = list(value.labels())
         elif slot == "stores":
             value = [
-                {name: ordered(getattr(store, name)) for name in type(store).__slots__}
+                {name: ordered(getattr(store, name)) for name in _slots(store)}
                 for store in value
             ]
         out[slot] = ordered(value)
     return out
+
+
+def test_fields_cover_adjacency_and_counters():
+    """The cold-build property below compares what ``_fields`` lists."""
+    graph, _workload, state = _partitioned_figure1()
+    fields = _fields(ServingStores.from_state(graph, state))
+    assert {"_label_of", "_edges", "_pending", "num_edges", "num_border_edges"} <= set(fields)
+    assert all({"_adj", "_by_label", "num_members"} <= set(store) for store in fields["stores"])
 
 
 @settings(max_examples=40, deadline=None)

@@ -6,14 +6,13 @@ stubs, and fully enabled metrics + tracing stay within a small single-digit
 percentage on the hot loops.  This benchmark *prices* that contract on the
 two instrumented legs:
 
-* **ingest** — a full Loom partitioner over a synthetic stream (the
-  ``bench_matcher``/``bench_throughput`` shape: offer/extend/evict plus
-  placement), timing ``ingest_all`` in three modes: obs **off** (NULL
-  stubs), **metrics** (counters/gauges/histograms/windows, no tracing —
-  the budgeted mode), and **trace** (metrics plus every structured event);
+* **ingest** — a full Loom partitioner over a synthetic stream
+  (offer/extend/evict plus placement), timing ``ingest_all`` in three
+  modes: obs **off** (NULL stubs), **metrics**
+  (counters/gauges/histograms/windows, no tracing — the budgeted mode),
+  and **trace** (metrics plus every structured event);
 * **serving** — a closed-loop ``TrafficDriver`` run against a
-  ``ServingEngine`` over that partitioning (the ``bench_serving`` shape),
-  same three modes.
+  ``ServingEngine`` over that partitioning, same three modes.
 
 Each leg asserts bit-identical results across the two modes before any
 timing is reported — the ingest leg compares the exported assignment
@@ -104,11 +103,11 @@ def _ingest_once(graph, events, workload, args):
 def _serve_once(graph, state, workload, requests, args):
     """Fresh engine + closed loop over the replayed stream → traffic report.
 
-    ``hop_cost_us`` matches ``bench_serving``'s default so the serving
-    leg's denominator is that benchmark's actual throughput denominator
-    (``accounted_seconds``: measured compute + modelled network per hop);
+    The serving leg's denominator is the driver's ``accounted_seconds``
+    (measured compute + ``hop_cost_us`` of modelled network per hop);
     instrumentation time lands inside each request's measured latency, so
-    the accounted overhead is exactly what ``queries_per_sec`` would lose.
+    the accounted overhead is exactly what the driver's
+    ``queries_per_sec`` would lose.
     """
     engine = ServingEngine(graph, state, workload, cache=True)
     driver = TrafficDriver(
@@ -181,10 +180,10 @@ def run(args, baseline=None) -> dict:
                 _, report = _timed(
                     lambda: _serve_once(graph, state, workload, requests, args)
                 )
-                # bench_serving's throughput denominator: measured latency
-                # plus the modelled per-hop network charge.  Instrumentation
-                # runs inside each measured request, so this is the honest
-                # cost as queries_per_sec would see it.
+                # Measured latency plus the modelled per-hop network
+                # charge.  Instrumentation runs inside each measured
+                # request, so this is the cost as the driver's
+                # queries_per_sec would see it.
                 timings["serving"][mode].append(report.accounted_seconds)
                 if (report.hops, report.embeddings) != serve_totals_off:
                     raise AssertionError(
@@ -257,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--requests", type=int, default=DEFAULT_REQUESTS)
     parser.add_argument("--zipf", type=float, default=DEFAULT_ZIPF)
     parser.add_argument("--hop-cost-us", dest="hop_cost_us", type=float, default=50.0,
-                        help="modelled network cost per hop, as bench_serving charges it")
+                        help="modelled network cost per hop (TrafficDriver.hop_cost_us)")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--repeats", type=int, default=5,
                         help="timings per (leg, mode); overhead compares best-of-N")
@@ -272,7 +271,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 @trial("obs-overhead")
 def obs_overhead_trial(ctx):
-    """Experiment-service adapter; see ``bench_throughput.throughput_trial``."""
+    """The experiment-service adapter: params → args → one ``run()``.
+
+    Unlike the script, the trial never writes a payload file — the runner
+    persists whatever this returns to the results DB — and a ``baseline``
+    param that names a missing file fails the trial by name.
+    """
     args = namespace_from_parser(build_parser(), ctx.params, seed=ctx.seed)
     return run(args, require_baseline(args.baseline))
 

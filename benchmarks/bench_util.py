@@ -1,8 +1,8 @@
-"""Small helpers shared by the standalone benchmark scripts.
+"""Small helpers of the standalone ``bench_obs_overhead.py`` script.
 
 Kept separate from ``bench_config.py`` (which carries pytest fixtures and
-dataset imports) so plain ``python benchmarks/bench_*.py`` runs pay for
-nothing they don't use.
+dataset imports) so a plain ``python benchmarks/bench_obs_overhead.py``
+run pays for nothing it doesn't use.
 """
 
 import json
@@ -18,11 +18,10 @@ from repro.query.workload import Workload
 
 
 def bench_workload() -> Workload:
-    """The benchmark suite's shared two-pattern workload (Loom only).
+    """The two-pattern workload Loom runs in ``bench_obs_overhead.py``.
 
-    One definition on purpose: the throughput, matcher, scaling and
-    serving numbers (and their committed ``BENCH_*.json`` baselines) are
-    comparable only while they measure the identical query mix.
+    The committed ``BENCH_obs_overhead.json`` is comparable to a fresh run
+    only while both measure this query mix.
     """
     return Workload(
         [

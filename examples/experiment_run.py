@@ -27,13 +27,12 @@ def main() -> None:
         {
             "experiment": {"name": "example", "seed": 0},
             "trial": [
-                # A matrix axis expands to one trial per value; gains come
-                # straight from params, so the gate has something to judge.
+                # A matrix axis expands to one trial per value; the metrics
+                # come straight from params.
                 {
                     "bench": "synthetic",
                     "matrix": {"k": [2, 3]},
-                    "params": {"metrics": {"edges_per_sec": 1000.0, "gain_vs_baseline": 1.1}},
-                    "gate": {"threshold": 0.85},
+                    "params": {"metrics": {"edges_per_sec": 1000.0}},
                 },
                 # A real paper experiment (figure 4, pure math — fast),
                 # its rendered table stored as a text metric.
@@ -49,7 +48,7 @@ def main() -> None:
     print("\n-- rerun: completed trials are skipped (resume) --")
     run_experiment(spec, db_path, workers=2)
 
-    print("\n-- gate: per-trial thresholds from the spec --")
+    print("\n-- gate: every trial ran and none failed --")
     with ResultsDB(db_path) as db:
         exit_code = gate_experiment(db, spec)
     print(f"gate exit code: {exit_code}")

@@ -2,8 +2,8 @@
 
 Streams a bundled dataset through the sharded runtime at 1, 2 and 4
 worker processes, then shows what the merge had to resolve and what the
-partitioning quality paid for the parallelism — the trade
-`benchmarks/bench_scaling.py` measures systematically.
+partitioning quality paid for the parallelism — the trade ARCHITECTURE.md
+tabulates at the reference benchmark's scale ("The runtime layer").
 
 Each worker's Loom gates every edge of its slice against the single-edge
 motifs: the per-shard `edges_bypassed` (placed at once by LDG, never
@@ -76,9 +76,8 @@ def main() -> None:
         "Reading the numbers: one shard reproduces the single-process run\n"
         "exactly; more shards trade partitioning quality (each worker sees\n"
         "only its slice of every neighbourhood) for ingest throughput.  At\n"
-        "this toy scale process overhead hides the throughput side — run\n"
-        "benchmarks/bench_scaling.py for the real curve.  The same run is\n"
-        "available from the CLI:\n"
+        "this toy scale process overhead hides the throughput side.  The\n"
+        "same run is available from the CLI:\n"
         "  python -m repro.partition_cli graph.txt --workload q.txt \\\n"
         "      --system loom --shards 4 --merge-rule lowest-shard"
     )

@@ -5,12 +5,14 @@ declarative spec (:mod:`repro.experiment.spec`) expands into trials, a
 runner (:mod:`repro.experiment.runner`) executes them in parallel worker
 processes with per-trial fault isolation, every row lands in an
 append-only SQLite results DB (:mod:`repro.experiment.db`), and the
-report generator (:mod:`repro.experiment.report`) and regression gate
-(:mod:`repro.experiment.gate`) read the DB instead of ad-hoc JSON files.
+report generator (:mod:`repro.experiment.report`) and gate
+(:mod:`repro.experiment.gate`: a failed or never-run trial fails, nothing
+else) read the DB instead of ad-hoc JSON files.
 
-The CLI is ``python -m repro.experiment {run,report,gate,ls}``; CI's
-bench smoke, baseline gating and the nightly report all go through it
-(see ``experiments/*.toml`` and ARCHITECTURE.md "Experiment service").
+The CLI is ``python -m repro.experiment {run,report,gate,ls,trend}``; CI's
+nightly matrix and its report go through it (see
+``experiments/nightly.toml`` and ARCHITECTURE.md "The experiment
+service").
 """
 
 from repro.experiment.db import ResultsDB

@@ -2,7 +2,7 @@
 
 The verbs CI (and anyone reproducing a figure) needs::
 
-    python -m repro.experiment run --spec experiments/ci-smoke.toml --db results.db
+    python -m repro.experiment run --spec experiments/nightly.toml --db results.db
     python -m repro.experiment gate --db results.db
     python -m repro.experiment report --db results.db --html report.html
     python -m repro.experiment ls --db results.db
@@ -152,7 +152,7 @@ def main(argv=None) -> int:
     )
     run_p.set_defaults(fn=_cmd_run)
 
-    gate_p = sub.add_parser("gate", help="fail on regressions in the latest run")
+    gate_p = sub.add_parser("gate", help="fail on failed or never-run trials in the latest run")
     gate_p.add_argument("--db", default="results.db")
     gate_p.add_argument("--spec", default=None, help="override the stored spec")
     gate_p.add_argument("--experiment", default=None, help="experiment name (default: latest)")

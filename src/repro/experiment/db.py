@@ -12,8 +12,8 @@ rows rather than updating old ones, and every reader takes the *latest*
 row per trial id.  That is what makes runs resumable (completed trials
 are skipped by :func:`repro.experiment.runner.run_experiment`), crashes
 inspectable (the failed row with its traceback stays), and history
-queryable (the DB is the repo's one benchmark trajectory; CI uploads it
-as an artifact from every job).
+queryable (``trend`` reads every row; the nightly job uploads the DB as
+an artifact).
 
 Numeric metric values land in ``value``; strings (rendered tables,
 captured stdout, JSON-encoded lists) land in ``text_value``.
@@ -25,7 +25,7 @@ import json
 import sqlite3
 import time
 from pathlib import Path
-from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Set, Tuple
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS experiments (
@@ -195,17 +195,6 @@ class ResultsDB:
             out[row["name"]] = row["value"] if row["value"] is not None else row["text_value"]
         return out
 
-    def numeric_metrics(self, trial_rows: Iterable[int]) -> Dict[int, Dict[str, float]]:
-        """Batched numeric metrics for several trial rows."""
-        out: Dict[int, Dict[str, float]] = {}
-        for trial_row in trial_rows:
-            out[trial_row] = {
-                name: value
-                for name, value in self.metrics_for(trial_row).items()
-                if isinstance(value, float)
-            }
-        return out
-
     # -- history --------------------------------------------------------
     def metric_history(
         self,
@@ -260,10 +249,9 @@ def flatten_metrics(tree: Mapping[str, object], prefix: str = "") -> Dict[str, o
     """A nested bench results tree as flat ``a.b.c`` metric rows.
 
     Numbers stay numeric, strings stay text, bools become 0/1, lists and
-    tuples are JSON-encoded into text (``shard_edges``, ``repeat_seconds``),
-    ``None`` is dropped.  This is the one conversion between the bench
-    scripts' payload shapes and the DB, so every payload round-trips the
-    same way.
+    tuples are JSON-encoded into text (``repeat_seconds``), ``None`` is
+    dropped.  This is the one conversion between a trial's payload shape
+    and the DB, so every payload round-trips the same way.
     """
     flat: Dict[str, object] = {}
     for key, value in tree.items():
@@ -284,38 +272,3 @@ def flatten_metrics(tree: Mapping[str, object], prefix: str = "") -> Dict[str, o
             flat[name] = str(value)
     return flat
 
-
-def gain_metrics(metrics: Mapping[str, object]) -> Dict[str, float]:
-    """The ``*gain_vs_baseline`` rows — what the regression gate judges."""
-    return {
-        name: value
-        for name, value in metrics.items()
-        if name.endswith("gain_vs_baseline") and isinstance(value, float)
-    }
-
-
-_RATE_SUFFIXES: Tuple[str, ...] = (
-    "current_edges_per_sec",
-    "aggregate_edges_per_sec",
-    "edges_per_sec",
-    "queries_per_sec",
-)
-
-
-def rate_for(metrics: Mapping[str, object], gain_name: str) -> Optional[float]:
-    """The current-rate sibling of one gain metric (for delta tables)."""
-    prefix = gain_name[: -len("gain_vs_baseline")]
-    for suffix in _RATE_SUFFIXES:
-        value = metrics.get(prefix + suffix)
-        if isinstance(value, float):
-            return value
-    return None
-
-
-def baseline_rate_for(metrics: Mapping[str, object], gain_name: str) -> Optional[float]:
-    prefix = gain_name[: -len("gain_vs_baseline")]
-    for suffix in ("baseline_edges_per_sec", "baseline_queries_per_sec"):
-        value = metrics.get(prefix + suffix)
-        if isinstance(value, float):
-            return value
-    return None

@@ -4,12 +4,12 @@ A *trial function* takes a :class:`TrialContext` and returns a (possibly
 nested) dict of metrics; the runner flattens it into DB rows.  Benchmark
 scripts register themselves with the :func:`trial` decorator::
 
-    from repro.experiment.registry import trial
+    from repro.experiment.registry import namespace_from_parser, trial
 
-    @trial("throughput")
-    def throughput_trial(ctx):
+    @trial("obs-overhead")
+    def obs_overhead_trial(ctx):
         args = namespace_from_parser(build_parser(), ctx.params, seed=ctx.seed)
-        return run(args, load_baseline(args.baseline))
+        return run(args, require_baseline(args.baseline))
 
 Registration happens at import time, so a spec lists the modules that
 carry its trials (``experiment.trial_modules``) and

@@ -6,11 +6,9 @@ parts); :func:`markdown_report` joins them for CI job summaries
 sections in a standalone static page (inline CSS, no dependencies) for
 the nightly artifact.  Content, per experiment:
 
-* a trial summary table (status, duration, worst gain),
+* a trial summary table (status, duration),
 * min/median/spread of the headline metrics across repeat groups — the
   variance that best-of-N headlines hide,
-* ASCII scaling curves for any trial that produced per-shard-count rows
-  (``…sN.aggregate_edges_per_sec`` / ``…sN.queries_per_sec``),
 * sparkline trends of the headline metrics over **all** historical rows
   per trial id (the append-only DB's drift view — `trend` on the CLI),
 * windowed serving rollups (``…windowed.*`` metrics from ``repro.obs``),
@@ -26,17 +24,15 @@ import statistics
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.bench.charts import line_plot, sparkline
+from repro.bench.charts import sparkline
 from repro.bench.reporting import render_markdown_table
-from repro.experiment.db import ResultsDB, gain_metrics
+from repro.experiment.db import ResultsDB
 from repro.experiment.spec import ExperimentSpec, group_order
 
 #: Numeric metrics worth aggregating across repeats / showing per trial.
 _HEADLINE_PATTERN = re.compile(
-    r"(_per_sec|hops_per_query|p50_ms|p95_ms|p99_ms|gain_vs_baseline|speedup.*|cache_hit_rate)$"
+    r"(_per_sec|hops_per_query|p50_ms|p95_ms|p99_ms|cache_hit_rate)$"
 )
-
-_CURVE_PATTERN = re.compile(r"^(?P<prefix>.*?)s(?P<shards>\d+)\.(?P<rate>aggregate_edges_per_sec|queries_per_sec)$")
 
 
 @dataclass
@@ -76,14 +72,11 @@ def build_sections(db: ResultsDB, spec: ExperimentSpec) -> List[Section]:
         if row is None:
             summary_rows.append({"trial": trial.trial_id, "status": "not run"})
             continue
-        metrics = metrics_by_trial[trial.trial_id]
-        gains = gain_metrics(metrics)
         summary_rows.append(
             {
                 "trial": trial.trial_id,
                 "status": row["status"],
                 "seconds": round(row["duration_seconds"], 1),
-                "worst gain": round(min(gains.values()), 3) if gains else "-",
             }
         )
     head.parts.append(("md", render_markdown_table(summary_rows)))
@@ -92,9 +85,6 @@ def build_sections(db: ResultsDB, spec: ExperimentSpec) -> List[Section]:
     spread = _repeat_spread_section(spec, rows_by_id, metrics_by_trial)
     if spread is not None:
         sections.append(spread)
-
-    curves = _curve_sections(spec, metrics_by_trial)
-    sections.extend(curves)
 
     trends = _trend_section(db, spec, metrics_by_trial)
     if trends is not None:
@@ -154,42 +144,6 @@ def _repeat_spread_section(spec, rows_by_id, metrics_by_trial) -> Optional[Secti
     section = Section("Repeat variance (min / median / spread)")
     section.parts.append(("md", render_markdown_table(rows)))
     return section
-
-
-def _curve_sections(spec, metrics_by_trial) -> List[Section]:
-    """ASCII rate-vs-shard-count plots for trials with per-sN rows."""
-    sections: List[Section] = []
-    seen_groups = set()
-    for trial in spec.trials:
-        if trial.group in seen_groups:
-            continue
-        metrics = metrics_by_trial.get(trial.trial_id)
-        if not metrics:
-            continue
-        curves: Dict[str, Dict[int, float]] = {}
-        for name, value in metrics.items():
-            match = _CURVE_PATTERN.match(name)
-            if match and isinstance(value, float):
-                series = f"{match.group('prefix') or ''}{match.group('rate')}"
-                curves.setdefault(series, {})[int(match.group("shards"))] = value
-        for series, points in sorted(curves.items()):
-            if len(points) < 2:
-                continue
-            seen_groups.add(trial.group)
-            xs = sorted(points)
-            section = Section(f"Scaling curve: {trial.group} — {series}")
-            section.parts.append(
-                (
-                    "pre",
-                    line_plot(
-                        xs,
-                        {series.rsplit(".", 1)[-1]: [points[x] for x in xs]},
-                        title=f"{series} vs shard count",
-                    ),
-                )
-            )
-            sections.append(section)
-    return sections
 
 
 def _trend_section(db, spec, metrics_by_trial) -> Optional[Section]:

@@ -4,24 +4,23 @@ A spec file (TOML or JSON) declares *what to measure*; the runner decides
 nothing.  The schema, by example::
 
     [experiment]
-    name = "ci-smoke"
-    description = "reduced-scale PR gate"
+    name = "nightly"
+    description = "paper figures + obs overhead"
     seed = 0
-    trial_modules = ["benchmarks/bench_throughput.py"]
+    trial_modules = ["benchmarks/bench_obs_overhead.py"]
 
     [[trial]]
-    bench = "throughput"            # a registered trial function
+    bench = "obs-overhead"          # a registered trial function
     repeats = 2                     # optional: N identical rows (spread)
     [trial.params]                  # passed to the trial verbatim
-    edges = 20000
+    edges = 2000
     [trial.matrix]                  # axes: one trial per combination
     k = [4, 8]
-    [trial.gate]                    # how `experiment gate` judges the rows
-    threshold = 0.85
-    strict = false
+    [trial.gate]                    # optional: exempt the trial from
+    enabled = false                 # `experiment gate` (default: gated)
 
 Every ``[[trial]]`` expands into ``len(matrix product) × repeats`` trial
-rows with ids like ``throughput[k=4]#r1``.  Expansion is deterministic:
+rows with ids like ``obs-overhead[k=4]#r1``.  Expansion is deterministic:
 axes combine in declaration order, ids are stable, and each trial's seed
 is either its explicit ``params.seed`` or derived from the experiment
 seed and the trial's *group* id with SHA-256 — never from global RNG
@@ -46,10 +45,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 #: Keys legal in a ``[[trial]]`` table; anything else is a spec typo.
 _TRIAL_KEYS = frozenset({"bench", "id", "repeats", "params", "matrix", "gate"})
 _EXPERIMENT_KEYS = frozenset({"name", "description", "seed", "trial_modules", "workers"})
-_GATE_KEYS = frozenset({"enabled", "threshold", "strict"})
-
-DEFAULT_THRESHOLD = 0.85
-"""Fail on a >15% slowdown, matching ``check_regression.py``'s default."""
+_GATE_KEYS = frozenset({"enabled"})
 
 
 class SpecError(ValueError):
@@ -58,24 +54,17 @@ class SpecError(ValueError):
 
 @dataclass(frozen=True)
 class GateSpec:
-    """How ``experiment gate`` judges one trial's metric rows."""
+    """Whether ``experiment gate`` judges one trial (the rule itself is
+    :mod:`repro.experiment.gate`'s)."""
 
     enabled: bool = True
-    threshold: float = DEFAULT_THRESHOLD
-    #: Strict trials fail the gate when they produce *no* gain_vs_baseline
-    #: metrics at all — the "silently incomparable baseline" guard.
-    strict: bool = False
 
     @classmethod
     def from_mapping(cls, data: Mapping[str, object], where: str) -> "GateSpec":
         unknown = sorted(set(data) - _GATE_KEYS)
         if unknown:
             raise SpecError(f"{where}: unknown gate key(s) {', '.join(unknown)}")
-        return cls(
-            enabled=bool(data.get("enabled", True)),
-            threshold=float(data.get("threshold", DEFAULT_THRESHOLD)),
-            strict=bool(data.get("strict", False)),
-        )
+        return cls(enabled=bool(data.get("enabled", True)))
 
 
 @dataclass(frozen=True)
@@ -176,7 +165,7 @@ class ExperimentSpec:
     trial_modules: Tuple[str, ...] = ()
     trials: Tuple[TrialSpec, ...] = ()
     #: Pin the worker count (``workers = 1`` serialises timing-sensitive
-    #: baseline benches); ``None`` lets the runner pick from the machine.
+    #: trials); ``None`` lets the runner pick from the machine.
     workers: Optional[int] = None
 
     @classmethod
@@ -251,11 +240,7 @@ class ExperimentSpec:
                     "bench": t.bench,
                     "params": dict(t.params),
                     "seed": t.seed,
-                    "gate": {
-                        "enabled": t.gate.enabled,
-                        "threshold": t.gate.threshold,
-                        "strict": t.gate.strict,
-                    },
+                    "gate": {"enabled": t.gate.enabled},
                 }
                 for t in self.trials
             ],
@@ -273,11 +258,11 @@ class ExperimentSpec:
                 bench=t["bench"],
                 params=t["params"],
                 seed=int(t["seed"]),
-                gate=GateSpec(
-                    enabled=bool(t["gate"]["enabled"]),
-                    threshold=float(t["gate"]["threshold"]),
-                    strict=bool(t["gate"]["strict"]),
-                ),
+                # Only ``enabled`` is read: results DBs are append-only, and
+                # specs stored before the ratio gate was removed carry two
+                # more gate keys that must not stop ``report`` / ``ls`` /
+                # ``trend`` from loading them.
+                gate=GateSpec(enabled=bool(t["gate"]["enabled"])),
             )
             for t in data["trials"]
         )

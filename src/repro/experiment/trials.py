@@ -1,9 +1,9 @@
 """Built-in trial functions: the paper experiments and a synthetic probe.
 
-The four throughput/matcher/scaling/serving trials live with their bench
-scripts in ``benchmarks/`` (each registers itself on import; specs list
-them under ``experiment.trial_modules``).  This module carries the trials
-that need no script:
+A trial that has a benchmark script lives with it in ``benchmarks/``
+(``bench_obs_overhead.py`` registers ``obs-overhead`` on import; specs
+list such scripts under ``experiment.trial_modules``).  This module
+carries the trials that need no script:
 
 * ``paper`` — any table/figure from :mod:`repro.bench.experiments`
   (``params.experiment`` names it), fed to the DB through
@@ -11,9 +11,9 @@ that need no script:
   rendered figure rides along as a text metric;
 * ``synthetic`` — a deterministic no-op whose metrics come straight from
   its params.  It exists for the test suite and for wiring checks:
-  injected gains exercise the gate, ``fail = true`` exercises failed-row
-  isolation, and ``sleep_ms`` exercises parallelism, all without paying
-  for a real benchmark.
+  ``fail = true`` exercises failed-row isolation and the gate, and
+  ``sleep_ms`` exercises parallelism, all without paying for a real
+  benchmark.
 """
 
 from __future__ import annotations

@@ -3,12 +3,9 @@
 The interned-id refactor rewrote :class:`~repro.partitioning.state.PartitionState`
 and the hot paths of every streaming partitioner onto flat int structures.
 This module preserves the original ``Dict[Vertex, int]`` / ``Set[Vertex]``
-implementations **verbatim** for two purposes:
-
-* the parity suite (``tests/test_parity.py``) asserts the refactored stack
-  produces *bit-identical* assignments on seeded streams,
-* the throughput benchmark (``benchmarks/bench_throughput.py``) measures the
-  before/after edges-per-second of the refactor.
+implementations **verbatim** for one purpose: the parity suite
+(``tests/test_parity.py``) asserts the refactored stack produces
+*bit-identical* assignments on seeded streams.
 
 Do not "improve" this module: its value is that it does not change.  It is
 deliberately not exported from :mod:`repro.partitioning`.

@@ -251,8 +251,7 @@ class LiveTrafficReport:
     #: Per-query attribution: name → {requests, hops, hops_per_query,
     #: p50_ms, p95_ms}.  This is what lets a benchmark row tie its tail
     #: latency back to the hop count of the query that caused it instead
-    #: of reporting one anonymous aggregate (the open-loop rows in
-    #: BENCH_serving.json consume it).
+    #: of reporting one anonymous aggregate.
     per_query: Dict[str, Dict[str, float]] = field(default_factory=dict)
 
     @property

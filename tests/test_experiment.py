@@ -3,10 +3,10 @@
 Covers the runner contract end to end: deterministic matrix expansion,
 resume-skips-completed-trials, failed-trial isolation (a crashing trial
 records a failed row and the run continues), the append-only SQLite
-round-trip, and a reduced-scale run of real bench trials in parallel
-workers.  The gate tests replay the committed ``BENCH_*.json`` payloads
-through the DB and assert ``experiment gate`` reproduces today's four
-``check_regression.py`` verdicts — and fails on an injected slowdown.
+round-trip, and a reduced-scale run of real trials in parallel workers.
+The gate tests pin its one rule — a gated trial that failed or has no
+row fails it, nothing else does — and that a spec stored by an earlier
+version of the service still loads.
 """
 
 import json
@@ -17,10 +17,12 @@ import pytest
 from repro.experiment import (
     ExperimentSpec,
     ResultsDB,
+    get_trial,
     run_experiment,
 )
-from repro.experiment.db import flatten_metrics, gain_metrics
+from repro.experiment.db import flatten_metrics
 from repro.experiment.gate import gate_experiment, load_spec_for_gate
+from repro.experiment.registry import load_trial_modules
 from repro.experiment.spec import SpecError, derive_seed, load_spec
 
 REPO = Path(__file__).resolve().parent.parent
@@ -93,7 +95,7 @@ class TestSpecExpansion:
                 {
                     "bench": "synthetic",
                     "matrix": {"k": [2, 3]},
-                    "gate": {"threshold": 0.6, "strict": True},
+                    "gate": {"enabled": False},
                 }
             ]
         )
@@ -102,10 +104,32 @@ class TestSpecExpansion:
         assert clone.spec_hash == spec.spec_hash
 
     def test_committed_specs_parse(self):
-        for name in ("ci-smoke.toml", "ci-baseline.toml", "nightly.toml"):
-            spec, modules = load_spec(REPO / "experiments" / name)
-            assert spec.trials, name
-            assert all(Path(m).exists() for m in modules if m.endswith(".py"))
+        paths = sorted((REPO / "experiments").glob("*.toml"))
+        assert paths, "no committed spec found"
+        for path in paths:
+            spec, modules = load_spec(path)
+            assert spec.trials, path.name
+            assert all(Path(m).exists() for m in modules if m.endswith(".py")), path.name
+            # Every bench has a producer; every baseline is a file of this
+            # repo (CI runs specs from its root, where relative paths resolve).
+            load_trial_modules(modules)
+            for trial in spec.trials:
+                get_trial(trial.bench)  # raises on a bench nothing registers
+                baseline = trial.params.get("baseline")
+                if baseline is not None:
+                    assert (REPO / baseline).is_file(), (path.name, baseline)
+
+    def test_removed_gate_keys_load_from_a_db_but_not_from_a_spec(self):
+        """results.db is append-only: a spec stored while the ratio gate
+        existed must still load; a spec *file* that sets its keys must fail
+        loudly rather than run un-gated."""
+        spec = synthetic_spec([{"bench": "synthetic"}])
+        stored = json.loads(spec.to_json())
+        stored["trials"][0]["gate"].update(threshold=0.6, strict=True)
+        assert ExperimentSpec.from_json(json.dumps(stored)) == spec
+        for key in ("threshold", "strict"):
+            with pytest.raises(SpecError, match=f"unknown gate key.*{key}"):
+                synthetic_spec([{"bench": "synthetic", "gate": {key: 1}}])
 
 
 class TestResultsDB:
@@ -178,10 +202,6 @@ class TestResultsDB:
             "note": "hi",
             "seq": "[1, 2]",
         }
-
-    def test_gain_metrics_filter(self):
-        gains = gain_metrics({"a.gain_vs_baseline": 0.9, "a.rate": 10.0, "b": "x"})
-        assert gains == {"a.gain_vs_baseline": 0.9}
 
 
 class TestRunner:
@@ -262,79 +282,44 @@ class TestRunner:
         assert summary.ok
 
 
-#: (committed payload, today's check_regression threshold / strictness).
-COMMITTED_GATES = [
-    ("BENCH_throughput.json", {"threshold": 0.85, "strict": True}),
-    ("BENCH_matcher.json", {"threshold": 0.85, "strict": True}),
-    ("BENCH_scaling.json", {"threshold": 0.6}),
-    ("BENCH_serving.json", {"threshold": 0.6, "strict": True}),
-]
-
-
-def replay_committed_payloads(db_path, scale_gain=None):
-    """A DB whose trial rows are the committed BENCH_*.json results."""
-    spec = synthetic_spec(
-        [
-            {"bench": "synthetic", "id": Path(name).stem, "gate": gate}
-            for name, gate in COMMITTED_GATES
-        ],
-        name="committed-replay",
-    )
-    with ResultsDB(db_path) as db:
-        exp = db.ensure_experiment(spec.name, spec.spec_hash, spec.to_json())
-        for name, _ in COMMITTED_GATES:
-            payload = json.loads((REPO / name).read_text())
-            metrics = flatten_metrics(payload.get("results", {}))
-            if scale_gain:
-                target, factor = scale_gain
-                for key in list(metrics):
-                    if key.endswith("gain_vs_baseline") and target in (Path(name).stem, key):
-                        metrics[key] = metrics[key] * factor
-            db.record_trial(
-                exp,
-                trial_id=Path(name).stem,
-                bench="synthetic",
-                params={},
-                seed=0,
-                status="ok",
-                duration_seconds=0.0,
-                metrics=metrics,
-            )
-    return spec
-
-
 class TestGateOnCommittedBaselines:
-    def test_reproduces_check_regression_verdicts(self, tmp_path):
-        """Acceptance case: the committed payloads pass all four of
-        today's check_regression invocations, so the DB gate passes too."""
-        db_path = str(tmp_path / "r.db")
-        spec = replay_committed_payloads(db_path)
-        with ResultsDB(db_path) as db:
-            assert gate_experiment(db, spec, echo=lambda _: None) == 0
+    """``experiment gate``'s one rule.  (The class name is history — it
+    replayed the committed bench payloads through the ratio gate until
+    both were removed — kept so the surviving test keeps its id.)"""
 
-    def test_fails_on_injected_slowdown(self, tmp_path):
-        db_path = str(tmp_path / "r.db")
-        spec = replay_committed_payloads(
-            db_path, scale_gain=("BENCH_throughput", 0.1)
-        )
+    BOOM = {"bench": "synthetic", "id": "boom", "params": {"fail": True}}
+    FINE = {"bench": "synthetic", "id": "fine"}
+
+    def gate(self, db_path, spec):
         lines = []
         with ResultsDB(db_path) as db:
-            assert gate_experiment(db, spec, echo=lines.append) == 1
-        assert any("REGRESSION" in line for line in lines)
+            return gate_experiment(db, spec, echo=lines.append), "\n".join(lines)
 
-    def test_strict_trial_with_no_gains_fails(self, tmp_path):
-        spec = synthetic_spec(
-            [{"bench": "synthetic", "gate": {"strict": True}}], name="strict-test"
-        )
+    def test_never_run_or_failed_trial_fails(self, tmp_path):
         db_path = str(tmp_path / "r.db")
+        spec = synthetic_spec([self.FINE], name="gate")
+        assert self.gate(db_path, spec)[0] == 1  # no experiment of that name yet
         run_experiment(spec, db_path, workers=1, echo=lambda _: None)
-        with ResultsDB(db_path) as db:
-            assert gate_experiment(db, spec, echo=lambda _: None) == 1
+        spec = synthetic_spec([self.FINE, self.BOOM], name="gate")
+        code, out = self.gate(db_path, spec)
+        assert code == 1 and "boom: no result row" in out and "fine:" not in out
+        run_experiment(spec, db_path, workers=1, echo=lambda _: None)
+        code, out = self.gate(db_path, spec)
+        assert code == 1
+        assert "boom: trial FAILED — RuntimeError: synthetic trial boom asked to fail" in out
+
+    def test_disabled_gate_exempts_a_failed_trial(self, tmp_path):
+        db_path = str(tmp_path / "r.db")
+        spec = synthetic_spec([self.FINE, dict(self.BOOM, gate={"enabled": False})])
+        run_experiment(spec, db_path, workers=1, echo=lambda _: None)
+        code, out = self.gate(db_path, spec)
+        assert code == 0 and "boom" not in out and "gate passed" in out
 
     def test_gate_spec_from_db_json(self, tmp_path):
         """`gate --db results.db` alone: the spec comes back out of the DB."""
         db_path = str(tmp_path / "r.db")
-        spec = replay_committed_payloads(db_path)
+        spec = synthetic_spec([self.FINE, {"bench": "synthetic", "matrix": {"k": [2, 3]}}])
+        run_experiment(spec, db_path, workers=1, echo=lambda _: None)
         with ResultsDB(db_path) as db:
             recovered = load_spec_for_gate(db)
             assert recovered == spec
@@ -343,40 +328,29 @@ class TestGateOnCommittedBaselines:
 
 class TestEndToEndBenchTrials:
     def test_reduced_scale_spec_run(self, tmp_path):
-        """Real bench trials (matcher + throughput) through parallel
-        workers, persisted to SQLite, and gated."""
+        """Real trials — a script-registered one (obs-overhead, through
+        ``trial_modules``) and a built-in one (a paper figure) — through
+        parallel workers, persisted to SQLite, and gated."""
         spec = ExperimentSpec.from_mapping(
             {
                 "experiment": {
                     "name": "e2e-smoke",
                     "seed": 0,
-                    "trial_modules": [
-                        str(REPO / "benchmarks" / "bench_matcher.py"),
-                        str(REPO / "benchmarks" / "bench_throughput.py"),
-                    ],
+                    "trial_modules": [str(REPO / "benchmarks" / "bench_obs_overhead.py")],
                 },
                 "trial": [
                     {
-                        "bench": "matcher",
+                        "bench": "obs-overhead",
                         "params": {
-                            "edges": 1500,
                             "vertices": 300,
+                            "edges": 1800,
                             "window": 300,
+                            "requests": 300,
                             "repeats": 1,
                             "seed": 0,
                         },
                     },
-                    {
-                        "bench": "throughput",
-                        "params": {
-                            "edges": 3000,
-                            "vertices": 600,
-                            "loom_edges": 1000,
-                            "loom_window": 200,
-                            "repeats": 1,
-                            "seed": 0,
-                        },
-                    },
+                    {"bench": "paper", "matrix": {"experiment": ["figure4"]}},
                 ],
             }
         )
@@ -385,10 +359,10 @@ class TestEndToEndBenchTrials:
         assert (summary.executed, summary.failed) == (2, 0)
         with ResultsDB(db_path) as db:
             rows = {r["trial_id"]: r for r in db.latest_trials(summary.experiment_id)}
-            matcher = db.metrics_for(rows["matcher"]["id"])
-            assert matcher["edges_per_sec"] > 0
-            assert "captured_output" in matcher
-            throughput = db.metrics_for(rows["throughput"]["id"])
-            assert any(key.endswith(".current_edges_per_sec") for key in throughput)
-            # No comparable baseline → nothing gated, non-strict gate passes.
+            overhead = db.metrics_for(rows["obs-overhead"]["id"])
+            assert overhead["ingest.off.edges_per_sec"] > 0
+            assert overhead["serving.metrics.requests_per_sec"] > 0
+            assert "captured_output" in overhead
+            figure = db.metrics_for(rows["paper[experiment=figure4]"]["id"])
+            assert "Figure 4" in figure["rendered"]
             assert gate_experiment(db, spec, echo=lambda _: None) == 0

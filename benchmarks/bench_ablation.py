@@ -2,8 +2,9 @@
 
 Each variant partitions the same random-order musicbrainz stream; relative
 ipt lands in extra_info.  These are the knobs the paper motivates —
-rationing (Eq. 2), support weighting (Eq. 1), the window itself — plus two
-implementation choices (bid overlap mode, the per-vertex match cap).
+rationing (Eq. 2), support weighting (Eq. 1), the window itself — plus
+three implementation choices (parking motif-label vertices that a non-motif
+edge meets first, bid overlap mode, the per-vertex match cap).
 """
 
 import pytest
@@ -16,6 +17,7 @@ from repro.query.executor import WorkloadExecutor
 
 VARIANTS = {
     "full": {},
+    "no_deferral": {"defer_motif_vertices": False},
     "no_rationing": {"rationing_enabled": False},
     "no_support_weighting": {"support_weighting": False},
     "neighbor_aware_bids": {"neighbor_aware_bids": True},
@@ -67,3 +69,19 @@ def test_ablation_tiny_window_hurts(ablation_setup):
         window_size=10, seed=BENCH_SEED, executor=executor,
     )
     assert full.report.weighted_ipt < tiny.report.weighted_ipt
+
+
+def test_ablation_no_deferral_hurts(ablation_setup):
+    """Letting a non-motif edge pin motif-label vertices pre-empts the
+    matcher: with the deferral queue off, ipt must be worse."""
+    dataset, events, executor, hash_run = ablation_setup
+    window = scaled_window(dataset.graph)
+    full, no_deferral = (
+        run_system(
+            "loom", dataset.graph, dataset.workload, events, 8,
+            window_size=window, seed=BENCH_SEED, executor=executor,
+            loom_kwargs=kwargs,
+        )
+        for kwargs in (VARIANTS["full"], VARIANTS["no_deferral"])
+    )
+    assert full.report.weighted_ipt < no_deferral.report.weighted_ipt

@@ -2,9 +2,10 @@
 
 Each benchmark measures one (dataset, order) cell: partitioning with all
 four systems plus workload execution.  The relative-ipt outcome (the bar
-heights of Fig. 7) is attached as extra_info and sanity-checked for the
-paper's shape: every informed system beats Hash, and Loom is the best or
-close to the best.
+heights of Fig. 7) is attached as extra_info and checked for the paper's
+shape: every informed system beats Hash, and Loom — the one system that
+knows the workload — has strictly the lowest ipt of the three in every
+cell.  ipt is an exact count, so the comparison needs no tolerance.
 """
 
 import pytest
@@ -36,15 +37,16 @@ def test_fig7_cell(benchmark, datasets, name, order):
     # Shape checks (paper Sec. 5.2): informed partitioners beat Hash...
     for system, value in rel.items():
         assert value < 100.0, f"{system} should beat Hash on {name}/{order}"
-    # ...and Loom stays at or near the front (individual cells are noisy at
-    # benchmark scale; the strict claim is asserted on random order below).
-    assert rel["loom"] < rel["ldg"] + 15.0
+    # ...and the workload-aware one beats both workload-agnostic ones.
+    assert rel["loom"] < min(rel["ldg"], rel["fennel"]), rel
 
 
 @pytest.mark.parametrize("name", DATASETS)
 def test_fig7_loom_wins_random_order(benchmark, datasets, name):
-    """Random order is pseudo-adversarial for one-shot heuristics; Loom's
-    window restores locality, so its margin is largest there."""
+    """Random order is pseudo-adversarial for one-shot heuristics (LDG and
+    Fennel collapse into one rule there); Loom's window restores locality,
+    so it wins by a wide margin, not just strictly (7.9–33.6 points at
+    bench scale; the gate asks for 5)."""
     dataset = datasets[name]
     result = benchmark.pedantic(
         compare_systems,
@@ -60,4 +62,4 @@ def test_fig7_loom_wins_random_order(benchmark, datasets, name):
     benchmark.extra_info.update(
         {"loom_vs_hash_pct": round(loom, 1), "fennel_vs_hash_pct": round(fennel, 1)}
     )
-    assert loom <= fennel + 3.0
+    assert loom < fennel - 5.0

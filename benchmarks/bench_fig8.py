@@ -2,7 +2,8 @@
 
 The paper's observation: absolute ipt grows with k for everyone, so the
 *relative* standings stay largely consistent.  Each cell's relative ipt is
-attached as extra_info; the shape check asserts the standings.
+attached as extra_info; the shape check asserts the standings: Loom has
+strictly the lowest ipt of LDG / Fennel / Loom in every cell but one.
 """
 
 import pytest
@@ -13,6 +14,14 @@ from repro.bench.harness import compare_systems, scaled_window
 
 KS = (2, 8, 32)
 DATASETS = ("dblp", "provgen", "musicbrainz", "lubm-100")
+
+#: The cells where Loom is *not* the best of the three at bench scale, kept
+#: on the old bound (no system loses to Hash).  With two partitions and a
+#: breadth-first stream LDG's single boundary is hard to beat: provgen k=2
+#: reads LDG 34.4 / Fennel 48.0 / Loom 38.6 here.  At scale 1.0 the same
+#: cell is level (44.53 / 52.36 / 44.54) and lubm-100 k=2 is the one behind
+#: (47.3 / 67.4 / 51.8) — ``python -m repro.bench figure8``.
+LOOM_NOT_BEST = {("provgen", 2)}
 
 
 @pytest.mark.parametrize("k", KS)
@@ -30,6 +39,8 @@ def test_fig8_cell(benchmark, datasets, name, k):
     benchmark.extra_info.update({f"{s}_vs_hash_pct": round(v, 1) for s, v in rel.items()})
     for system, value in rel.items():
         assert value < 105.0, f"{system} should not lose to Hash on {name} k={k}"
+    if (name, k) not in LOOM_NOT_BEST:
+        assert rel["loom"] < min(rel["ldg"], rel["fennel"]), rel
 
 
 @pytest.mark.parametrize("name", ("provgen", "musicbrainz"))

@@ -39,6 +39,7 @@ def main() -> None:
         print(
             f"after {snap.edges_seen:5d} edges: "
             f"{snap.vertices_placed:5d} placed, {snap.vertices_in_window:4d} in Ptemp, "
+            f"{snap.vertices_parked:4d} parked, "
             f"live weighted ipt={snap.weighted_ipt:8.1f}, sizes={state.sizes()}"
         )
     print(f"stream ended: window drained, {state.num_assigned} vertices placed\n")

@@ -9,22 +9,29 @@ vertex placement for a workload ``Q`` of pattern-matching queries:
    :class:`~repro.core.plan.MotifPlan` — the form the stream matcher
    actually executes (objects at construction, ints on the stream).
 2. Each arriving edge is checked against the single-edge motifs.  A
-   non-matching edge is placed immediately with the LDG heuristic and never
-   enters the window.  A matching edge enters the sliding window ``Ptemp``
-   (default size 10k edges in the paper; scaled presets live in the
-   harness), where Alg. 2 maintains the matchList.
+   matching edge enters the sliding window ``Ptemp`` (default size 10k
+   edges in the paper; scaled presets live in the harness), where Alg. 2
+   maintains the matchList.  A non-matching edge never enters the window.
+   Its endpoints are placed at once with the LDG heuristic, except one
+   whose *label* occurs in a motif: no query traverses this edge, so it
+   must not decide where a vertex a motif edge may still reach will live.
+   Such a vertex is parked for one window turnover (``capacity``
+   gate-passing edges, the longest a window edge waits); an auction that
+   reaches it meanwhile places it, otherwise LDG does when the wait ends
+   (ARCHITECTURE.md, "Deviation from Sec. 3").
 3. When the window overflows, the oldest edge and its motif-match cluster
    are auctioned to partitions by equal opportunism (Sec. 4); the winning
    prefix of matches leaves the window together and its vertices are placed.
 4. When the stream ends, :meth:`finalize` drains the window through the same
-   eviction path.
+   eviction path, then LDG-places whatever is still parked.
 
 The defaults mirror the paper: α = 2/3, b = 1.1, p = 251, T = 40%.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Set
+from collections import OrderedDict
+from typing import Dict, FrozenSet, List, Optional, Set
 
 from repro.core.allocation import DEFAULT_ALPHA, DEFAULT_BALANCE_CAP, EqualOpportunism
 from repro.core.matching import StreamMatcher
@@ -66,6 +73,7 @@ class LoomPartitioner(StreamingPartitioner):
         rationing_enabled: bool = True,
         support_weighting: bool = True,
         neighbor_aware_bids: bool = False,
+        defer_motif_vertices: bool = True,
     ) -> None:
         super().__init__(state)
         self.workload = workload
@@ -93,6 +101,16 @@ class LoomPartitioner(StreamingPartitioner):
         self._window_adj = self.matcher.window._adj
         self._window_events = self.matcher.window._events
         self._window_capacity = self.matcher.window.capacity
+        # Motif-label vertices a non-motif edge met first: vid -> the
+        # ``root_hits`` reading that ends the wait.  The clock is monotone
+        # and the horizon constant, so this insertion-ordered dict is a FIFO
+        # whose head holds the earliest deadline; a vertex is parked at most
+        # once (it leaves assigned, or in the window, which assigns it).
+        # ``defer_motif_vertices=False`` is the ablation: nothing parks.
+        self._parked: OrderedDict[int, int] = OrderedDict()
+        self._park_labels: FrozenSet[str] = (
+            self.plan.motif_labels if defer_motif_vertices else frozenset()
+        )
         # The literal Eq. 1 (vertex overlap) measures best and is the
         # default; neighbour-aware bids are kept as an ablation (footnote 8
         # reading — see benchmarks/bench_ablation.py).
@@ -107,10 +125,21 @@ class LoomPartitioner(StreamingPartitioner):
             ),
         )
         self.stats = {
+            # Non-motif *edges* that bypassed the window; either endpoint may
+            # have been placed earlier, be held by the window, or be parked.
             "immediate_assignments": 0,
             "evictions": 0,
             "fallback_allocations": 0,
             "cluster_edges_assigned": 0,
+            # The deferral queue: vertices ever parked, of those how many
+            # were found placed or windowed when their wait ended, how many
+            # LDG had to place (at the deadline or in finalize), and the
+            # queue's high-water mark.  claimed + aged_out + len(queue) ==
+            # deferred_vertices at every edge boundary.
+            "deferred_vertices": 0,
+            "deferred_claimed": 0,
+            "deferred_aged_out": 0,
+            "deferred_peak": 0,
         }
         # Observability (repro.obs): NULL stubs unless obs.enable() ran
         # before construction, so the disabled path is a dead attribute
@@ -186,6 +215,8 @@ class LoomPartitioner(StreamingPartitioner):
         stats = self.stats
         ldg_place = self._ldg_place
         evict_once = self._evict_once
+        parked = self._parked
+        release_due = self._release_due
         count = 0
         try:
             for event in events:
@@ -210,22 +241,23 @@ class LoomPartitioner(StreamingPartitioner):
                     got = root_entry(event.u_label, event.v_label)
                 root = got[0]
                 if root < 0:
-                    # Sec. 3: the edge can never join a motif match — place
-                    # it now with LDG and do not displace window edges.
-                    # Endpoints that currently sit in the window are *not*
+                    # Sec. 3: the edge can never join a motif match — it
+                    # does not displace window edges, and LDG places its
+                    # endpoints now.  Endpoints the window holds are *not*
                     # pinned here: their placement belongs to the motif
-                    # cluster they are part of (Sec. 4's allocation); they
-                    # are skipped and will be assigned when their cluster
-                    # leaves the window.
+                    # cluster they are part of (Sec. 4's allocation).  Nor
+                    # are motif-label endpoints: those are parked.
                     mstats.edges_bypassed += 1
-                    ldg_place(event.u, uid)
-                    ldg_place(event.v, vid)
+                    ldg_place(event.u, uid, event.u_label)
+                    ldg_place(event.v, vid, event.v_label)
                     stats["immediate_assignments"] += 1
                 else:
                     mstats.root_hits += 1
                     absorb(event, uid, vid, root, got[1], got[2])
                     while len(window_events) > window_capacity:
                         evict_once()
+                    if parked:
+                        release_due(mstats.root_hits)
                 count += 1
         finally:
             if account:
@@ -234,27 +266,65 @@ class LoomPartitioner(StreamingPartitioner):
 
     def finalize(self) -> None:
         """Drain ``Ptemp``: every remaining edge leaves via the normal
-        eviction/allocation path (the stream has ended)."""
+        eviction/allocation path (the stream has ended).  Then nothing can
+        claim a parked vertex any more: the queue is settled oldest first."""
         while self.matcher.pending() > 0:
             self._evict_once()
+        # Draining the window is one full turnover: every deadline is due.
+        self._release_due(self.matcher.stats.root_hits + self._window_capacity)
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _ldg_place(self, v: Vertex, vid: int) -> None:
-        """LDG placement for a vertex outside the window's jurisdiction.
+    def _ldg_place(self, v: Vertex, vid: int, label: str) -> None:
+        """Place an endpoint of a non-motif edge, unless a motif edge may
+        still have a say in where it goes.
 
-        Vertices currently held in ``Ptemp`` are deferred: every window
+        Vertices currently held in ``Ptemp`` are skipped: every window
         vertex is eventually assigned by a cluster allocation (each window
         edge leaves through an eviction, which places its endpoints), and
         letting an incidental non-motif edge pin such a vertex early would
-        make the motif allocation a no-op for it.
+        make the motif allocation a no-op for it.  A vertex whose label
+        occurs in a motif is parked for the same reason, one step earlier:
+        for one window turnover a motif edge may yet bring it to an auction.
         """
         assignment = self._assignment
         if vid < len(assignment) and assignment[vid] >= 0:
             return
         if vid in self._window_adj:
             return
+        if label not in self._park_labels:
+            self._place_now(v, vid)
+            return
+        parked = self._parked
+        if vid not in parked:
+            parked[vid] = self.matcher.stats.root_hits + self._window_capacity
+            stats = self.stats
+            stats["deferred_vertices"] += 1
+            if len(parked) > stats["deferred_peak"]:
+                stats["deferred_peak"] = len(parked)
+
+    def _release_due(self, now: int) -> None:
+        """Settle, oldest first, every parked vertex whose wait ended by
+        window-clock reading ``now``.  One the window holds is left to its
+        cluster's auction and one an auction already placed needs nothing;
+        LDG places the rest over the adjacency seen so far."""
+        parked = self._parked
+        state = self.state
+        while parked:
+            vid, deadline = next(iter(parked.items()))
+            if deadline > now:
+                break
+            del parked[vid]
+            if state.is_assigned_id(vid) or vid in self._window_adj:
+                self.stats["deferred_claimed"] += 1
+            else:
+                self._place_now(state.interner.vertex(vid), vid)
+                self.stats["deferred_aged_out"] += 1
+
+    def _place_now(self, v: Vertex, vid: int) -> None:
+        """The workload-agnostic placement itself: LDG over the seen
+        adjacency.  The one hook restreaming overrides."""
         self.state.assign_id(vid, ldg_choose_ids(self.state, self._adj.get(vid, ())))
 
     def _ldg_cluster_choice(self, cluster_ids: Set[int]) -> int:
@@ -298,7 +368,7 @@ class LoomPartitioner(StreamingPartitioner):
             for v in (eviction.event.u, eviction.event.v):
                 vid = self.state.intern(v)
                 if not self.state.is_assigned_id(vid):
-                    self.state.assign_id(vid, ldg_choose_ids(self.state, self._adj.get(vid, ())))
+                    self._place_now(v, vid)
             self.matcher.remove_cluster({eviction.ekey})
 
     # ------------------------------------------------------------------
@@ -307,6 +377,16 @@ class LoomPartitioner(StreamingPartitioner):
     @property
     def window_occupancy(self) -> int:
         return self.matcher.pending()
+
+    def parked_vertices(self) -> List[Vertex]:
+        """Vertices still waiting in the deferral queue — neither placed
+        nor held by the window — oldest first."""
+        state = self.state
+        return [
+            state.interner.vertex(vid)
+            for vid in self._parked
+            if not state.is_assigned_id(vid) and vid not in self._window_adj
+        ]
 
     def motif_summary(self) -> Dict[str, float]:
         """Key facts about the workload analysis (for reports and tests)."""

@@ -4,7 +4,8 @@ A *motif* is a trie node whose support meets the user threshold ``T`` (Loom's
 default is 40%).  Because support is monotone along trie paths, the motif
 nodes form a downward-closed sub-DAG rooted at the single-edge motifs — if an
 edge does not match a single-edge motif it can never participate in any
-motif match, and Loom assigns it immediately without windowing it.
+motif match, and Loom never windows it (its endpoints are placed by LDG, at
+once or after a bounded wait — see :mod:`repro.core.loom`).
 
 The index pre-computes exactly the lookups Alg. 2 performs in its inner
 loops:

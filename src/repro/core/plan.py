@@ -46,7 +46,7 @@ immutable compiled artifact and go through the query helpers.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Tuple
 
 from repro.core.signature import SignatureScheme, pack_delta_key
 from repro.core.tpstry import DeltaKey, TrieNode
@@ -80,6 +80,7 @@ class MotifPlan:
         "extensible",
         "max_degree",
         "max_motif_edges",
+        "motif_labels",
         "_nodes",
         "_state_of",
         "_factor_bits",
@@ -119,6 +120,11 @@ class MotifPlan:
             for n in motifs
         ]
         self.max_motif_edges = index.max_motif_edges
+        #: Every label some motif vertex carries: a vertex with any other
+        #: label can never sit on a motif edge, so no auction will place it.
+        self.motif_labels: FrozenSet[str] = frozenset(
+            label for n in motifs for label in n.exemplar.labels().values()
+        )
 
         self._factor_bits = self.scheme.factor_bits
 

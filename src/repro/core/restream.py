@@ -82,8 +82,9 @@ def migration_volume(old: PartitionState, new: PartitionState) -> int:
 
 
 class _StickyLoom(LoomPartitioner):
-    """Loom whose LDG fallback and cluster auction are biased toward a
-    previous assignment.
+    """Loom whose LDG placement and cluster auction are biased toward a
+    previous assignment.  Only the placement choice differs: which vertices
+    are placed at once, parked or left to the window is the base class's.
 
     Stickiness is implemented as phantom neighbours: when scoring a vertex
     (or a cluster), its previous partition receives ``stickiness`` extra
@@ -122,24 +123,19 @@ class _StickyLoom(LoomPartitioner):
 
         self.allocator._overlap_counts = sticky_counts  # type: ignore[method-assign]
 
-    def _ldg_place(self, v: Vertex, vid: int) -> None:
-        if self.state.is_assigned_id(vid):
-            return
-        if self.matcher.window.has_vertex_id(vid):
-            return
+    def _place_now(self, v: Vertex, vid: int) -> None:
         prev = self._previous.get(v)
-        if prev is not None and not self.state.is_full(prev):
-            neighbor_ids = self._adj.get(vid, set())
-            choice = ldg_choose_ids(self.state, neighbor_ids)
-            counts = self.state.neighbor_partition_counts(neighbor_ids)
-            placed = counts[choice]
-            anchored = counts[prev] + self._stickiness
-            if anchored * self.state.residual_capacity(prev) >= placed * self.state.residual_capacity(choice):
-                self.state.assign_id(vid, prev)
-                return
-            self.state.assign_id(vid, choice)
+        if prev is None or self.state.is_full(prev):
+            super()._place_now(v, vid)
             return
-        super()._ldg_place(v, vid)
+        neighbor_ids = self._adj.get(vid, set())
+        choice = ldg_choose_ids(self.state, neighbor_ids)
+        counts = self.state.neighbor_partition_counts(neighbor_ids)
+        placed = counts[choice]
+        anchored = counts[prev] + self._stickiness
+        if anchored * self.state.residual_capacity(prev) >= placed * self.state.residual_capacity(choice):
+            choice = prev
+        self.state.assign_id(vid, choice)
 
 
 def restream(

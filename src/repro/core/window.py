@@ -7,9 +7,9 @@ simultaneously
 * a temporary partition: its edges form a labelled graph whose connected
   sub-graphs the matcher compares against motifs.
 
-Edges that cannot match any single-edge motif never enter the window (they
-are placed immediately), so they do not displace older edges — exactly the
-behaviour described at the start of Sec. 4.
+Edges that cannot match any single-edge motif never enter the window (Loom
+places their endpoints itself), so they do not displace older edges —
+exactly the behaviour described at the start of Sec. 4.
 
 The window runs entirely on interned integer ids: edges are keyed by
 packed id pairs (:func:`~repro.graph.interning.pack_edge`), the window

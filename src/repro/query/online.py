@@ -9,8 +9,10 @@ reach in-flight vertices there, at inter-partition cost.
 workload over the graph *streamed so far*, treating
 
 * placed vertices as members of their permanent partition,
-* vertices currently held only by window edges as members of the extra
-  partition ``k`` (Ptemp),
+* vertices currently held only by window edges, and vertices Loom has
+  parked (motif-label endpoints of non-motif edges, waiting one window
+  turnover for an auction — :mod:`repro.core.loom`), as members of the
+  extra partition ``k`` (Ptemp),
 
 and counting crossings as usual.  This is how a live system's query cost
 looks *during* ingestion, before the window drains — the quantity behind
@@ -20,10 +22,10 @@ the paper's remark that an oversized window is itself a source of ipt.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Collection, Iterable, Optional
 
 from repro.core.loom import LoomPartitioner
-from repro.graph.labelled_graph import LabelledGraph
+from repro.graph.labelled_graph import LabelledGraph, Vertex
 from repro.graph.stream import EdgeEvent
 from repro.partitioning.state import PartitionState
 from repro.query.executor import ExecutionReport, WorkloadExecutor
@@ -37,6 +39,7 @@ class OnlineSnapshot:
     edges_seen: int
     vertices_placed: int
     vertices_in_window: int
+    vertices_parked: int
     report: ExecutionReport
 
     @property
@@ -45,23 +48,30 @@ class OnlineSnapshot:
 
 
 class _SnapshotView(PartitionState):
-    """A read-only overlay: unplaced window vertices map to partition k.
+    """A read-only overlay: unplaced window vertices and parked vertices
+    map to partition k.
 
     Only the lookups the executor uses are overridden; mutation is blocked
     because a snapshot must not leak assignments back into the real state.
     """
 
-    def __init__(self, base: PartitionState, window_graph: LabelledGraph) -> None:
+    def __init__(
+        self,
+        base: PartitionState,
+        window_graph: LabelledGraph,
+        parked: Collection[Vertex] = (),
+    ) -> None:
         super().__init__(base.k + 1, base.capacity)
         self._base = base
         self._window_graph = window_graph
+        self._parked = frozenset(parked)
         self._ptemp = base.k
 
     def partition_of(self, v):
         placed = self._base.partition_of(v)
         if placed is not None:
             return placed
-        if self._window_graph.has_vertex(v):
+        if self._window_graph.has_vertex(v) or v in self._parked:
             return self._ptemp
         return None
 
@@ -81,20 +91,22 @@ def snapshot_report(
     """Execute ``workload`` over the stream-so-far with Ptemp visible.
 
     ``streamed_graph`` must contain exactly the edges ingested so far (the
-    caller accumulates it; see :func:`stream_with_snapshots`).  Vertices
-    that are neither placed nor in the window cannot occur in it, so every
-    traversal resolves.
+    caller accumulates it; see :func:`stream_with_snapshots`).  Every
+    vertex in it is placed, in the window or parked, so every traversal
+    resolves.
     """
     # The id-based window has no live vertex-object graph; materialise one
     # snapshot copy (O(window), once per report — snapshots are periodic).
     window_graph = loom.matcher.window.to_labelled_graph()
-    view = _SnapshotView(loom.state, window_graph)
+    parked = loom.parked_vertices()
+    view = _SnapshotView(loom.state, window_graph, parked)
     executor = WorkloadExecutor(streamed_graph, workload, embedding_limit=embedding_limit)
     report = executor.execute(view, "loom+ptemp")
     return OnlineSnapshot(
         edges_seen=streamed_graph.num_edges,
         vertices_placed=loom.state.num_assigned,
         vertices_in_window=window_graph.num_vertices,
+        vertices_parked=len(parked),
         report=report,
     )
 

@@ -326,7 +326,8 @@ class ServingFrontEnd:
         """Stream a batch: partition it, grow the index, publish the delta.
 
         Returns the number of edges that became *visible* (both endpoints
-        placed) this round; Loom-deferred edges park in the index's pending
+        placed) this round; edges with an endpoint Loom still holds — in
+        its window or in its deferral queue — wait in the index's pending
         buffer until a later round or :meth:`finalize` places them.
         """
         if self.partitioner is None:

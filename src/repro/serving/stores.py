@@ -15,8 +15,10 @@ of that adjacency one shard server owns, built from wire rows.
 The index is **online**: :meth:`RoutingIndex.ingest_edge` admits a
 streamed edge the moment both endpoints have been *assigned* by the
 partitioner.  Edges whose endpoint is still unplaced (Loom holds vertices
-in its sliding window before clustering them) park in a pending buffer and
-surface via :meth:`RoutingIndex.flush_pending` once the assignment lands —
+in its sliding window before clustering them, and parks motif-label
+endpoints of non-motif edges for one window turnover) wait in a pending
+buffer and surface via :meth:`RoutingIndex.flush_pending` once the
+assignment lands —
 so the visible subgraph only ever contains fully-placed edges, which is
 exactly the set the offline executor can score.
 
@@ -266,8 +268,8 @@ class RoutingIndex:
         """Retry every parked edge; returns the id pairs that became visible.
 
         Call after each ingest round (and after ``finalize``): a Loom
-        cluster assignment can retroactively place the endpoints of edges
-        that streamed earlier.
+        cluster assignment, or a parked vertex aging out, can retroactively
+        place the endpoints of edges that streamed earlier.
         """
         parked, self._pending = self._pending, []
         visible: List[Tuple[int, int]] = []

@@ -114,6 +114,7 @@ class TestExperiments:
         result = experiments.ablation(dataset="provgen", num_vertices=380, k=2)
         variants = {r["variant"] for r in result.rows}
         assert "loom (full)" in variants
+        assert "no deferral" in variants
         assert "no rationing (l=1)" in variants
 
     def test_registry_of_experiments(self):

@@ -16,9 +16,11 @@ they compare today is the one surviving path under different chunkings.
 """
 
 import math
+import random
 from dataclasses import asdict
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import make_random_labelled_graph
 from repro.core.loom import LoomPartitioner
@@ -188,6 +190,75 @@ class TestOfferBatchEquivalence:
         assert m.stats.root_hits == 2  # both passed the gate
 
 
+def loom_observable(loom):
+    """Placements, every counter of both stats blocks, the window's FIFO
+    and the deferral queue with its deadlines."""
+    return (
+        loom.state.assignment(),
+        asdict(loom.matcher.stats),
+        dict(loom.stats),
+        tuple(loom.matcher.window.edges()),
+        tuple(loom._parked.items()),
+    )
+
+
+def _random_workload(rng: random.Random, alphabet) -> Workload:
+    entries = []
+    for i in range(rng.randint(2, 4)):
+        labels = [rng.choice(alphabet) for _ in range(rng.randint(2, 4))]
+        entries.append((path_pattern(labels, name=f"q{i}"), float(rng.randint(1, 10))))
+    return Workload(entries, name="random")
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    window=st.integers(1, 60),
+    k=st.integers(2, 5),
+    defer=st.booleans(),
+)
+def test_property_loom_total_bounded_and_batch_cut_independent(seed, window, k, defer):
+    """Random workloads × streams × window sizes × ``k``, deferral on and
+    off: ``ingest_batch`` over chunkings 1 / 13 / 2048 equals per-event
+    ``ingest`` on placements, the queue and *every* counter, before and
+    after ``finalize``; afterwards the queue is empty, every seen vertex
+    is assigned exactly once and no partition exceeds its capacity."""
+    rng = random.Random(seed)
+    alphabet = ("a", "b", "c", "d", "e")
+    workload = _random_workload(rng, alphabet)
+    graph = make_random_labelled_graph(50, 130, labels=alphabet, seed=seed)
+    events = list(stream_edges(graph, ("bfs", "dfs", "random")[seed % 3], seed=seed))
+
+    def new_loom():
+        state = PartitionState.for_graph(k, graph.num_vertices)
+        return LoomPartitioner(
+            state, workload, window_size=window, seed=0, defer_motif_vertices=defer
+        )
+
+    reference = new_loom()
+    for event in events:
+        reference.ingest(event)
+    mid_stream = loom_observable(reference)
+    reference.finalize()
+    final = loom_observable(reference)
+    for batch_size in (1, 13, 2048):
+        loom = new_loom()
+        for chunk in batched(events, batch_size):
+            loom.ingest_batch(chunk)
+        assert loom_observable(loom) == mid_stream
+        loom.finalize()
+        assert loom_observable(loom) == final
+
+    state, stats = reference.state, reference.stats
+    assert not reference._parked and reference.window_occupancy == 0
+    assert state.num_assigned == sum(state.sizes()) == graph.num_vertices
+    assert max(state.sizes()) <= state.capacity
+    assert stats["deferred_vertices"] == stats["deferred_claimed"] + stats["deferred_aged_out"]
+    assert stats["deferred_peak"] <= stats["deferred_vertices"]
+    if not defer:
+        assert stats["deferred_vertices"] == 0
+
+
 class TestLoomColumnarEquivalence:
     @pytest.fixture
     def workload(self, fig5_workload):
@@ -196,14 +267,6 @@ class TestLoomColumnarEquivalence:
     def new_loom(self, workload, num_vertices, window_size):
         state = PartitionState.for_graph(4, num_vertices)
         return LoomPartitioner(state, workload, window_size=window_size, seed=0)
-
-    def observable(self, loom):
-        return (
-            loom.state.assignment(),
-            asdict(loom.matcher.stats),
-            loom.stats,
-            tuple(loom.matcher.window.edges()),
-        )
 
     @pytest.mark.parametrize("batch_size", [1, 13, 2048])
     def test_columnar_matches_scalar_ingest(self, workload, batch_size):
@@ -216,10 +279,10 @@ class TestLoomColumnarEquivalence:
         loom_b = self.new_loom(workload, 60, 40)
         for chunk in batched(events, batch_size):
             loom_b.ingest_batch(chunk)
-        assert self.observable(loom_a) == self.observable(loom_b)
+        assert loom_observable(loom_a) == loom_observable(loom_b)
         loom_a.finalize()
         loom_b.finalize()
-        assert self.observable(loom_a) == self.observable(loom_b)
+        assert loom_observable(loom_a) == loom_observable(loom_b)
         # Only the batch entry point accounts for edges_ingested.
         assert (loom_a.edges_ingested, loom_b.edges_ingested) == (0, len(events))
 
@@ -232,7 +295,7 @@ class TestLoomColumnarEquivalence:
         loom_a.finalize()
         loom_b = self.new_loom(workload, 50, 25)
         loom_b.ingest_all(events)
-        assert self.observable(loom_a) == self.observable(loom_b)
+        assert loom_observable(loom_a) == loom_observable(loom_b)
 
     def test_label_conflict_mid_batch_matches_per_event_run(self, workload):
         """A relabel in the middle of a batch: matcher stats, Loom stats,
@@ -259,7 +322,7 @@ class TestLoomColumnarEquivalence:
             loom_b.ingest_batch(stream)
         assert loom_b.matcher.stats.label_conflicts == 1
         assert loom_b.matcher.stats.edges_offered == at + 1
-        assert self.observable(loom_a) == self.observable(loom_b)
+        assert loom_observable(loom_a) == loom_observable(loom_b)
         assert loom_a.edges_ingested == loom_b.edges_ingested == at
 
 

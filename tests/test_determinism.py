@@ -46,7 +46,9 @@ class Opaque:
         self.tag = tag
 
 
-LABELS = ["a", "b", "c"]
+# argv[3:] adds labels outside every motif, so vertices placed at once and
+# vertices parked in Loom's deferral queue interleave on non-motif edges.
+LABELS = ["a", "b", "c"] + sys.argv[3:]
 N, E = 60, 140
 
 # Make the heap layout hash-seed-dependent: allocate a block of objects in
@@ -64,7 +66,7 @@ rng = random.Random(4)
 vertices = [Opaque(i) for i in range(N)]
 g = LabelledGraph("opaque")
 for v in vertices:
-    g.add_vertex(v, LABELS[v.tag % 3])
+    g.add_vertex(v, LABELS[v.tag % len(LABELS)])
 for i in range(1, N):
     g.add_edge(vertices[i - 1], vertices[i])
 added = N - 1
@@ -83,7 +85,7 @@ workload = Workload(
 )
 events = list(stream_edges(g, sys.argv[1], seed=3))
 state = PartitionState.for_graph(4, g.num_vertices)
-loom = LoomPartitioner(state, workload, window_size=40, seed=0)
+loom = LoomPartitioner(state, workload, window_size=int(sys.argv[2]), seed=0)
 loom.ingest_all(events)
 
 assignment = sorted((v.tag, p) for v, p in state.assignment().items())
@@ -94,16 +96,17 @@ print(json.dumps({
     # Matcher/plan counters must be equally hash-seed-independent: a stats
     # divergence would reveal an ordering leak even if assignments agree.
     "matcher_stats": loom.matcher.stats.as_dict(),
+    "loom_stats": loom.stats,
 }))
 """
 
 
-def _run_pipeline(order: str, hashseed: int) -> dict:
+def _run_pipeline(order: str, hashseed: int, window: int = 40, extra_labels=()) -> dict:
     env = dict(os.environ)
     env["PYTHONHASHSEED"] = str(hashseed)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
     proc = subprocess.run(
-        [sys.executable, "-c", PIPELINE, order],
+        [sys.executable, "-c", PIPELINE, order, str(window), *extra_labels],
         capture_output=True,
         text=True,
         env=env,
@@ -126,3 +129,16 @@ def test_loom_assignments_invariant_under_hashseed(order):
     )
     # Sanity: the pass actually placed the whole graph.
     assert len(runs[0]["assignment"]) == 60
+
+
+def test_loom_deferral_queue_invariant_under_hashseed():
+    """The same double run with the deferral queue busy both ways: label
+    ``d`` is in no motif, so non-motif edges place some endpoints at once
+    and park others, and under a short window parked vertices leave by
+    auction *and* by aging out.  Placements and every counter must still
+    agree bit for bit."""
+    runs = [_run_pipeline("random", seed, 8, ("d",)) for seed in (1, 2, 4242)]
+    assert runs[0] == runs[1] == runs[2]
+    stats = runs[0]["loom_stats"]
+    assert stats["deferred_claimed"] > 0 and stats["deferred_aged_out"] > 0
+    assert stats["deferred_vertices"] < len(runs[0]["assignment"]) == 60

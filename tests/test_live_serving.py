@@ -26,6 +26,7 @@ from repro.partitioning import registry
 from repro.partitioning.registry import BUILTIN_SYSTEMS
 from repro.partitioning.state import PartitionState
 from repro.query.executor import WorkloadExecutor
+from repro.query.isomorphism import embedding_edges, find_embeddings
 from repro.query.pattern import cycle_pattern, path_pattern
 from repro.query.workload import Workload
 from repro.runtime.live import LiveCluster
@@ -313,6 +314,86 @@ def test_unplaced_root_short_circuits():
     with LiveCluster(graph, state, workload, num_shards=2) as cluster:
         result = cluster.serve_root("abc", 10**9)
         assert result.embeddings == () and result.hops == 0
+
+
+def _offline_root_answer(server, name, root):
+    """``(embeddings, hops)`` the offline executor's enumeration gives one
+    root: the query's embeddings in the *visible* graph (edges with both
+    endpoints placed) whose plan-root slot maps to ``root``, and the cut
+    edges they traverse."""
+    state, graph = server.state, server.graph
+    visible = LabelledGraph("visible")
+    for u, v in graph.edges():
+        if state.is_assigned(u) and state.is_assigned(v):
+            visible.add_edge(u, v, graph.label(u), graph.label(v))
+    plan = server._plan(name)
+    root_vertex = state.interner.vertex(root)
+    embeddings = hops = 0
+    for embedding in find_embeddings(visible, plan.pattern, None):
+        if embedding[plan.signature[0]] == root_vertex:
+            embeddings += 1
+            hops += sum(
+                state.partition_of(u) != state.partition_of(v)
+                for u, v in embedding_edges(plan.pattern, embedding)
+            )
+    return embeddings, hops
+
+
+def test_parked_root_is_unplaced_until_settled_then_answers():
+    """Loom parks motif-label endpoints of non-motif edges, so a vertex
+    can be seen, unplaced and *not* in the window.  Requested mid-stream
+    it takes the unplaced-root path on the engine and on a 2-shard cluster
+    alike — empty answer, no hops, no shard contacted — and in the first
+    burst after it is placed both return the offline executor's answer."""
+    graph, workload = _random_case()
+    events = list(stream_edges(graph, "random", seed=3))
+
+    def deployment(cls, **kwargs):
+        state = PartitionState.for_graph(4, graph.num_vertices)
+        partitioner = registry.create(
+            "loom", state, graph=graph, workload=workload, window_size=30, seed=0
+        )
+        return cls(LabelledGraph("live"), state, workload, partitioner=partitioner, **kwargs)
+
+    engine = deployment(ServingEngine)
+    with deployment(_TappedCluster, num_shards=2) as cluster:
+        servers = (engine, cluster)
+        names = engine.query_names()
+        waiting = set()  # ids seen parked, not yet placed
+        parked_served = answered = 0
+        for chunk in [*batched(events, 37), None]:
+            for server in servers:
+                if chunk is None:
+                    server.finalize()
+                else:
+                    server.ingest(chunk)
+            parked = engine.partitioner.parked_vertices()
+            assert cluster.partitioner.parked_vertices() == parked
+            sent = len(cluster.sent)
+            for vertex in parked:
+                root = engine.state.interner.id_of(vertex)
+                waiting.add(root)
+                for name in names:
+                    unplaced = RootResult(name, root, (), 0, 0)
+                    assert [s.serve_root(name, root) for s in servers] == [unplaced] * 2
+                    parked_served += 1
+            assert not any(
+                isinstance(m, (QueryRequest, StepRequest)) for m in cluster.sent[sent:]
+            )
+            for root in sorted(waiting):
+                if not engine.state.is_assigned_id(root):
+                    continue  # still parked, or held by the window now
+                waiting.discard(root)
+                for name in names:
+                    served = engine.serve_root(name, root)
+                    assert cluster.serve_root(name, root) == served
+                    assert (served.num_embeddings, served.hops) == _offline_root_answer(
+                        engine, name, root
+                    )
+                    answered += served.num_embeddings > 0
+        assert engine.partitioner.stats == cluster.partitioner.stats
+    assert not waiting
+    assert parked_served > 0 and answered > 0
 
 
 # ----------------------------------------------------------------------

@@ -36,12 +36,57 @@ class TestConstruction:
 
 class TestStreamingBehaviour:
     def test_non_motif_edge_assigned_immediately(self, fig1_workload):
+        """A non-motif edge never enters the window.  Its endpoint whose
+        label is in no motif (``d``) is placed at once; a motif-label
+        endpoint (``c``) is parked — an auction claims it if a motif edge
+        reaches it, else LDG places it after exactly ``capacity``
+        gate-passing edges."""
+        capacity = 4
+        loom = make_loom(fig1_workload, window_size=capacity)
+        loom.ingest(EdgeEvent(1, "c", 2, "d"))
+        loom.ingest(EdgeEvent(3, "c", 4, "d"))
+        assert loom.stats["immediate_assignments"] == 2
+        assert loom.window_occupancy == 0
+        assert loom.state.is_assigned(2) and loom.state.is_assigned(4)
+        assert not loom.state.is_assigned(1) and not loom.state.is_assigned(3)
+        assert loom.parked_vertices() == [1, 3]
+        assert loom.stats["deferred_vertices"] == loom.stats["deferred_peak"] == 2
+
+        # A motif edge reaches 3: it is the window's now, and stays queued
+        # until its deadline finds it there.  Seeing 1 on another non-motif
+        # edge neither re-parks it nor restarts its wait.
+        loom.ingest(EdgeEvent(10, "b", 3, "c"))
+        loom.ingest(EdgeEvent(1, "c", 5, "d"))
+        assert loom.parked_vertices() == [1]
+        assert loom.stats["deferred_vertices"] == 2
+
+        for i in range(capacity - 2):  # gate-passing edges 2 .. capacity-1
+            loom.ingest(EdgeEvent(20 + 2 * i, "a", 21 + 2 * i, "b"))
+        assert not loom.state.is_assigned(1)
+        assert loom.stats["deferred_claimed"] == loom.stats["deferred_aged_out"] == 0
+        loom.ingest(EdgeEvent(40, "a", 41, "b"))  # the capacity-th: deadline
+        assert loom.state.is_assigned(1)
+        assert loom.state.partition_of(1) == loom.state.partition_of(2)  # LDG
+        assert not loom.state.is_assigned(3)  # left to its cluster's auction
+        assert loom.stats["deferred_claimed"] == loom.stats["deferred_aged_out"] == 1
+        assert loom.parked_vertices() == []
+
+        loom.finalize()
+        assert loom.state.partition_of(3) == loom.state.partition_of(10)
+
+    def test_finalize_places_what_is_still_parked(self, fig1_workload):
         loom = make_loom(fig1_workload)
         loom.ingest(EdgeEvent(1, "c", 2, "d"))
+        loom.finalize()
         assert loom.state.is_assigned(1)
-        assert loom.state.is_assigned(2)
-        assert loom.stats["immediate_assignments"] == 1
-        assert loom.window_occupancy == 0
+        assert loom.parked_vertices() == []
+        assert loom.stats["deferred_aged_out"] == 1
+
+    def test_deferral_switch_off_places_both_endpoints_at_once(self, fig1_workload):
+        loom = make_loom(fig1_workload, defer_motif_vertices=False)
+        loom.ingest(EdgeEvent(1, "c", 2, "d"))
+        assert loom.state.is_assigned(1) and loom.state.is_assigned(2)
+        assert loom.stats["deferred_vertices"] == 0
 
     def test_motif_edge_deferred_to_window(self, fig1_workload):
         loom = make_loom(fig1_workload)
@@ -57,6 +102,7 @@ class TestStreamingBehaviour:
         loom.ingest(EdgeEvent(3, "c", 4, "d"))  # non-motif edge touching 3
         assert not loom.state.is_assigned(3)
         assert loom.state.is_assigned(4)
+        assert loom.stats["deferred_vertices"] == 0  # held by the window, not parked
 
     def test_overflow_triggers_eviction(self, fig1_workload):
         loom = make_loom(fig1_workload, window_size=2)
@@ -125,6 +171,7 @@ class TestFullStream:
             {"support_weighting": False},
             {"neighbor_aware_bids": True},
             {"max_matches_per_vertex": 2},
+            {"defer_motif_vertices": False},
         ):
             state = PartitionState.for_graph(2, g.num_vertices)
             loom = LoomPartitioner(state, fig1_workload, window_size=10, **kwargs)

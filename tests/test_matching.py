@@ -283,6 +283,30 @@ class TestBoundedState:
         oversized = [(path, n) for path, n in sizes if n > 10 * capacity]
         assert not oversized, oversized
 
+    def test_deferral_queue_holds_order_capacity_on_a_long_stream(self, fig5_workload):
+        """The same bound for Loom's queue of parked vertices: a vertex
+        waits one window turnover, so over a stream of fresh vertices
+        that parks many times ``10 × capacity`` of them the queue never
+        holds more than that at once."""
+        from repro.core.loom import LoomPartitioner
+        from repro.partitioning.state import PartitionState
+
+        capacity = 40
+        graph = make_random_labelled_graph(
+            150 * capacity, 300 * capacity, labels=("a", "b", "c", "d"), seed=8
+        )
+        state = PartitionState.for_graph(4, graph.num_vertices)
+        loom = LoomPartitioner(state, fig5_workload, window_size=capacity)
+        peak = 0
+        for event in stream_edges(graph, "random", seed=8):
+            loom.ingest(event)
+            peak = max(peak, len(loom._parked))
+        assert loom.matcher.stats.root_hits > 50 * capacity
+        assert loom.stats["deferred_vertices"] > 50 * capacity
+        assert peak == loom.stats["deferred_peak"] <= 10 * capacity
+        loom.finalize()
+        assert not loom._parked
+
 
 class TestMatchAndMatchList:
     def test_match_equality_and_hash(self):

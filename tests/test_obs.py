@@ -335,6 +335,14 @@ class TestComponentBinding:
         # Collectors pull the matcher/partitioner stat dicts lazily.
         assert any(key.startswith("loom.matcher.") for key in snap)
         assert any(key.startswith("loom.partitioner.") for key in snap)
+        # The deferral queue's counters ride the same collector: after
+        # finalize every parked vertex was claimed or aged out.
+        parked = snap["loom.partitioner.deferred_vertices"]
+        assert 0 < snap["loom.partitioner.deferred_peak"] <= parked
+        assert parked == (
+            snap["loom.partitioner.deferred_claimed"]
+            + snap["loom.partitioner.deferred_aged_out"]
+        )
 
     def test_serving_engine_rollups_and_attribution(self, dataset):
         from repro.serving import ServingEngine, TrafficDriver

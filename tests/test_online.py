@@ -31,6 +31,7 @@ class TestSnapshots:
         assert seen[-1] == len(events)
         # The final snapshot has an empty window (finalize drained it).
         assert snapshots[-1].vertices_in_window == 0
+        assert snapshots[-1].vertices_parked == 0
         assert snapshots[-1].vertices_placed == dataset.graph.num_vertices
 
     def test_mid_stream_snapshot_counts_ptemp(self, setup):
@@ -81,3 +82,39 @@ class TestSnapshots:
         )
         final = snapshots[-1]
         assert final.vertices_in_window == 0
+
+    def test_parked_vertex_is_a_ptemp_member(self):
+        """A query may traverse a non-motif edge (its motif missed the
+        support threshold) whose motif-label endpoint Loom has parked:
+        neither placed nor in the window, it still resolves — to Ptemp."""
+        from repro.graph.labelled_graph import LabelledGraph
+        from repro.graph.stream import EdgeEvent
+        from repro.query.pattern import path_pattern
+        from repro.query.workload import Workload
+
+        workload = Workload(
+            [
+                (path_pattern(["a", "b"], name="ab"), 0.9),
+                (path_pattern(["a", "c"], name="ac"), 0.1),
+            ],
+            name="rare-ac",
+        )
+        state = PartitionState.for_graph(2, 10)
+        loom = LoomPartitioner(state, workload, window_size=5)
+        assert loom.plan.motif_labels == {"a", "b"}
+        loom.ingest(EdgeEvent(1, "a", 2, "c"))  # a-c: below threshold, bypasses
+        streamed = LabelledGraph()
+        streamed.add_edge(1, 2, "a", "c")
+
+        snapshot = snapshot_report(streamed, workload, loom)
+        assert loom.parked_vertices() == [1]
+        assert (snapshot.vertices_placed, snapshot.vertices_in_window) == (1, 0)
+        assert snapshot.vertices_parked == 1
+        by_name = {q.name: q for q in snapshot.report.queries}
+        assert by_name["ac"].traversals == 1
+        assert by_name["ac"].cut_traversals == 1  # placed c — parked a
+
+        loom.finalize()
+        final = snapshot_report(streamed, workload, loom)
+        assert final.vertices_parked == 0
+        assert final.vertices_placed == 2

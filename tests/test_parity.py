@@ -5,6 +5,11 @@ and stream, every system places every vertex in exactly the partition the
 pre-refactor implementation chose.  These tests drive the frozen legacy
 implementations (:mod:`repro.partitioning.legacy`) and the live stack over
 identical event lists and compare full assignment maps.
+
+The frozen oracle predates Loom's deferral queue and cannot express it, so
+every Loom case builds the live stack with ``defer_motif_vertices=False``:
+parity with the switch off is the proof that parking is the *only* thing
+that moved the default's placements.
 """
 
 import pytest
@@ -85,7 +90,9 @@ def test_loom_parity(graph, workload, order, window):
     """Full-stack parity: matcher + auction + LDG fallback, end to end."""
     events = list(stream_edges(graph, order, seed=3))
     new, old = _states(graph)
-    LoomPartitioner(new, workload, window_size=window, seed=0).ingest_all(events)
+    LoomPartitioner(
+        new, workload, window_size=window, seed=0, defer_motif_vertices=False
+    ).ingest_all(events)
     LegacyLoomPartitioner(old, workload, window_size=window, seed=0).ingest_all(events)
     assert new.assignment() == old.assignment()
 
@@ -102,7 +109,9 @@ def test_loom_parity_tight_capacity_spills(graph, workload, order):
     capacity = math.ceil(graph.num_vertices / K)  # imbalance 1.0
     new = PartitionState(K, capacity)
     old = DictPartitionState(K, capacity)
-    LoomPartitioner(new, workload, window_size=150, seed=0).ingest_all(events)
+    LoomPartitioner(
+        new, workload, window_size=150, seed=0, defer_motif_vertices=False
+    ).ingest_all(events)
     LegacyLoomPartitioner(old, workload, window_size=150, seed=0).ingest_all(events)
     assert new.assignment() == old.assignment()
 
@@ -166,7 +175,8 @@ def test_loom_parity_neighbor_aware_bids(graph, workload):
     events = list(stream_edges(graph, "random", seed=5))
     new, old = _states(graph)
     LoomPartitioner(
-        new, workload, window_size=150, seed=0, neighbor_aware_bids=True
+        new, workload, window_size=150, seed=0, neighbor_aware_bids=True,
+        defer_motif_vertices=False,
     ).ingest_all(events)
     LegacyLoomPartitioner(
         old, workload, window_size=150, seed=0, neighbor_aware_bids=True
@@ -179,8 +189,9 @@ def test_loom_assignments_bit_identical_pre_post_compile():
 
     The digest was produced by the pre-plan object-walking matcher
     (commit c3a4385) on this exact seeded configuration; the compiled
-    MotifPlan pipeline must reproduce it bit for bit.  (The synthetic
-    stream twins live in ``tests/test_plan.py``.)
+    MotifPlan pipeline must reproduce it bit for bit — with the deferral
+    queue off, which that matcher never had.  (The synthetic stream twins
+    live in ``tests/test_plan.py``, which also pins the default.)
     """
     import hashlib
     import json
@@ -190,7 +201,9 @@ def test_loom_assignments_bit_identical_pre_post_compile():
     g = make_random_labelled_graph(num_vertices=250, num_edges=600, seed=21)
     events = list(stream_edges(g, "random", seed=5))
     state = PartitionState.for_graph(5, g.num_vertices)
-    LoomPartitioner(state, figure1_workload(), window_size=120, seed=3).ingest_all(events)
+    LoomPartitioner(
+        state, figure1_workload(), window_size=120, seed=3, defer_motif_vertices=False
+    ).ingest_all(events)
     blob = json.dumps(sorted((repr(v), p) for v, p in state.assignment().items())).encode()
     assert (
         hashlib.sha256(blob).hexdigest()

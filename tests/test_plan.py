@@ -196,6 +196,13 @@ class TestPlanStructure:
         assert plan2.labels is plan1.labels
         assert plan2.root_entry("a", "b") == plan1.root_entry("a", "b")
 
+    def test_motif_labels_are_the_labels_motif_vertices_carry(self, fig1_index):
+        """a-b, b-c and a-b-c are fig. 1's 40% motifs; ``d`` occurs in the
+        workload but only in a query below the threshold."""
+        plan = fig1_index.compile()
+        assert plan.motif_labels == {"a", "b", "c"}
+        assert "d" in fig1_index.scheme.known_labels()
+
     def test_root_memo_caches_misses(self, fig1_index):
         plan = fig1_index.compile()
         assert plan.root_entry("x", "y")[0] == NO_STATE
@@ -207,9 +214,18 @@ GOLDEN_DIGESTS = {
     # by the PRE-plan object-walking matcher (commit c3a4385) on these
     # exact seeded configurations.  The compiled pipeline must reproduce
     # them bit for bit: the plan is a representation change, not a
-    # behavioural one.
+    # behavioural one.  That matcher had no deferral queue, so these are
+    # the ``defer_motif_vertices=False`` values.
     "synthetic-500v-3000e": "71a3ec72a577d25fc02c7a875115b2df82b7722b404cc48ed422a147b35b4980",
     "synthetic-tight-capacity": "a0da42f44b89860754d3f898287cf866044d48276f4c740123e13b24ea7da3f3",
+}
+
+DEFERRAL_DIGESTS = {
+    # The same configurations with the deferral queue on (the default),
+    # pinned by the PR that introduced it: motif-label endpoints of
+    # non-motif edges wait one window turnover instead of being LDG-placed.
+    "synthetic-500v-3000e": "6cd78cbe1949344a7815670e7d20a742e32bfeb2fc4946d57b3e06f93c66447b",
+    "synthetic-tight-capacity": "abc394efac9db3ab7153661466631b19c9c318f83da1a20293becc9e32433836",
 }
 
 
@@ -218,8 +234,17 @@ def _digest(assignment) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
+def _loom_digest(state, workload, events, window_size, defer) -> str:
+    LoomPartitioner(
+        state, workload, window_size=window_size, seed=0, defer_motif_vertices=defer
+    ).ingest_all(events)
+    return _digest(state.assignment())
+
+
 class TestPrePostCompileBitExact:
-    """Full-pipeline assignments are bit-identical pre/post compile."""
+    """Full-pipeline assignments are bit-identical pre/post compile — each
+    golden asserted twice: at the pre-plan value with the deferral queue
+    off, and at its own pinned value with it on."""
 
     @pytest.fixture
     def wl5(self, fig5_workload):
@@ -227,13 +252,15 @@ class TestPrePostCompileBitExact:
 
     def test_synthetic_stream_golden(self, wl5):
         events = list(synthetic_stream(500, 3000, seed=9))
-        state = PartitionState.for_graph(4, 500)
-        LoomPartitioner(state, wl5, window_size=300, seed=0).ingest_all(events)
-        assert _digest(state.assignment()) == GOLDEN_DIGESTS["synthetic-500v-3000e"]
+        for defer, pinned in ((False, GOLDEN_DIGESTS), (True, DEFERRAL_DIGESTS)):
+            state = PartitionState.for_graph(4, 500)
+            digest = _loom_digest(state, wl5, events, 300, defer)
+            assert digest == pinned["synthetic-500v-3000e"], defer
 
     def test_tight_capacity_golden(self, wl5):
         """Zero-slack capacity exercises the mid-cluster spill path."""
         events = list(synthetic_stream(300, 2000, seed=13))
-        state = PartitionState(4, math.ceil(300 / 4))
-        LoomPartitioner(state, wl5, window_size=150, seed=0).ingest_all(events)
-        assert _digest(state.assignment()) == GOLDEN_DIGESTS["synthetic-tight-capacity"]
+        for defer, pinned in ((False, GOLDEN_DIGESTS), (True, DEFERRAL_DIGESTS)):
+            state = PartitionState(4, math.ceil(300 / 4))
+            digest = _loom_digest(state, wl5, events, 150, defer)
+            assert digest == pinned["synthetic-tight-capacity"], defer

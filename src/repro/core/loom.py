@@ -31,7 +31,7 @@ The defaults mirror the paper: α = 2/3, b = 1.1, p = 251, T = 40%.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, FrozenSet, List, Optional, Set
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set
 
 from repro.core.allocation import DEFAULT_ALPHA, DEFAULT_BALANCE_CAP, EqualOpportunism
 from repro.core.matching import StreamMatcher
@@ -91,14 +91,18 @@ class LoomPartitioner(StreamingPartitioner):
             max_matches_per_vertex=max_matches_per_vertex,
             interner=state.interner,
         )
-        # Seen-so-far adjacency over interned ids: used by the LDG placement
-        # of non-motif edges and by the auction's neighbour-aware overlaps.
+        # Seen-so-far adjacency over interned ids, for vertices whose label
+        # occurs in a motif: only those can wait (parked or windowed) for a
+        # later LDG placement, and only those reach the zero-bid fallback
+        # and the neighbour-aware bids.  Any other vertex is placed at its
+        # first edge, over that edge's far endpoint.  The one structure here
+        # that grows with the stream (ARCHITECTURE.md, "Resident state").
         self._adj: Dict[int, Set[int]] = {}
         # Live views bound once for the per-event fast path (in-package
         # inner-loop binding, ARCHITECTURE.md): the assignment vector grows
-        # in place and the window adjacency dict identity is stable.
+        # in place; the window's id -> label dict is keyed by its vertices.
         self._assignment = state.assignment_vector
-        self._window_adj = self.matcher.window._adj
+        self._window_vertices = self.matcher.window._labels
         self._window_events = self.matcher.window._events
         self._window_capacity = self.matcher.window.capacity
         # Motif-label vertices a non-motif edge met first: vid -> the
@@ -150,6 +154,8 @@ class LoomPartitioner(StreamingPartitioner):
         self._obs_batches = obs.counter("loom.ingest.batches")
         self._obs_events = obs.counter("loom.ingest.events")
         self._obs_window_fill = obs.gauge("loom.window.high_water")
+        self._obs_matchlist_fill = obs.gauge("loom.matchlist.high_water")
+        self._obs_adjacency = obs.gauge("loom.adjacency.vertices")
         self._trace = obs.tracer()
         self._trace_on = self._trace.enabled
         obs.register_collector("loom.matcher", self.matcher.stats.as_dict)
@@ -176,6 +182,8 @@ class LoomPartitioner(StreamingPartitioner):
         self._obs_events.inc(count)
         if self._obs_on:
             self._obs_window_fill.high_water(len(self._window_events))
+            self._obs_matchlist_fill.high_water(len(self.matcher.matchlist))
+            self._obs_adjacency.set(len(self._adj))
         if self._trace_on:
             windowed = len(self._window_events)
             self._trace.event(
@@ -205,6 +213,7 @@ class LoomPartitioner(StreamingPartitioner):
         """
         intern = self.state.interner.intern
         adj = self._adj
+        motif_labels = self.plan.motif_labels
         matcher = self.matcher
         root_memo = matcher._root_memo
         root_entry = matcher._root_entry
@@ -225,20 +234,24 @@ class LoomPartitioner(StreamingPartitioner):
                 # grows it on demand.
                 uid = intern(event.u)
                 vid = intern(event.v)
-                bucket = adj.get(uid)
-                if bucket is None:
-                    adj[uid] = {vid}
-                else:
-                    bucket.add(vid)
-                bucket = adj.get(vid)
-                if bucket is None:
-                    adj[vid] = {uid}
-                else:
-                    bucket.add(uid)
+                u_label = event.u_label
+                v_label = event.v_label
+                if u_label in motif_labels:
+                    bucket = adj.get(uid)
+                    if bucket is None:
+                        adj[uid] = {vid}
+                    else:
+                        bucket.add(vid)
+                if v_label in motif_labels:
+                    bucket = adj.get(vid)
+                    if bucket is None:
+                        adj[vid] = {uid}
+                    else:
+                        bucket.add(uid)
                 mstats.edges_offered += 1
-                got = root_memo.get((event.u_label, event.v_label))
+                got = root_memo.get((u_label, v_label))
                 if got is None:
-                    got = root_entry(event.u_label, event.v_label)
+                    got = root_entry(u_label, v_label)
                 root = got[0]
                 if root < 0:
                     # Sec. 3: the edge can never join a motif match — it
@@ -248,8 +261,8 @@ class LoomPartitioner(StreamingPartitioner):
                     # cluster they are part of (Sec. 4's allocation).  Nor
                     # are motif-label endpoints: those are parked.
                     mstats.edges_bypassed += 1
-                    ldg_place(event.u, uid, event.u_label)
-                    ldg_place(event.v, vid, event.v_label)
+                    ldg_place(event.u, uid, u_label, vid)
+                    ldg_place(event.v, vid, v_label, uid)
                     stats["immediate_assignments"] += 1
                 else:
                     mstats.root_hits += 1
@@ -276,9 +289,9 @@ class LoomPartitioner(StreamingPartitioner):
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _ldg_place(self, v: Vertex, vid: int, label: str) -> None:
-        """Place an endpoint of a non-motif edge, unless a motif edge may
-        still have a say in where it goes.
+    def _ldg_place(self, v: Vertex, vid: int, label: str, other: int) -> None:
+        """Place an endpoint of a non-motif edge ``{v, other}``, unless a
+        motif edge may still have a say in where it goes.
 
         Vertices currently held in ``Ptemp`` are skipped: every window
         vertex is eventually assigned by a cluster allocation (each window
@@ -287,14 +300,19 @@ class LoomPartitioner(StreamingPartitioner):
         make the motif allocation a no-op for it.  A vertex whose label
         occurs in a motif is parked for the same reason, one step earlier:
         for one window turnover a motif edge may yet bring it to an auction.
+
+        A vertex placed here is at its first edge (at an earlier one it
+        would have been placed, parked or windowed, and the window releases
+        only placed vertices), so ``other`` is all it has seen — given one
+        label per vertex, :class:`~repro.graph.labelled_graph.LabelledGraph`'s rule.
         """
         assignment = self._assignment
         if vid < len(assignment) and assignment[vid] >= 0:
             return
-        if vid in self._window_adj:
+        if vid in self._window_vertices:
             return
         if label not in self._park_labels:
-            self._place_now(v, vid)
+            self._place_now(v, vid, (other,))
             return
         parked = self._parked
         if vid not in parked:
@@ -316,16 +334,16 @@ class LoomPartitioner(StreamingPartitioner):
             if deadline > now:
                 break
             del parked[vid]
-            if state.is_assigned_id(vid) or vid in self._window_adj:
+            if state.is_assigned_id(vid) or vid in self._window_vertices:
                 self.stats["deferred_claimed"] += 1
             else:
-                self._place_now(state.interner.vertex(vid), vid)
+                self._place_now(state.interner.vertex(vid), vid, self._adj.get(vid, ()))
                 self.stats["deferred_aged_out"] += 1
 
-    def _place_now(self, v: Vertex, vid: int) -> None:
-        """The workload-agnostic placement itself: LDG over the seen
-        adjacency.  The one hook restreaming overrides."""
-        self.state.assign_id(vid, ldg_choose_ids(self.state, self._adj.get(vid, ())))
+    def _place_now(self, v: Vertex, vid: int, neighbor_ids: Iterable[int]) -> None:
+        """The workload-agnostic placement itself: LDG over the neighbours
+        ``v`` has been seen with.  The one hook restreaming overrides."""
+        self.state.assign_id(vid, ldg_choose_ids(self.state, neighbor_ids))
 
     def _ldg_cluster_choice(self, cluster_ids: Set[int]) -> int:
         """LDG over the union of the cluster's seen neighbourhoods — the
@@ -368,7 +386,7 @@ class LoomPartitioner(StreamingPartitioner):
             for v in (eviction.event.u, eviction.event.v):
                 vid = self.state.intern(v)
                 if not self.state.is_assigned_id(vid):
-                    self._place_now(v, vid)
+                    self._place_now(v, vid, self._adj.get(vid, ()))
             self.matcher.remove_cluster({eviction.ekey})
 
     # ------------------------------------------------------------------
@@ -385,7 +403,7 @@ class LoomPartitioner(StreamingPartitioner):
         return [
             state.interner.vertex(vid)
             for vid in self._parked
-            if not state.is_assigned_id(vid) and vid not in self._window_adj
+            if not state.is_assigned_id(vid) and vid not in self._window_vertices
         ]
 
     def motif_summary(self) -> Dict[str, float]:

@@ -33,9 +33,10 @@ against tables the plan pre-computed from the TPSTry++.  Per-state facts
 
 The matchList itself runs on **dense match ids**: every registered match
 gets a small integer handle into an arena
-(:class:`MatchList`), the per-vertex and per-edge indexes hold *sets of
-ints* rather than sets of :class:`Match` objects, and duplicate detection
-is one dict probe keyed by the match's canonical ``(edges, state)`` pair.
+(:class:`MatchList`), the per-vertex index holds *sets of ints* rather than
+sets of :class:`Match` objects, and duplicate detection is one dict probe
+keyed by the match's canonical ``(edges, state)`` pair (the matches
+containing an edge are read off its endpoints' buckets at eviction).
 That keeps Python-level ``__hash__``/``__eq__`` dispatch — which dominated
 the object-keyed matchList — entirely off the per-edge path: every hot
 container operation hashes machine ints or flat int tuples in C.  A match's
@@ -63,7 +64,7 @@ worst case on dense, label-homogeneous hubs.  The default of 64 is *not*
 generous: on the reference graph ``capped_registrations / matches_created``
 is 0.33–0.35 (the e2e benchmark's ``core.matching.capped_share``), so every
 quality number this repo reports is Loom under that cap.  Sweeping it is
-ROADMAP item 4a.
+ROADMAP item 1f.
 """
 
 from __future__ import annotations
@@ -163,18 +164,20 @@ class Match:
 
 
 class MatchList:
-    """The matchList map of Sec. 3, indexed by vertex id *and* by edge key.
+    """The matchList map of Sec. 3, indexed by vertex id.
 
     Internally an **arena**: each live match owns a dense int id; the vertex
-    index (Alg. 2's "matches connected to this edge") and the edge index
-    (eviction's "matches containing this edge") hold sets of those ids, and
-    duplicate detection is one dict probe keyed ``(edges, state)``.  Hot
-    container operations therefore hash ints and int tuples in C — the
-    matcher binds the id-level internals directly (in-package inner-loop
-    binding, ARCHITECTURE.md).  The public API stays object-level: lookups
-    return :class:`Match` sets, so boundary callers never see ids.  Ids of
-    dropped matches are recycled through a free list, which bounds the
-    arena at the live high-water mark on unbounded streams.
+    index (Alg. 2's "matches connected to this edge") holds sets of those
+    ids, and duplicate detection is one dict probe keyed ``(edges, state)``.
+    Eviction's "matches containing this edge" is derived, not stored: such
+    a match holds both endpoints, so it sits in both their buckets
+    (:meth:`_mids_with_edge`).  Hot container operations therefore hash
+    ints and int tuples in C — the matcher binds the id-level internals
+    directly (in-package inner-loop binding, ARCHITECTURE.md).  The public
+    API stays object-level: lookups return :class:`Match` sets, so boundary
+    callers never see ids.  Ids of dropped matches are recycled through a
+    free list, which bounds the arena at the live high-water mark on
+    unbounded streams.
     """
 
     def __init__(self) -> None:
@@ -182,7 +185,6 @@ class MatchList:
         self._keys: List[Optional[Tuple[float, int, EdgeTuple]]] = []
         self._ids: Dict[Tuple[EdgeTuple, int], int] = {}
         self._by_vertex: Dict[int, Set[int]] = {}
-        self._by_edge: Dict[int, Set[int]] = {}
         self._free: List[int] = []
 
     # -- id plumbing (shared with StreamMatcher's inlined register) -------
@@ -200,7 +202,7 @@ class MatchList:
         self._ids[(match.edges, match.state)] = mid
 
     def _evict_mid(self, mid: int) -> Match:
-        """Remove one live match by id from every index; returns it."""
+        """Remove one live match by id from the indexes; returns it."""
         match = self._arena[mid]
         assert match is not None
         del self._ids[(match.edges, match.state)]
@@ -211,17 +213,29 @@ class MatchList:
                 bucket.discard(mid)
                 if not bucket:
                     del by_vertex[vid]
-        by_edge = self._by_edge
-        for ekey in match.edges:
-            bucket = by_edge.get(ekey)
-            if bucket is not None:
-                bucket.discard(mid)
-                if not bucket:
-                    del by_edge[ekey]
         self._arena[mid] = None
         self._keys[mid] = None
         self._free.append(mid)
         return match
+
+    def _mids_with_edge(self, ekey: int) -> Set[int]:
+        """Ids of the live matches containing edge ``ekey``: the members of
+        both endpoints' buckets whose edge tuple holds it.  Buckets are
+        capped, so this is one small C intersection per evicted edge, where
+        an edge index cost two set inserts and two discards per match."""
+        at_u = self._by_vertex.get(ekey >> EDGE_SHIFT)
+        at_v = self._by_vertex.get(ekey & EDGE_MASK)
+        if not at_u or not at_v:
+            return set()
+        arena = self._arena
+        return {mid for mid in at_u & at_v if ekey in arena[mid].edges}
+
+    def _evict_edges(self, ekeys: Iterable[int]) -> List[Match]:
+        """Remove every match containing any of ``ekeys``, in ascending id
+        order (canonical: it fixes the free list, hence id recycling)."""
+        doomed: Set[int] = set().union(*map(self._mids_with_edge, ekeys))
+        evict = self._evict_mid
+        return [evict(mid) for mid in sorted(doomed)]
 
     # -- public object-level API ------------------------------------------
     def add(self, match: Match) -> bool:
@@ -234,13 +248,6 @@ class MatchList:
             bucket = by_vertex.get(vid)
             if bucket is None:
                 by_vertex[vid] = {mid}
-            else:
-                bucket.add(mid)
-        by_edge = self._by_edge
-        for ekey in match.edges:
-            bucket = by_edge.get(ekey)
-            if bucket is None:
-                by_edge[ekey] = {mid}
             else:
                 bucket.add(mid)
         return True
@@ -261,24 +268,15 @@ class MatchList:
 
     def matches_containing_edge(self, ekey: int) -> Set[Match]:
         """The live match set of an edge key (a fresh set)."""
-        bucket = self._by_edge.get(ekey)
-        if not bucket:
-            return _NO_MATCHES
         arena = self._arena
-        return {arena[mid] for mid in bucket}
+        return {arena[mid] for mid in self._mids_with_edge(ekey)}
 
     def drop_edges(self, ekeys: Iterable[int]) -> Set[Match]:
         """Remove every match containing any of ``ekeys``; returns them.
 
-        The eviction cascade runs this once per window slide."""
-        by_edge = self._by_edge
-        doomed: Set[int] = set()
-        for ekey in ekeys:
-            bucket = by_edge.get(ekey)
-            if bucket:
-                doomed |= bucket
-        evict = self._evict_mid
-        return {evict(mid) for mid in doomed}
+        Object-level twin of what :meth:`StreamMatcher.remove_cluster`
+        runs once per window slide."""
+        return set(self._evict_edges(ekeys))
 
     def __len__(self) -> int:
         return len(self._ids)
@@ -369,7 +367,6 @@ class StreamMatcher:
         self._ml_keys = ml._keys
         self._ml_ids = ml._ids
         self._ml_by_vertex = ml._by_vertex
-        self._ml_by_edge = ml._by_edge
         self._ml_free = ml._free
         # Plan tables, bound once: these probes run per candidate edge at
         # streaming rates (in-package inner-loop binding, ARCHITECTURE.md).
@@ -687,7 +684,7 @@ class StreamMatcher:
         # checking bucket sizes, rolling back on a cap hit.  A cap hit is
         # not rare: with the default cap of 64, capped_registrations /
         # matches_created is 0.33–0.35 on the reference graph (the e2e
-        # benchmark's core.matching.capped_share; ROADMAP item 4a sweeps
+        # benchmark's core.matching.capped_share; ROADMAP item 1f sweeps
         # the cap).  The extension loop therefore skips registrations it
         # can see are doomed before building them; what reaches here pays
         # one pass on success.  The Match object is only constructed once
@@ -747,13 +744,6 @@ class StreamMatcher:
         self._ml_arena[mid] = match
         self._ml_keys[mid] = sort_key
         ids[key] = mid
-        by_edge = self._ml_by_edge
-        for ekey in edges:
-            bucket = by_edge.get(ekey)
-            if bucket is None:
-                by_edge[ekey] = {mid}
-            else:
-                bucket.add(mid)
         self.stats.matches_created += 1
         return match
 
@@ -846,28 +836,15 @@ class StreamMatcher:
         cluster through :meth:`remove_cluster`.
         """
         ekey, event = self.window.oldest_item()
-        bucket = self._ml_by_edge.get(ekey)
-        if bucket:
-            arena = self._ml_arena
-            matches = [
-                arena[mid] for mid in sorted(bucket, key=self._ml_keys.__getitem__)
-            ]
-        else:
-            matches = []
+        arena = self._ml_arena
+        mids = self.matchlist._mids_with_edge(ekey)
+        matches = [arena[mid] for mid in sorted(mids, key=self._ml_keys.__getitem__)]
         return Eviction(event=event, matches=matches, ekey=ekey)
 
     def remove_cluster(self, ekeys: Iterable[int]) -> List[EdgeEvent]:
         """Remove assigned edges from the window and drop every match that
         contains any of them (Sec. 4: those matches lost constituent edges)."""
-        by_edge = self._ml_by_edge
-        doomed: Set[int] = set()
-        for ekey in ekeys:
-            bucket = by_edge.get(ekey)
-            if bucket:
-                doomed |= bucket
-        evict_mid = self.matchlist._evict_mid
-        for mid in sorted(doomed):
-            evict_mid(mid)
+        self.matchlist._evict_edges(ekeys)
         return self.window.remove_ekeys(ekeys)
 
     # ------------------------------------------------------------------

@@ -22,7 +22,7 @@ reports the delta against the old one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from repro.core.loom import LoomPartitioner
 from repro.graph.labelled_graph import Vertex
@@ -123,12 +123,11 @@ class _StickyLoom(LoomPartitioner):
 
         self.allocator._overlap_counts = sticky_counts  # type: ignore[method-assign]
 
-    def _place_now(self, v: Vertex, vid: int) -> None:
+    def _place_now(self, v: Vertex, vid: int, neighbor_ids: Iterable[int]) -> None:
         prev = self._previous.get(v)
         if prev is None or self.state.is_full(prev):
-            super()._place_now(v, vid)
+            super()._place_now(v, vid, neighbor_ids)
             return
-        neighbor_ids = self._adj.get(vid, set())
         choice = ldg_choose_ids(self.state, neighbor_ids)
         counts = self.state.neighbor_partition_counts(neighbor_ids)
         placed = counts[choice]

@@ -12,12 +12,13 @@ places their endpoints itself), so they do not displace older edges —
 exactly the behaviour described at the start of Sec. 4.
 
 The window runs entirely on interned integer ids: edges are keyed by
-packed id pairs (:func:`~repro.graph.interning.pack_edge`), the window
-"graph" is an id-keyed adjacency, and — since the motif-plan compile — the
-id → label map holds **label ids** from a shared
+packed id pairs (:func:`~repro.graph.interning.pack_edge`) and — since the
+motif-plan compile — the id → label map holds **label ids** from a shared
 :class:`~repro.graph.interning.LabelInterner`, so label comparisons and the
-matcher's delta probes are integer operations.  Vertex objects and label
-strings appear only inside the buffered
+matcher's delta probes are integer operations.  Per vertex the window keeps
+only its label and how many buffered edges touch it (zero means it has left
+``Ptemp``): nobody reads a window vertex's neighbours, so none are kept.
+Vertex objects and label strings appear only inside the buffered
 :class:`~repro.graph.stream.EdgeEvent`\\ s (the allocator needs them back at
 the public boundary), in error messages, and in :meth:`to_labelled_graph`,
 the materialised view used by snapshot queries and tests.  Nothing in here
@@ -36,8 +37,8 @@ silently.  The same check rejects an edge that relabels a vertex already
 held by the window, mirroring :class:`~repro.graph.labelled_graph.LabelledGraph`'s
 immutable-label rule.  Caller-supplied vertex ids are bounds-checked
 against the interner: an id the interner never handed out would silently
-corrupt the id → label map and the adjacency, so it raises ``ValueError``
-naming the offending id instead.
+corrupt the id → label map, so it raises ``ValueError`` naming the offending
+id instead.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ class LabelConflictError(ValueError):
 class SlidingWindow:
     """A fixed-capacity FIFO of edge events plus their graph (``Ptemp``)."""
 
-    __slots__ = ("capacity", "interner", "labels", "_events", "_adj", "_labels")
+    __slots__ = ("capacity", "interner", "labels", "_events", "_degree", "_labels")
 
     def __init__(
         self,
@@ -75,7 +76,8 @@ class SlidingWindow:
         #: window owns a private one.
         self.labels = labels if labels is not None else LabelInterner()
         self._events: Dict[int, EdgeEvent] = {}  # ekey -> event, insertion-ordered
-        self._adj: Dict[int, Set[int]] = {}
+        # Both keyed by exactly the vertex ids some buffered edge touches.
+        self._degree: Dict[int, int] = {}  # vertex id -> buffered edges at it
         self._labels: Dict[int, int] = {}  # vertex id -> label id
 
     # ------------------------------------------------------------------
@@ -153,9 +155,9 @@ class SlidingWindow:
             labels[uid] = lu
         if held_v is None:
             labels[vid] = lv
-        adj = self._adj
-        adj.setdefault(uid, set()).add(vid)
-        adj.setdefault(vid, set()).add(uid)
+        degree = self._degree
+        degree[uid] = degree.get(uid, 0) + 1
+        degree[vid] = degree.get(vid, 0) + 1
         return ekey
 
     def remove_ekeys(self, ekeys: Set[int]) -> List[EdgeEvent]:
@@ -167,22 +169,20 @@ class SlidingWindow:
         may receive ``ekeys`` as a set); unknown keys are ignored.
         """
         removed: List[EdgeEvent] = []
-        adj = self._adj
+        degree = self._degree
         labels = self._labels
         for ekey in sorted(ekeys):
             event = self._events.pop(ekey, None)
             if event is None:
                 continue
             removed.append(event)
-            uid, vid = unpack_edge(ekey)
-            for a, b in ((uid, vid), (vid, uid)):
-                nbrs = adj.get(a)
-                if nbrs is None:
-                    continue
-                nbrs.discard(b)
-                if not nbrs:
-                    del adj[a]
-                    del labels[a]
+            for vid in unpack_edge(ekey):
+                left = degree[vid] - 1
+                if left:
+                    degree[vid] = left
+                else:
+                    del degree[vid]
+                    del labels[vid]
         return removed
 
     # ------------------------------------------------------------------
@@ -207,11 +207,10 @@ class SlidingWindow:
 
     def has_vertex_id(self, vid: int) -> bool:
         """O(1): does any window edge touch id ``vid``?"""
-        return vid in self._adj
+        return vid in self._labels
 
     def degree_id(self, vid: int) -> int:
-        nbrs = self._adj.get(vid)
-        return len(nbrs) if nbrs is not None else 0
+        return self._degree.get(vid, 0)
 
     def label_id(self, vid: int) -> int:
         """The *label id* of a window vertex (an id in :attr:`labels`);
@@ -232,7 +231,7 @@ class SlidingWindow:
 
     @property
     def num_vertices(self) -> int:
-        return len(self._adj)
+        return len(self._labels)
 
     def __len__(self) -> int:
         return len(self._events)

@@ -23,9 +23,10 @@ from typing import Iterable, Iterator, List
 from repro.graph.labelled_graph import Edge, LabelledGraph, Vertex, normalize_edge
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EdgeEvent:
-    """One element of a graph stream: an undirected labelled edge addition."""
+    """One element of a graph stream: an undirected labelled edge addition.
+    Slotted, no ``__dict__``: a stream is held as one event per edge."""
 
     u: Vertex
     u_label: str

@@ -9,6 +9,8 @@ suite's, historically) wins the ``sys.modules['conftest']`` slot.
 import random
 
 from repro.graph.labelled_graph import LabelledGraph
+from repro.query.pattern import path_pattern
+from repro.query.workload import Workload
 
 
 def make_random_labelled_graph(
@@ -32,3 +34,12 @@ def make_random_labelled_graph(
             g.add_edge(u, v)
             added += 1
     return g
+
+
+def random_path_workload(rng: random.Random, alphabet) -> Workload:
+    """2–4 path queries of 2–4 labels each, with random integer weights."""
+    entries = []
+    for i in range(rng.randint(2, 4)):
+        labels = [rng.choice(alphabet) for _ in range(rng.randint(2, 4))]
+        entries.append((path_pattern(labels, name=f"q{i}"), float(rng.randint(1, 10))))
+    return Workload(entries, name="random")

@@ -22,7 +22,7 @@ from dataclasses import asdict
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import make_random_labelled_graph
+from helpers import make_random_labelled_graph, random_path_workload
 from repro.core.loom import LoomPartitioner
 from repro.core.matching import StreamMatcher
 from repro.core.motifs import MotifIndex
@@ -202,14 +202,6 @@ def loom_observable(loom):
     )
 
 
-def _random_workload(rng: random.Random, alphabet) -> Workload:
-    entries = []
-    for i in range(rng.randint(2, 4)):
-        labels = [rng.choice(alphabet) for _ in range(rng.randint(2, 4))]
-        entries.append((path_pattern(labels, name=f"q{i}"), float(rng.randint(1, 10))))
-    return Workload(entries, name="random")
-
-
 @settings(max_examples=30, deadline=None)
 @given(
     seed=st.integers(0, 10_000),
@@ -225,7 +217,7 @@ def test_property_loom_total_bounded_and_batch_cut_independent(seed, window, k, 
     is assigned exactly once and no partition exceeds its capacity."""
     rng = random.Random(seed)
     alphabet = ("a", "b", "c", "d", "e")
-    workload = _random_workload(rng, alphabet)
+    workload = random_path_workload(rng, alphabet)
     graph = make_random_labelled_graph(50, 130, labels=alphabet, seed=seed)
     events = list(stream_edges(graph, ("bfs", "dfs", "random")[seed % 3], seed=seed))
 

@@ -1,5 +1,7 @@
 """Tests for the future-work extensions: restreaming, workload IO, CLI."""
 
+import hashlib
+
 import pytest
 
 from repro.core.restream import (
@@ -119,6 +121,18 @@ class TestRestream:
         result = restream(events, drifted, state, window_size=120)
         new_ipt = executor.execute(result.state).weighted_ipt
         assert new_ipt <= stale_ipt * 1.10
+
+    def test_sticky_placements_are_pinned(self, drift_setup):
+        """One golden assignment under a drifted workload, where the sticky
+        LDG choice decides a fifth of the vertices.  ``_place_now`` is
+        handed the neighbours it scores (it no longer looks them up), and
+        that must not move a placement: the digest predates the change."""
+        dataset, events, state = drift_setup
+        drifted = dataset.workload.reweighted({"attribution": 10.0})
+        result = restream(events, drifted, state, stickiness=3, window_size=120)
+        assert (result.moved_vertices, result.kept_vertices) == (180, 590)
+        digest = hashlib.sha256(repr(result.state.export_assignment()).encode()).hexdigest()
+        assert digest[:16] == "4d15e08170e510c3"
 
     def test_restream_until_stable(self, drift_setup):
         dataset, events, state = drift_setup

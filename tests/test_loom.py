@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.loom import LoomPartitioner
+from repro.datasets.registry import load_dataset
 from repro.graph.stream import EdgeEvent, stream_edges
 from repro.partitioning.state import PartitionState
 
@@ -163,6 +164,33 @@ class TestFullStream:
             loom.ingest_all(events)
             assignments.append(state.assignment())
         assert assignments[0] == assignments[1]
+
+    def test_adjacency_is_kept_for_motif_label_vertices_only_and_complete(self):
+        """``_adj`` holds a vertex iff its label occurs in a motif — a
+        vertex of any other label is placed at its first edge and never
+        asked about again — and what it holds is the vertex's whole seen
+        neighbourhood, non-motif neighbours included (the zero-bid
+        fallback and the neighbour-aware bids score all of it)."""
+        dataset = load_dataset("musicbrainz", 600, seed=2)
+        graph = dataset.graph
+        state = PartitionState.for_graph(4, graph.num_vertices)
+        loom = LoomPartitioner(state, dataset.workload, window_size=100)
+        loom.ingest_all(stream_edges(graph, "bfs", seed=2))
+        motif_labels = loom.plan.motif_labels
+        assert motif_labels < set(graph.label(v) for v in graph.vertices())
+        id_of = state.interner.id_of
+        expected = {
+            id_of(v): {id_of(w) for w in graph.neighbors(v)}
+            for v in graph.vertices()
+            if graph.label(v) in motif_labels and graph.degree(v)
+        }
+        assert loom._adj == expected
+        assert any(
+            graph.label(state.interner.vertex(w)) not in motif_labels
+            for nbrs in loom._adj.values()
+            for w in nbrs
+        )
+        assert state.num_assigned == graph.num_vertices
 
     def test_ablation_flags_accepted(self, fig1_workload):
         g = make_random_labelled_graph(num_vertices=40, num_edges=80, seed=9)

@@ -5,10 +5,12 @@ The matcher runs on interned ids; tests translate through
 """
 
 import hashlib
+import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from helpers import make_random_labelled_graph
+from helpers import make_random_labelled_graph, random_path_workload
 from repro.core.matching import Match, MatchList, StreamMatcher
 from repro.core.motifs import MotifIndex
 from repro.core.tpstry import TPSTry
@@ -238,6 +240,41 @@ class TestMatchInvariants:
         assert h.hexdigest()[:16] == digest
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    window=st.integers(1, 40),
+    cap=st.sampled_from((3, 64, 10**9)),
+)
+def test_property_matches_of_an_edge_are_read_off_its_endpoints(seed, window, cap):
+    """The matchList keeps no edge index: "the matches containing this
+    edge" is derived from the two endpoints' vertex buckets.  Random
+    workloads × streams × window sizes, under a cap that binds, the default
+    and none: after every ``offer``, for every window edge, the derived
+    set equals a brute-force scan of all live matches, and the eviction
+    candidate's ``matches`` is that set in sort-key order."""
+    rng = random.Random(seed)
+    alphabet = ("a", "b", "c", "d")
+    workload = random_path_workload(rng, alphabet)
+    graph = make_random_labelled_graph(40, 110, labels=alphabet, seed=seed)
+    m = build_matcher(workload, window, max_matches_per_vertex=cap)
+    for event in stream_edges(graph, ("bfs", "dfs", "random")[seed % 3], seed=seed):
+        if not m.offer(event):
+            continue
+        live = m.matchlist.all_matches()
+        for ekey in m.window.edges():
+            scanned = {match for match in live if ekey in match.edges}
+            assert scanned, "every window edge keeps at least its single-edge match"
+            assert m.matchlist.matches_containing_edge(ekey) == scanned
+        eviction = m.next_eviction()
+        assert set(eviction.matches) == {x for x in live if eviction.ekey in x.edges}
+        assert len(eviction.matches) == len(set(eviction.matches))
+        keys = [match.sort_key() for match in eviction.matches]
+        assert keys == sorted(keys)
+        while m.needs_eviction():
+            m.remove_cluster(m.next_eviction().matches[0].edges)
+
+
 def _sized_containers(obj, path, seen, out):
     """``(attribute path, len)`` of every container reachable from ``obj``
     through objects of this package (builtin containers are leaves)."""
@@ -306,6 +343,48 @@ class TestBoundedState:
         assert peak == loom.stats["deferred_peak"] <= 10 * capacity
         loom.finalize()
         assert not loom._parked
+
+
+    def test_loom_keeps_no_neighbours_it_never_reads(self, fig5_workload):
+        """Two of Loom's structures used to store the stream again.  A
+        vertex whose label occurs in no motif is placed at its first edge
+        and never looked at again, so 150 × capacity of them leave the
+        seen adjacency empty; and the window keeps a label and an edge
+        count per vertex it holds — no neighbour set — so everything it
+        owns stays O(capacity).  (Its interner is the partition state's:
+        O(vertices) by design, not the window's to bound.)"""
+        from repro.core.loom import LoomPartitioner
+        from repro.partitioning.state import PartitionState
+
+        capacity = 40
+        fresh = 150 * capacity
+        graph = make_random_labelled_graph(2 * capacity, 5 * capacity, seed=8)
+        state = PartitionState.for_graph(4, fresh + graph.num_vertices)
+        loom = LoomPartitioner(state, fig5_workload, window_size=capacity)
+        assert not {"x", "y"} & loom.plan.motif_labels
+        for i in range(0, fresh, 2):
+            loom.ingest(EdgeEvent(("x", i), "x", ("y", i + 1), "y"))
+        assert state.num_assigned == fresh
+        assert len(loom._adj) == 0
+
+        for event in stream_edges(graph, "bfs", seed=8):
+            loom.ingest(event)
+        window = loom.matcher.window
+        assert len(window) == capacity
+        assert 0 < len(loom._adj) <= graph.num_vertices
+        sizes = []
+        _sized_containers(window, "window", set(), sizes)
+        owned = [(path, n) for path, n in sizes if not path.startswith("window.interner")]
+        assert {"window._events", "window._labels"} <= {path for path, _ in owned}
+        oversized = [(path, n) for path, n in owned if n > 10 * capacity]
+        assert not oversized, oversized
+        per_vertex_containers = [
+            name
+            for name in window.__slots__
+            if isinstance(getattr(window, name), dict)
+            and any(hasattr(value, "__len__") for value in getattr(window, name).values())
+        ]
+        assert per_vertex_containers == []
 
 
 class TestMatchAndMatchList:

@@ -322,16 +322,28 @@ class TestComponentBinding:
         assert partitioner._obs_batches is NULL_COUNTER
         assert partitioner._obs_events is NULL_COUNTER
         assert partitioner._obs_window_fill is NULL_GAUGE
+        assert partitioner._obs_matchlist_fill is NULL_GAUGE
+        assert partitioner._obs_adjacency is NULL_GAUGE
         assert partitioner._trace is NULL_TRACER
         assert partitioner._trace_on is False
 
     def test_loom_populates_snapshot_when_enabled(self, dataset):
         obs.enable()
-        _loom_over(dataset)
+        _, partitioner = _loom_over(dataset)
         snap = obs.snapshot()
         assert snap["loom.ingest.batches"] >= 1
         assert snap["loom.ingest.events"] == dataset.graph.num_edges
         assert snap["loom.window.high_water"] > 0
+        # Resident state: the matchList's high-water mark, and the size of
+        # the one structure that grows with the stream (the seen adjacency
+        # of motif-label vertices; never more than the vertices seen).
+        assert snap["loom.matchlist.high_water"] > 0
+        assert (
+            0
+            < snap["loom.adjacency.vertices"]
+            == len(partitioner._adj)
+            <= dataset.graph.num_vertices
+        )
         # Collectors pull the matcher/partitioner stat dicts lazily.
         assert any(key.startswith("loom.matcher.") for key in snap)
         assert any(key.startswith("loom.partitioner.") for key in snap)
@@ -382,6 +394,8 @@ class TestComponentBinding:
         obs.enable(trace=True)
         traced_state, _ = _loom_over(dataset)
         assert baseline_state.export_assignment() == traced_state.export_assignment()
+        # ... with the batch-granular gauges actually recording.
+        assert obs.snapshot()["loom.matchlist.high_water"] > 0
 
 
 class TestCliSurfaces:

@@ -1,6 +1,7 @@
 """Unit and property tests for graph streams and their orderings."""
 
 import hashlib
+import pickle
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -35,6 +36,22 @@ class TestEdgeEvent:
 
     def test_label_pair_sorted(self):
         assert EdgeEvent(1, "z", 2, "a").label_pair() == ("a", "z")
+
+    def test_slotted_frozen_and_picklable(self):
+        """A stream is one event per edge, so an event carries no
+        ``__dict__``; it stays immutable, hashable by value and able to
+        cross a process boundary (the sharded runtime ships events)."""
+        ev = EdgeEvent(1, "a", ("v", 2), "b")
+        assert not hasattr(ev, "__dict__")
+        with pytest.raises(AttributeError):
+            ev.u = 9
+        with pytest.raises((AttributeError, TypeError)):
+            ev.weight = 1.0
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(ev, protocol)) == ev
+        twin = EdgeEvent(1, "a", ("v", 2), "b")
+        assert ev == twin and hash(ev) == hash(twin)
+        assert repr(ev) == "EdgeEvent(u=1, u_label='a', v=('v', 2), v_label='b')"
 
 
 @pytest.mark.parametrize("order", ["bfs", "dfs", "random"])

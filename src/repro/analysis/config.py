@@ -21,7 +21,7 @@ How to scope a new module
   into ordered results, :data:`ORDERING_SENSITIVE_MODULES` (DET-setiter).
 * Accumulates floats whose order affects the result?  Add it to
   :data:`FP_ACCUM_MODULES` (FLT-accum).
-* Crosses the worker process boundary?  :data:`MP_PICKLE_MODULES`.
+* Crosses the process boundary?  :data:`MP_PICKLE_MODULES`.
 * Lives below the interning boundary?  :data:`INT_BOUNDARY_MODULES`.
 
 DET-random and DET-time apply *everywhere* by default and instead list
@@ -85,7 +85,7 @@ FP_ACCUM_MODULES: Tuple[str, ...] = (
 
 #: The process boundary: only wire types from runtime/messages.py, ids and
 #: primitives may cross it (PR 4's deadlock class: an unpicklable payload
-#: kills the worker mid-put and the driver used to hang).
+#: kills the sender mid-put and its peer hangs).
 MP_PICKLE_MODULES: Tuple[str, ...] = ("src/repro/runtime/*",)
 
 #: Below the interning boundary vertices are dense ints; keying a dict by

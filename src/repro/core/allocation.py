@@ -31,7 +31,6 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.core.matching import Match
-from repro.graph.labelled_graph import Vertex
 from repro.partitioning.state import PartitionState
 
 FallbackChooser = Callable[[Set[int]], int]
@@ -80,7 +79,6 @@ class EqualOpportunism:
         balance_cap: float = DEFAULT_BALANCE_CAP,
         rationing_enabled: bool = True,
         support_weighting: bool = True,
-        neighbor_fn: Optional[Callable[[Vertex], Iterable[Vertex]]] = None,
         neighbor_ids_fn: Optional[Callable[[int], Iterable[int]]] = None,
     ) -> None:
         if not 0.0 < alpha <= 1.0:
@@ -103,9 +101,7 @@ class EqualOpportunism:
         # vertices *plus* edges from the match into Si — the "most incident
         # edges" reading of Sec. 4's naive strategy; without one it counts
         # only the match's own assigned vertices (the literal Eq. 1).
-        # ``neighbor_ids_fn`` is the interned-id twin (Loom passes its id
-        # adjacency here); ``neighbor_fn`` stays for vertex-keyed callers.
-        self.neighbor_fn = neighbor_fn
+        # Loom's neighbour-aware ablation passes its id adjacency here.
         self.neighbor_ids_fn = neighbor_ids_fn
 
     # ------------------------------------------------------------------
@@ -164,21 +160,6 @@ class EqualOpportunism:
                             p = assignment[wid]
                             if p >= 0:
                                 counts[p] += 1
-        elif self.neighbor_fn is not None:
-            # Vertex-keyed twin for boundary callers (ablation harnesses):
-            # resolve ids to objects once per match, not per partition.
-            vertex = self.state.interner.vertex
-            partition_of = self.state.partition_of
-            resolved = [vertex(vid) for vid in match_ids]
-            match_vertices = set(resolved)
-            seen: Set[Vertex] = set()
-            for v in resolved:
-                for w in self.neighbor_fn(v):
-                    if w not in match_vertices and w not in seen:
-                        seen.add(w)
-                        p = partition_of(w)
-                        if p is not None:
-                            counts[p] += 1
         return counts
 
     def bid(self, partition: int, match: Match) -> float:
@@ -248,7 +229,7 @@ class EqualOpportunism:
         scored = max(max(prefix_lengths), 1)
         residuals = [max(0.0, 1.0 - size / capacity) for size in sizes]
         support_weighting = self.support_weighting
-        sparse_overlaps = self.neighbor_ids_fn is None and self.neighbor_fn is None
+        sparse_overlaps = self.neighbor_ids_fn is None
         overlap_counts = self._overlap_counts
         assignment = self._assignment
         n = len(assignment)

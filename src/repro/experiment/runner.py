@@ -17,8 +17,8 @@ Execution contract, in order of importance:
   readers never depend on insertion order across trials.
 
 Worker processes are plain ``multiprocessing.Process`` (never a daemonic
-pool: a trial may spawn processes of its own — a sharded run, a live
-cluster — which daemons may not).  The parent is the only DB writer.
+pool: a trial may spawn processes of its own — a live cluster — which
+daemons may not).  The parent is the only DB writer.
 """
 
 from __future__ import annotations

@@ -214,10 +214,9 @@ def batched(events: Iterable[EdgeEvent], batch_size: int) -> Iterator[List[EdgeE
     the stream order exactly, so driving a partitioner batch by batch
     (:meth:`~repro.partitioning.base.StreamingPartitioner.ingest_batch`)
     is equivalent to driving it event by event.  This is the public helper
-    for callers driving ``ingest_batch`` by hand; the sharded runtime's
-    driver keeps its own per-shard buffers (it must route each event
-    first) with the same order-preserving semantics.  The final batch may
-    be shorter and empty streams yield nothing.
+    for callers driving ``ingest_batch`` by hand (the reference benchmark,
+    a live cluster's ingest rounds).  The final batch may be shorter and
+    empty streams yield nothing.
     """
     if batch_size < 1:
         raise ValueError("batch_size must be at least 1")

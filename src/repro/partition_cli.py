@@ -10,16 +10,14 @@ Example::
     python -m repro.partition_cli graph.txt --workload queries.txt \
         --system loom --k 8 --order random --window 1000 --out assignment.tsv
 
-``--shards N`` (N > 1) runs the same partitioning through the sharded
-multi-process runtime (:mod:`repro.runtime`): deterministic edge routing
-to N workers, each running a full ``--system`` partitioner over its shard,
-merged back into one assignment (``--merge-rule``).
-
 ``--serve N`` runs a closed-loop traffic benchmark *through* the produced
 partitioning (:mod:`repro.serving`): N frequency-weighted ``(query,
 root)`` requests routed to start partitions (``--router``), expanded
 partition-locally with hop accounting, optionally cached and Zipf-skewed
 (``--zipf``); reports queries/s, p50/p95/p99 latency and hops/query.
+``--serve-shards N`` serves the same traffic through N live shard-server
+processes (:class:`repro.runtime.LiveCluster`), where every hop is a
+message.
 """
 
 from __future__ import annotations
@@ -38,7 +36,6 @@ from repro.partitioning.metrics import partition_quality_summary
 from repro.partitioning.state import PartitionState
 from repro.query.executor import WorkloadExecutor
 from repro.query.io import read_workload
-from repro.runtime import DEFAULT_BATCH_SIZE, available_merge_rules, run_sharded
 from repro.serving import ServingEngine, TrafficDriver
 from repro.serving.router import available_routers
 
@@ -59,26 +56,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--threshold", type=float, default=0.4, help="motif support threshold T")
     parser.add_argument("--imbalance", type=float, default=1.1, help="capacity slack (= b = nu)")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        help="worker processes; >1 runs the sharded runtime (deterministic "
-        "edge routing, per-shard partitioners, merged result)",
-    )
-    parser.add_argument(
-        "--batch-size",
-        type=int,
-        default=DEFAULT_BATCH_SIZE,
-        help="events per queue message on sharded runs (--shards > 1); "
-        "placements do not depend on it",
-    )
-    parser.add_argument(
-        "--merge-rule",
-        choices=available_merge_rules(),
-        default="lowest-shard",
-        help="cross-shard conflict resolution (sharded runs only)",
-    )
     parser.add_argument("--out", help="write 'vertex<TAB>partition' lines here")
     parser.add_argument("--execute", action="store_true", help="also execute the workload and report ipt")
     parser.add_argument(
@@ -164,6 +141,13 @@ def main(argv: Optional[list] = None) -> int:
     if args.serve and not args.workload:
         print("error: --serve requires --workload", file=sys.stderr)
         return 2
+    if args.execute and not args.workload:
+        print("error: --execute requires --workload", file=sys.stderr)
+        return 2
+    live = bool(args.serve) and args.serve_shards > 0
+    if live and args.inflight < 1:
+        print("error: --inflight must be at least 1", file=sys.stderr)
+        return 2
 
     graph = read_graph(args.graph)
     workload = read_workload(args.workload) if args.workload else None
@@ -171,87 +155,30 @@ def main(argv: Optional[list] = None) -> int:
     if workload is not None:
         print(f"workload: {workload}", file=sys.stderr)
 
-    if args.shards < 1:
-        print("error: --shards must be at least 1", file=sys.stderr)
-        return 2
-    if args.batch_size < 1:
-        print("error: --batch-size must be at least 1", file=sys.stderr)
-        return 2
-
     window = args.window if args.window is not None else scaled_window(graph)
     loom_kwargs = {"support_threshold": args.threshold} if args.system == "loom" else {}
-    events = stream_edges(graph, args.order, seed=args.seed)
-
-    if args.shards == 1:
-        # The established single-process path (also what a sharded run with
-        # one worker reproduces bit for bit — tests/test_runtime.py).
-        state = PartitionState.for_graph(args.k, graph.num_vertices, args.imbalance)
-        partitioner = registry.create(
-            args.system,
-            state,
-            graph=graph,
-            workload=workload,
-            window_size=window,
-            seed=args.seed,
-            **loom_kwargs,
-        )
-        partitioner.ingest_all(events)
-        matcher = getattr(partitioner, "matcher", None)
-        matcher_stats = matcher.stats.as_dict() if matcher is not None else None
-        partitioner_stats = dict(getattr(partitioner, "stats", {}))
-    else:
-        result = run_sharded(
-            events,
-            system=args.system,
-            num_shards=args.shards,
-            k=args.k,
-            expected_vertices=graph.num_vertices,
-            expected_edges=graph.num_edges,
-            workload=workload,
-            window_size=window,
-            imbalance=args.imbalance,
-            seed=args.seed,
-            batch_size=args.batch_size,
-            merge=args.merge_rule,
-            **loom_kwargs,
-        )
-        state = result.state
-        print(
-            f"shards: {args.shards}, edges per shard {result.shard_edge_counts()}, "
-            f"shared vertices {result.merge.shared_vertices}, "
-            f"conflicts resolved {result.merge.conflicts} ({args.merge_rule})",
-            file=sys.stderr,
-        )
-        print(
-            f"aggregate: {result.aggregate_edges_per_second:,.0f} edges/s "
-            f"({result.edges} edges in {result.wall_seconds:.2f}s)",
-            file=sys.stderr,
-        )
-        matcher_stats = None
-        partitioner_stats = {}
-        if args.stats:
-            shard_tree = {
-                f"shard{shard.shard_id}": {
-                    "matcher": shard.matcher_stats or {},
-                    "partitioner": shard.partitioner_stats,
-                    "queue_wait_seconds": round(shard.queue_wait_seconds, 4),
-                }
-                for shard in result.shard_results
-            }
-            print_stats(shard_tree)
+    state = PartitionState.for_graph(args.k, graph.num_vertices, args.imbalance)
+    partitioner = registry.create(
+        args.system,
+        state,
+        graph=graph,
+        workload=workload,
+        window_size=window,
+        seed=args.seed,
+        **loom_kwargs,
+    )
+    partitioner.ingest_all(stream_edges(graph, args.order, seed=args.seed))
 
     quality = partition_quality_summary(graph, state)
     for key, value in quality.items():
         print(f"{key}: {value:g}", file=sys.stderr)
     if args.stats:
-        tree: dict = {"partitioner": partitioner_stats}
-        if matcher_stats is not None:
-            tree["matcher"] = matcher_stats
+        tree: dict = {"partitioner": dict(getattr(partitioner, "stats", {}))}
+        matcher = getattr(partitioner, "matcher", None)
+        if matcher is not None:
+            tree["matcher"] = matcher.stats.as_dict()
         print_stats(tree)
     if args.execute:
-        if workload is None:
-            print("error: --execute requires --workload", file=sys.stderr)
-            return 2
         report = WorkloadExecutor(graph, workload).execute(state, args.system)
         print(f"weighted_ipt: {report.weighted_ipt:g}", file=sys.stderr)
         print(f"ipt_fraction: {report.ipt_fraction:g}", file=sys.stderr)
@@ -260,16 +187,13 @@ def main(argv: Optional[list] = None) -> int:
         if report.capped or args.stats:
             names = ", ".join(report.capped_queries) if report.capped else "none"
             print(f"executor.capped_queries: {names}", file=sys.stderr)
-    if args.serve and args.serve_shards > 0:
+    if live:
         # Live mode: the same traffic stream, but against real shard-server
         # processes — every cross-partition hop is an actual message, so
         # --hop-cost-us does not apply (nothing is modelled).
         from repro.runtime.live import LiveCluster
         from repro.serving.traffic import LiveTrafficDriver
 
-        if args.inflight < 1:
-            print("error: --inflight must be at least 1", file=sys.stderr)
-            return 2
         with LiveCluster(
             graph,
             state,

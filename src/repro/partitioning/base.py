@@ -39,7 +39,7 @@ class StreamingPartitioner(abc.ABC):
         """Consume a batch of events; returns how many were ingested.
 
         Semantically identical to calling :meth:`ingest` per event —
-        batches exist so drivers (the sharded runtime, bulk loaders) can
+        batches exist so drivers (the live cluster, bulk loaders) can
         amortise dispatch overhead, and so subclasses can bind their hot
         locals once per batch instead of once per event (Loom overrides
         this).  ``finalize`` is *not* called: a batch is a stream segment,
@@ -65,8 +65,7 @@ class StreamingPartitioner(abc.ABC):
         Delegating to :meth:`ingest_batch` keeps a single ingest loop (and
         a single ``edges_ingested`` accounting point, flushed even when an
         event raises mid-stream) and gives every caller a subclass's batch
-        fast path — Loom's hoisted-binds override serves the single-process
-        path and the sharded workers alike.
+        fast path (Loom's hoisted-binds override).
         """
         self.ingest_batch(events)
         self.finalize()

@@ -74,18 +74,16 @@ class PartitionState:
         k: int,
         expected_vertices: int,
         imbalance: float = 1.1,
-        interner: Optional[VertexInterner] = None,
     ) -> "PartitionState":
         """Capacity = ``imbalance · n / k``, the convention used throughout.
 
-        This classmethod owns that formula: workers, the harness and the
-        sharded merge all size their states here, so they can never drift
-        apart.  ``interner`` is forwarded for states that must share an id
-        space (the merged global state uses the driver's router interner).
+        This classmethod owns that formula: the CLI, the harness and the
+        benchmarks all size their states here, so they can never drift
+        apart.
         """
         if expected_vertices < 1:
             raise ValueError("expected_vertices must be positive")
-        return cls(k, math.ceil(imbalance * expected_vertices / k), interner=interner)
+        return cls(k, math.ceil(imbalance * expected_vertices / k))
 
     # ------------------------------------------------------------------
     # Interning boundary
@@ -279,14 +277,13 @@ class PartitionState:
         }
 
     # ------------------------------------------------------------------
-    # Export / merge boundary (sharded runtime)
+    # Export boundary
     # ------------------------------------------------------------------
     def export_ids(self) -> List[Tuple[int, int]]:
         """All placed ``(vertex_id, partition)`` pairs, in id order.
 
         Id order is first-seen order, so for a fixed stream the export is
-        deterministic — the property the sharded runtime's merge step
-        relies on.
+        deterministic.
         """
         return [
             (vid, p) for vid, p in enumerate(self._assignment) if p != UNASSIGNED
@@ -295,9 +292,9 @@ class PartitionState:
     def export_assignment(self) -> List[Tuple[Vertex, int]]:
         """All placed ``(vertex, partition)`` pairs, in id order.
 
-        The vertex-keyed twin of :meth:`export_ids`: this is what a shard
-        worker ships back across the process boundary, where local ids
-        mean nothing but vertex objects are universal.
+        The vertex-keyed twin of :meth:`export_ids`, for comparing or
+        digesting assignments across states whose interners differ — local
+        ids mean nothing outside one state, vertex objects are universal.
         """
         vertex = self.interner.vertex
         return [
@@ -305,20 +302,6 @@ class PartitionState:
             for vid, p in enumerate(self._assignment)
             if p != UNASSIGNED
         ]
-
-    def bulk_assign(self, pairs: Iterable[Tuple[Vertex, int]]) -> None:
-        """Apply many ``(vertex, partition)`` placements at once.
-
-        Each placement goes through :meth:`assign`, so the permanence rule
-        holds: re-asserting an existing placement is a no-op, contradicting
-        one raises.  This is the generic import half of the
-        :meth:`export_assignment` round trip — for replaying an externally
-        produced assignment into a fresh state.  (The sharded merge itself
-        resolves conflicts first and assigns by id; see
-        :func:`repro.runtime.merge.merge_shard_results`.)
-        """
-        for v, p in pairs:
-            self.assign(v, p)
 
     @property
     def num_assigned(self) -> int:

@@ -1,66 +1,32 @@
-"""Sharded multi-process streaming runtime.
+"""The live ingest-and-serve cluster — the one multi-process harness.
 
-The first scale-out layer of the reproduction: N worker processes, each
-owning a full partitioner from the registry over a deterministic shard of
-the edge stream, fed in batches through bounded queues, merged into one
-global :class:`~repro.partitioning.state.PartitionState`.
+:class:`LiveCluster` is the only thing in this package that starts a
+process: one driver owns the streaming partitioner, plan compilation and
+routing; ``num_shards`` long-lived shard servers (:mod:`repro.runtime.server`)
+own the adjacency and the result-cache slice of the partitions with
+``p % num_shards == shard_id`` (:func:`shard_of_partition`).  Everything
+that crosses a queue is declared in :mod:`repro.runtime.messages`; a dead
+or failed server surfaces as :class:`ShardProcessError`
+(:mod:`repro.runtime.liveness`).
 
-Quickstart (see ``examples/sharded_ingest.py`` for a narrated version)::
+Quickstart (see ``examples/live_serving.py`` for a narrated version)::
 
-    from repro.runtime import run_sharded
+    from repro.runtime import LiveCluster
 
-    result = run_sharded(
-        stream_edges(graph, "bfs"),
-        system="ldg", num_shards=4, k=8,
-        expected_vertices=graph.num_vertices,
-        expected_edges=graph.num_edges,
-    )
-    result.state                      # merged global PartitionState
-    result.aggregate_edges_per_second # end-to-end throughput
+    with LiveCluster(graph, state, workload, num_shards=2) as cluster:
+        report = cluster.execute_workload("loom")  # hops are real messages
+        cluster.stats()  # queue depths, per-shard ServerStats
 """
 
-from repro.runtime.driver import (
-    DEFAULT_BATCH_SIZE,
-    DEFAULT_QUEUE_DEPTH,
-    ShardedRunResult,
-    run_sharded,
-)
-from repro.runtime.merge import (
-    MergeOutcome,
-    available_merge_rules,
-    merge_shard_results,
-    register_merge_rule,
-)
 from repro.runtime.live import LiveCluster, shard_of_partition
 from repro.runtime.liveness import ShardProcessError, describe_exit
-from repro.runtime.messages import (
-    SCHEMA_VERSION,
-    GraphTotals,
-    ServerStats,
-    ShardResult,
-    WorkerSpec,
-)
-from repro.runtime.sharding import ShardRouter, mix64, shard_of_edge
+from repro.runtime.messages import SCHEMA_VERSION, ServerStats
 
 __all__ = [
-    "DEFAULT_BATCH_SIZE",
-    "DEFAULT_QUEUE_DEPTH",
-    "GraphTotals",
     "LiveCluster",
-    "MergeOutcome",
     "SCHEMA_VERSION",
     "ServerStats",
     "ShardProcessError",
-    "ShardedRunResult",
-    "ShardResult",
-    "ShardRouter",
-    "WorkerSpec",
-    "available_merge_rules",
     "describe_exit",
-    "merge_shard_results",
-    "mix64",
-    "register_merge_rule",
-    "run_sharded",
-    "shard_of_edge",
     "shard_of_partition",
 ]

@@ -1,11 +1,11 @@
-"""Process-liveness diagnostics shared by the batch driver and live cluster.
+"""Process-liveness diagnostics of the live cluster.
 
-PR 4's failure contract was: a worker that *raises* posts a
-:class:`~repro.runtime.messages.WorkerFailure` and the driver re-raises it
-with the remote traceback.  The gap was everything that dies without
-raising — OOM kills, SIGKILL'd processes, hard crashes — which used to
-surface as a bare "worker died mid-stream" ``RuntimeError`` or, worse, a
-timeout.  This module is the shared vocabulary for closing that gap:
+The failure contract: a shard server that *raises* posts a
+:class:`~repro.runtime.messages.ServerFailure` and the driver re-raises it
+with the remote traceback.  The gap is everything that dies without
+raising — OOM kills, SIGKILL'd processes, hard crashes — which would
+otherwise surface as a bare ``RuntimeError`` or, worse, a timeout.  This
+module is the vocabulary for closing that gap:
 
 * :class:`ShardProcessError` carries the shard id, the remote traceback
   (when one was reported) and the process post-mortem, so callers can
@@ -64,7 +64,7 @@ def describe_exit(process) -> str:
 
 
 def raise_failure(failure) -> None:
-    """Re-raise a reported Worker/ServerFailure with its remote traceback."""
+    """Re-raise a reported ServerFailure with its remote traceback."""
     raise ShardProcessError(
         failure.shard_id,
         f"shard process failed: {failure.error}",

@@ -1,30 +1,9 @@
-"""Wire types of the sharded runtime.
+"""Wire types of the live cluster.
 
-Everything that crosses the driver ↔ worker process boundary is defined
-here, so the protocol is visible in one place:
-
-* **Batches** travel driver → worker as plain lists of
-  ``(u, u_label, v, v_label)`` tuples — the fields of an
-  :class:`~repro.graph.stream.EdgeEvent`, carrying the *original* vertex
-  objects.  Shipping objects (not interner ids) is deliberate: the hash
-  partitioner places by a stable hash of the vertex's own repr, so a
-  worker that saw ids instead of objects would place differently than the
-  single-process path.  Vertices must therefore be picklable (ints,
-  strings, tuples — anything a dataset realistically uses).
-* ``None`` is the end-of-stream sentinel on a worker's input queue (and
-  on both queues of a live shard server).
-* :class:`WorkerSpec` tells a worker how to build its partitioner — the
-  registry name plus everything `registry.create` wants.  Stream-level
-  totals (``expected_vertices`` / ``expected_edges``) are *global*: Fennel's
-  α and every capacity are computed from the whole stream's shape, not the
-  shard's, so all workers price balance identically.
-* :class:`ShardResult` travels worker → driver exactly once: the shard's
-  assignment slice (vertex-keyed — local interner ids mean nothing
-  outside the worker), matcher/partitioner counters and timings.
-* :class:`WorkerFailure` replaces the result when a worker dies; the
-  driver re-raises it as a ``RuntimeError`` instead of hanging.
-
-The **live serving** protocol (PR 8) adds the shard-server message set:
+Everything that crosses the driver ↔ shard-server process boundary is
+defined here, so the protocol is visible in one place.  ``None``
+(:data:`END_OF_STREAM`) is the shutdown sentinel on both queues of a
+shard server; every other message is one of the classes below:
 :class:`ServeSpec` boots a server; :class:`EdgeUpdate` /
 :class:`InvalidationHops` / :class:`IngestAck` run the barriered ingest
 round (edge rows in, cache-invalidation wave forwards out);
@@ -33,8 +12,14 @@ the distributed embedding DFS (a reply's segments interleave literal
 results with :class:`~repro.serving.execution.Continuation` handoffs);
 :class:`CachePut` writes a driver-assembled multi-shard result back to
 the root owner's cache, epoch-guarded by the ingest sequence number;
-:class:`StatsRequest` / :class:`ServerStats` snapshot a server;
-:class:`ServerFailure` is the live twin of :class:`WorkerFailure`.
+:class:`StatsRequest` / :class:`ServerStats` snapshot a server,
+:class:`StatsReport` is its unsolicited periodic twin; and
+:class:`ServerFailure` replaces a reply when a server raises — the driver
+re-raises it (:mod:`repro.runtime.liveness`) instead of hanging.
+
+Rows carry interner ids, label ids and partitions, never vertex objects:
+the driver owns the one interner, so an id means the same thing in every
+process.
 
 Wire discipline (enforced by ``tests/test_live_serving.py`` and the
 detlint ``MP-pickle`` rule): every message class has ``__slots__``,
@@ -57,19 +42,14 @@ technique — nothing is reflected per call), so adding a field is one row.
 from __future__ import annotations
 
 import reprlib
-from typing import Dict, List, Optional, Tuple
-
-from repro.graph.labelled_graph import Vertex
+from typing import Dict, List, Tuple
 
 #: Version of the wire protocol defined by this module.  Bump on any
 #: field change; :func:`check_schema` rejects mismatched peers.
 SCHEMA_VERSION = 5
 
-#: End-of-stream sentinel on a worker input queue.
+#: Shutdown sentinel on both input queues of a shard server.
 END_OF_STREAM = None
-
-#: One batch row: the four fields of an EdgeEvent.
-BatchRow = Tuple[Vertex, str, Vertex, str]
 
 
 def check_schema(message: object) -> None:
@@ -84,10 +64,6 @@ def check_schema(message: object) -> None:
 
 #: ``default`` of a field the constructor requires.
 REQUIRED = object()
-
-
-def _dict_or_empty(value: Optional[Dict[str, object]]) -> Dict[str, object]:
-    return value if value is not None else {}
 
 
 def _derive_methods(cls: type, fields: Tuple[Tuple[str, object, object], ...]) -> None:
@@ -158,81 +134,6 @@ class _Wire(metaclass=_WireType):
         # reprlib bounds every value: a round's edge rows must not flood a log.
         shown = (f"{name}={reprlib.repr(getattr(self, name))}" for name, _d, _c in self.FIELDS)
         return f"<{type(self).__name__} {' '.join(shown)}>"
-
-
-class GraphTotals(_Wire):
-    """A stream's a-priori shape: the two totals factories may ask of
-    ``ctx.graph`` (Fennel's α, capacity sizing) without materialising a
-    :class:`~repro.graph.labelled_graph.LabelledGraph` in every worker."""
-
-    FIELDS = (
-        ("num_vertices", REQUIRED, None),
-        ("num_edges", REQUIRED, None),
-    )
-
-
-class WorkerSpec(_Wire):
-    """Everything a worker needs to build its partitioner from scratch."""
-
-    FIELDS = (
-        ("shard_id", REQUIRED, None),
-        ("system", REQUIRED, None),
-        ("k", REQUIRED, None),
-        ("expected_vertices", REQUIRED, None),
-        ("expected_edges", REQUIRED, None),
-        ("imbalance", 1.1, None),
-        #: Per-shard window (the driver divides the global budget by the
-        #: shard count before building specs); ``None`` for windowless systems.
-        ("window_size", None, None),
-        ("seed", 0, None),
-        #: Loom's workload (picklable); ``None`` for workload-oblivious systems.
-        ("workload", None, None),
-        #: Strategy-specific kwargs forwarded to the registry factory.
-        ("extra", None, _dict_or_empty),
-    )
-
-
-class ShardResult(_Wire):
-    """One worker's complete output, sent once after the sentinel."""
-
-    FIELDS = (
-        ("shard_id", REQUIRED, None),
-        #: The shard's assignment slice as ``(vertex, partition)`` pairs, in
-        #: the worker's first-seen vertex order (deterministic for a fixed
-        #: shard stream).
-        ("assignment", REQUIRED, None),
-        ("edges", REQUIRED, None),
-        ("batches", REQUIRED, None),
-        #: Seconds spent inside ingest_batch/finalize (excludes queue waits).
-        ("ingest_seconds", REQUIRED, None),
-        #: Wall seconds from worker start to result send (includes queue waits).
-        ("worker_seconds", REQUIRED, None),
-        ("matcher_stats", None, None),
-        ("partitioner_stats", None, _dict_or_empty),
-        #: Seconds the worker spent blocked on ``in_queue.get`` — the
-        #: feed-side backpressure signal (out-of-band, monotonic-timed).
-        ("queue_wait_seconds", 0.0, None),
-    )
-
-    @property
-    def edges_per_second(self) -> float:
-        """Shard-local ingest rate (excluding time blocked on the queue)."""
-        return self.edges / self.ingest_seconds if self.ingest_seconds > 0 else float("inf")
-
-
-class WorkerFailure(_Wire):
-    """Sent instead of a :class:`ShardResult` when a worker raises."""
-
-    FIELDS = (
-        ("shard_id", REQUIRED, None),
-        ("error", REQUIRED, None),
-        ("traceback", REQUIRED, None),
-    )
-
-
-# ----------------------------------------------------------------------
-# Live shard-server protocol (PR 8)
-# ----------------------------------------------------------------------
 
 
 class ServeSpec(_Wire):
@@ -434,8 +335,7 @@ class StatsReport(_Wire):
 
 class ServerFailure(_Wire):
     """Sent by a live shard server when it raises — the driver re-raises
-    with the embedded traceback instead of deadlocking (the live twin of
-    :class:`WorkerFailure`)."""
+    with the embedded traceback instead of deadlocking."""
 
     FIELDS = (
         ("shard_id", REQUIRED, None),

@@ -107,12 +107,17 @@ class TestBid:
         assert on == pytest.approx(off * abc_node.support)
 
     def test_neighbor_aware_bid_counts_adjacency(self, ab_node):
+        """Each distinct placed neighbour counts once, however many match
+        vertices it touches; the match's own vertices are not neighbours."""
         state = PartitionState(2, 10)
-        state.assign(99, 0)  # a neighbour of vertex 1, already placed
-        adj = {1: {99}, 2: set()}
-        eo = EqualOpportunism(state, neighbor_fn=lambda v: adj.get(v, ()))
+        state.assign(99, 0)  # adjacent to both match vertices, already placed
         match = single_match(state, ab_node)
-        assert eo.bid(0, match) > 0.0
+        uid, vid, nid = (state.interner.id_of(x) for x in (1, 2, 99))
+        adj = {uid: {vid, nid}, vid: {uid, nid}}
+        eo = EqualOpportunism(state, neighbor_ids_fn=lambda i: adj.get(i, ()))
+        assert eo._overlap_counts(match) == [1, 0]
+        state.assign(2, 1)  # a match vertex: counted as assigned, not as adjacent
+        assert eo._overlap_counts(match) == [1, 1]
 
     def test_neighbor_ids_fn_counts_adjacency(self, ab_node):
         """The id-keyed twin of the neighbour-aware bid (Loom's path)."""

@@ -182,16 +182,16 @@ def ship(q):
         """
 from multiprocessing import Process
 
-from repro.runtime.messages import ShardResult
+from repro.runtime.messages import StatsRequest
 
 
 def work():
     pass
 
 
-def ship(q, result: ShardResult):
-    q.put(result)
-    q.put(ShardResult(*()))
+def ship(q, request: StatsRequest):
+    q.put(request)
+    q.put(StatsRequest(*()))
     q.put((1, "ok", [2, 3]))
     p = Process(target=work)
     return p

@@ -247,3 +247,34 @@ class TestPartitionCli:
 
         _dataset, graph_path, _wl, _tmp = files
         assert main([str(graph_path), "--system", "loom"]) == 2
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--system", "ldg", "--execute"], "--execute requires --workload"),
+            (
+                ["--workload", "no-such-workload.txt", "--serve", "5",
+                 "--serve-shards", "2", "--inflight", "0"],
+                "--inflight must be at least 1",
+            ),
+        ],
+        ids=["execute-without-workload", "inflight-zero"],
+    )
+    def test_flag_errors_come_before_the_graph_is_read(self, flags, message, capsys):
+        """A bad flag combination is rejected before any file is opened —
+        not after the whole graph has been read and partitioned."""
+        from repro.partition_cli import main
+
+        assert main(["no-such-graph.txt", *flags]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_sharded_ingest_flags_are_gone(self, capsys):
+        from repro.partition_cli import build_parser, main
+
+        with pytest.raises(SystemExit) as excinfo:
+            main(["no-such-graph.txt", "--system", "ldg", "--shards", "2"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --shards 2" in capsys.readouterr().err
+        help_text = build_parser().format_help()
+        for flag in ("--shards", "--batch-size", "--merge-rule"):
+            assert flag not in help_text

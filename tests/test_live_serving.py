@@ -35,21 +35,17 @@ from repro.runtime.messages import (
     SCHEMA_VERSION,
     CachePut,
     EdgeUpdate,
-    GraphTotals,
     IngestAck,
     InvalidationHops,
     QueryRequest,
     ServeSpec,
     ServerFailure,
     ServerStats,
-    ShardResult,
     StatsReport,
     StatsRequest,
     StepReply,
     StepRequest,
     WIRE_TYPES,
-    WorkerFailure,
-    WorkerSpec,
     check_schema,
 )
 from repro.runtime.server import ShardServer
@@ -580,10 +576,6 @@ def test_poison_message_surfaces_remote_traceback():
 # Wire discipline: slots, tuple encodings, schema version
 # ----------------------------------------------------------------------
 _WIRE_SAMPLES = [
-    GraphTotals(60, 130),
-    WorkerSpec(1, "loom", 8, 60, 130, window_size=16, extra={"alpha": 1.5}),
-    ShardResult(1, [("v", 3)], 65, 2, 0.25, 0.5, {"edges_offered": 65}, None, 0.125),
-    WorkerFailure(1, "ValueError: boom", "Traceback ..."),
     ServeSpec(shard_id=1, num_shards=4, k=8, query_depths=(("abc", 2),)),
     EdgeUpdate(3, ((5, 0, 1),), ((5, 0, 1, 6, 1, 2),), ("abc",), False),
     InvalidationHops(3, ((7, 1), (9, 2))),
@@ -672,7 +664,6 @@ def test_detlint_mp_pickle_scope_covers_live_modules():
         "src/repro/runtime/server.py",
         "src/repro/runtime/live.py",
         "src/repro/runtime/messages.py",
-        "src/repro/runtime/driver.py",
     ):
         assert rule_applies("MP-pickle", path), path
 

@@ -8,13 +8,17 @@ here the same way ``tests/test_determinism.py`` pins the core pipeline:
 fresh subprocesses under *different* ``PYTHONHASHSEED`` values (so
 str/tuple hashing and heap layout both vary), compared byte-for-byte.
 
-Three comparisons per shard count (1, 2, 4):
+Three comparisons:
 
 * assignment bytes: obs-off run == obs-on run (out-of-band),
 * assignment bytes: obs-on run A == obs-on run B under different hash
   seeds (still deterministic with telemetry enabled),
 * masked trace sequences (``ts`` dropped): run A == run B — every event
   id, kind and field reproduces.
+
+The double run is made twice: served in one process (the in-process
+engine) and in three (``--serve-shards 2``: the driver and two live shard
+servers, whose hop and completion events join the trace).
 
 Runs go through ``python -m repro.partition_cli`` — the same entry point
 CI's live smoke traces — with ``--serve`` so the trace holds the full
@@ -46,7 +50,7 @@ def files(tmp_path_factory):
     return graph_path, workload_path, tmp
 
 
-def _run_cli(files, tag, hash_seed, shards, trace=True):
+def _run_cli(files, tag, hash_seed, serve_shards=0, trace=True):
     """One pristine-interpreter CLI run → (assignment bytes, trace path)."""
     graph_path, workload_path, tmp = files
     out = tmp / f"assignment-{tag}.tsv"
@@ -64,10 +68,14 @@ def _run_cli(files, tag, hash_seed, shards, trace=True):
         "4",
         "--window",
         "80",
-        "--shards",
-        str(shards),
         "--serve",
         "60",
+        "--serve-shards",
+        str(serve_shards),
+        # One request outstanding: with more, the order live requests
+        # *complete* in (hence the trace) is the scheduler's, not ours.
+        "--inflight",
+        "1",
         "--out",
         str(out),
     ]
@@ -87,11 +95,13 @@ def _masked_trace(path):
     return masked(load_jsonl(str(path)))
 
 
-@pytest.mark.parametrize("shards", [1, 2, 4])
-def test_traced_double_run_bit_identical(files, shards):
-    """Different hash seeds, tracing on: same assignment, same masked trace."""
-    first_bytes, first_trace = _run_cli(files, f"s{shards}-a", 101, shards)
-    second_bytes, second_trace = _run_cli(files, f"s{shards}-b", 9091, shards)
+@pytest.mark.parametrize("processes", [1, 3])
+def test_traced_double_run_bit_identical(files, processes):
+    """Different hash seeds, tracing on: same assignment, same masked trace
+    — served in-process (1) and through two live shard servers (3)."""
+    serve_shards = processes - 1
+    first_bytes, first_trace = _run_cli(files, f"p{processes}-a", 101, serve_shards)
+    second_bytes, second_trace = _run_cli(files, f"p{processes}-b", 9091, serve_shards)
     assert first_bytes == second_bytes
     first_events = _masked_trace(first_trace)
     second_events = _masked_trace(second_trace)
@@ -101,8 +111,8 @@ def test_traced_double_run_bit_identical(files, shards):
 
 def test_obs_on_vs_off_identical_assignment(files):
     """The out-of-band half: telemetry must not perturb a single placement."""
-    plain_bytes, _ = _run_cli(files, "off", 7, 1, trace=False)
-    traced_bytes, trace_path = _run_cli(files, "on", 7, 1, trace=True)
+    plain_bytes, _ = _run_cli(files, "off", 7, trace=False)
+    traced_bytes, trace_path = _run_cli(files, "on", 7, trace=True)
     assert plain_bytes == traced_bytes
     events = _masked_trace(trace_path)
     kinds = {rec["kind"] for rec in events}

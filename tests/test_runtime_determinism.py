@@ -1,17 +1,16 @@
-"""Sharded-driver determinism under hash-seed variation.
+"""Live-cluster determinism under hash-seed variation.
 
-The runtime's promise (see the ``repro.runtime.driver`` docstring): for a
-fixed shard count and batch size, double runs produce **bit-identical
-merged assignments** — routing is a pure integer function of the interned
-endpoint pair, each worker is order-deterministic over its shard stream,
-and the merge resolves vertices in driver-interner id order.  Queue
+The live cluster's promise (see the ``repro.runtime.live`` docstring): in
+the lock-step pattern — an ingest round barrier, then a serve burst —
+double runs produce **bit-identical transcripts**: every answer, hop
+count, cache flag, summed cache statistic and hop-message count.  Queue
 scheduling may interleave wall-clock progress differently between runs,
-but never the content of any shard stream.
+but never the content of any reply.
 
 Like ``tests/test_determinism.py`` this is checked the only way that
 actually proves it: fresh interpreter runs under different
 ``PYTHONHASHSEED`` values (which randomise str/tuple hashing and heap
-layout), whose worker *processes* inherit the varied seed too.
+layout), whose shard-server *processes* inherit the varied seed too.
 """
 
 import json
@@ -24,124 +23,9 @@ import pytest
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
-# The pipeline under test: a labelled graph with string-ish vertices (the
-# realistic case for a multi-process run — vertices must pickle), streamed
-# BFS, partitioned by the sharded runtime, merged assignment printed.
-PIPELINE = """
-import json, random, sys
-
-from repro.graph.labelled_graph import LabelledGraph
-from repro.graph.stream import stream_edges
-from repro.partitioning import registry
-from repro.partitioning.state import PartitionState
-from repro.query.pattern import path_pattern
-from repro.query.workload import Workload
-from repro.runtime import GraphTotals, run_sharded
-
-system = sys.argv[1]
-num_shards = int(sys.argv[2])
-
-LABELS = ["a", "b", "c"]
-N, E = 60, 140
-rng = random.Random(4)
-g = LabelledGraph("runtime-determinism")
-vertices = [f"v{i}" for i in range(N)]
-for i, v in enumerate(vertices):
-    g.add_vertex(v, LABELS[i % 3])
-for i in range(1, N):
-    g.add_edge(vertices[i - 1], vertices[i])
-added = N - 1
-while added < E:
-    a, b = rng.randrange(N), rng.randrange(N)
-    if a != b and not g.has_edge(vertices[a], vertices[b]):
-        g.add_edge(vertices[a], vertices[b])
-        added += 1
-
-workload = Workload(
-    [
-        (path_pattern(["a", "b", "a", "b"], name="abab"), 0.5),
-        (path_pattern(["a", "b", "c"], name="abc"), 0.5),
-    ],
-    name="determinism",
-)
-events = list(stream_edges(g, "bfs", seed=3))
-
-result = run_sharded(
-    events,
-    system=system,
-    num_shards=num_shards,
-    k=4,
-    expected_vertices=N,
-    expected_edges=E,
-    workload=workload if system == "loom" else None,
-    window_size=40 if system == "loom" else None,
-    seed=0,
-    batch_size=16,
-)
-
-single = None
-if num_shards == 1:
-    state = PartitionState.for_graph(4, N)
-    partitioner = registry.create(
-        system,
-        state,
-        graph=GraphTotals(N, E),
-        workload=workload if system == "loom" else None,
-        window_size=40 if system == "loom" else None,
-        seed=0,
-    )
-    partitioner.ingest_all(events)
-    single = sorted(state.assignment().items())
-
-print(json.dumps({
-    "assignment": sorted(result.state.assignment().items()),
-    "shard_edges": result.shard_edge_counts(),
-    "conflicts": result.merge.conflicts,
-    "single_process": single,
-}))
-"""
-
-
-def _run_pipeline(system: str, num_shards: int, hashseed: int) -> dict:
-    env = dict(os.environ)
-    env["PYTHONHASHSEED"] = str(hashseed)
-    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
-    proc = subprocess.run(
-        [sys.executable, "-c", PIPELINE, system, str(num_shards)],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=300,
-    )
-    assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout)
-
-
-@pytest.mark.parametrize("num_shards", [1, 2, 4])
-@pytest.mark.parametrize("system", ["ldg", "loom"])
-def test_sharded_assignments_invariant_under_hashseed(system, num_shards):
-    """Double-runs in fresh interpreters under different hash seeds must
-    agree bit for bit — shard streams, conflicts, and merged assignment."""
-    runs = [_run_pipeline(system, num_shards, seed) for seed in (1, 4242)]
-    assert runs[0]["shard_edges"] == runs[1]["shard_edges"]
-    assert runs[0]["conflicts"] == runs[1]["conflicts"]
-    assert runs[0]["assignment"] == runs[1]["assignment"]
-    assert len(runs[0]["assignment"]) == 60  # the pass placed everything
-
-
-@pytest.mark.parametrize("system", ["ldg", "fennel", "hash"])
-def test_one_shard_matches_single_process_cross_interpreter(system):
-    """``--shards 1`` reproduces the existing single-process path exactly,
-    proven in a fresh interpreter (not just in-process state)."""
-    run = _run_pipeline(system, 1, hashseed=7)
-    assert run["single_process"] is not None
-    assert run["assignment"] == run["single_process"]
-
-
 # The live pipeline: ingest through a LiveCluster in lock-step rounds with
 # a full serve burst between rounds, printing every answer, hop count and
-# the summed shard cache stats.  Shard servers inherit the varied
-# PYTHONHASHSEED like the batch workers do.
+# the summed shard cache stats.
 LIVE_PIPELINE = """
 import json, random, sys
 

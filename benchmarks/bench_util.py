@@ -1,9 +1,4 @@
-"""Small helpers of the standalone ``bench_obs_overhead.py`` script.
-
-Kept separate from ``bench_config.py`` (which carries pytest fixtures and
-dataset imports) so a plain ``python benchmarks/bench_obs_overhead.py``
-run pays for nothing it doesn't use.
-"""
+"""Small helpers of the standalone ``bench_obs_overhead.py`` script."""
 
 import json
 import sys

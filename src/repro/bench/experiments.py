@@ -2,8 +2,8 @@
 
 Every function returns an :class:`ExperimentResult` whose rows can be
 printed with :func:`repro.bench.reporting.render_table` (that is exactly
-what ``python -m repro.bench <name>`` does) and are quoted in
-EXPERIMENTS.md.
+what ``python -m repro.bench <name>`` does); ``tests/test_paper_claims.py``
+asserts the paper's claims on the rows and pins their values.
 
 Scales: the paper partitions multi-million-edge graphs; these experiments
 regenerate each dataset at laptop scale (Table 1 records both generated and
@@ -18,16 +18,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from repro.bench.harness import (
-    SYSTEMS,
-    ComparisonResult,
-    run_system,
-    scaled_window,
-)
+from repro.bench.harness import compare_systems, run_system, scaled_window
 from repro.bench.reporting import render_table
 from repro.core import collision
 from repro.datasets.registry import IPT_DATASETS, load_dataset
-from repro.graph.stream import StreamOrder, stream_edges, stream_prefix
+from repro.graph.stream import stream_edges, stream_prefix
 from repro.partitioning import registry
 from repro.query.executor import WorkloadExecutor
 
@@ -55,7 +50,6 @@ THROUGHPUT_SIZES: Dict[str, int] = {
 }
 
 TABLE2_EDGES = 10_000
-WINDOW_FRACTION = 0.12
 
 
 @dataclass
@@ -169,7 +163,7 @@ def figure7(
         ds = load_dataset(name, sizes.get(name), seed)
         executor = WorkloadExecutor(ds.graph, ds.workload)
         for order in orders:
-            comparison = _compare_with_executor(ds, executor, order, k, seed)
+            comparison = compare_systems(ds, order, k, seed=seed, executor=executor)
             result.rows.append(comparison.row())
     return result
 
@@ -182,7 +176,11 @@ def figure8(
     order: str = "bfs",
     datasets: Sequence[str] = IPT_DATASETS,
 ) -> ExperimentResult:
-    """Fig. 8: ipt relative to Hash for k in {2, 8, 32}, breadth-first."""
+    """Fig. 8: ipt relative to Hash for k in {2, 8, 32}, breadth-first.
+
+    ``loom_ipt`` is Loom's absolute weighted ipt: it grows with k for every
+    system (Sec. 5.2), which the relative columns cannot show.
+    """
     sizes = _scaled(sizes, scale)
     result = ExperimentResult(
         name="figure8",
@@ -193,34 +191,11 @@ def figure8(
         ds = load_dataset(name, sizes.get(name), seed)
         executor = WorkloadExecutor(ds.graph, ds.workload)
         for k in ks:
-            comparison = _compare_with_executor(ds, executor, order, k, seed)
-            result.rows.append(comparison.row())
+            comparison = compare_systems(ds, order, k, seed=seed, executor=executor)
+            row = comparison.row()
+            row["loom_ipt"] = round(comparison.runs["loom"].report.weighted_ipt, 1)
+            result.rows.append(row)
     return result
-
-
-def _compare_with_executor(
-    ds,
-    executor: WorkloadExecutor,
-    order: str,
-    k: int,
-    seed: int,
-    systems: Sequence[str] = SYSTEMS,
-) -> ComparisonResult:
-    """Figs. 7/8 inner loop, reusing one embedding enumeration per dataset.
-
-    ``systems`` may name any strategy known to the partitioner registry —
-    the default is the paper's four.
-    """
-    events = list(stream_edges(ds.graph, order, seed=seed))
-    window = scaled_window(ds.graph, WINDOW_FRACTION)
-    runs = {
-        system: run_system(
-            system, ds.graph, ds.workload, events, k,
-            window_size=window, seed=seed, executor=executor,
-        )
-        for system in systems
-    }
-    return ComparisonResult(dataset=ds.name, order=str(StreamOrder(order).value), k=k, runs=runs)
 
 
 # ----------------------------------------------------------------------
@@ -251,7 +226,7 @@ def table2(
     for name, n in sizes.items():
         ds = load_dataset(name, n, seed)
         events = stream_prefix(stream_edges(ds.graph, "bfs", seed=seed), num_edges)
-        window = scaled_window(ds.graph, WINDOW_FRACTION)
+        window = scaled_window(ds.graph)
         row: Dict[str, object] = {"dataset": name, "stream_edges": len(events)}
         for system in systems:
             run = run_system(
@@ -312,7 +287,7 @@ def figure9(
 
 
 # ----------------------------------------------------------------------
-# Ablations — design choices called out in DESIGN.md
+# Ablations — design choices (ARCHITECTURE.md "The deferral queue")
 # ----------------------------------------------------------------------
 def ablation(
     dataset: str = "musicbrainz",
@@ -328,7 +303,7 @@ def ablation(
     ds = load_dataset(dataset, n, seed)
     executor = WorkloadExecutor(ds.graph, ds.workload)
     events = list(stream_edges(ds.graph, order, seed=seed))
-    window = scaled_window(ds.graph, WINDOW_FRACTION)
+    window = scaled_window(ds.graph)
     hash_run = run_system("hash", ds.graph, ds.workload, events, k, seed=seed, executor=executor)
 
     variants: Dict[str, Dict] = {
@@ -368,19 +343,22 @@ def ablation(
 def stability(
     datasets: Sequence[str] = ("provgen", "musicbrainz"),
     sizes: Optional[Dict[str, int]] = None,
-    seeds: Sequence[int] = (0, 1, 2),
+    seeds: Optional[Sequence[int]] = None,
     k: int = 8,
     order: str = "random",
     scale: float = 1.0,
-    seed: int = 0,  # accepted for CLI uniformity; the sweep uses ``seeds``
+    seed: int = 0,
 ) -> ExperimentResult:
     """Mean ± spread of relative ipt across generation/stream seeds.
 
     Laptop-scale graphs make individual Figs. 7/8 cells noisy; this
-    experiment quantifies that noise so EXPERIMENTS.md's comparisons can be
-    read with error bars.
+    experiment quantifies that noise so their comparisons can be read with
+    error bars.  The sweep is ``seed, seed + 1, seed + 2`` unless ``seeds``
+    names it.
     """
     sizes = _scaled(sizes, scale)
+    if seeds is None:
+        seeds = (seed, seed + 1, seed + 2)
     result = ExperimentResult(
         name="stability",
         title=f"Seed stability: ipt % vs Hash over seeds {tuple(seeds)} ({order}, k={k})",
@@ -390,8 +368,7 @@ def stability(
         samples: Dict[str, List[float]] = {"ldg": [], "fennel": [], "loom": []}
         for s in seeds:
             ds = load_dataset(name, sizes.get(name), s)
-            executor = WorkloadExecutor(ds.graph, ds.workload)
-            comparison = _compare_with_executor(ds, executor, order, k, s)
+            comparison = compare_systems(ds, order, k, seed=s)
             for system in samples:
                 samples[system].append(comparison.relative_ipt(system))
         row: Dict[str, object] = {"dataset": name, "seeds": len(list(seeds))}

@@ -20,7 +20,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence
 
-from repro.datasets.registry import Dataset, load_dataset
+from repro.datasets.registry import Dataset
 from repro.graph.labelled_graph import LabelledGraph
 from repro.graph.stream import EdgeEvent, StreamOrder, stream_edges
 from repro.partitioning import registry
@@ -88,23 +88,15 @@ class ComparisonResult:
 
     def relative_ipt(self, system: str, baseline: str = "hash") -> float:
         """ipt of ``system`` as a percentage of ``baseline`` (Hash = 100)."""
-        run = self.runs[system]
-        base = self.runs[baseline]
-        if run.report is None or base.report is None:
-            raise ValueError("execute_workload=False runs carry no ipt")
-        return run.report.relative_to(base.report)
+        return self.runs[system].report.relative_to(self.runs[baseline].report)
 
     def row(self) -> Dict[str, object]:
         out: Dict[str, object] = {"dataset": self.dataset, "order": self.order, "k": self.k}
-        capped = False
         for name in self.runs:
-            report = self.runs[name].report
-            if report is not None:
-                out[name] = round(self.relative_ipt(name), 1)
-                capped = capped or report.capped
+            out[name] = round(self.relative_ipt(name), 1)
         # Truncated enumeration under-counts ipt; every published table row
         # carries the roll-up so a binding cap can't skew numbers silently.
-        out["capped"] = capped
+        out["capped"] = any(run.report.capped for run in self.runs.values())
         return out
 
 
@@ -139,7 +131,8 @@ def scaled_window(graph: LabelledGraph, fraction: float = 0.12, minimum: int = 2
     """A window that is the same *fraction* of the stream as the paper's.
 
     The paper's 10k window spans roughly 0.1–10% of its streams; at laptop
-    scale we keep the window a fixed, configurable fraction of the edges.
+    scale we keep the window a fixed, configurable fraction of the edges —
+    the default here is the one every experiment and the CLI use.
     """
     return max(minimum, int(graph.num_edges * fraction))
 
@@ -187,16 +180,17 @@ def compare_systems(
     systems: Sequence[str] = SYSTEMS,
     window_size: Optional[int] = None,
     seed: int = 0,
-    execute_workload: bool = True,
-    embedding_limit: Optional[int] = None,
     loom_kwargs: Optional[Dict] = None,
+    executor: Optional[WorkloadExecutor] = None,
 ) -> ComparisonResult:
-    """One Figs. 7/8 cell: every system over the same ordered stream."""
+    """One Figs. 7/8 cell: every system over the same ordered stream.
+
+    ``executor`` lets a caller that runs several cells of one dataset share
+    its embedding enumeration; one is built when absent.
+    """
     events = list(stream_edges(dataset.graph, order, seed=seed))
-    executor = None
-    if execute_workload:
-        kwargs = {} if embedding_limit is None else {"embedding_limit": embedding_limit}
-        executor = WorkloadExecutor(dataset.graph, dataset.workload, **kwargs)
+    if executor is None:
+        executor = WorkloadExecutor(dataset.graph, dataset.workload)
     runs = {
         system: run_system(
             system,
@@ -214,13 +208,3 @@ def compare_systems(
     return ComparisonResult(
         dataset=dataset.name, order=str(StreamOrder(order).value), k=k, runs=runs
     )
-
-
-def load_and_compare(
-    dataset_name: str,
-    num_vertices: Optional[int] = None,
-    **kwargs,
-) -> ComparisonResult:
-    """Convenience: load a registry dataset and run the comparison."""
-    dataset = load_dataset(dataset_name, num_vertices)
-    return compare_systems(dataset, **kwargs)

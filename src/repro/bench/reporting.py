@@ -2,8 +2,8 @@
 
 Every experiment in :mod:`repro.bench.experiments` returns rows as plain
 dicts; :func:`render_table` prints them the way the paper prints its tables
-— one row per configuration, one column per measure — so EXPERIMENTS.md can
-quote the output verbatim.
+— one row per configuration, one column per measure — so ROADMAP.md and
+CHANGES.md can quote the output verbatim.
 """
 
 from __future__ import annotations

@@ -117,7 +117,7 @@ class LoomPartitioner(StreamingPartitioner):
         )
         # The literal Eq. 1 (vertex overlap) measures best and is the
         # default; neighbour-aware bids are kept as an ablation (footnote 8
-        # reading — see benchmarks/bench_ablation.py).
+        # reading — see repro.bench.experiments.ablation).
         self.allocator = EqualOpportunism(
             state,
             alpha=alpha,

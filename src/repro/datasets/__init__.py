@@ -5,8 +5,8 @@ Real dumps are unavailable offline, so each dataset is regenerated by a
 schema-driven synthesizer that preserves what the partitioners and the
 matcher actually observe: the label alphabet (heterogeneity ``|LV|``), the
 relation structure between labels (so workload patterns occur), degree skew
-and community locality.  Sizes are scaled to laptop scale; the scale factors
-are recorded in EXPERIMENTS.md.
+and community locality.  Sizes are scaled to laptop scale; ``python -m
+repro.bench table1`` prints the generated sizes beside the paper's.
 
 Use :func:`repro.datasets.registry.load_dataset` (or the convenience
 re-export here) to obtain a :class:`~repro.datasets.registry.Dataset`

@@ -31,8 +31,9 @@ def paper_trial(ctx: TrialContext) -> Dict[str, object]:
 
     Params are filtered against the experiment function's signature so a
     matrix axis over all experiments can share a ``scale`` param even
-    though ``figure4`` (pure math) takes none; the trial seed is applied
-    wherever the function accepts one.
+    though ``figure4`` (pure math) takes none; a param that *no* experiment
+    accepts is a typo and fails loudly instead of silently benchmarking the
+    defaults.  The trial seed is applied wherever the function accepts one.
     """
     from repro.bench.experiments import EXPERIMENTS
 
@@ -42,6 +43,12 @@ def paper_trial(ctx: TrialContext) -> Dict[str, object]:
         raise ValueError(
             f"params.experiment must name one of: {', '.join(sorted(EXPERIMENTS))}"
         )
+    known = {p for fn in EXPERIMENTS.values() for p in inspect.signature(fn).parameters}
+    for key in params:
+        if key not in known:
+            raise ValueError(
+                f"unknown bench param {key!r}; known: {', '.join(sorted(known))}"
+            )
     fn = EXPERIMENTS[name]
     accepted = set(inspect.signature(fn).parameters)
     kwargs = {key: value for key, value in params.items() if key in accepted}

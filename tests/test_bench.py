@@ -1,5 +1,7 @@
 """Tests for the harness, experiments and reporting (small scales)."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.bench import experiments
@@ -12,6 +14,7 @@ from repro.bench.harness import (
 )
 from repro.bench.reporting import render_series, render_table
 from repro.datasets.registry import load_dataset
+from repro.experiment.spec import load_spec
 from repro.graph.stream import stream_edges
 from repro.partitioning.state import PartitionState
 from repro.query.executor import WorkloadExecutor
@@ -56,13 +59,6 @@ class TestHarness:
         row = result.row()
         assert row["dataset"] == "provgen"
         assert all(s in row for s in SYSTEMS)
-
-    def test_compare_without_execution(self, tiny_dataset):
-        result = compare_systems(
-            tiny_dataset, order="random", k=2, window_size=40, execute_workload=False
-        )
-        with pytest.raises(ValueError):
-            result.relative_ipt("ldg")
 
 
 class TestExperiments:
@@ -129,6 +125,12 @@ class TestExperiments:
             "stability",
         }
 
+    def test_nightly_matrix_runs_every_experiment(self):
+        nightly = Path(__file__).resolve().parent.parent / "experiments" / "nightly.toml"
+        spec, _ = load_spec(nightly)
+        axis = [t.params["experiment"] for t in spec.trials if t.bench == "paper"]
+        assert sorted(axis) == sorted(experiments.EXPERIMENTS)
+
     def test_stability_smoke(self):
         result = experiments.stability(
             datasets=("provgen",), sizes={"provgen": 380}, seeds=(0, 1), k=2
@@ -136,6 +138,13 @@ class TestExperiments:
         (row,) = result.rows
         assert row["seeds"] == 2
         assert "(" in row["loom"]  # "mean (min-max)" formatting
+        # Without ``seeds`` the sweep is the trial's seed and the next two.
+        seed0, seed5 = (
+            experiments.stability(datasets=("provgen",), sizes={"provgen": 380}, k=2, seed=s)
+            for s in (0, 5)
+        )
+        assert "seeds (0, 1, 2)" in seed0.title and "seeds (5, 6, 7)" in seed5.title
+        assert seed0.rows != seed5.rows
 
 
 class TestReporting:

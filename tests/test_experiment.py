@@ -22,8 +22,9 @@ from repro.experiment import (
 )
 from repro.experiment.db import flatten_metrics
 from repro.experiment.gate import gate_experiment, load_spec_for_gate
-from repro.experiment.registry import load_trial_modules
+from repro.experiment.registry import TrialContext, load_trial_modules
 from repro.experiment.spec import SpecError, derive_seed, load_spec
+from repro.experiment.trials import paper_trial
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -366,3 +367,11 @@ class TestEndToEndBenchTrials:
             figure = db.metrics_for(rows["paper[experiment=figure4]"]["id"])
             assert "Figure 4" in figure["rendered"]
             assert gate_experiment(db, spec, echo=lambda _: None) == 0
+
+    def test_paper_trial_rejects_a_param_no_experiment_accepts(self):
+        """``scale`` may ride along to ``figure4``, which takes none; ``scal``
+        used to be dropped the same way and the full-scale table returned."""
+        with pytest.raises(ValueError, match="unknown bench param 'scal'; known: .*scale"):
+            paper_trial(TrialContext("t", "paper", {"experiment": "table1", "scal": 0.3}))
+        shared = TrialContext("t", "paper", {"experiment": "figure4", "scale": 0.3})
+        assert "Figure 4" in paper_trial(shared)["rendered"]

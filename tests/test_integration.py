@@ -39,9 +39,9 @@ class TestFullPipeline:
         for name, run in result.runs.items():
             assert unassigned_vertices(provgen.graph, run.state) == []
             assert run.report is not None
-        # Hash is the baseline: everything should do at least as well.
+        # Hash is the baseline: every informed system beats it.
         for system in ("ldg", "fennel", "loom"):
-            assert result.relative_ipt(system) <= 110.0
+            assert result.relative_ipt(system) < 100.0
 
     def test_loom_beats_hash_clearly(self, provgen):
         result = compare_systems(provgen, order="bfs", k=4, window_size=120, seed=3)
@@ -52,7 +52,7 @@ class TestFullPipeline:
         window lets Loom re-localise the stream."""
         result = compare_systems(musicbrainz, order="random", k=4, window_size=250, seed=3)
         assert result.relative_ipt("loom") < result.relative_ipt("ldg")
-        assert result.relative_ipt("loom") < result.relative_ipt("fennel") + 2.0
+        assert result.relative_ipt("loom") < result.relative_ipt("fennel") - 5.0
 
     def test_imbalance_within_cap(self, provgen):
         result = compare_systems(provgen, order="bfs", k=4, window_size=120, seed=3)
@@ -69,8 +69,8 @@ class TestFullPipeline:
 
 class TestWindowEffect:
     def test_bigger_window_no_worse_on_random_order(self, musicbrainz):
-        """Fig. 9's direction: growing the window improves (or at least
-        does not substantially hurt) Loom on random streams."""
+        """Fig. 9's direction: growing the window improves Loom on random
+        streams."""
         g, wl = musicbrainz.graph, musicbrainz.workload
         events = list(stream_edges(g, "random", seed=5))
         executor = WorkloadExecutor(g, wl)
@@ -80,7 +80,7 @@ class TestWindowEffect:
             loom = LoomPartitioner(state, wl, window_size=window)
             loom.ingest_all(events)
             ipts.append(executor.execute(state).weighted_ipt)
-        assert ipts[1] <= ipts[0] * 1.05
+        assert ipts[1] < ipts[0]
 
 
 class TestCrossSystemDeterminism:

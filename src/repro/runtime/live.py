@@ -1,10 +1,9 @@
 """The live cluster driver: N shard servers, one authoritative stream.
 
-:class:`LiveCluster` is the ingest-and-serve composition of the two
-scaling layers: the PR 4 runtime's process topology (bounded queues,
-liveness-checked backpressure, failure envelopes) carrying the PR 5
-serving engine's execution, sharded.  One driver process owns the
-*decisions* — the single streaming partitioner, the
+:class:`LiveCluster` runs the serving engine's execution sharded across
+processes (bounded queues, liveness-checked backpressure, failure
+envelopes).  One driver process owns the *decisions* — the single
+streaming partitioner, the
 :class:`~repro.graph.labelled_graph.LabelledGraph`, plan compilation and
 query routing over an adjacency-free
 :class:`~repro.serving.stores.RoutingIndex` — while ``num_shards``
@@ -13,8 +12,17 @@ holds the :class:`~repro.serving.stores.ShardStores` (and the
 :class:`~repro.serving.cache.ResultCache` slice) of the partitions with
 ``p % num_shards == shard_id``.
 
-Ingest is a **barriered round**: the driver partitions a batch, derives
-the visible edge delta, and sends every server an
+Boot is **one cold pass**: the driver walks the graph once
+(:func:`boot_snapshot`), filling its routing index and, in the same loop,
+each shard's slice — member rows with their sorted neighbour lists, plus
+ghost rows for off-shard neighbours.  The slice rides in the shard's
+:class:`~repro.runtime.messages.ServeSpec` (a ``Process`` argument:
+inherited under ``fork``, pickled once under ``spawn``); the server
+adopts it as its stores and acks it as round 0, so the constructor
+returns a ready cluster.
+
+Every later ingest is a **barriered round**: the driver partitions a
+batch, derives the visible edge delta, and sends every server an
 :class:`~repro.runtime.messages.EdgeUpdate` (possibly empty — the
 sequence number advances uniformly, which is what the cache-epoch rule
 compares).  Acks return cache-invalidation *forwards* — ghost vertices a
@@ -47,11 +55,10 @@ import queue as queue_module
 import multiprocessing as mp
 import time
 from collections import deque
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro import obs
 from repro.graph.labelled_graph import LabelledGraph
-from repro.graph.interning import unpack_edge
 from repro.partitioning.base import StreamingPartitioner
 from repro.partitioning.state import UNASSIGNED, PartitionState
 from repro.query.workload import Workload
@@ -75,19 +82,48 @@ from repro.runtime.server import shard_server_main
 from repro.serving.engine import RootResult, ServingFrontEnd
 from repro.serving.execution import Continuation, splice_segments
 from repro.serving.router import Router
-from repro.serving.stores import RoutingIndex
+from repro.serving.stores import RoutingIndex, cold_rows
 
 DEFAULT_QUEUE_DEPTH = 16
 """Messages a server queue buffers before the driver's put blocks."""
 
-#: Edge rows per bootstrap EdgeUpdate round (bounds message size when a
-#: cluster is built over an already-streamed graph).
-BOOTSTRAP_CHUNK = 8192
+#: A shard's boot snapshot rows (:class:`~repro.runtime.messages.ServeSpec`).
+MemberRow = Tuple[int, int, int, List[int]]
+GhostRow = Tuple[int, int, int]
 
 
 def shard_of_partition(partition: int, num_shards: int) -> int:
     """The shard that owns ``partition`` — the cluster's placement rule."""
     return partition % num_shards
+
+
+def boot_snapshot(
+    graph: LabelledGraph, state: PartitionState, num_shards: int
+) -> Tuple[RoutingIndex, List[List[MemberRow]], List[List[GhostRow]]]:
+    """The driver's one cold pass: its routing index and every shard's slice.
+
+    Per shard, ``(vid, label_id, partition, nbrs)`` for each placed vertex
+    it owns, in ``graph.vertices()`` order with ``nbrs`` sorted, and
+    ``(vid, label_id, partition)`` for each off-shard neighbour, by id —
+    what :meth:`~repro.serving.stores.ShardStores.from_rows` boots from.
+    Edges with an unplaced endpoint stay in the index's pending buffer and
+    out of every slice, exactly as :meth:`RoutingIndex.from_state` leaves
+    them; no vertex row is queued, so the first round announces only
+    vertices placed after boot.
+    """
+    index = RoutingIndex(state)
+    partition_of = state.assignment_vector
+    members: List[List[MemberRow]] = [[] for _ in range(num_shards)]
+    ghost_ids: List[Set[int]] = [set() for _ in range(num_shards)]
+    for row in cold_rows(index, graph):
+        nbrs = row[3]
+        nbrs.sort()
+        shard = shard_of_partition(row[2], num_shards)
+        members[shard].append(row)
+        ghost_ids[shard].update([w for w in nbrs if partition_of[w] % num_shards != shard])
+    label_of = index._label_of
+    ghosts = [[(w, label_of[w], partition_of[w]) for w in sorted(ids)] for ids in ghost_ids]
+    return index, members, ghosts
 
 
 class _Hole:
@@ -164,13 +200,14 @@ class LiveCluster(ServingFrontEnd):
     ) -> None:
         if num_shards < 1:
             raise ValueError("num_shards must be at least 1")
-        index = RoutingIndex.from_state(graph, state)
+        index, members, ghosts = boot_snapshot(graph, state, num_shards)
         super().__init__(graph, state, workload, index, router, partitioner)
         self.num_shards = num_shards
         self.cache_enabled = bool(cache)
         self.request_timeout = request_timeout
 
-        self._seq = -1
+        #: The boot snapshot is round 0; each later ingest round adds one.
+        self._seq = 0
         self._next_request_id = 0
         self._pending: Dict[int, _PendingRequest] = {}
         self._completed: "deque[int]" = deque()
@@ -213,32 +250,35 @@ class LiveCluster(ServingFrontEnd):
         self._request_queues = [ctx.Queue(maxsize=queue_depth) for _ in range(num_shards)]
         self._out_queue = ctx.Queue()
         self._servers = []
-        for shard_id in range(num_shards):
-            spec = ServeSpec(
-                shard_id=shard_id,
-                num_shards=num_shards,
-                k=state.k,
-                query_depths=depths,
-                cache_enabled=self.cache_enabled,
-                cache_capacity=cache_capacity,
-                obs_enabled=self._obs_on,
-                stats_every=self._stats_every,
-            )
-            process = ctx.Process(
-                target=shard_server_main,
-                args=(
-                    spec,
-                    self._ingest_queues[shard_id],
-                    self._request_queues[shard_id],
-                    self._out_queue,
-                ),
-                name=f"loom-serve-{shard_id}",
-                daemon=True,
-            )
-            process.start()
-            self._servers.append(process)
         try:
-            self._bootstrap()
+            for shard_id in range(num_shards):
+                spec = ServeSpec(
+                    shard_id=shard_id,
+                    num_shards=num_shards,
+                    k=state.k,
+                    query_depths=depths,
+                    cache_enabled=self.cache_enabled,
+                    cache_capacity=cache_capacity,
+                    obs_enabled=self._obs_on,
+                    stats_every=self._stats_every,
+                    members=members[shard_id],
+                    ghosts=ghosts[shard_id],
+                )
+                process = ctx.Process(
+                    target=shard_server_main,
+                    args=(
+                        spec,
+                        self._ingest_queues[shard_id],
+                        self._request_queues[shard_id],
+                        self._out_queue,
+                    ),
+                    name=f"loom-serve-{shard_id}",
+                    daemon=True,
+                )
+                process.start()
+                self._servers.append(process)
+            # Each server acks its snapshot as round 0: ready on return.
+            self._barrier(set(range(num_shards)))
         except BaseException:
             self.close()
             raise
@@ -337,21 +377,6 @@ class LiveCluster(ServingFrontEnd):
     # ------------------------------------------------------------------
     # Ingest rounds
     # ------------------------------------------------------------------
-    def _bootstrap(self) -> None:
-        """Ship an already-materialised graph to the servers, in rounds.
-
-        Edge rows go out in sorted-key chunks of :data:`BOOTSTRAP_CHUNK`:
-        shard adjacency is insort-maintained, so the final stores are
-        independent of the delivery order, and chunking bounds the size of
-        any single queue message.  No request can have been admitted yet,
-        so these rounds carry ``invalidate=False`` (see :meth:`_send_round`).
-        """
-        vertex_rows = self.index.take_new_vertices()
-        edge_pairs = [unpack_edge(key) for key in sorted(self.index._edges)]
-        self._send_round(vertex_rows, edge_pairs[:BOOTSTRAP_CHUNK], ())
-        for start in range(BOOTSTRAP_CHUNK, len(edge_pairs), BOOTSTRAP_CHUNK):
-            self._send_round([], edge_pairs[start : start + BOOTSTRAP_CHUNK], ())
-
     def _publish(self, new_edges: Sequence[Tuple[int, int]], dropped: Tuple[str, ...]) -> None:
         """Ship the round's delta as one barriered EdgeUpdate round — also
         when nothing became visible, so the epoch advances uniformly."""

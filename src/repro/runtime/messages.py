@@ -4,9 +4,11 @@ Everything that crosses the driver ↔ shard-server process boundary is
 defined here, so the protocol is visible in one place.  ``None``
 (:data:`END_OF_STREAM`) is the shutdown sentinel on both queues of a
 shard server; every other message is one of the classes below:
-:class:`ServeSpec` boots a server; :class:`EdgeUpdate` /
-:class:`InvalidationHops` / :class:`IngestAck` run the barriered ingest
-round (edge rows in, cache-invalidation wave forwards out);
+:class:`ServeSpec` boots a server — identity, topology, cache policy and
+the shard's slice of the graph, which the server acks as round 0 with an
+:class:`IngestAck`; :class:`EdgeUpdate` / :class:`InvalidationHops` /
+:class:`IngestAck` run every later barriered ingest round (edge rows in,
+cache-invalidation wave forwards out);
 :class:`QueryRequest` / :class:`StepRequest` / :class:`StepReply` carry
 the distributed embedding DFS (a reply's segments interleave literal
 results with :class:`~repro.serving.execution.Continuation` handoffs);
@@ -46,7 +48,7 @@ from typing import Dict, List, Tuple
 
 #: Version of the wire protocol defined by this module.  Bump on any
 #: field change; :func:`check_schema` rejects mismatched peers.
-SCHEMA_VERSION = 5
+SCHEMA_VERSION = 6
 
 #: Shutdown sentinel on both input queues of a shard server.
 END_OF_STREAM = None
@@ -137,12 +139,22 @@ class _Wire(metaclass=_WireType):
 
 
 class ServeSpec(_Wire):
-    """Boots one live shard server: identity, topology, cache policy.
+    """Boots one live shard server: identity, topology, cache policy and
+    its boot snapshot.
 
     ``query_depths`` maps query name → invalidation radius (``|Eq|``, the
     pattern's edge count) — the only per-query fact invalidation needs and
     the only one that never changes as plans recompile.  Full plans arrive
     later, riding on each request.
+
+    The snapshot is the shard's slice of the graph the cluster is built
+    over: ``members`` holds ``(vid, label_id, partition, nbrs)`` for every
+    placed vertex of an owned partition, ``nbrs`` the sorted ids of its
+    visible neighbours, and ``ghosts`` holds ``(vid, label_id,
+    partition)`` for every off-shard neighbour of a member.  Both are empty
+    for a cluster booted over an empty graph.  The spec is a ``Process``
+    argument, so the snapshot never crosses a queue: the server inherits
+    it under ``fork`` and unpickles it once under ``spawn``.
     """
 
     FIELDS = (
@@ -157,6 +169,8 @@ class ServeSpec(_Wire):
         #: Ship a :class:`StatsReport` after every N ingest rounds
         #: (0 = never) — telemetry piggybacked on the reply queue.
         ("stats_every", 0, None),
+        ("members", (), tuple),
+        ("ghosts", (), tuple),
     )
 
 
@@ -200,8 +214,9 @@ class InvalidationHops(_Wire):
 
 
 class IngestAck(_Wire):
-    """Barrier acknowledgement for one ingest/invalidation wave,
-    server → driver.  ``forwards`` lists ghost distances the wave settled,
+    """Barrier acknowledgement for one ingest/invalidation wave — or, with
+    ``seq`` 0 and no forwards, for a server's boot snapshot — server →
+    driver.  ``forwards`` lists ghost distances the wave settled,
     as ``(vid, dist, partition)`` — the driver routes each to the
     partition's owning shard in the next :class:`InvalidationHops` wave.
     """

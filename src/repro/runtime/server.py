@@ -1,11 +1,13 @@
 """The live shard server: one long-lived process, ingest *and* serve.
 
-PR 4's workers partitioned their shard of the stream and exited; a
-:class:`ShardServer` instead stays up for the life of the cluster, owning
-the :class:`~repro.serving.stores.ShardStores` of every partition with
+A :class:`ShardServer` stays up for the life of the cluster, owning the
+:class:`~repro.serving.stores.ShardStores` of every partition with
 ``p % num_shards == shard_id`` and answering routed sub-queries while
-edge deltas keep arriving.  The process entry point
-(:func:`shard_server_main`) multiplexes two bounded queues:
+edge deltas keep arriving.  It boots from the snapshot in its
+:class:`~repro.runtime.messages.ServeSpec` — the driver's cold pass,
+adopted in one go as the shard's stores — and acknowledges that as
+ingest round 0.  The process entry point (:func:`shard_server_main`) then
+multiplexes two bounded queues:
 
 * the **ingest queue** carries :class:`~repro.runtime.messages.EdgeUpdate`
   rounds and :class:`~repro.runtime.messages.InvalidationHops` waves, each
@@ -22,8 +24,8 @@ before taking one request, so an edge round is never queued behind a deep
 backlog of queries (bounded staleness under load).  Both queues accept
 the shared ``END_OF_STREAM`` sentinel for shutdown; any exception posts a
 :class:`~repro.runtime.messages.ServerFailure` with the full traceback so
-the driver re-raises instead of deadlocking — the PR 4 failure contract,
-carried over.
+the driver re-raises instead of deadlocking — during boot as in any
+later round.
 
 The serving logic itself is :class:`ShardServer`, a plain object with no
 process machinery — the protocol tests drive it in-process.
@@ -96,15 +98,18 @@ class ShardServer:
         if spec.obs_enabled and not obs.enabled():
             obs.enable()
         self.shard_id = spec.shard_id
-        self.stores = ShardStores(spec.shard_id, spec.num_shards, spec.k)
+        self.stores = ShardStores.from_rows(
+            spec.shard_id, spec.num_shards, spec.k, spec.members, spec.ghosts
+        )
         self.view = ShardView(self.stores)
         self.cache: Optional[ResultCache] = (
             ResultCache(spec.cache_capacity) if spec.cache_enabled else None
         )
         #: query name → invalidation radius |Eq| (never changes).
         self.query_depths: Dict[str, int] = dict(spec.query_depths)
-        #: Last applied ingest sequence number — the cache epoch.
-        self.seq = -1
+        #: Last applied ingest sequence number — the cache epoch.  The boot
+        #: snapshot is round 0.
+        self.seq = 0
         #: query name → adopted plan signature (drives stale-plan drops).
         self._plan_sigs: Dict[str, Tuple] = {}
         #: The current round's settled invalidation distances; reset by each
@@ -113,7 +118,7 @@ class ShardServer:
         self.requests_served = 0
         self.steps_executed = 0
         self.hop_messages = 0
-        self.ingest_rounds = 0
+        self.ingest_rounds = 1
         #: CachePuts the epoch guard discarded (reported in ServerStats).
         self.cache_rejects = 0
 
@@ -334,9 +339,12 @@ class ShardServer:
 
 
 def shard_server_main(spec: ServeSpec, ingest_queue, request_queue, out_queue) -> None:
-    """Process entry point: multiplex the two queues until the sentinel.
+    """Process entry point: boot, then multiplex the two queues until the
+    sentinel.
 
-    Ingest priority: the ingest queue is drained completely before each
+    Booting builds the stores from ``spec``'s snapshot and posts its
+    :class:`IngestAck` — round 0, which the driver's constructor barriers
+    on.  Ingest priority: the ingest queue is drained completely before each
     request-queue poll, so edge rounds overtake any request backlog.  The
     request poll blocks briefly (:data:`REQUEST_POLL_SECONDS`) instead of
     spinning; the driver's barrier latency per round is bounded by it.
@@ -344,6 +352,7 @@ def shard_server_main(spec: ServeSpec, ingest_queue, request_queue, out_queue) -
     try:
         check_schema(spec)
         server = ShardServer(spec)
+        out_queue.put(IngestAck(server.shard_id, server.seq, server.stores.num_edges))
         stats_every = spec.stats_every
         while True:
             while True:

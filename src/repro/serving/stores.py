@@ -10,7 +10,8 @@ the visible-edge set and the pending buffer.  A live driver uses it as is;
 partitions, which also hold the adjacency of their member vertices on dense
 interner ids (sorted neighbour arrays, CSR in spirit: the flat sorted runs
 are what the engine's inner loop scans).  :class:`ShardStores` is the slice
-of that adjacency one shard server owns, built from wire rows.
+of that adjacency one shard server owns: booted from the driver's cold
+pass in one go, then grown by wire rows.
 
 The index is **online**: :meth:`RoutingIndex.ingest_edge` admits a
 streamed edge the moment both endpoints have been *assigned* by the
@@ -29,7 +30,7 @@ label strings survive only at the boundary.
 from __future__ import annotations
 
 from bisect import insort
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.graph.interning import EDGE_SHIFT, LabelInterner, pack_edge
 from repro.graph.labelled_graph import LabelledGraph, Vertex
@@ -37,10 +38,12 @@ from repro.graph.stream import EdgeEvent
 from repro.partitioning.state import UNASSIGNED, PartitionState
 
 
-def _cold_rows(
+def cold_rows(
     target: "RoutingIndex", graph: LabelledGraph
 ) -> Iterator[Tuple[int, int, int, List[int]]]:
-    """The one id-space pass behind both ``from_state`` builds.
+    """The one id-space pass behind every cold build: both ``from_state``
+    builds and a live cluster's boot snapshot
+    (:func:`repro.runtime.live.boot_snapshot`).
 
     Per *placed* vertex, in ``graph.vertices()`` order, yields ``(vid,
     label_id, partition, nbrs)``: the ids of its placed neighbours in the
@@ -210,7 +213,7 @@ class RoutingIndex:
         replaying :meth:`ingest_edge` over ``graph.edges()``.
         """
         index = cls(state)
-        index._new_vertices.extend(row[:3] for row in _cold_rows(index, graph))
+        index._new_vertices.extend(row[:3] for row in cold_rows(index, graph))
         return index
 
     # ------------------------------------------------------------------
@@ -340,7 +343,7 @@ class ServingStores(RoutingIndex):
         """Materialise stores for every placed vertex/edge of ``graph`` —
         the same pass, and the same contract, as :meth:`RoutingIndex.from_state`."""
         stores = cls(state)
-        for vid, _label_id, partition, nbrs in _cold_rows(stores, graph):
+        for vid, _label_id, partition, nbrs in cold_rows(stores, graph):
             nbrs.sort()
             stores.stores[partition]._adj[vid] = nbrs
         return stores
@@ -404,19 +407,20 @@ class ShardStores:
     **ghost metadata** (label and partition) for every remote vertex seen
     on a border edge.
 
-    Built entirely from EdgeUpdate wire rows — the shard never touches the
-    interner or the graph.  The invariants the distributed executor leans
-    on:
+    Booted from the driver's cold snapshot (:meth:`from_rows`), then grown
+    by EdgeUpdate wire rows — the shard never touches the interner or the
+    graph.  The invariants the distributed executor leans on:
 
     * a *member*'s adjacency is complete w.r.t. the visible subgraph (the
       driver sends every visible edge incident to an owned partition), so
       ``has_edge_local`` answers definitively whenever either endpoint is
       a member and returns ``None`` only for remote–remote pairs;
     * every vertex the executor can name (a member's neighbour) has label
-      and partition recorded — ghost metadata arrived on the edge row that
-      made it adjacent;
-    * adjacency lists are insort-maintained, so candidate iteration order
-      matches the single-process :class:`ServingStores` bit for bit.
+      and partition recorded — ghost metadata arrived in the snapshot or on
+      the edge row that made it adjacent;
+    * adjacency lists are sorted (booted sorted, then insort-maintained),
+      so candidate iteration order matches the single-process
+      :class:`ServingStores` bit for bit.
     """
 
     __slots__ = (
@@ -447,6 +451,47 @@ class ShardStores:
         self.num_edges = 0
         self.num_border_edges = 0
         self.num_ghosts = 0
+
+    @classmethod
+    def from_rows(
+        cls,
+        shard_id: int,
+        num_shards: int,
+        k: int,
+        members: Sequence[Tuple[int, int, int, List[int]]],
+        ghosts: Sequence[Tuple[int, int, int]],
+    ) -> "ShardStores":
+        """Bulk-build a shard's slice from a cold snapshot.
+
+        ``members`` holds ``(vid, label_id, partition, nbrs)`` per placed
+        vertex of an owned partition, ``nbrs`` the sorted ids of its
+        visible neighbours — adopted as the adjacency, not copied;
+        ``ghosts`` holds ``(vid, label_id, partition)`` per off-shard
+        neighbour.  Field for field what :meth:`add_vertex` and
+        :meth:`apply_edge` build from the same graph sent as wire rows.
+        """
+        stores = cls(shard_id, num_shards, k)
+        adj, label_of, partition_of = stores._adj, stores._label_of, stores._partition_of
+        for vid, label_id, partition, nbrs in members:
+            adj[vid] = nbrs
+            label_of[vid] = label_id
+            partition_of[vid] = partition
+        for vid, label_id, partition in ghosts:
+            label_of[vid] = label_id
+            partition_of[vid] = partition
+        edges = stores._edges
+        border = 0
+        for vid, _label_id, partition, nbrs in members:
+            for wid in nbrs:
+                if wid < vid and wid in adj:
+                    continue  # a member–member edge, counted from its lower end
+                edges.add(pack_edge(vid, wid))
+                if partition_of[wid] != partition:
+                    border += 1
+        stores.num_edges = len(edges)
+        stores.num_border_edges = border
+        stores.num_ghosts = len(ghosts)
+        return stores
 
     def owns_partition(self, partition: int) -> bool:
         return partition % self.num_shards == self.shard_id

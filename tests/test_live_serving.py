@@ -11,15 +11,18 @@ hang.
 """
 
 import hashlib
+import multiprocessing as mp
 import os
 import pickle
 import signal
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import make_random_labelled_graph
 
+from repro.graph.interning import unpack_edge
 from repro.graph.labelled_graph import LabelledGraph
 from repro.graph.stream import batched, stream_edges
 from repro.partitioning import registry
@@ -29,7 +32,7 @@ from repro.query.executor import WorkloadExecutor
 from repro.query.isomorphism import embedding_edges, find_embeddings
 from repro.query.pattern import cycle_pattern, path_pattern
 from repro.query.workload import Workload
-from repro.runtime.live import LiveCluster
+from repro.runtime.live import LiveCluster, boot_snapshot
 from repro.runtime.liveness import ShardProcessError
 from repro.runtime.messages import (
     SCHEMA_VERSION,
@@ -52,7 +55,7 @@ from repro.runtime.server import ShardServer
 from repro.serving import RootResult, ServingEngine
 from repro.serving.execution import CompiledPlan, Continuation, LiteralSegment
 from repro.serving.router import BUILTIN_ROUTERS
-from repro.serving.stores import RoutingIndex, ServingStores
+from repro.serving.stores import RoutingIndex, ServingStores, ShardStores
 from repro.serving.traffic import LiveTrafficDriver, TrafficDriver
 
 
@@ -393,6 +396,109 @@ def test_parked_root_is_unplaced_until_settled_then_answers():
 
 
 # ----------------------------------------------------------------------
+# Boot: one cold pass, each shard's slice adopted in one go
+# ----------------------------------------------------------------------
+def _replayed_shards(graph, state, num_shards):
+    """Each shard's stores as ``EdgeUpdate`` rows would build them: every
+    placed vertex's row, then every visible edge as a row in packed-key
+    order, applied by ``ShardServer.apply_update`` — the per-edge replay
+    a bulk boot must equal."""
+    index = RoutingIndex.from_state(graph, state)
+    part_of, label_of = state.partition_of_id, index.label_id_of
+    vertices = [[] for _ in range(num_shards)]
+    edges = [[] for _ in range(num_shards)]
+    for row in index.take_new_vertices():
+        vertices[row[2] % num_shards].append(row)
+    for key in sorted(index._edges):
+        uid, vid = unpack_edge(key)
+        row = (uid, label_of(uid), part_of(uid), vid, label_of(vid), part_of(vid))
+        for shard in {part_of(uid) % num_shards, part_of(vid) % num_shards}:
+            edges[shard].append(row)
+    shards = []
+    for shard in range(num_shards):
+        server = ShardServer(ServeSpec(shard, num_shards, state.k, ()))
+        server.apply_update(EdgeUpdate(1, vertices[shard], edges[shard], (), False))
+        shards.append(server.stores)
+    return index, shards
+
+
+_SHARD_FIELDS = (
+    "_adj",
+    "_label_of",
+    "_partition_of",
+    "_edges",
+    "num_edges",
+    "num_border_edges",
+    "num_ghosts",
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    system=st.sampled_from(["hash", "loom"]),
+    k=st.integers(1, 5),
+    num_shards=st.sampled_from([1, 2, 4]),
+    complete=st.booleans(),
+)
+def test_boot_snapshot_equals_replaying_edge_rows(seed, system, k, num_shards, complete):
+    """A shard booted from the snapshot is field for field the shard the
+    same graph builds as wire rows — for Hash and Loom placements, any
+    shard count, and partially placed graphs, whose edges with an unplaced
+    endpoint stay in the driver's pending buffer and out of every slice."""
+    graph, workload = make_random_labelled_graph(30, 60, seed=seed), _random_case()[1]
+    events = list(stream_edges(graph, "random", seed=seed))
+    graph.add_vertex(100, "a")  # isolated, placed below
+    graph.add_edge(101, 0, "b")  # never streamed: 101 is never placed
+    state = PartitionState.for_graph(k, graph.num_vertices)
+    partitioner = registry.create(
+        system, state, graph=graph, workload=workload, window_size=10, seed=seed
+    )
+    if complete:
+        partitioner.ingest_all(events)
+    else:  # half the stream: unseen vertices, and Loom's window and parked ones
+        partitioner.ingest_batch(events[: len(events) // 2])
+    state.assign(100, seed % k)
+
+    index, members, ghosts = boot_snapshot(graph, state, num_shards)
+    reference, replayed = _replayed_shards(graph, state, num_shards)
+    assert index._pending == reference._pending
+    assert (index.num_edges, index.num_border_edges) == (
+        reference.num_edges,
+        reference.num_border_edges,
+    )
+    assert index.take_new_vertices() == []  # the snapshot carries them
+    for shard in range(num_shards):
+        booted = ShardStores.from_rows(shard, num_shards, k, members[shard], ghosts[shard])
+        for name in _SHARD_FIELDS:
+            assert getattr(booted, name) == getattr(replayed[shard], name), name
+        named = {vid for vid, *_rest in ghosts[shard]}
+        for vid, _label, _part, nbrs in members[shard]:
+            named.add(vid)
+            named.update(nbrs)
+        assert all(state.is_assigned_id(vid) for vid in named)
+    assert index.num_pending > 0
+
+
+@pytest.mark.skipif("fork" not in mp.get_all_start_methods(), reason="needs fork")
+def test_spawn_boot_matches_fork():
+    """Under spawn the snapshot is pickled into each server — the only boot
+    path on a platform without fork.  Answers, hops and shard stats equal
+    the fork cluster's."""
+    graph, workload = _random_case()
+    state = _partition("loom", graph, workload, k=4)
+    runs = []
+    for method in ("fork", "spawn"):
+        with LiveCluster(
+            graph, state, workload, num_shards=2, cache=True, start_method=method
+        ) as cluster:
+            report = cluster.execute_workload("loom")
+            runs.append((_report_rows(report), [s.as_dict() for s in cluster.shard_stats()]))
+    assert runs[1] == runs[0]
+    assert sum(row[4] for row in runs[0][0]) > 0  # hops crossed shards
+
+
+# ----------------------------------------------------------------------
 # Rounds before the first request: nothing cached, nothing to invalidate
 # ----------------------------------------------------------------------
 class _TappedCluster(LiveCluster):
@@ -419,21 +525,39 @@ def _wave_traffic(cluster):
     return hops, forwards
 
 
-def test_bootstrap_sends_no_invalidation_wave(monkeypatch):
-    """Booting over a partitioned graph ships the stores and nothing else:
-    the caches are empty cluster-wide, so no shard runs the radius BFS and
-    the shards end up exactly as in a cache-less boot."""
-    # Several rounds: a later chunk's BFS reaches ghosts of an earlier one.
-    monkeypatch.setattr("repro.runtime.live.BOOTSTRAP_CHUNK", 16)
+def test_bootstrap_sends_no_invalidation_wave():
+    """Booting over a partitioned graph sends no message at all — each
+    shard's slice rides in its ServeSpec and comes back as a round-0 ack.
+    An ingest round before the first request still skips the wave (every
+    cache is empty cluster-wide), and the shards end up exactly as in a
+    cache-less cluster."""
     graph, workload = _random_case()
-    state = _partition("hash", graph, workload, k=4)
-    with _TappedCluster(graph, state, workload, num_shards=2, cache=True) as cached:
-        updates = [m for m in cached.sent if isinstance(m, EdgeUpdate)]
-        assert len(updates) > 2 and not any(m.invalidate for m in updates)
-        assert _wave_traffic(cached) == ([], [])
-        cached_stats = [shard.as_dict() for shard in cached.shard_stats()]
-    with LiveCluster(graph, state, workload, num_shards=2, cache=False) as plain:
-        plain_stats = [shard.as_dict() for shard in plain.shard_stats()]
+    first, rest = batched(list(stream_edges(graph, "random", seed=3)), 90)
+
+    def boot(cache):
+        state = PartitionState.for_graph(4, graph.num_vertices)
+        partitioner = registry.create("hash", state, graph=graph, workload=workload, seed=0)
+        partitioner.ingest_batch(first)
+        streamed = LabelledGraph("live")
+        for event in first:
+            streamed.add_edge(event.u, event.v, event.u_label, event.v_label)
+        return _TappedCluster(
+            streamed, state, workload, num_shards=2, cache=cache, partitioner=partitioner
+        )
+
+    stats = {}
+    for cache in (True, False):
+        with boot(cache) as cluster:
+            assert cluster.sent == []
+            assert [(m.seq, m.forwards) for m in cluster.received] == [(0, ())] * 2
+            assert all(isinstance(m, IngestAck) for m in cluster.received)
+            cluster.ingest(rest)
+            updates = [m for m in cluster.sent if isinstance(m, EdgeUpdate)]
+            assert len(updates) == 2 and not any(m.invalidate for m in updates)
+            assert _wave_traffic(cluster) == ([], [])
+            stats[cache] = [shard.as_dict() for shard in cluster.shard_stats()]
+    cached_stats, plain_stats = stats[True], stats[False]
+    assert [(s["seq"], s["ingest_rounds"]) for s in cached_stats] == [(1, 2)] * 2
     assert sum(shard["border_edges"] for shard in cached_stats) > 0  # waves had work to skip
     for with_cache, without in zip(cached_stats, plain_stats):
         assert with_cache.pop("cache_stats") == {
@@ -555,6 +679,31 @@ def test_killed_server_raises_with_signal_name_quickly():
     assert excinfo.value.remote_traceback is None  # died without reporting
 
 
+@pytest.mark.skipif("fork" not in mp.get_all_start_methods(), reason="needs fork")
+def test_shard_failing_at_boot_raises_and_leaves_no_server(monkeypatch):
+    """A shard that raises while building its stores from the snapshot
+    surfaces as ShardProcessError with the remote traceback, within
+    seconds, and the constructor leaves no server process behind."""
+    graph, workload = _random_case()
+    state = _partition("hash", graph, workload, k=4)
+    from_rows = ShardStores.from_rows.__func__
+
+    def failing(cls, shard_id, *args):
+        if shard_id == 1:
+            raise ValueError("injected boot failure")
+        return from_rows(cls, shard_id, *args)
+
+    # The fork child inherits the patch.
+    monkeypatch.setattr(ShardStores, "from_rows", classmethod(failing))
+    start = time.monotonic()
+    with pytest.raises(ShardProcessError) as excinfo:
+        LiveCluster(graph, state, workload, num_shards=2, start_method="fork")
+    assert time.monotonic() - start < 10.0
+    assert excinfo.value.shard_id == 1
+    assert "injected boot failure" in excinfo.value.remote_traceback
+    assert not [p for p in mp.active_children() if p.name.startswith("loom-serve-")]
+
+
 def test_poison_message_surfaces_remote_traceback():
     graph, workload = _random_case()
     state = _partition("ldg", graph, workload, k=4)
@@ -576,7 +725,14 @@ def test_poison_message_surfaces_remote_traceback():
 # Wire discipline: slots, tuple encodings, schema version
 # ----------------------------------------------------------------------
 _WIRE_SAMPLES = [
-    ServeSpec(shard_id=1, num_shards=4, k=8, query_depths=(("abc", 2),)),
+    ServeSpec(
+        shard_id=1,
+        num_shards=4,
+        k=8,
+        query_depths=(("abc", 2),),
+        members=((5, 0, 1, [6]),),
+        ghosts=((6, 1, 2),),
+    ),
     EdgeUpdate(3, ((5, 0, 1),), ((5, 0, 1, 6, 1, 2),), ("abc",), False),
     InvalidationHops(3, ((7, 1), (9, 2))),
     IngestAck(1, 3, 2, ((7, 1, 0),)),

@@ -96,8 +96,10 @@ class LoomPartitioner(StreamingPartitioner):
         # later LDG placement, and only those reach the zero-bid fallback
         # and the neighbour-aware bids.  Any other vertex is placed at its
         # first edge, over that edge's far endpoint.  The one structure here
-        # that grows with the stream (ARCHITECTURE.md, "Resident state").
-        self._adj: Dict[int, Set[int]] = {}
+        # that grows with the stream (ARCHITECTURE.md, "Resident state"), so
+        # a list: every motif-label edge appends, while reads are rare and
+        # deduplicate (a raw stream may repeat an edge).
+        self._adj: Dict[int, List[int]] = {}
         # Live views bound once for the per-event fast path (in-package
         # inner-loop binding, ARCHITECTURE.md): the assignment vector grows
         # in place; the window's id -> label dict is keyed by its vertices.
@@ -239,15 +241,15 @@ class LoomPartitioner(StreamingPartitioner):
                 if u_label in motif_labels:
                     bucket = adj.get(uid)
                     if bucket is None:
-                        adj[uid] = {vid}
+                        adj[uid] = [vid]
                     else:
-                        bucket.add(vid)
+                        bucket.append(vid)
                 if v_label in motif_labels:
                     bucket = adj.get(vid)
                     if bucket is None:
-                        adj[vid] = {uid}
+                        adj[vid] = [uid]
                     else:
-                        bucket.add(uid)
+                        bucket.append(uid)
                 mstats.edges_offered += 1
                 got = root_memo.get((u_label, v_label))
                 if got is None:
@@ -337,7 +339,7 @@ class LoomPartitioner(StreamingPartitioner):
             if state.is_assigned_id(vid) or vid in self._window_vertices:
                 self.stats["deferred_claimed"] += 1
             else:
-                self._place_now(state.interner.vertex(vid), vid, self._adj.get(vid, ()))
+                self._place_now(state.interner.vertex(vid), vid, set(self._adj.get(vid, ())))
                 self.stats["deferred_aged_out"] += 1
 
     def _place_now(self, v: Vertex, vid: int, neighbor_ids: Iterable[int]) -> None:
@@ -352,7 +354,7 @@ class LoomPartitioner(StreamingPartitioner):
         ids straight through)."""
         neighborhood: Set[int] = set()
         for vid in cluster_ids:  # detlint: disable=DET-setiter (set-union accumulation is commutative)
-            neighborhood |= self._adj.get(vid, set())
+            neighborhood.update(self._adj.get(vid, ()))
         neighborhood -= cluster_ids
         return ldg_choose_ids(self.state, neighborhood)
 
@@ -386,7 +388,7 @@ class LoomPartitioner(StreamingPartitioner):
             for v in (eviction.event.u, eviction.event.v):
                 vid = self.state.intern(v)
                 if not self.state.is_assigned_id(vid):
-                    self._place_now(v, vid, self._adj.get(vid, ()))
+                    self._place_now(v, vid, set(self._adj.get(vid, ())))
             self.matcher.remove_cluster({eviction.ekey})
 
     # ------------------------------------------------------------------

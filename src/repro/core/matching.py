@@ -100,13 +100,18 @@ class Match:
     """A sub-graph of window edges matching a motif (an entry of matchList).
 
     ``edges`` holds packed edge keys as a **sorted tuple** (canonical — two
-    matches are equal iff their states and edge tuples are), ``vertices``
-    interner ids and ``state`` a dense :class:`~repro.core.plan.MotifPlan`
-    state id; all integers end to end.  ``support`` is the state's support,
-    denormalised into the match because the auction and every sort key read
-    it.  Any iterable of packed keys is accepted and canonicalised."""
+    matches are equal iff their states and edge tuples are) and ``state`` a
+    dense :class:`~repro.core.plan.MotifPlan` state id; all integers end to
+    end.  ``support`` is the state's support, denormalised into the match
+    because the auction and every sort key read it.  Any iterable of packed
+    keys is accepted and canonicalised.
 
-    __slots__ = ("edges", "state", "support", "vertices", "_degrees", "_hash", "_sort_key")
+    Matches are the bulk of the window's resident state, so each fact is
+    held once (ARCHITECTURE.md, "Resident state"): ``vertices`` returns the
+    degree map, and the hash is computed from ``(edges, state)`` on demand
+    — the matchList's indexes key that tuple, not the match."""
+
+    __slots__ = ("edges", "state", "support", "_degrees", "_sort_key")
 
     def __init__(
         self,
@@ -123,15 +128,18 @@ class Match:
         # (extension adds one edge to a known match; _grow threads degrees
         # through its backtracking) and pass it in; it is never mutated
         # after construction, so sharing is safe.
-        degrees = _edge_set_degrees(edges) if _degrees is None else _degrees
-        self._degrees = degrees
-        self.vertices: Tuple[int, ...] = tuple(degrees)
-        self._hash = hash((edges, state))
+        self._degrees = _edge_set_degrees(edges) if _degrees is None else _degrees
         # Support-descending order with deterministic tie-breaks (Sec. 4):
         # smaller matches first among equals, then by the canonical edge
         # tuple — an integer comparison, stable across runs and hash seeds.
         # Eager: the edges are already sorted, so this is three refs.
         self._sort_key: Tuple[float, int, EdgeTuple] = (-support, len(edges), edges)
+
+    @property
+    def vertices(self) -> Dict[int, int]:
+        """The match's vertex ids, first-seen order: the degree map itself
+        (iterate it or test membership; never mutate it)."""
+        return self._degrees
 
     @property
     def num_edges(self) -> int:
@@ -146,7 +154,7 @@ class Match:
         return ekey in self.edges
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash((self.edges, self.state))
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -705,8 +713,7 @@ class StreamMatcher:
             self._ml_keys.append(None)
         cap = -1 if mandatory else self.max_matches_per_vertex
         inserted = 0
-        vertices = tuple(degrees)
-        for vid in vertices:
+        for vid in degrees:
             bucket = by_vertex.get(vid)
             if bucket is None:
                 by_vertex[vid] = {mid}
@@ -716,7 +723,7 @@ class StreamMatcher:
                 # Cap hit: undo this id's inserts (bucket sizes are
                 # pre-insert sizes for every vertex either way, so the
                 # verdict is identical to a check-then-insert pass).
-                for undo_vid in vertices:
+                for undo_vid in degrees:
                     if inserted == 0:
                         break
                     undo_bucket = by_vertex.get(undo_vid)
@@ -730,7 +737,7 @@ class StreamMatcher:
                 return None
             inserted += 1
         # Direct slot stores: edges is already the canonical sorted tuple
-        # and key/vertices are in hand, so Match.__init__ would only redo
+        # and the degree map is in hand, so Match.__init__ would only redo
         # work (this is the per-match allocation hot spot).
         support = self._support[state]
         match = Match.__new__(Match)
@@ -738,8 +745,6 @@ class StreamMatcher:
         match.state = state
         match.support = support
         match._degrees = degrees
-        match.vertices = vertices
-        match._hash = hash(key)
         match._sort_key = sort_key = (-support, len(edges), edges)
         self._ml_arena[mid] = match
         self._ml_keys[mid] = sort_key

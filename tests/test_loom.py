@@ -124,6 +124,52 @@ class TestStreamingBehaviour:
         for v in (1, 2, 3):
             assert loom.state.is_assigned(v)
 
+    def test_duplicate_edges_reach_ldg_once(self, fig1_workload, monkeypatch):
+        """The seen adjacency records an edge each time it arrives, so a
+        raw stream that repeats an edge repeats a neighbour in a list; LDG
+        must still count that neighbour once.  Covered: a parked
+        motif-label vertex whose wait ends (``_release_due``) and a window
+        cluster that takes the zero-bid fallback (``_ldg_cluster_choice``).
+        Placements equal those of the stream without the repeats."""
+        import repro.core.loom as loom_module
+
+        real = loom_module.ldg_choose_ids
+        calls = []
+
+        def spy(state, neighbor_ids):
+            ids = list(neighbor_ids)
+            calls.append(ids)
+            return real(state, ids)
+
+        monkeypatch.setattr(loom_module, "ldg_choose_ids", spy)
+        events = [
+            EdgeEvent(3, "c", 4, "d"),  # non-motif: 4 placed, 3 parked
+            EdgeEvent(3, "c", 4, "d"),
+            EdgeEvent(3, "c", 5, "d"),
+            EdgeEvent(1, "a", 9, "d"),  # non-motif: 9 placed, 1 parked
+            EdgeEvent(1, "a", 9, "d"),
+            EdgeEvent(1, "a", 2, "b"),  # motif: the window holds 1 and 2
+        ]
+        loom = make_loom(fig1_workload)
+        loom.ingest_batch(events)
+        id_of = loom.state.interner.id_of
+        assert loom._adj[id_of(3)] == [id_of(4), id_of(4), id_of(5)]
+        assert loom._adj[id_of(1)] == [id_of(9), id_of(9), id_of(2)]
+        calls.clear()
+        loom.finalize()
+        # The cluster {1, 2} has nothing placed: zero bids, LDG over {9};
+        # then 3's wait ends unclaimed: LDG over {4, 5}.
+        assert loom.stats["fallback_allocations"] == 1
+        assert loom.stats["deferred_aged_out"] == 1
+        assert len(calls) == 2
+        assert calls[0] == [id_of(9)]
+        assert sorted(calls[1]) == [id_of(4), id_of(5)]
+
+        monkeypatch.setattr(loom_module, "ldg_choose_ids", real)
+        simple = make_loom(fig1_workload)
+        simple.ingest_all([e for i, e in enumerate(events) if i not in (1, 4)])
+        assert loom.state.assignment() == simple.state.assignment()
+
     def test_motif_cluster_lands_in_one_partition(self, fig1_workload):
         """An a-b-c motif match should be co-located on eviction."""
         loom = make_loom(fig1_workload, window_size=50)
@@ -170,7 +216,9 @@ class TestFullStream:
         vertex of any other label is placed at its first edge and never
         asked about again — and what it holds is the vertex's whole seen
         neighbourhood, non-motif neighbours included (the zero-bid
-        fallback and the neighbour-aware bids score all of it)."""
+        fallback and the neighbour-aware bids score all of it).  Each list
+        holds a neighbour once per edge, so on a simple graph's stream no
+        list repeats an id."""
         dataset = load_dataset("musicbrainz", 600, seed=2)
         graph = dataset.graph
         state = PartitionState.for_graph(4, graph.num_vertices)
@@ -184,7 +232,8 @@ class TestFullStream:
             for v in graph.vertices()
             if graph.label(v) in motif_labels and graph.degree(v)
         }
-        assert loom._adj == expected
+        assert {vid: set(nbrs) for vid, nbrs in loom._adj.items()} == expected
+        assert all(len(nbrs) == len(set(nbrs)) for nbrs in loom._adj.values())
         assert any(
             graph.label(state.interner.vertex(w)) not in motif_labels
             for nbrs in loom._adj.values()

@@ -400,6 +400,40 @@ class TestMatchAndMatchList:
         assert match.degree_of(1) == 1
         assert match.degree_of(9) == 0
 
+    def test_match_contract_holds_each_fact_once(self, fig5_workload):
+        """A match stores no vertex tuple and no cached hash: ``vertices``
+        is the degree map's keys in first-seen order and the hash is that
+        of ``(edges, state)`` — for constructed matches and for those the
+        matcher registers through its slot-store fast path alike."""
+        assert not {"vertices", "_hash"} & set(Match.__slots__)
+        built = Match([pack_edge(5, 2), pack_edge(2, 1)], 3, 0.5)
+        assert list(built.vertices) == [1, 2, 5]  # over the sorted edges
+        assert [built.degree_of(v) for v in (1, 2, 5, 9)] == [1, 2, 1, 0]
+
+        m = build_matcher(fig5_workload)
+        for e in (E1, E2, E3, E4, E5):
+            m.offer(e)
+        registered = m.matchlist.all_matches()
+        assert any(match.num_edges > 2 for match in registered)
+        id_of = m.interner.id_of
+        for match in registered:
+            twin = Match(match.edges, match.state, match.support)
+            assert twin == match and hash(twin) == hash(match)
+            assert hash(match) == hash((match.edges, match.state))
+            assert len({match, twin}) == 1
+            assert list(match.vertices) == list(match._degrees)
+            assert sorted(match.vertices) == sorted(twin.vertices)
+            assert all(match.degree_of(v) == twin.degree_of(v) for v in twin.vertices)
+        # First-seen order is stream order along the extension: the a-b-c
+        # match that e3 = (4, 5) grew from e2 = (3, 4).
+        (abc,) = [
+            match
+            for match in registered
+            if match.edges == tuple(sorted((ek(m, 3, 4), ek(m, 4, 5))))
+        ]
+        assert list(abc.vertices) == [id_of(3), id_of(4), id_of(5)]
+        assert [abc.degree_of(id_of(v)) for v in (3, 4, 5)] == [1, 2, 1]
+
     def test_sort_key_is_integer_based(self):
         """No repr() strings on the hot path: tie-breaks compare packed ids."""
         match = Match(frozenset([pack_edge(2, 1), pack_edge(2, 3)]), 0, 0.7)

@@ -117,10 +117,10 @@ TIME_EXEMPT: Tuple[str, ...] = (
     "src/repro/experiment/*",
 )
 
-#: Method names known to return live sets in this codebase (the graph's
-#: adjacency API).  Iterating their result feeds hash order into whatever
-#: consumes it.
-SET_RETURNING_METHODS = frozenset({"neighbors", "label_set", "members"})
+#: Method names known to return sets in this codebase (a graph's or
+#: workload's ``label_set``, a partition's ``members``).  Iterating their
+#: result feeds hash order into whatever consumes it.
+SET_RETURNING_METHODS = frozenset({"label_set", "members"})
 
 #: Type names that denote raw (pre-interning) vertex objects.
 RAW_VERTEX_TYPES = frozenset({"Vertex"})

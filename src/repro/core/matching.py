@@ -64,7 +64,7 @@ worst case on dense, label-homogeneous hubs.  The default of 64 is *not*
 generous: on the reference graph ``capped_registrations / matches_created``
 is 0.33–0.35 (the e2e benchmark's ``core.matching.capped_share``), so every
 quality number this repo reports is Loom under that cap.  Sweeping it is
-ROADMAP item 1f.
+ROADMAP item 1e.
 """
 
 from __future__ import annotations
@@ -692,7 +692,7 @@ class StreamMatcher:
         # checking bucket sizes, rolling back on a cap hit.  A cap hit is
         # not rare: with the default cap of 64, capped_registrations /
         # matches_created is 0.33–0.35 on the reference graph (the e2e
-        # benchmark's core.matching.capped_share; ROADMAP item 1f sweeps
+        # benchmark's core.matching.capped_share; ROADMAP item 1e sweeps
         # the cap).  The extension loop therefore skips registrations it
         # can see are doomed before building them; what reaches here pays
         # one pass on success.  The Match object is only constructed once

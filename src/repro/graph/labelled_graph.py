@@ -8,7 +8,10 @@ TPSTry++ construction, the stream motif matcher and the query executor.
 
 Vertices are arbitrary hashable identifiers (integers in practice), labels
 are short strings.  Edges are unordered pairs, normalised so that
-``(u, v) == (v, u)``; see :func:`normalize_edge`.
+``(u, v) == (v, u)``; see :func:`normalize_edge`.  Adjacency is one list
+per vertex, neighbours in first-insertion order: the graph is the
+largest per-vertex structure the program holds, and on the benchmark
+graphs a list per vertex takes a quarter of the memory a set would.
 """
 
 from __future__ import annotations
@@ -37,9 +40,16 @@ def normalize_edge(u: Vertex, v: Vertex) -> Edge:
 class LabelledGraph:
     """An undirected simple graph with one label per vertex.
 
-    The structure is adjacency-set based: neighbour lookups, degree queries
-    and edge-membership tests are O(1) expected, which the stream matcher
-    and the query executor both rely on.
+    Each vertex holds one list of its neighbours, each once, in the order
+    its edges were first added.  A list costs a 56 B header and 8 B per
+    slot (CPython over-allocates in steps of four), where a set costs
+    216 B up to four members and 728 B from the fifth.  Neighbour and
+    degree lookups are O(1); edge-membership tests (:meth:`has_edge`,
+    :meth:`add_edge`'s duplicate check) and :meth:`remove_edge` scan one
+    endpoint's list, O(degree) — short on the graphs served here (the
+    benchmark graphs' maximum degree is 56).  Readers that need a
+    canonical order sort: the stream orders by insertion rank, the cold
+    store build and the embedding search by id.
 
     Parameters
     ----------
@@ -51,7 +61,7 @@ class LabelledGraph:
 
     def __init__(self, name: str = "") -> None:
         self.name = name
-        self._adj: Dict[Vertex, Set[Vertex]] = {}
+        self._adj: Dict[Vertex, List[Vertex]] = {}
         self._labels: Dict[Vertex, str] = {}
         self._num_edges = 0
 
@@ -68,7 +78,7 @@ class LabelledGraph:
         existing = self._labels.get(v)
         if existing is None:
             self._labels[v] = label
-            self._adj[v] = set()
+            self._adj[v] = []
         elif existing != label:
             raise ValueError(
                 f"vertex {v!r} already has label {existing!r}; cannot relabel to {label!r}"
@@ -94,8 +104,8 @@ class LabelledGraph:
             raise KeyError(f"vertex {missing!r} has no label; add it first or pass labels inline")
         if v in self._adj[u]:
             return False
-        self._adj[u].add(v)
-        self._adj[v].add(u)
+        self._adj[u].append(v)
+        self._adj[v].append(u)
         self._num_edges += 1
         return True
 
@@ -103,8 +113,8 @@ class LabelledGraph:
         """Remove the edge ``{u, v}``; raises ``KeyError`` if absent."""
         if v not in self._adj.get(u, ()):  # pragma: no branch - simple guard
             raise KeyError(f"no edge {{{u!r}, {v!r}}}")
-        self._adj[u].discard(v)
-        self._adj[v].discard(u)
+        self._adj[u].remove(v)
+        self._adj[v].remove(u)
         self._num_edges -= 1
 
     def remove_vertex(self, v: Vertex) -> None:
@@ -131,8 +141,9 @@ class LabelledGraph:
     def degree(self, v: Vertex) -> int:
         return len(self._adj[v])
 
-    def neighbors(self, v: Vertex) -> Set[Vertex]:
-        """The (live) set of neighbours of ``v``.  Do not mutate."""
+    def neighbors(self, v: Vertex) -> List[Vertex]:
+        """The (live) list of neighbours of ``v``, each once, in the order
+        their edges were first added.  Do not mutate."""
         return self._adj[v]
 
     def vertices(self) -> Iterator[Vertex]:
@@ -185,20 +196,19 @@ class LabelledGraph:
     def copy(self, name: Optional[str] = None) -> "LabelledGraph":
         g = LabelledGraph(name if name is not None else self.name)
         g._labels = dict(self._labels)
-        g._adj = {v: set(nbrs) for v, nbrs in self._adj.items()}
+        g._adj = {v: list(nbrs) for v, nbrs in self._adj.items()}
         g._num_edges = self._num_edges
         return g
 
     def subgraph(self, vertices: Iterable[Vertex]) -> "LabelledGraph":
-        """The induced sub-graph on ``vertices``."""
+        """The induced sub-graph on ``vertices``; each neighbour list keeps
+        this graph's order."""
         keep = set(vertices)
         g = LabelledGraph(self.name)
         for v in keep:
-            g.add_vertex(v, self._labels[v])
-        for v in keep:
-            for w in self._adj[v] & keep:
-                if not g.has_edge(v, w):
-                    g.add_edge(v, w)
+            g._labels[v] = self._labels[v]
+            g._adj[v] = [w for w in self._adj[v] if w in keep]
+        g._num_edges = sum(map(len, g._adj.values())) // 2
         return g
 
     def edge_subgraph(self, edges: Iterable[Edge]) -> "LabelledGraph":

@@ -56,7 +56,7 @@ def communication_volume(graph: LabelledGraph, state: PartitionState) -> int:
     for v in graph.vertices():
         home = assignment.get(v)
         remotes = set()
-        for w in graph.neighbors(v):  # detlint: disable=DET-setiter (feeds a set then len: order-free)
+        for w in graph.neighbors(v):
             pw = assignment.get(w)
             if pw is not None and pw != home:
                 remotes.add(pw)

@@ -47,12 +47,12 @@ def cold_rows(
 
     Per *placed* vertex, in ``graph.vertices()`` order, yields ``(vid,
     label_id, partition, nbrs)``: the ids of its placed neighbours in the
-    graph's own neighbour-set order (the caller sorts what it keeps).  On
-    the way it fills everything :class:`RoutingIndex` holds on ``target``
-    — ``_label_of`` and the label ids, each partition's ``_by_label``,
-    ``_edges``, ``_pending`` (edges with an unplaced endpoint, in
-    ``graph.edges()`` order) and, once exhausted, the member and edge
-    counters.
+    graph's own neighbour order, first insertion first (the caller sorts
+    what it keeps).  On the way it fills everything :class:`RoutingIndex`
+    holds on ``target`` — ``_label_of`` and the label ids, each
+    partition's ``_by_label``, ``_edges``, ``_pending`` (edges with an
+    unplaced endpoint, in ``graph.edges()`` order) and, once exhausted,
+    the member and edge counters.
     """
     state = target.state
     partition_of = state.assignment_vector
@@ -390,7 +390,7 @@ class ServingStores(RoutingIndex):
             d += 1
             nxt: List[int] = []
             for vid in frontier:
-                for w in self.neighbors(vid):  # detlint: disable=DET-setiter (neighbors is a sorted list)
+                for w in self.neighbors(vid):
                     if w not in dist:
                         dist[w] = d
                         nxt.append(w)
@@ -607,7 +607,7 @@ class ShardStores:
                     forwards.append((vid, d))
                 if member and d < max_depth:
                     bucket = buckets[d + 1]
-                    for w in self._adj[vid]:  # detlint: disable=DET-setiter (sorted list)
+                    for w in self._adj[vid]:
                         if w not in settled or settled[w] > d + 1:
                             bucket.append(w)
         return wave, forwards

@@ -1,6 +1,7 @@
 """Unit tests for the labelled-graph substrate."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.graph.labelled_graph import LabelledGraph, normalize_edge
 
@@ -95,7 +96,7 @@ class TestQueries:
     def test_degree_and_neighbors(self):
         g = build_triangle()
         assert g.degree(1) == 2
-        assert g.neighbors(1) == {2, 3}
+        assert g.neighbors(1) == [2, 3]
 
     def test_edges_iterates_each_once_normalized(self):
         g = build_triangle()
@@ -177,3 +178,115 @@ class TestNetworkxInterop:
         assert nxg.number_of_nodes() == 3
         assert nxg.number_of_edges() == 3
         assert nxg.nodes[1]["label"] == "a"
+
+
+# ----------------------------------------------------------------------
+# Property: the list-backed adjacency against a dict-of-sets model.
+# ----------------------------------------------------------------------
+_VERTICES = range(6)
+_vertex = st.sampled_from(_VERTICES)
+_operation = st.one_of(
+    st.tuples(st.just("add"), _vertex, _vertex),
+    st.tuples(st.just("remove"), _vertex, _vertex),
+    st.tuples(st.just("remove_vertex"), _vertex),
+    st.tuples(st.just("copy")),
+    st.tuples(st.just("subgraph"), st.frozensets(_vertex)),
+)
+
+
+class _Model:
+    """Neighbour sets plus the step at which each present edge was added:
+    a vertex's neighbours in first-insertion order are its set sorted by
+    that step."""
+
+    def __init__(self):
+        self.adj = {}
+        self.added = {}
+        self.steps = 0
+
+    def add(self, u, v):
+        self.adj.setdefault(u, set())
+        self.adj.setdefault(v, set())
+        if v in self.adj[u]:
+            return False
+        self.adj[u].add(v)
+        self.adj[v].add(u)
+        self.added[frozenset((u, v))] = self.steps
+        self.steps += 1
+        return True
+
+    def remove(self, u, v):
+        self.adj[u].discard(v)
+        self.adj[v].discard(u)
+        del self.added[frozenset((u, v))]
+
+    def remove_vertex(self, v):
+        for w in list(self.adj[v]):
+            self.remove(v, w)
+        del self.adj[v]
+
+    def restrict(self, keep):
+        self.adj = {v: nbrs & keep for v, nbrs in self.adj.items() if v in keep}
+        self.added = {e: step for e, step in self.added.items() if e <= keep}
+
+    def in_order(self, v):
+        return sorted(self.adj[v], key=lambda w: self.added[frozenset((v, w))])
+
+
+def _assert_agrees(g, model):
+    assert set(g.vertices()) == set(model.adj)
+    for v in model.adj:
+        nbrs = g.neighbors(v)
+        assert len(nbrs) == len(set(nbrs)) == g.degree(v)
+        assert set(nbrs) == model.adj[v]
+        assert nbrs == model.in_order(v)
+    for u in _VERTICES:
+        for v in _VERTICES:
+            assert g.has_edge(u, v) == (v in model.adj.get(u, ()))
+    expected = {normalize_edge(u, v) for u, nbrs in model.adj.items() for v in nbrs}
+    edges = list(g.edges())
+    assert len(edges) == len(expected) == g.num_edges
+    assert set(edges) == expected
+    assert all(e == normalize_edge(*e) for e in edges)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    edges=st.lists(st.tuples(_vertex, _vertex), min_size=4, max_size=24),
+    operations=st.lists(_operation, max_size=40),
+)
+def test_adjacency_lists_match_a_set_model(edges, operations):
+    # A run of adds first, so that the mixed operations meet vertices with
+    # several neighbours (and duplicate or reversed edges) to keep in order.
+    g, model = LabelledGraph(), _Model()
+    for op, *args in [("add", u, v) for u, v in edges] + operations:
+        if op == "add":
+            u, v = args
+            if u == v:
+                with pytest.raises(ValueError, match="self-loop"):
+                    g.add_edge(u, v, "ab"[u % 2], "ab"[v % 2])
+            else:
+                assert g.add_edge(u, v, "ab"[u % 2], "ab"[v % 2]) == model.add(u, v)
+        elif op == "remove":
+            u, v = args
+            if v in model.adj.get(u, ()):
+                g.remove_edge(u, v)
+                model.remove(u, v)
+            else:
+                with pytest.raises(KeyError):
+                    g.remove_edge(u, v)
+        elif op == "remove_vertex":
+            (v,) = args
+            if v in model.adj:
+                g.remove_vertex(v)
+                model.remove_vertex(v)
+            else:
+                with pytest.raises(KeyError):
+                    g.remove_vertex(v)
+        elif op == "copy":
+            g = g.copy()
+        else:
+            keep = args[0] & set(model.adj)
+            g = g.subgraph(keep)
+            model.restrict(keep)
+        _assert_agrees(g, model)

@@ -12,7 +12,8 @@ two instrumented legs:
   (counters/gauges/histograms/windows, no tracing — the budgeted mode),
   and **trace** (metrics plus every structured event);
 * **serving** — a closed-loop ``TrafficDriver`` run against a
-  ``ServingEngine`` over that partitioning, same three modes.
+  ``ServingEngine`` over that partitioning, same three modes, timed on
+  the wall clock (``TrafficReport.wall_seconds``).
 
 Each leg asserts bit-identical results across the two modes before any
 timing is reported — the ingest leg compares the exported assignment
@@ -67,7 +68,7 @@ DEFAULT_REQUESTS = 1_500
 DEFAULT_ZIPF = 1.1
 DEFAULT_BUDGET_PCT = 2.0
 
-CONFIG_KEYS = ("vertices", "edges", "k", "window", "requests", "zipf", "hop_cost_us", "seed")
+CONFIG_KEYS = ("vertices", "edges", "k", "window", "requests", "zipf", "seed")
 
 
 def _timed(fn):
@@ -103,16 +104,12 @@ def _ingest_once(graph, events, workload, args):
 def _serve_once(graph, state, workload, requests, args):
     """Fresh engine + closed loop over the replayed stream → traffic report.
 
-    The serving leg's denominator is the driver's ``accounted_seconds``
-    (measured compute + ``hop_cost_us`` of modelled network per hop);
-    instrumentation time lands inside each request's measured latency, so
-    the accounted overhead is exactly what the driver's
-    ``queries_per_sec`` would lose.
+    The serving leg's denominator is the driver's ``wall_seconds``: the
+    whole request loop on the wall clock, so the overhead is exactly what
+    the driver's ``queries_per_sec`` loses to instrumentation.
     """
     engine = ServingEngine(graph, state, workload, cache=True)
-    driver = TrafficDriver(
-        engine, seed=args.seed, zipf_s=args.zipf, hop_cost_us=args.hop_cost_us
-    )
+    driver = TrafficDriver(engine, seed=args.seed, zipf_s=args.zipf)
     return driver.run(0, requests=requests, system="loom")
 
 
@@ -180,11 +177,9 @@ def run(args, baseline=None) -> dict:
                 _, report = _timed(
                     lambda: _serve_once(graph, state, workload, requests, args)
                 )
-                # Measured latency plus the modelled per-hop network
-                # charge.  Instrumentation runs inside each measured
-                # request, so this is the cost as the driver's
-                # queries_per_sec would see it.
-                timings["serving"][mode].append(report.accounted_seconds)
+                # The request loop's wall time, which is the cost the
+                # driver's queries_per_sec sees.
+                timings["serving"][mode].append(report.wall_seconds)
                 if (report.hops, report.embeddings) != serve_totals_off:
                     raise AssertionError(
                         f"served hops/embeddings changed in mode {mode!r} — "
@@ -255,8 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--window", type=int, default=DEFAULT_WINDOW)
     parser.add_argument("--requests", type=int, default=DEFAULT_REQUESTS)
     parser.add_argument("--zipf", type=float, default=DEFAULT_ZIPF)
-    parser.add_argument("--hop-cost-us", dest="hop_cost_us", type=float, default=50.0,
-                        help="modelled network cost per hop (TrafficDriver.hop_cost_us)")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--repeats", type=int, default=5,
                         help="timings per (leg, mode); overhead compares best-of-N")

@@ -28,7 +28,7 @@ from repro.partitioning import registry
 from repro.partitioning.state import PartitionState
 from repro.query.executor import WorkloadExecutor
 from repro.runtime import LiveCluster
-from repro.serving import LiveTrafficDriver, ServingEngine
+from repro.serving import ServingEngine, TrafficDriver
 
 
 def main() -> None:
@@ -92,7 +92,7 @@ def main() -> None:
     #    arrival — a stalled server accrues the queueing delay it caused.
     print("\nlive traffic (2 shard servers, zipf 1.1):")
     with LiveCluster(graph, state, workload, num_shards=2) as cluster:
-        driver = LiveTrafficDriver(cluster, seed=0, zipf_s=1.1)
+        driver = TrafficDriver(cluster, seed=0, zipf_s=1.1)
         closed = driver.run(300, system="loom", inflight=8)
         print(
             f"  closed loop, inflight 8: {closed.requests_per_sec:>8,.0f} q/s, "

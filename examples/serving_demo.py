@@ -5,8 +5,8 @@ serves traffic through each partitioning with the serving engine:
 
 1. full enumeration — showing that serving-measured **hops** equal the
    offline executor's inter-partition traversals (the paper's ipt),
-2. a closed-loop Zipf traffic run — queries/s, latency percentiles and
-   the result cache earning its keep,
+2. a closed-loop Zipf traffic run — wall-clock queries/s, latency
+   percentiles and the result cache earning its keep,
 3. an online round — streaming more edges through the partitioner while
    serving, with the cache invalidating exactly the affected roots.
 
@@ -53,11 +53,13 @@ def main() -> None:
         print(f"{system:>6}   {offline.weighted_ipt:>12.2f}  {served.weighted_hops:>11.2f}")
 
     # 2. Closed-loop traffic: Zipf-skewed roots make the cache pay off.
-    print("\nclosed-loop traffic (500 requests, zipf 1.1, 50µs/hop):")
+    #    In process a hop is a function call; the same driver measures a
+    #    live shard cluster (examples/live_serving.py) where it is a message.
+    print("\nclosed-loop traffic (500 requests, zipf 1.1, one in flight):")
     for system, state in states.items():
         engine = ServingEngine(graph, state, workload, cache=True)
-        driver = TrafficDriver(engine, seed=0, zipf_s=1.1, hop_cost_us=50.0)
-        report = driver.run(500, system=system)
+        driver = TrafficDriver(engine, seed=0, zipf_s=1.1)
+        report = driver.run(500, system=system, inflight=1)
         print(
             f"{system:>6}: {report.requests_per_sec:>9,.0f} q/s, "
             f"{report.hops_per_request:.2f} hops/q, "

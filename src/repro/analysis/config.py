@@ -100,8 +100,7 @@ RANDOM_EXEMPT: Tuple[str, ...] = (
 )
 
 #: The only places allowed to read clocks that feed results: benchmarks
-#: (that is the point) and the closed-loop traffic driver (simulated
-#: latency).  Monotonic timers (time.perf_counter / time.monotonic /
+#: (that is the point).  Monotonic timers (time.perf_counter / time.monotonic /
 #: time.monotonic_ns) are exempt everywhere — they measure, they never
 #: decide placements.  repro.obs leans on exactly that carve-out: trace
 #: timestamps and latency observations are monotonic-only, which is what
@@ -110,7 +109,6 @@ RANDOM_EXEMPT: Tuple[str, ...] = (
 TIME_EXEMPT: Tuple[str, ...] = (
     "src/repro/bench/*",
     "benchmarks/*",
-    "src/repro/serving/traffic.py",
     # The experiment runner stamps DB rows (created_at) and times trials;
     # wall clocks never reach a result metric.  It stays under DET-random:
     # per-trial seeds are derived from the spec via SHA-256, never rolled.

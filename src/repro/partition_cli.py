@@ -12,18 +12,20 @@ Example::
 
 ``--serve N`` runs a closed-loop traffic benchmark *through* the produced
 partitioning (:mod:`repro.serving`): N frequency-weighted ``(query,
-root)`` requests routed to start partitions (``--router``), expanded
-partition-locally with hop accounting, optionally cached and Zipf-skewed
-(``--zipf``); reports queries/s, p50/p95/p99 latency and hops/query.
-``--serve-shards N`` serves the same traffic through N live shard-server
-processes (:class:`repro.runtime.LiveCluster`), where every hop is a
-message.
+root)`` requests, up to ``--inflight`` outstanding, routed to start
+partitions (``--router``), expanded partition-locally with hop
+accounting, optionally cached and Zipf-skewed (``--zipf``); reports
+wall-clock queries/s, p50/p95/p99 latency and hops/query.  The in-process
+engine serves by default; ``--serve-shards N`` serves the same traffic
+through N live shard-server processes (:class:`repro.runtime.LiveCluster`),
+where every hop is a message.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import closing
 from typing import Optional
 
 from repro import obs
@@ -64,8 +66,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=0,
         metavar="N",
         help="after partitioning, serve N closed-loop (query, root) requests "
-        "through the partition-local engine and report queries/s, latency "
-        "percentiles and hops (requires --workload)",
+        "through the partition-local engine and report wall-clock "
+        "queries/s, latency percentiles and hops (requires --workload)",
     )
     parser.add_argument(
         "--serve-shards",
@@ -81,8 +83,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=8,
         metavar="M",
-        help="closed-loop concurrency against the live cluster: up to M "
-        "requests outstanding at once (--serve-shards only)",
+        help="closed-loop concurrency: up to M requests outstanding at once "
+        "(serve mode only; in process they queue at the one engine)",
     )
     parser.add_argument(
         "--router",
@@ -100,12 +102,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-cache",
         action="store_true",
         help="serve without the (query, root) result cache",
-    )
-    parser.add_argument(
-        "--hop-cost-us",
-        type=float,
-        default=50.0,
-        help="modelled network cost per inter-partition hop, in µs (serve mode only)",
     )
     parser.add_argument(
         "--stats",
@@ -144,8 +140,7 @@ def main(argv: Optional[list] = None) -> int:
     if args.execute and not args.workload:
         print("error: --execute requires --workload", file=sys.stderr)
         return 2
-    live = bool(args.serve) and args.serve_shards > 0
-    if live and args.inflight < 1:
+    if args.serve and args.inflight < 1:
         print("error: --inflight must be at least 1", file=sys.stderr)
         return 2
 
@@ -187,59 +182,47 @@ def main(argv: Optional[list] = None) -> int:
         if report.capped or args.stats:
             names = ", ".join(report.capped_queries) if report.capped else "none"
             print(f"executor.capped_queries: {names}", file=sys.stderr)
-    if live:
-        # Live mode: the same traffic stream, but against real shard-server
-        # processes — every cross-partition hop is an actual message, so
-        # --hop-cost-us does not apply (nothing is modelled).
-        from repro.runtime.live import LiveCluster
-        from repro.serving.traffic import LiveTrafficDriver
+    if args.serve:
+        if args.serve_shards:
+            from repro.runtime.live import LiveCluster
 
-        with LiveCluster(
-            graph,
-            state,
-            workload,
-            num_shards=args.serve_shards,
-            router=args.router,
-            cache=not args.no_cache,
-        ) as cluster:
-            driver = LiveTrafficDriver(cluster, seed=args.seed, zipf_s=args.zipf)
+            frontend = LiveCluster(
+                graph,
+                state,
+                workload,
+                num_shards=args.serve_shards,
+                router=args.router,
+                cache=not args.no_cache,
+            )
+        else:
+            frontend = ServingEngine(
+                graph, state, workload, router=args.router, cache=not args.no_cache
+            )
+        with closing(frontend):
+            driver = TrafficDriver(frontend, seed=args.seed, zipf_s=args.zipf)
             traffic = driver.run(args.serve, system=args.system, inflight=args.inflight)
             for key, value in traffic.as_dict().items():
                 print(f"serve.{key}: {value}", file=sys.stderr)
-            if args.stats:
+            if args.stats and args.serve_shards:
                 # The whole cluster tree — queue depths, per-shard server
                 # snapshots, and (with --obs) the driver-side registry and
                 # piggybacked shard StatsReports — through the one
                 # formatter every stats surface shares.
-                print_stats(cluster.stats(), prefix="serve.cluster")
-    elif args.serve:
-        engine = ServingEngine(
-            graph,
-            state,
-            workload,
-            router=args.router,
-            cache=not args.no_cache,
-        )
-        driver = TrafficDriver(
-            engine, seed=args.seed, zipf_s=args.zipf, hop_cost_us=args.hop_cost_us
-        )
-        traffic = driver.run(args.serve, system=args.system)
-        for key, value in traffic.as_dict().items():
-            print(f"serve.{key}: {value}", file=sys.stderr)
-        if args.stats:
-            serve_report = engine.execute_workload(args.system)
-            print(
-                f"serve.weighted_hops: {serve_report.weighted_hops:g} "
-                "(= weighted_ipt on full enumeration)",
-                file=sys.stderr,
-            )
-            print(
-                f"serve.partitions_contacted: {serve_report.total_partitions_contacted}",
-                file=sys.stderr,
-            )
-            print(f"serve.border_edges: {engine.stores.num_border_edges}", file=sys.stderr)
-            if engine.cache is not None:
-                print_stats(engine.cache.stats(), prefix="serve.cache")
+                print_stats(frontend.stats(), prefix="serve.cluster")
+            elif args.stats:
+                serve_report = frontend.execute_workload(args.system)
+                print(
+                    f"serve.weighted_hops: {serve_report.weighted_hops:g} "
+                    "(= weighted_ipt on full enumeration)",
+                    file=sys.stderr,
+                )
+                print(
+                    f"serve.partitions_contacted: {serve_report.total_partitions_contacted}",
+                    file=sys.stderr,
+                )
+                print(f"serve.border_edges: {frontend.stores.num_border_edges}", file=sys.stderr)
+                if frontend.cache is not None:
+                    print_stats(frontend.cache.stats(), prefix="serve.cache")
 
     if obs.enabled():
         print_stats(obs.snapshot(), prefix="obs")

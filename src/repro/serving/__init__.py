@@ -11,9 +11,9 @@ partition-locally and charges an explicit **hop** whenever expansion
 follows a border edge — on full enumeration the hop total of a query is
 bit-identical to the executor's ``cut_traversals``.  A ``(query, root)``
 result cache (:mod:`repro.serving.cache`) composes with
-``StreamingPartitioner.ingest_batch``, and a closed-loop traffic driver
-(:mod:`repro.serving.traffic`) reports throughput and latency
-percentiles per system.
+``StreamingPartitioner.ingest_batch``, and one traffic driver
+(:mod:`repro.serving.traffic`) measures wall-clock throughput and latency
+percentiles against the engine or a live shard cluster alike.
 
 Quickstart (see ``examples/serving_demo.py`` for a narrated version)::
 
@@ -22,7 +22,7 @@ Quickstart (see ``examples/serving_demo.py`` for a narrated version)::
     engine = ServingEngine(graph, state, workload, router="candidate-count")
     report = engine.execute_workload()      # hops == executor cut_traversals
     driver = TrafficDriver(engine, seed=0, zipf_s=1.1)
-    print(driver.run(1000).as_dict())       # queries/s, p50/p95/p99, hops
+    print(driver.run(1000, inflight=1).as_dict())  # queries/s, p50/p95/p99, hops
 """
 
 from repro.serving.cache import ResultCache, affected_roots
@@ -44,17 +44,9 @@ from repro.serving.stores import (
     ServingStores,
     ShardStores,
 )
-from repro.serving.traffic import (
-    LiveTrafficDriver,
-    LiveTrafficReport,
-    TrafficDriver,
-    TrafficReport,
-    sample_requests,
-)
+from repro.serving.traffic import TrafficDriver, TrafficReport, sample_requests
 
 __all__ = [
-    "LiveTrafficDriver",
-    "LiveTrafficReport",
     "PartitionStore",
     "QueryServeReport",
     "ResultCache",

@@ -33,6 +33,7 @@ admission, whole-workload execution, hop attribution — is
 from __future__ import annotations
 
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -178,13 +179,19 @@ class ServingFrontEnd:
     across server processes.  The front end owns plan compilation, the
     traffic surface, batch admission (:meth:`ingest` / :meth:`finalize`),
     whole-workload execution and hop attribution; a back end supplies
-    ``index`` and three methods — :meth:`serve_root`, :meth:`_publish` and
+    ``index``, the request protocol (:meth:`submit` /
+    :meth:`poll_completed`, which :class:`~repro.serving.traffic.TrafficDriver`
+    drives) and :meth:`serve_root`, :meth:`_publish` and
     :meth:`_cache_counts` — so the two deployments answer, admit and
-    account identically by construction.
+    account identically by construction.  :meth:`close` releases what a
+    back end holds.
     """
 
     #: First component of this deployment's obs names (``<prefix>.hops.*``).
     obs_prefix = "serve"
+    #: Inter-process hop messages sent so far.  In process a hop is a
+    #: function call, not a message; a sharded back end counts per instance.
+    hop_messages_sent = 0
 
     def __init__(
         self,
@@ -222,8 +229,21 @@ class ServingFrontEnd:
     # ------------------------------------------------------------------
     # What a back end supplies
     # ------------------------------------------------------------------
+    def submit(self, query_name: str, root: int) -> int:
+        """Accept one ``(query, root vertex id)`` request; returns its id."""
+        raise NotImplementedError
+
+    def poll_completed(
+        self, timeout: Optional[float] = None
+    ) -> List[Tuple[int, RootResult, Optional[bool]]]:
+        """Completed requests as ``(request id, result, cached)`` triples;
+        ``cached`` is True on a cache hit, False on a miss and None when
+        the cache is off.  An empty list means nothing finished within
+        ``timeout``."""
+        raise NotImplementedError
+
     def serve_root(self, query_name: str, root: int) -> RootResult:
-        """Serve one ``(query, root vertex id)`` request."""
+        """Serve one ``(query, root vertex id)`` request synchronously."""
         raise NotImplementedError
 
     def _publish(self, new_edges: Sequence[Tuple[int, int]], dropped: Tuple[str, ...]) -> None:
@@ -235,6 +255,9 @@ class ServingFrontEnd:
     def _cache_counts(self) -> Tuple[int, int]:
         """Cumulative ``(hits, misses)`` of the result cache(s)."""
         raise NotImplementedError
+
+    def close(self) -> None:
+        """Release what the back end holds (nothing, in process)."""
 
     # ------------------------------------------------------------------
     # Plan compilation
@@ -429,10 +452,35 @@ class ServingEngine(ServingFrontEnd):
         self._obs_window = obs.window("serving")
         if self.cache is not None:
             obs.register_collector("serve.cache", self.cache.stats)
+        #: Submitted, not yet served requests, oldest first.
+        self._queue: "deque[Tuple[int, str, int]]" = deque()
+        self._next_request_id = 0
 
     # ------------------------------------------------------------------
     # Serving
     # ------------------------------------------------------------------
+    def submit(self, query_name: str, root: int) -> int:
+        """Queue one request; :meth:`poll_completed` serves the queue in
+        submission order, as one server would."""
+        self._plan(query_name)  # an unknown query fails here, as on a cluster
+        request_id = self._next_request_id
+        self._next_request_id += 1
+        self._queue.append((request_id, query_name, root))
+        return request_id
+
+    def poll_completed(
+        self, timeout: Optional[float] = None
+    ) -> List[Tuple[int, RootResult, Optional[bool]]]:
+        """Serve the oldest queued request; ``[]`` when none is queued.
+        Serving in process never waits, so ``timeout`` is not used."""
+        if not self._queue:
+            return []
+        request_id, query_name, root = self._queue.popleft()
+        hits0 = self._cache_counts()[0]
+        result = self.serve_root(query_name, root)
+        cached = None if self.cache is None else self._cache_counts()[0] > hits0
+        return [(request_id, result, cached)]
+
     def serve_root(self, query_name: str, root: int) -> RootResult:
         """Serve one ``(query, root vertex id)`` request, through the cache."""
         plan = self._plan(query_name)

@@ -1,27 +1,24 @@
-"""Closed-loop traffic driver: sampled query streams, throughput, latency.
+"""Traffic driver: sampled query streams, throughput, latency.
 
-Models the ROADMAP's "heavy traffic" scenario at benchmark scale: a single
-closed loop issues ``(query, root)`` requests back-to-back against a
-:class:`~repro.serving.engine.ServingEngine` — each request is one user
-asking for the embeddings of one workload query rooted at one vertex.
+Models the ROADMAP's "heavy traffic" scenario at benchmark scale: one
+:class:`TrafficDriver` issues ``(query, root)`` requests — each one user
+asking for the embeddings of one workload query rooted at one vertex —
+against any :class:`~repro.serving.engine.ServingFrontEnd` through its
+request protocol, ``submit`` / ``poll_completed``.  The in-process
+:class:`~repro.serving.engine.ServingEngine` serves its queue one request
+per poll, oldest first; a :class:`~repro.runtime.live.LiveCluster`
+pipelines requests across shard processes.  Either way every number is
+wall clock: a hop costs what it actually cost, a function call in process
+or a message between processes.
 
 Sampling is frequency-weighted and deterministic: queries are drawn by
 their workload frequency, roots by an optional Zipf skew over each query's
 root-candidate list (``zipf_s = 0`` is uniform; larger values concentrate
 traffic on few roots, which is what makes the result cache earn its keep).
 Root candidates are global properties of the graph (label membership), so
-two engines over *different partitionings* of the same graph see the
-identical request sequence for the same seed — the property the serving
-benchmark relies on to compare systems fairly.
-
-Latency accounting: each request's latency is its measured local compute
-time plus ``hop_cost_us`` per hop actually incurred (zero for cache hits
-— a hit answers locally).  The hop cost models the network round-trip a
-distributed deployment would pay per border crossing; with
-``hop_cost_us=0`` the numbers are pure single-process compute.  Reported
-throughput is requests over total *accounted* time, so a partitioning
-that saves hops translates into queries/s at a stated network cost
-instead of an unmeasurable promise.
+two front ends over *different partitionings* of the same graph, or over
+different back ends, see the identical request sequence for the same seed
+— the property the serving benchmark relies on to compare systems fairly.
 """
 
 from __future__ import annotations
@@ -32,7 +29,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
-from repro.serving.engine import ServingEngine
+from repro.serving.engine import RootResult, ServingFrontEnd
 
 
 def percentile(sorted_values: Sequence[float], q: float) -> float:
@@ -80,160 +77,17 @@ def sample_requests(source, n: int, seed: int, zipf_s: float) -> List[Tuple[str,
 
 @dataclass
 class TrafficReport:
-    """Outcome of one closed-loop run."""
+    """Outcome of one traffic run against one front end.
 
-    system: str
-    requests: int
-    wall_seconds: float
-    accounted_seconds: float
-    p50_ms: float
-    p95_ms: float
-    p99_ms: float
-    embeddings: int
-    hops: int
-    charged_hops: int
-    cache_hits: int
-    cache_misses: int
-    router: str
-    zipf_s: float
-    hop_cost_us: float
-
-    @property
-    def requests_per_sec(self) -> float:
-        if self.accounted_seconds <= 0:
-            return float("inf")
-        return self.requests / self.accounted_seconds
-
-    @property
-    def hops_per_request(self) -> float:
-        return self.hops / self.requests if self.requests else 0.0
-
-    @property
-    def cache_hit_rate(self) -> float:
-        total = self.cache_hits + self.cache_misses
-        return self.cache_hits / total if total else 0.0
-
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "system": self.system,
-            "requests": self.requests,
-            "queries_per_sec": round(self.requests_per_sec, 1),
-            "p50_ms": round(self.p50_ms, 4),
-            "p95_ms": round(self.p95_ms, 4),
-            "p99_ms": round(self.p99_ms, 4),
-            "hops_per_query": round(self.hops_per_request, 4),
-            "hops": self.hops,
-            "charged_hops": self.charged_hops,
-            "embeddings": self.embeddings,
-            "cache_hit_rate": round(self.cache_hit_rate, 4),
-            "wall_seconds": round(self.wall_seconds, 4),
-            "accounted_seconds": round(self.accounted_seconds, 4),
-            "router": self.router,
-            "zipf_s": self.zipf_s,
-            "hop_cost_us": self.hop_cost_us,
-        }
-
-
-class TrafficDriver:
-    """Sample and replay a frequency-weighted request stream."""
-
-    def __init__(
-        self,
-        engine: ServingEngine,
-        seed: int = 0,
-        zipf_s: float = 0.0,
-        hop_cost_us: float = 0.0,
-    ) -> None:
-        if zipf_s < 0:
-            raise ValueError("zipf_s must be non-negative")
-        if hop_cost_us < 0:
-            raise ValueError("hop_cost_us must be non-negative")
-        self.engine = engine
-        self.seed = seed
-        self.zipf_s = zipf_s
-        self.hop_cost_us = hop_cost_us
-
-    # ------------------------------------------------------------------
-    def sample(self, n: int) -> List[Tuple[str, int]]:
-        """A deterministic list of ``n`` ``(query name, root id)`` requests.
-
-        Delegates to :func:`sample_requests` over the engine.
-        """
-        return sample_requests(self.engine, n, self.seed, self.zipf_s)
-
-    # ------------------------------------------------------------------
-    def run(
-        self,
-        num_requests: int,
-        requests: Optional[Sequence[Tuple[str, int]]] = None,
-        system: str = "",
-    ) -> TrafficReport:
-        """Issue ``num_requests`` back-to-back; returns the report.
-
-        Pass ``requests`` to replay an externally sampled sequence (the
-        benchmark samples once and replays against every system) and
-        ``system`` to label the report.
-        """
-        if requests is None:
-            requests = self.sample(num_requests)
-        engine = self.engine
-        cache = engine.cache
-        hop_cost_s = self.hop_cost_us * 1e-6
-        latencies: List[float] = []
-        embeddings = hops = charged_hops = 0
-        hits0 = cache.hits if cache is not None else 0
-        misses0 = cache.misses if cache is not None else 0
-        perf_counter = time.perf_counter
-        wall_start = perf_counter()
-        for name, root in requests:
-            hits_before = cache.hits if cache is not None else 0
-            t0 = perf_counter()
-            result = engine.serve_root(name, root)
-            latency = perf_counter() - t0
-            hit = cache is not None and cache.hits > hits_before
-            if not hit:
-                # A miss walks the stores for real: charge the modelled
-                # network cost of every border crossing it performed.
-                latency += result.hops * hop_cost_s
-                charged_hops += result.hops
-            latencies.append(latency)
-            embeddings += result.num_embeddings
-            hops += result.hops
-        wall = perf_counter() - wall_start
-        latencies.sort()
-        return TrafficReport(
-            system=system,
-            requests=len(requests),
-            wall_seconds=wall,
-            accounted_seconds=sum(latencies),
-            p50_ms=percentile(latencies, 0.50) * 1e3,
-            p95_ms=percentile(latencies, 0.95) * 1e3,
-            p99_ms=percentile(latencies, 0.99) * 1e3,
-            embeddings=embeddings,
-            hops=hops,
-            charged_hops=charged_hops,
-            cache_hits=(cache.hits - hits0) if cache is not None else 0,
-            cache_misses=(cache.misses - misses0) if cache is not None else 0,
-            router=engine.router.name,
-            zipf_s=self.zipf_s,
-            hop_cost_us=self.hop_cost_us,
-        )
-
-
-@dataclass
-class LiveTrafficReport:
-    """Outcome of one concurrent run against a :class:`LiveCluster`.
-
-    Unlike :class:`TrafficReport` there is no modelled hop cost: every
-    cross-partition hop was an actual inter-process message, already paid
-    inside each request's measured latency.  Throughput is requests over
-    *wall* time — with ``inflight > 1`` requests overlap, so summed
-    latencies would overcount.
+    Every cross-partition hop was paid for real inside each request's
+    measured latency.  Throughput is requests over *wall* time — with
+    ``inflight > 1`` latencies overlap (or, in process, include the wait
+    behind the requests queued ahead), so summed latencies would
+    overcount.
     """
 
     system: str
     mode: str  # "closed" or "open"
-    num_shards: int
     inflight: int
     rate: Optional[float]  # open-loop arrival rate (req/s); None when closed
     requests: int
@@ -253,6 +107,9 @@ class LiveTrafficReport:
     #: latency back to the hop count of the query that caused it instead
     #: of reporting one anonymous aggregate.
     per_query: Dict[str, Dict[str, float]] = field(default_factory=dict)
+    #: Each request's result in stream order (``collect_results=True``
+    #: only; empty otherwise).  Not part of :meth:`as_dict`.
+    results: List[RootResult] = field(default_factory=list)
 
     @property
     def requests_per_sec(self) -> float:
@@ -273,7 +130,6 @@ class LiveTrafficReport:
         return {
             "system": self.system,
             "mode": self.mode,
-            "num_shards": self.num_shards,
             "inflight": self.inflight,
             "rate": self.rate,
             "requests": self.requests,
@@ -293,44 +149,44 @@ class LiveTrafficReport:
         }
 
 
-class LiveTrafficDriver:
-    """Concurrent traffic against a live cluster — real processes, real hops.
+class TrafficDriver:
+    """Sample a request stream and replay it against one front end.
 
     Two modes share one measurement path:
 
     * **closed loop** (default): keep up to ``inflight`` requests
       outstanding; a completion immediately admits the next request.
-      Throughput is what the cluster *can* do at that concurrency.
+      Throughput is what the back end *can* do at that concurrency.
     * **open loop** (``rate`` set): request *i* is due at ``i / rate``
       seconds after start, submitted when due regardless of completions
       (still capped at ``inflight`` outstanding to bound queue growth).
       Latency is measured from the request's **scheduled arrival**, so a
-      cluster that falls behind shows the queueing delay instead of hiding
-      it (no coordinated omission).
+      back end that falls behind shows the queueing delay instead of
+      hiding it (no coordinated omission).
 
     Latencies are wall-clock driver-side: submit (or scheduled arrival)
-    to completed-result splice, which includes every queue wait and hop
-    message the request incurred.  Sampling is the deterministic
-    :func:`sample_requests` stream, so runs at different shard counts
-    serve the identical request sequence.
+    to completion, which includes every queue wait and hop the request
+    incurred.  Sampling is the deterministic :func:`sample_requests`
+    stream, so runs against different back ends, shard counts or
+    partitionings serve the identical request sequence.
     """
 
     def __init__(
         self,
-        cluster,
+        frontend: ServingFrontEnd,
         seed: int = 0,
         zipf_s: float = 0.0,
     ) -> None:
         if zipf_s < 0:
             raise ValueError("zipf_s must be non-negative")
-        self.cluster = cluster
+        self.frontend = frontend
         self.seed = seed
         self.zipf_s = zipf_s
 
     # ------------------------------------------------------------------
     def sample(self, n: int) -> List[Tuple[str, int]]:
         """The deterministic request stream (see :func:`sample_requests`)."""
-        return sample_requests(self.cluster, n, self.seed, self.zipf_s)
+        return sample_requests(self.frontend, n, self.seed, self.zipf_s)
 
     # ------------------------------------------------------------------
     def run(
@@ -341,14 +197,16 @@ class LiveTrafficDriver:
         inflight: int = 8,
         rate: Optional[float] = None,
         collect_results: bool = False,
-    ) -> LiveTrafficReport:
+    ) -> TrafficReport:
         """Issue the stream at concurrency ``inflight``; returns the report.
 
+        Pass ``requests`` to replay an externally sampled sequence (it
+        replaces ``num_requests``) and ``system`` to label the report.
         ``rate`` switches to open-loop arrivals at that many requests per
-        second.  ``collect_results=True`` additionally stores each
-        request's :class:`~repro.serving.engine.RootResult` on the report
-        as ``report.results`` (stream order) — the benchmark uses it to
-        assert bit-identical answers across shard counts.
+        second.  ``collect_results=True`` additionally keeps each
+        request's :class:`~repro.serving.engine.RootResult` in
+        ``report.results`` (stream order), which is how tests assert
+        bit-identical answers across back ends.
         """
         if inflight < 1:
             raise ValueError("inflight must be at least 1")
@@ -356,19 +214,18 @@ class LiveTrafficDriver:
             raise ValueError("rate must be positive")
         if requests is None:
             requests = self.sample(num_requests)
-        cluster = self.cluster
+        frontend = self.frontend
         perf_counter = time.perf_counter
         total = len(requests)
         latencies: List[float] = []
-        results: List[object] = [None] * total if collect_results else []
+        #: stream index → result (``collect_results`` only)
+        results: Dict[int, RootResult] = {}
         embeddings = hops = hits = misses = 0
-        hop_messages0 = cluster.hop_messages_sent
+        hop_messages0 = frontend.hop_messages_sent
         #: query name → [request count, hop total, latency list] — the
-        #: per-query attribution the report exposes (satellite of the
-        #: open-loop fix: a row can now say *which* query's hops produced
-        #: its p95, not just that some query did).
+        #: per-query attribution the report exposes.
         per_query_acc: Dict[str, list] = {}
-        obs_window = obs.window("live_traffic")
+        obs_window = obs.window("traffic")
         #: request id → (stream index, latency clock start)
         started: Dict[int, Tuple[int, float]] = {}
         submitted = completed = 0
@@ -385,7 +242,7 @@ class LiveTrafficDriver:
                 else:
                     clock_start = now
                 name, root = requests[submitted]
-                request_id = cluster.submit(name, root)
+                request_id = frontend.submit(name, root)
                 started[request_id] = (submitted, clock_start)
                 submitted += 1
                 now = perf_counter()
@@ -397,9 +254,9 @@ class LiveTrafficDriver:
                     budget = 0.05
                 else:
                     budget = max(0.0, wall_start + submitted / rate - now)
-                finished = cluster.poll_completed(timeout=min(budget, 0.05))
+                finished = frontend.poll_completed(timeout=min(budget, 0.05))
             else:
-                finished = cluster.poll_completed()
+                finished = frontend.poll_completed()
             end = perf_counter()
             for request_id, result, cached in finished:
                 index, clock_start = started.pop(request_id)
@@ -441,10 +298,9 @@ class LiveTrafficDriver:
                 "p50_ms": round(percentile(query_latencies, 0.50) * 1e3, 4),
                 "p95_ms": round(percentile(query_latencies, 0.95) * 1e3, 4),
             }
-        report = LiveTrafficReport(
+        return TrafficReport(
             system=system,
             mode="open" if rate is not None else "closed",
-            num_shards=cluster.num_shards,
             inflight=inflight,
             rate=rate,
             requests=total,
@@ -454,13 +310,11 @@ class LiveTrafficDriver:
             p99_ms=percentile(latencies, 0.99) * 1e3,
             embeddings=embeddings,
             hops=hops,
-            hop_messages=cluster.hop_messages_sent - hop_messages0,
+            hop_messages=frontend.hop_messages_sent - hop_messages0,
             cache_hits=hits,
             cache_misses=misses,
-            router=cluster.router.name,
+            router=frontend.router.name,
             zipf_s=self.zipf_s,
             per_query=per_query,
+            results=[results[index] for index in range(len(results))],
         )
-        if collect_results:
-            report.results = results  # type: ignore[attr-defined]
-        return report

@@ -293,9 +293,15 @@ def test_exempt_paths_stay_exempt():
     for exempt in ("benchmarks/bench_x.py", "src/repro/bench/mod.py"):
         result = lint_source(bad, exempt, rules=[rule_by_id("DET-random")])
         assert result.findings == [], exempt
-    _path, bad, _good = FIXTURES["DET-time"]
-    result = lint_source(bad, "src/repro/serving/traffic.py", rules=[rule_by_id("DET-time")])
+    path, bad, _good = FIXTURES["DET-time"]
+    result = lint_source(bad, "benchmarks/bench_x.py", rules=[rule_by_id("DET-time")])
     assert result.findings == []
+    # The traffic driver measures with monotonic timers only and has no
+    # exemption: a wall-clock read there is flagged as anywhere else.
+    result = lint_source(bad, "src/repro/serving/traffic.py", rules=[rule_by_id("DET-time")])
+    expected = lint_source(bad, path, rules=[rule_by_id("DET-time")]).findings
+    assert expected
+    assert [f.line for f in result.findings] == [f.line for f in expected]
 
 
 def test_rule_applies_matches_absolute_paths_too():

@@ -257,8 +257,12 @@ class TestPartitionCli:
                  "--serve-shards", "2", "--inflight", "0"],
                 "--inflight must be at least 1",
             ),
+            (
+                ["--workload", "no-such-workload.txt", "--serve", "5", "--inflight", "0"],
+                "--inflight must be at least 1",
+            ),
         ],
-        ids=["execute-without-workload", "inflight-zero"],
+        ids=["execute-without-workload", "inflight-zero", "inflight-zero-in-process"],
     )
     def test_flag_errors_come_before_the_graph_is_read(self, flags, message, capsys):
         """A bad flag combination is rejected before any file is opened —

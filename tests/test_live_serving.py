@@ -16,6 +16,7 @@ import os
 import pickle
 import signal
 import time
+from contextlib import closing
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -56,7 +57,7 @@ from repro.serving import RootResult, ServingEngine
 from repro.serving.execution import CompiledPlan, Continuation, LiteralSegment
 from repro.serving.router import BUILTIN_ROUTERS
 from repro.serving.stores import RoutingIndex, ServingStores, ShardStores
-from repro.serving.traffic import LiveTrafficDriver, TrafficDriver
+from repro.serving.traffic import TrafficDriver
 
 
 def _random_case():
@@ -246,21 +247,48 @@ def _serve_burst(server, transcript):
 # Concurrent traffic: overlap changes timing, never answers
 # ----------------------------------------------------------------------
 def test_live_traffic_answers_invariant_across_shards_and_inflight():
+    """One driver over either back end: the in-process engine is the
+    golden input.  Answers and hops never move.  Cache hits and misses
+    match on the engine at any inflight (it serves a FIFO) and on a
+    cluster at inflight 1, where no two requests for one root overlap
+    (free-running shard caches may race — ARCHITECTURE.md "Determinism
+    promises")."""
     graph, workload = _random_case()
-    golden = None
-    for num_shards, inflight in ((1, 1), (2, 8), (4, 4)):
-        state = _partition("loom", graph, workload, k=4)
-        with LiveCluster(graph, state, workload, num_shards=num_shards) as cluster:
-            driver = LiveTrafficDriver(cluster, seed=3, zipf_s=0.8)
-            report = driver.run(
-                150, system="loom", inflight=inflight, collect_results=True
-            )
-        rows = [(r.query, r.root, r.embeddings, r.hops) for r in report.results]
-        assert report.requests == 150 and len(rows) == 150
-        if golden is None:
-            golden = rows
+    state = _partition("loom", graph, workload, k=4)
+
+    def drive(frontend, inflight):
+        with closing(frontend):
+            driver = TrafficDriver(frontend, seed=3, zipf_s=0.8)
+            return driver.run(150, system="loom", inflight=inflight, collect_results=True)
+
+    golden = drive(ServingEngine(graph, state, workload, cache=True), inflight=1)
+    golden_rows = [(r.query, r.root, r.embeddings, r.hops) for r in golden.results]
+    assert golden.requests == 150 and len(golden_rows) == 150
+    assert golden.hop_messages == 0  # in process a hop is a call, not a message
+    assert golden.cache_hits > 0 and golden.cache_misses > 0
+    inputs = [
+        ("engine", None, 8),
+        ("cluster", 1, 1),
+        ("cluster", 2, 1),
+        ("cluster", 2, 8),
+        ("cluster", 4, 4),
+    ]
+    for backend, num_shards, inflight in inputs:
+        if backend == "engine":
+            frontend = ServingEngine(graph, state, workload, cache=True)
         else:
-            assert rows == golden
+            frontend = LiveCluster(graph, state, workload, num_shards=num_shards)
+        report = drive(frontend, inflight)
+        case = (backend, num_shards, inflight)
+        rows = [(r.query, r.root, r.embeddings, r.hops) for r in report.results]
+        assert rows == golden_rows, case
+        assert (report.hops, report.embeddings) == (golden.hops, golden.embeddings), case
+        assert report.cache_hits + report.cache_misses == 150, case
+        if inflight == 1 or backend == "engine":
+            assert (report.cache_hits, report.cache_misses) == (
+                golden.cache_hits,
+                golden.cache_misses,
+            ), case
 
 
 def test_live_sample_stream_matches_engine_sample_stream():
@@ -270,25 +298,27 @@ def test_live_sample_stream_matches_engine_sample_stream():
     engine = ServingEngine(graph, state, workload)
     engine_stream = TrafficDriver(engine, seed=5, zipf_s=1.1).sample(200)
     with LiveCluster(graph, state, workload, num_shards=2) as cluster:
-        live_stream = LiveTrafficDriver(cluster, seed=5, zipf_s=1.1).sample(200)
+        live_stream = TrafficDriver(cluster, seed=5, zipf_s=1.1).sample(200)
     assert live_stream == engine_stream
 
 
 def test_live_traffic_open_loop_measures_from_scheduled_arrival():
     graph, workload = _random_case()
     state = _partition("hash", graph, workload, k=4)
-    with LiveCluster(graph, state, workload, num_shards=2) as cluster:
-        driver = LiveTrafficDriver(cluster, seed=1)
-        report = driver.run(60, system="hash", inflight=4, rate=2000.0)
-    assert report.mode == "open"
-    assert report.rate == 2000.0
-    assert report.requests == 60
-    # 60 arrivals at 2000/s are spread over 30ms of scheduled time.
-    assert report.wall_seconds >= 60 / 2000.0 * 0.5
+    engine = ServingEngine(graph, state, workload, cache=True)
+    for frontend in (LiveCluster(graph, state, workload, num_shards=2), engine):
+        with closing(frontend):
+            driver = TrafficDriver(frontend, seed=1)
+            report = driver.run(60, system="hash", inflight=4, rate=2000.0)
+        assert report.mode == "open"
+        assert report.rate == 2000.0
+        assert report.requests == 60
+        # 60 arrivals at 2000/s are spread over 30ms of scheduled time.
+        assert report.wall_seconds >= 60 / 2000.0 * 0.5
 
 
 def test_live_traffic_open_loop_terminates_when_behind_schedule():
-    """An arrival rate the cluster can't keep up with must still drain.
+    """An arrival rate the back end can't keep up with must still drain.
 
     Once the loop falls behind, every next arrival is already due, so the
     poll budget is 0 on every iteration — a zero-budget poll that never
@@ -299,10 +329,12 @@ def test_live_traffic_open_loop_terminates_when_behind_schedule():
     graph, workload = _random_case()
     state = _partition("hash", graph, workload, k=4)
     start = time.monotonic()
-    with LiveCluster(graph, state, workload, num_shards=2) as cluster:
-        driver = LiveTrafficDriver(cluster, seed=7)
-        report = driver.run(80, system="hash", inflight=2, rate=1e9)
-    assert report.requests == 80
+    engine = ServingEngine(graph, state, workload)
+    for frontend in (LiveCluster(graph, state, workload, num_shards=2), engine):
+        with closing(frontend):
+            driver = TrafficDriver(frontend, seed=7)
+            report = driver.run(80, system="hash", inflight=2, rate=1e9)
+        assert report.requests == 80
     assert time.monotonic() - start < 60
 
 
@@ -664,7 +696,7 @@ def test_killed_server_raises_with_signal_name_quickly():
     graph, workload = _random_case()
     state = _partition("ldg", graph, workload, k=4)
     with LiveCluster(graph, state, workload, num_shards=2) as cluster:
-        driver = LiveTrafficDriver(cluster, seed=2)
+        driver = TrafficDriver(cluster, seed=2)
         requests = driver.sample(200)
         victim = cluster._servers[0]
         os.kill(victim.pid, signal.SIGKILL)

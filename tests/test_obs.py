@@ -365,6 +365,7 @@ class TestComponentBinding:
         TrafficDriver(engine, seed=1, zipf_s=1.1).run(64, system="loom")
         snap = obs.snapshot()
         assert snap["windowed.serving.total_requests"] == 64
+        assert snap["windowed.traffic.total_requests"] == 64
         # Hop attribution keys: <query>.l<label>.p<partition>
         hop_keys = [key for key in snap if key.startswith("serve.hops.")]
         assert hop_keys

@@ -375,7 +375,7 @@ class TestTrafficDriver:
     def test_cache_hits_charge_no_hops(self):
         graph, workload, state = _partitioned_figure1()
         engine = ServingEngine(graph, state, workload, cache=True)
-        driver = TrafficDriver(engine, seed=0, zipf_s=2.0, hop_cost_us=1000.0)
+        driver = TrafficDriver(engine, seed=0, zipf_s=2.0)
         requests = driver.sample(200)
         report = driver.run(0, requests=requests, system="ldg")
         assert report.requests == 200
@@ -383,7 +383,25 @@ class TestTrafficDriver:
         distinct = len(set(requests))
         assert report.cache_misses == distinct
         assert report.cache_hits == 200 - distinct
-        assert report.charged_hops <= report.hops
+        # The protocol's per-request flags, on a fresh engine, add up to
+        # the report's split: a miss is the first sight of a (query, root).
+        fresh = ServingEngine(graph, state, workload, cache=True)
+        seen = set()
+        flags = []
+        for name, root in requests:
+            request_id = fresh.submit(name, root)
+            ((done_id, _result, cached),) = fresh.poll_completed()
+            assert done_id == request_id
+            assert cached is ((name, root) in seen)
+            seen.add((name, root))
+            flags.append(cached)
+        assert flags.count(True) == report.cache_hits
+        assert flags.count(False) == report.cache_misses
+        # Uncached, the flag is None and the report counts neither.
+        uncached = ServingEngine(graph, state, workload)
+        uncached.submit(*requests[0])
+        assert uncached.poll_completed()[0][2] is None
+        assert uncached.poll_completed() == []
 
     def test_report_shape(self):
         graph, workload, state = _partitioned_figure1()
@@ -402,13 +420,32 @@ class TestTrafficDriver:
         assert payload["system"] == "ldg"
         assert report.p50_ms <= report.p95_ms <= report.p99_ms
 
+    def test_engine_serves_its_queue_in_submission_order(self):
+        """In process, one poll serves the oldest queued request: a request
+        waits behind those submitted before it, as at any single server."""
+        graph, workload, state = _partitioned_figure1()
+        engine = ServingEngine(graph, state, workload)
+        requests = TrafficDriver(engine, seed=0).sample(5)
+        ids = [engine.submit(name, root) for name, root in requests]
+        served = [engine.poll_completed() for _ in requests]
+        assert [done[0][0] for done in served] == ids
+        assert [done[0][1] for done in served] == [
+            engine.serve_root(name, root) for name, root in requests
+        ]
+        assert engine.poll_completed() == []
+        with pytest.raises(KeyError):
+            engine.submit("no-such-query", 0)
+
     def test_rejects_bad_parameters(self):
         graph, workload, state = _partitioned_figure1()
         engine = ServingEngine(graph, state, workload)
         with pytest.raises(ValueError):
             TrafficDriver(engine, zipf_s=-1.0)
+        driver = TrafficDriver(engine)
         with pytest.raises(ValueError):
-            TrafficDriver(engine, hop_cost_us=-1.0)
+            driver.run(5, inflight=0)
+        with pytest.raises(ValueError):
+            driver.run(5, rate=0)
 
 
 class TestPercentile:

@@ -1,5 +1,7 @@
 """Tests for the schema generator, the four dataset stand-ins and Fig. 1."""
 
+import hashlib
+
 import pytest
 
 from repro.datasets import dblp, lubm, musicbrainz, provgen
@@ -86,6 +88,74 @@ class TestGenerateGraph:
         g = generate_graph(capped, 300, seed=0)
         for v in g.vertices_with_label("b"):
             assert g.degree(v) <= 5
+
+
+#: A schema on the generator's other branches: one community (no locality
+#: draw), preferential attachment without a degree cap, and a uniform
+#: intra-label rule.
+_FLAT_SCHEMA = Schema(
+    "flat",
+    {"a": 3.0, "b": 1.0},
+    rules=(
+        RelationRule("a", "b", 1.7, attachment="preferential", max_target_degree=None),
+        RelationRule("a", "a", 0.6),
+    ),
+)
+
+#: Graph → vertex count: the stream digests' grid (tests/test_stream.py)
+#: plus the flat schema.
+_GRAPH_SIZES = {
+    "dblp": 400,
+    "provgen": 400,
+    "musicbrainz": 400,
+    "lubm-100": 400,
+    "lubm-4000": 900,
+    "flat": 300,
+}
+
+#: SHA-256 (first 16 hex digits) of each generated graph's vertices in
+#: order, with its label and its neighbour list in insertion order.  Key:
+#: ``graph-seed``.  Taken before the generator's sampling loop was
+#: inlined; never re-pin.
+_GRAPH_DIGESTS = {
+    "dblp-0": "a920c940d037362a",
+    "dblp-1": "d4729a0948397317",
+    "dblp-2": "da61cfcb18bf6af4",
+    "flat-0": "59c0594ac666128f",
+    "flat-1": "3022ad0ffa2d5d77",
+    "flat-2": "ad9b2761613466ae",
+    "lubm-100-0": "99460a171325f049",
+    "lubm-100-1": "35918149e3ca0c82",
+    "lubm-100-2": "67ef32594251f501",
+    "lubm-4000-0": "2854c5c8ae27751b",
+    "lubm-4000-1": "67e2fdb657b6f10b",
+    "lubm-4000-2": "34a3b41c76f6741c",
+    "musicbrainz-0": "4255755f1a66732b",
+    "musicbrainz-1": "daa9a53a108b96c2",
+    "musicbrainz-2": "b75397754071c382",
+    "provgen-0": "ad120441d333e773",
+    "provgen-1": "d0bbe2fb457d64f5",
+    "provgen-2": "16fc6ee1172acf54",
+}
+
+
+def _graph_digest(name: str, seed: int) -> str:
+    if name == "flat":
+        graph = generate_graph(_FLAT_SCHEMA, _GRAPH_SIZES[name], seed=seed)
+    else:
+        graph = load_dataset(name, _GRAPH_SIZES[name], seed=seed).graph
+    h = hashlib.sha256()
+    for v in graph.vertices():
+        h.update(repr((v, graph.label(v), list(graph.neighbors(v)))).encode())
+    return h.hexdigest()[:16]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("name", sorted(_GRAPH_SIZES))
+def test_generated_graph_digest(name, seed):
+    """Every stream, partition and paper pin downstream is a function of
+    these graphs: vertex order, labels and neighbour order must not move."""
+    assert _graph_digest(name, seed) == _GRAPH_DIGESTS[f"{name}-{seed}"]
 
 
 @pytest.mark.parametrize(

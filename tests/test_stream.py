@@ -180,6 +180,33 @@ _STREAM_DIGESTS = {
 }
 
 
+#: As :data:`_STREAM_DIGESTS`, for ``random_stream`` — the one order the
+#: traversal digests cannot see: BFS and DFS sort each neighbour list by
+#: insertion rank before shuffling it, so only this order depends on the
+#: edge-list shuffle alone.  Taken before the orderings' shuffles were
+#: inlined; never re-pin.
+_RANDOM_DIGESTS = {
+    "dblp-0": "8bcc18feb7bfdaf0",
+    "dblp-1": "e038171a4092f80f",
+    "dblp-2": "25eaac0668a596f6",
+    "disconnected-0": "6df5871fe07bb3bd",
+    "disconnected-1": "10e63f618129a8a9",
+    "disconnected-2": "f9b3fe87752e8ffb",
+    "lubm-100-0": "8fc245d33a3eb305",
+    "lubm-100-1": "7515e9c99eb61ae5",
+    "lubm-100-2": "f06b0150390b9310",
+    "lubm-4000-0": "8bc57adb2c6869c8",
+    "lubm-4000-1": "d18805ba8cd5e2f9",
+    "lubm-4000-2": "5d68f6753203a1ba",
+    "musicbrainz-0": "3f9553a5f2e83dc8",
+    "musicbrainz-1": "4e0c3b888e433197",
+    "musicbrainz-2": "810a1f0cafaba1ea",
+    "provgen-0": "5eab9aadac2fee48",
+    "provgen-1": "f2a85433bcb6f746",
+    "provgen-2": "afe3b44a0e1f48b3",
+}
+
+
 def _stream_digest(graph: LabelledGraph, order: str, seed: int) -> str:
     h = hashlib.sha256()
     for ev in stream_edges(graph, order, seed=seed):
@@ -202,6 +229,16 @@ class TestTraversalStreamsArePinned:
             assert (
                 _stream_digest(graph, order, seed) == _STREAM_DIGESTS[f"{name}-{seed}-{order}"]
             ), (name, seed, order)
+
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("name", sorted(_DIGEST_DATASETS) + ["disconnected"])
+    def test_random_order_digest(self, name, seed):
+        if name == "disconnected":
+            graph = _disconnected_graph()
+        else:
+            graph = load_dataset(name, _DIGEST_DATASETS[name], seed=seed).graph
+        assert _stream_digest(graph, "random", seed) == _RANDOM_DIGESTS[f"{name}-{seed}"]
 
 
 class TestStreamOrderEnum:

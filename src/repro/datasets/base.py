@@ -11,6 +11,13 @@ their locality advantage over random order, Sec. 5.3).
 The output is a plain :class:`~repro.graph.labelled_graph.LabelledGraph`;
 everything downstream (streams, partitioners, executor) is agnostic to how
 it was produced.
+
+Every benchmark run, paper-claims cell and CLI run generates its graph
+before the first edge is streamed, so :func:`generate_graph` is one loop
+over plain lists and bound generator methods: it writes the standard
+library's ``choice`` out inline and builds the neighbour lists itself,
+handing them to the graph once at the end.  The graphs are fixed draw for
+draw: ``tests/test_datasets.py`` pins a digest of each.
 """
 
 from __future__ import annotations
@@ -95,37 +102,6 @@ class Schema:
         return sorted(self.label_weights)
 
 
-class _TargetSampler:
-    """Samples target vertices for one (label, community) population.
-
-    Preferential sampling uses the classic repeated-entry pool: a vertex
-    appears once per unit of degree plus one, so a uniform draw from the
-    pool is a draw proportional to (degree + 1).
-    """
-
-    def __init__(self, vertices: Sequence[int], rng: random.Random) -> None:
-        self._vertices = list(vertices)
-        self._pool = list(vertices)
-        self._rng = rng
-
-    def sample_uniform(self) -> Optional[int]:
-        if not self._vertices:
-            return None
-        return self._rng.choice(self._vertices)
-
-    def sample_preferential(self) -> Optional[int]:
-        if not self._pool:
-            return None
-        return self._rng.choice(self._pool)
-
-    def reward(self, v: int) -> None:
-        """Record one unit of degree for ``v`` (grows its pool share)."""
-        self._pool.append(v)
-
-    def __len__(self) -> int:
-        return len(self._vertices)
-
-
 def _allocate_labels(
     schema: Schema, num_vertices: int, rng: random.Random
 ) -> Dict[str, List[int]]:
@@ -162,6 +138,10 @@ def _allocate_labels(
     return by_label
 
 
+#: One label's target pools: global, and one per community.
+_Pools = Tuple[List[int], List[Optional[List[int]]]]
+
+
 def generate_graph(
     schema: Schema,
     num_vertices: int,
@@ -173,72 +153,74 @@ def generate_graph(
     Deterministic for a given ``(schema, num_vertices, seed)``.  Duplicate
     edges and self-loops are skipped (with bounded retries), so realised
     degree means can fall slightly below the rule means in tiny populations.
+
+    Each rule draws its targets from a pool of the target label's vertices,
+    from the source's community with probability ``locality`` (when there
+    are communities and that community has the label) and globally
+    otherwise.  A uniform rule's pool is the label's vertices; a
+    preferential rule's holds each vertex once per unit of degree plus
+    one, so a uniform draw from it is a draw proportional to
+    (degree + 1).  A draw is ``random.Random.choice`` written out: an
+    index below the pool size, by rejection from ``getrandbits``.
     """
     rng = random.Random(seed)
     by_label = _allocate_labels(schema, num_vertices, rng)
+    communities = schema.communities
 
-    graph = LabelledGraph(name or schema.name)
-    community_of: Dict[int, int] = {}
+    # Ids run 0..num_vertices-1 through the labels in order, so every
+    # per-vertex table is a list indexed by id.
+    community_of = [rng.randrange(communities) for _ in range(num_vertices)]
+    adj: List[List[int]] = [[] for _ in range(num_vertices)]
+
+    # Per label: the uniform pool and the growing degree-weighted pool,
+    # each globally and per community (None where the community lacks the
+    # label).
+    uniform_pools: Dict[str, _Pools] = {}
+    degree_pools: Dict[str, _Pools] = {}
     for label, vertices in by_label.items():
+        buckets: List[List[int]] = [[] for _ in range(communities)]
         for v in vertices:
-            graph.add_vertex(v, label)
-            community_of[v] = rng.randrange(schema.communities)
+            buckets[community_of[v]].append(v)
+        uniform_pools[label] = (vertices, [b or None for b in buckets])
+        degree_pools[label] = (list(vertices), [list(b) if b else None for b in buckets])
 
-    # Samplers per (label, community) and per label ("global").
-    local: Dict[Tuple[str, int], _TargetSampler] = {}
-    global_: Dict[str, _TargetSampler] = {}
-    for label, vertices in by_label.items():
-        global_[label] = _TargetSampler(vertices, rng)
-        buckets: Dict[int, List[int]] = {}
-        for v in vertices:
-            buckets.setdefault(community_of[v], []).append(v)
-        for community, members in buckets.items():
-            local[(label, community)] = _TargetSampler(members, rng)
-
-    def draw_target(rule: RelationRule, source: int) -> Optional[int]:
-        use_local = schema.communities > 1 and rng.random() < rule.locality
-        sampler = (
-            local.get((rule.target, community_of[source])) if use_local else None
-        ) or global_[rule.target]
-        if rule.attachment == "preferential":
-            return sampler.sample_preferential()
-        return sampler.sample_uniform()
-
+    random_ = rng.random
+    getrandbits = rng.getrandbits
     for rule in schema.rules:
-        sources = by_label[rule.source]
-        for source in sources:
-            count = int(rule.mean_degree)
-            if rng.random() < rule.mean_degree - count:
-                count += 1
+        preferential = rule.attachment == "preferential"
+        global_pool, local_pools = (degree_pools if preferential else uniform_pools)[rule.target]
+        locality = rule.locality if communities > 1 else None
+        # A degree never reaches num_vertices, so that cap never binds.
+        cap = num_vertices if rule.max_target_degree is None else rule.max_target_degree
+        whole = int(rule.mean_degree)
+        fraction = rule.mean_degree - whole
+        for source in by_label[rule.source]:
+            count = whole + 1 if random_() < fraction else whole
+            source_adj = adj[source]
+            home = local_pools[community_of[source]] or global_pool
             for _ in range(count):
-                target = None
                 for _attempt in range(8):  # skip self-loops / dups / capped hubs
-                    candidate = draw_target(rule, source)
-                    if candidate is None or candidate == source:
-                        continue
-                    if graph.has_edge(source, candidate):
-                        continue
-                    if (
-                        rule.max_target_degree is not None
-                        and graph.degree(candidate) >= rule.max_target_degree
-                    ):
-                        continue
-                    target = candidate
-                    break
-                if target is None:
+                    pool = home if locality is not None and random_() < locality else global_pool
+                    n = len(pool)
+                    k = n.bit_length()
+                    r = getrandbits(k)
+                    while r >= n:
+                        r = getrandbits(k)
+                    target = pool[r]
+                    if target != source and target not in source_adj and len(adj[target]) < cap:
+                        break
+                else:
                     continue
-                graph.add_edge(source, target)
-                if rule.attachment == "preferential":
-                    global_[rule.target].reward(target)
-                    local_sampler = local.get((rule.target, community_of[target]))
-                    if local_sampler is not None:
-                        local_sampler.reward(target)
+                source_adj.append(target)
+                adj[target].append(source)
+                if preferential:
+                    global_pool.append(target)
+                    local_pools[community_of[target]].append(target)
 
     # Isolated vertices never appear in an edge stream (streams carry edge
     # events), so no streaming partitioner could ever place them; drop them.
-    for v in [v for v in graph.vertices() if graph.degree(v) == 0]:
-        graph.remove_vertex(v)
-    return graph
+    labels = {v: label for label, vertices in by_label.items() for v in vertices if adj[v]}
+    return LabelledGraph.from_adjacency(labels, {v: adj[v] for v in labels}, name or schema.name)
 
 
 def realized_label_counts(graph: LabelledGraph) -> Dict[str, int]:

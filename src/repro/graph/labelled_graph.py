@@ -286,6 +286,27 @@ class LabelledGraph:
             g.add_edge(u, v)
         return g
 
+    @classmethod
+    def from_adjacency(
+        cls,
+        labels: Dict[Vertex, str],
+        adjacency: Dict[Vertex, List[Vertex]],
+        name: str = "",
+    ) -> "LabelledGraph":
+        """Adopt ready-built neighbour lists, unchecked and uncopied.
+
+        For generators that build adjacency faster than :meth:`add_edge`
+        can check it.  The caller guarantees that ``adjacency`` has
+        exactly ``labels``' keys in the same order, that no list holds its
+        own vertex or a repeat, and that ``w`` is in ``adjacency[v]``
+        exactly when ``v`` is in ``adjacency[w]``.
+        """
+        g = cls(name)
+        g._labels = labels
+        g._adj = adjacency
+        g._num_edges = sum(map(len, adjacency.values())) // 2
+        return g
+
     def to_networkx(self):  # pragma: no cover - exercised in tests that need nx
         """Convert to a :class:`networkx.Graph` with ``label`` node attrs."""
         import networkx as nx

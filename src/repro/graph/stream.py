@@ -11,6 +11,13 @@ static graph's edges (Sec. 5.1):
 Each stream element is an :class:`EdgeEvent` carrying both endpoints *and*
 their labels, because a streaming partitioner sees vertices for the first
 time when an incident edge arrives.
+
+Every run orders its stream before the first edge reaches a partitioner,
+so the orderings are written for speed without moving one event: their
+seeded shuffles go through :func:`_shuffle`, which repeats
+``random.Random.shuffle`` draw for draw without its per-element method
+call; they look labels up in one bound dict; and :class:`EdgeEvent`'s
+constructor stores through its slot descriptors.
 """
 
 from __future__ import annotations
@@ -18,20 +25,32 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, List
+from typing import Callable, Iterable, Iterator, List
 
 from repro.graph.labelled_graph import Edge, LabelledGraph, Vertex, normalize_edge
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class EdgeEvent:
     """One element of a graph stream: an undirected labelled edge addition.
-    Slotted, no ``__dict__``: a stream is held as one event per edge."""
+    Slotted, no ``__dict__``: a stream is held as one event per edge.
+
+    Frozen, but ``__init__`` stores through the slot descriptors rather
+    than the generated ``object.__setattr__`` calls, which look each
+    attribute up by name; that takes about a third off building an event.
+    Equality, hash, repr, pickling and ``dataclasses.replace`` are the
+    generated ones."""
 
     u: Vertex
     u_label: str
     v: Vertex
     v_label: str
+
+    def __init__(self, u: Vertex, u_label: str, v: Vertex, v_label: str) -> None:
+        _set_u(self, u)
+        _set_u_label(self, u_label)
+        _set_v(self, v)
+        _set_v_label(self, v_label)
 
     @property
     def edge(self) -> Edge:
@@ -52,6 +71,12 @@ class EdgeEvent:
         return tuple(sorted((self.u_label, self.v_label)))
 
 
+_set_u = EdgeEvent.u.__set__
+_set_u_label = EdgeEvent.u_label.__set__
+_set_v = EdgeEvent.v.__set__
+_set_v_label = EdgeEvent.v_label.__set__
+
+
 class StreamOrder(str, Enum):
     """The three stream orderings of the paper's evaluation (Sec. 5.1)."""
 
@@ -60,8 +85,20 @@ class StreamOrder(str, Enum):
     RANDOM = "random"
 
 
-def _event(graph: LabelledGraph, u: Vertex, v: Vertex) -> EdgeEvent:
-    return EdgeEvent(u, graph.label(u), v, graph.label(v))
+def _shuffle(x: list, getrandbits: Callable[[int], int]) -> None:
+    """Shuffle ``x`` in place exactly as ``random.Random.shuffle`` does,
+    given that generator's bound ``getrandbits``: the same draws in the
+    same order, so the same permutation and the same generator state
+    after.  For ``i`` from the end down to 1 it swaps ``x[i]`` with
+    ``x[j]``, ``j`` drawn uniformly below ``i + 1`` by rejection from
+    ``(i + 1).bit_length()`` random bits — ``Random._randbelow``'s rule,
+    inlined to save a method call per element."""
+    for i in range(len(x) - 1, 0, -1):
+        k = (i + 1).bit_length()
+        j = getrandbits(k)
+        while j > i:
+            j = getrandbits(k)
+        x[i], x[j] = x[j], x[i]
 
 
 def _insertion_index(graph: LabelledGraph) -> dict:
@@ -77,7 +114,7 @@ def _insertion_index(graph: LabelledGraph) -> dict:
     return {v: i for i, v in enumerate(graph.vertices())}
 
 
-def _ordered_roots(graph: LabelledGraph, rng: random.Random) -> List[Vertex]:
+def _ordered_roots(graph: LabelledGraph, getrandbits: Callable[[int], int]) -> List[Vertex]:
     """Deterministic component roots: one shuffled list of all vertices.
 
     The search starts a new traversal from the next unvisited vertex, which
@@ -85,7 +122,7 @@ def _ordered_roots(graph: LabelledGraph, rng: random.Random) -> List[Vertex]:
     insertion order (deterministic), so the shuffle is reproducible.
     """
     roots = list(graph.vertices())
-    rng.shuffle(roots)
+    _shuffle(roots, getrandbits)
     return roots
 
 
@@ -102,13 +139,13 @@ def bfs_stream(graph: LabelledGraph, seed: int = 0) -> Iterator[EdgeEvent]:
     dequeued earlier: a ``done`` vertex set answers that without building
     or hashing an edge key.
     """
-    rng = random.Random(seed)
-    index = _insertion_index(graph)
-    rank = index.__getitem__
-    label = graph.label
+    getrandbits = random.Random(seed).getrandbits
+    rank = _insertion_index(graph).__getitem__
+    neighbors = graph.neighbors
+    labels = graph.labels()
     done = set()
     visited = set()
-    for root in _ordered_roots(graph, rng):
+    for root in _ordered_roots(graph, getrandbits):
         if root in visited:
             continue
         visited.add(root)
@@ -118,12 +155,12 @@ def bfs_stream(graph: LabelledGraph, seed: int = 0) -> Iterator[EdgeEvent]:
             u = queue[head]
             head += 1
             done.add(u)
-            u_label = label(u)
-            nbrs = sorted(graph.neighbors(u), key=rank)
-            rng.shuffle(nbrs)
+            u_label = labels[u]
+            nbrs = sorted(neighbors(u), key=rank)
+            _shuffle(nbrs, getrandbits)
             for v in nbrs:
                 if v not in done:
-                    yield EdgeEvent(u, u_label, v, label(v))
+                    yield EdgeEvent(u, u_label, v, labels[v])
                 if v not in visited:
                     visited.add(v)
                     queue.append(v)
@@ -136,13 +173,13 @@ def dfs_stream(graph: LabelledGraph, seed: int = 0) -> Iterator[EdgeEvent]:
     as in :func:`bfs_stream` — an edge was already emitted iff its other
     endpoint was popped earlier.
     """
-    rng = random.Random(seed)
-    index = _insertion_index(graph)
-    rank = index.__getitem__
-    label = graph.label
+    getrandbits = random.Random(seed).getrandbits
+    rank = _insertion_index(graph).__getitem__
+    neighbors = graph.neighbors
+    labels = graph.labels()
     done = set()
     visited = set()
-    for root in _ordered_roots(graph, rng):
+    for root in _ordered_roots(graph, getrandbits):
         if root in visited:
             continue
         visited.add(root)
@@ -150,12 +187,12 @@ def dfs_stream(graph: LabelledGraph, seed: int = 0) -> Iterator[EdgeEvent]:
         while stack:
             u = stack.pop()
             done.add(u)
-            u_label = label(u)
-            nbrs = sorted(graph.neighbors(u), key=rank)
-            rng.shuffle(nbrs)
+            u_label = labels[u]
+            nbrs = sorted(neighbors(u), key=rank)
+            _shuffle(nbrs, getrandbits)
             for v in nbrs:
                 if v not in done:
-                    yield EdgeEvent(u, u_label, v, label(v))
+                    yield EdgeEvent(u, u_label, v, labels[v])
                 if v not in visited:
                     visited.add(v)
                     stack.append(v)
@@ -168,18 +205,18 @@ def random_stream(graph: LabelledGraph, seed: int = 0) -> Iterator[EdgeEvent]:
     rank) orientation before the shuffle, so both the permutation and the
     emitted endpoint order are reproducible for any vertex type.
     """
-    rng = random.Random(seed)
     index = _insertion_index(graph)
+    labels = graph.labels()
     edges: List[tuple] = []
-    for u in graph.vertices():
-        iu = index[u]
+    for iu, u in enumerate(graph.vertices()):
         for v in graph.neighbors(u):
-            if iu < index[v]:
-                edges.append((iu, index[v], u, v))
-    edges.sort(key=lambda e: (e[0], e[1]))
-    rng.shuffle(edges)
+            iv = index[v]
+            if iu < iv:
+                edges.append((iu, iv, u, v))
+    edges.sort()  # (iu, iv) is unique per edge: the endpoints never compare
+    _shuffle(edges, random.Random(seed).getrandbits)
     for _, _, u, v in edges:
-        yield _event(graph, u, v)
+        yield EdgeEvent(u, labels[u], v, labels[v])
 
 
 _ORDERINGS = {

@@ -1,7 +1,9 @@
 """Unit and property tests for graph streams and their orderings."""
 
+import dataclasses
 import hashlib
 import pickle
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +13,7 @@ from repro.graph.labelled_graph import LabelledGraph, normalize_edge
 from repro.graph.stream import (
     EdgeEvent,
     StreamOrder,
+    _shuffle,
     bfs_stream,
     dfs_stream,
     random_stream,
@@ -52,6 +55,79 @@ class TestEdgeEvent:
         twin = EdgeEvent(1, "a", ("v", 2), "b")
         assert ev == twin and hash(ev) == hash(twin)
         assert repr(ev) == "EdgeEvent(u=1, u_label='a', v=('v', 2), v_label='b')"
+
+
+@dataclasses.dataclass(frozen=True, slots=True)
+class _GeneratedEdgeEvent:
+    """What ``@dataclass`` generates for EdgeEvent's four fields."""
+
+    u: object
+    u_label: str
+    v: object
+    v_label: str
+
+
+_GeneratedEdgeEvent.__name__ = _GeneratedEdgeEvent.__qualname__ = "EdgeEvent"
+
+
+class TestEdgeEventContract:
+    """``EdgeEvent.__init__`` stores through the slot descriptors; all
+    else must stay what a plain frozen, slotted dataclass generates."""
+
+    ARGS = [
+        (1, "a", 2, "b"),
+        (2, "b", 1, "a"),
+        (1, "a", 2, "c"),
+        (1.0, "a", 2, "b"),
+        (("v", 2), "a", "w", "b"),
+        (None, "", 0, "z"),
+    ]
+
+    def test_fields_and_layout(self):
+        assert [f.name for f in dataclasses.fields(EdgeEvent)] == ["u", "u_label", "v", "v_label"]
+        assert EdgeEvent.__slots__ == _GeneratedEdgeEvent.__slots__
+        assert not hasattr(EdgeEvent(1, "a", 2, "b"), "__dict__")
+
+    def test_frozen(self):
+        ev = EdgeEvent(1, "a", 2, "b")
+        for name in ("u", "u_label", "v", "v_label"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(ev, name, 9)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(ev, name)
+        assert ev == EdgeEvent(1, "a", 2, "b")
+
+    def test_replace_and_keywords(self):
+        ev = EdgeEvent(1, "a", 2, "b")
+        assert dataclasses.replace(ev, v=9, v_label="c") == EdgeEvent(1, "a", 9, "c")
+        assert ev == EdgeEvent(u=1, u_label="a", v=2, v_label="b")
+        with pytest.raises(TypeError):
+            EdgeEvent(1, "a", 2)
+
+    def test_eq_hash_repr_match_generated_twin(self):
+        ours = [EdgeEvent(*args) for args in self.ARGS]
+        twins = [_GeneratedEdgeEvent(*args) for args in self.ARGS]
+        for a, ta in zip(ours, twins):
+            assert repr(a) == repr(ta)
+            assert hash(a) == hash(ta)
+            for b, tb in zip(ours, twins):
+                assert (a == b) == (ta == tb)
+                assert (a != b) == (ta != tb)
+        assert EdgeEvent(1, "a", 2, "b") != _GeneratedEdgeEvent(1, "a", 2, "b")
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**64))
+def test_shuffle_repeats_random_shuffle(seed):
+    """``_shuffle`` copies ``random.Random.shuffle``'s draw rule: the same
+    permutation and the same generator state after, for every length."""
+    ours, reference = random.Random(seed), random.Random(seed)
+    for n in range(81):
+        a, b = list(range(n)), list(range(n))
+        _shuffle(a, ours.getrandbits)
+        reference.shuffle(b)
+        assert a == b, n
+        assert ours.getstate() == reference.getstate(), n
 
 
 @pytest.mark.parametrize("order", ["bfs", "dfs", "random"])

@@ -256,11 +256,9 @@ _STREAM_DIGESTS = {
 }
 
 
-#: As :data:`_STREAM_DIGESTS`, for ``random_stream`` — the one order the
-#: traversal digests cannot see: BFS and DFS sort each neighbour list by
-#: insertion rank before shuffling it, so only this order depends on the
-#: edge-list shuffle alone.  Taken before the orderings' shuffles were
-#: inlined; never re-pin.
+#: As :data:`_STREAM_DIGESTS`, for ``random_stream``, which the traversal
+#: digests never run.  Taken before the orderings' shuffles were inlined;
+#: never re-pin.
 _RANDOM_DIGESTS = {
     "dblp-0": "8bcc18feb7bfdaf0",
     "dblp-1": "e038171a4092f80f",

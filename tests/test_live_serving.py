@@ -23,7 +23,7 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import make_random_labelled_graph
 
-from repro.graph.interning import unpack_edge
+from repro.graph.interning import pack_edge, unpack_edge
 from repro.graph.labelled_graph import LabelledGraph
 from repro.graph.stream import batched, stream_edges
 from repro.partitioning import registry
@@ -434,14 +434,20 @@ def _replayed_shards(graph, state, num_shards):
     """Each shard's stores as ``EdgeUpdate`` rows would build them: every
     placed vertex's row, then every visible edge as a row in packed-key
     order, applied by ``ShardServer.apply_update`` — the per-edge replay
-    a bulk boot must equal."""
+    a bulk boot must equal.  The visible edges come from the graph itself:
+    ``graph.edges()`` with both endpoints placed."""
     index = RoutingIndex.from_state(graph, state)
-    part_of, label_of = state.partition_of_id, index.label_id_of
+    part_of, label_of, id_of = state.partition_of_id, index.label_id_of, state.interner.id_of
     vertices = [[] for _ in range(num_shards)]
     edges = [[] for _ in range(num_shards)]
     for row in index.take_new_vertices():
         vertices[row[2] % num_shards].append(row)
-    for key in sorted(index._edges):
+    visible = {
+        pack_edge(id_of(u), id_of(v))
+        for u, v in graph.edges()
+        if state.is_assigned(u) and state.is_assigned(v)
+    }
+    for key in sorted(visible):
         uid, vid = unpack_edge(key)
         row = (uid, label_of(uid), part_of(uid), vid, label_of(vid), part_of(vid))
         for shard in {part_of(uid) % num_shards, part_of(vid) % num_shards}:
@@ -458,7 +464,6 @@ _SHARD_FIELDS = (
     "_adj",
     "_label_of",
     "_partition_of",
-    "_edges",
     "num_edges",
     "num_border_edges",
     "num_ghosts",

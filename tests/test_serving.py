@@ -148,12 +148,38 @@ def _fields(built):
     return out
 
 
+def _visible_edges(graph, state):
+    """The visible subgraph by definition: ``graph.edges()`` with both
+    endpoints placed, as ``(smaller id, larger id)`` pairs."""
+    id_of = state.interner.id_of
+    out = set()
+    for u, v in graph.edges():
+        if state.is_assigned(u) and state.is_assigned(v):
+            out.add(tuple(sorted((id_of(u), id_of(v)))))
+    return out
+
+
+def _adjacency_edges(stores):
+    """Every edge the partitions' adjacency holds, as ``(low, high)`` pairs."""
+    return {
+        (min(vid, wid), max(vid, wid))
+        for store in stores.stores
+        for vid, row in store._adj.items()
+        for wid in row
+    }
+
+
 def test_fields_cover_adjacency_and_counters():
-    """The cold-build property below compares what ``_fields`` lists."""
+    """The cold-build property below compares what ``_fields`` lists, and
+    the adjacency it lists holds exactly the visible edges."""
     graph, _workload, state = _partitioned_figure1()
-    fields = _fields(ServingStores.from_state(graph, state))
-    assert {"_label_of", "_edges", "_pending", "num_edges", "num_border_edges"} <= set(fields)
+    stores = ServingStores.from_state(graph, state)
+    fields = _fields(stores)
+    assert {"_label_of", "_pending", "num_edges", "num_border_edges"} <= set(fields)
     assert all({"_adj", "_by_label", "num_members"} <= set(store) for store in fields["stores"])
+    visible = _visible_edges(graph, state)
+    assert _adjacency_edges(stores) == visible
+    assert stores.num_edges == len(visible)
 
 
 @settings(max_examples=40, deadline=None)
@@ -184,6 +210,10 @@ def test_from_state_equals_replaying_the_edges(cls, seed, k):
 
     built, reference = cls.from_state(graph, state), _replay(cls, graph, state)
     assert _fields(built) == _fields(reference)
+    visible = _visible_edges(graph, state)
+    assert built.num_edges == len(visible)
+    if cls is ServingStores:
+        assert _adjacency_edges(built) == visible
 
     for v in vertices:
         if not state.is_assigned(v):
@@ -191,6 +221,8 @@ def test_from_state_equals_replaying_the_edges(cls, seed, k):
     assert built.flush_pending() == reference.flush_pending()
     assert _fields(built) == _fields(reference)
     assert built.num_edges == graph.num_edges and built.num_pending == 0
+    if cls is ServingStores:
+        assert _adjacency_edges(built) == _visible_edges(graph, state)
 
 
 class TestRouterRegistry:

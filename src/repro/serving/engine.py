@@ -352,19 +352,26 @@ class ServingFrontEnd:
         placed) this round; edges with an endpoint Loom still holds — in
         its window or in its deferral queue — wait in the index's pending
         buffer until a later round or :meth:`finalize` places them.
+
+        This is the one dedup point: only the events the graph reports new
+        reach the index, so a repeated edge — within a batch, across
+        batches, or of an edge the cold build holds — is neither admitted
+        nor buffered twice.
         """
         if self.partitioner is None:
             raise ValueError(f"{type(self).__name__} has no partitioner attached; cannot ingest")
         batch = list(events)
         self.partitioner.ingest_batch(batch)
         label_counts = self._label_counts
+        fresh = []
         for event in batch:
             for v, label in ((event.u, event.u_label), (event.v, event.v_label)):
                 if not self.graph.has_vertex(v):
                     label_counts[label] = label_counts.get(label, 0) + 1
-            self.graph.add_edge(event.u, event.v, event.u_label, event.v_label)
+            if self.graph.add_edge(event.u, event.v, event.u_label, event.v_label):
+                fresh.append(event)
         new_edges = []
-        for event in batch:
+        for event in fresh:
             pair = self.index.ingest_edge(event)
             if pair is not None:
                 new_edges.append(pair)

@@ -224,17 +224,14 @@ class ShardView:
     edge that made them adjacent.
     """
 
-    __slots__ = ("_stores", "neighbors", "label_of", "partition_of", "owns")
+    __slots__ = ("neighbors", "label_of", "partition_of", "owns", "has_edge")
 
     def __init__(self, stores) -> None:
-        self._stores = stores
         self.neighbors = stores.neighbors
         self.label_of = stores.label_of
         self.partition_of = stores.partition_of
         self.owns = stores.owns_partition
-
-    def has_edge(self, uid: int, vid: int) -> Optional[bool]:
-        return self._stores.has_edge_local(uid, vid)
+        self.has_edge = stores.has_edge_local
 
 
 def execute_step(

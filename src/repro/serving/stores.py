@@ -5,13 +5,20 @@ a :class:`~repro.graph.labelled_graph.LabelledGraph` plus a
 :class:`~repro.partitioning.state.PartitionState` assignment and keeps what
 routing and request admission need: per partition a label index (label id
 → sorted member ids) that feeds root-candidate scans and the routers, plus
-the visible-edge set and the pending buffer.  A live driver uses it as is;
-:class:`ServingStores` is the same index over :class:`PartitionStore`
-partitions, which also hold the adjacency of their member vertices on dense
-interner ids (sorted neighbour arrays, CSR in spirit: the flat sorted runs
-are what the engine's inner loop scans).  :class:`ShardStores` is the slice
-of that adjacency one shard server owns: booted from the driver's cold
-pass in one go, then grown by wire rows.
+the pending buffer.  A live driver uses it as is; :class:`ServingStores` is
+the same index over :class:`PartitionStore` partitions, which also hold the
+adjacency of their member vertices on dense interner ids (sorted neighbour
+arrays, CSR in spirit: the flat sorted runs are what the engine's inner
+loop scans).  :class:`ShardStores` is the slice of that adjacency one shard
+server owns: booted from the driver's cold pass in one go, then grown by
+wire rows.
+
+Each visible edge is held once per endpoint, in the endpoints' sorted
+neighbour lists, and nowhere else: edge membership is a bisection of one
+endpoint's list.  The routing index keeps no adjacency and therefore no
+edge set; it relies on the front end (:meth:`ServingFrontEnd.ingest
+<repro.serving.engine.ServingFrontEnd.ingest>`) forwarding each edge once,
+which the graph's own ``add_edge`` decides.
 
 The index is **online**: :meth:`RoutingIndex.ingest_edge` admits a
 streamed edge the moment both endpoints have been *assigned* by the
@@ -29,13 +36,23 @@ label strings survive only at the boundary.
 
 from __future__ import annotations
 
-from bisect import insort
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from bisect import bisect_left, insort
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from repro.graph.interning import EDGE_SHIFT, LabelInterner, pack_edge
+from repro.graph.interning import LabelInterner
 from repro.graph.labelled_graph import LabelledGraph, Vertex
 from repro.graph.stream import EdgeEvent
 from repro.partitioning.state import UNASSIGNED, PartitionState
+
+
+def _insort_new(row: List[int], vid: int) -> bool:
+    """Insert ``vid`` into the sorted ``row`` unless it is there already;
+    ``False`` when it was (a duplicate edge)."""
+    i = bisect_left(row, vid)
+    if i != len(row) and row[i] == vid:
+        return False
+    row.insert(i, vid)
+    return True
 
 
 def cold_rows(
@@ -50,9 +67,10 @@ def cold_rows(
     graph's own neighbour order, first insertion first (the caller sorts
     what it keeps).  On the way it fills everything :class:`RoutingIndex`
     holds on ``target`` — ``_label_of`` and the label ids, each
-    partition's ``_by_label``, ``_edges``, ``_pending`` (edges with an
-    unplaced endpoint, in ``graph.edges()`` order) and, once exhausted,
-    the member and edge counters.
+    partition's ``_by_label``, ``_pending`` (edges with an unplaced
+    endpoint, in ``graph.edges()`` order) and, once exhausted, the member
+    and edge counters.  No edge key is built: the graph holds each edge
+    once, so the visible edges number half the placed neighbour ends.
     """
     state = target.state
     partition_of = state.assignment_vector
@@ -75,8 +93,7 @@ def cold_rows(
     intern = target.labels.intern
     label_of = target._label_of
     by_label = [store._by_label for store in target.stores]
-    edges = target._edges
-    cut_ends = 0
+    ends = cut_ends = 0
     for u in graph.vertices():
         uid = id_of(u)
         nbrs = list(map(id_of, graph.neighbors(u)))
@@ -87,8 +104,7 @@ def cold_rows(
         label_id = label_of[uid] = intern(label(u))
         partition = partition_of[uid]
         by_label[partition].setdefault(label_id, []).append(uid)
-        high = uid << EDGE_SHIFT
-        edges.update([high | wid for wid in nbrs if wid > uid])
+        ends += len(nbrs)
         for wid in nbrs:
             if partition_of[wid] != partition:
                 cut_ends += 1
@@ -97,7 +113,7 @@ def cold_rows(
         for members in store._by_label.values():
             members.sort()
             store.num_members += len(members)
-    target.num_edges = len(edges)
+    target.num_edges = ends // 2
     target.num_border_edges = cut_ends // 2
 
 
@@ -160,16 +176,16 @@ class RoutingIndex:
     """The admission and routing index both serving back ends stand on.
 
     Holds exactly what routing and request admission need — vertex → label
-    id, per-partition label indexes, the visible-edge key set (dedup) and
-    the pending buffer — and no adjacency: a live driver uses it as is,
-    with the adjacency sharded across the servers, and
-    :class:`ServingStores` is this index *plus* adjacency.  Every routing
-    policy and the traffic drivers therefore see one surface (``k``,
-    ``stores``, ``candidate_counts``, ``candidates``, ``all_candidates``),
-    and there is one admission rule (both endpoints placed, duplicates
-    dropped): a live cluster and a single-process engine fed the same
-    stream admit the identical edge sequence — the bedrock of the
-    equivalence suites.
+    id, per-partition label indexes and the pending buffer — and no
+    adjacency, hence no edge set: a live driver uses it as is, with the
+    adjacency sharded across the servers, and :class:`ServingStores` is
+    this index *plus* adjacency.  Every routing policy and the traffic
+    drivers therefore see one surface (``k``, ``stores``,
+    ``candidate_counts``, ``candidates``, ``all_candidates``), and there is
+    one admission rule (both endpoints placed; duplicates are dropped
+    before the index, by the front end): a live cluster and a
+    single-process engine fed the same stream admit the identical edge
+    sequence — the bedrock of the equivalence suites.
     """
 
     __slots__ = (
@@ -177,7 +193,7 @@ class RoutingIndex:
         "labels",
         "stores",
         "_label_of",
-        "_edges",
+        "_partition_of",
         "_pending",
         "_new_vertices",
         "num_edges",
@@ -194,8 +210,8 @@ class RoutingIndex:
         self.stores = [self._partition_type(p) for p in range(state.k)]
         #: vertex id → label id, for every stored vertex.
         self._label_of: Dict[int, int] = {}
-        #: packed edge keys of every *visible* edge (both endpoints placed).
-        self._edges: Set[int] = set()
+        #: vertex id → partition: the state's live assignment vector.
+        self._partition_of = state.assignment_vector
         #: events whose endpoint was unassigned on arrival, in arrival order.
         self._pending: List[EdgeEvent] = []
         #: (vid, label_id, partition) rows stored since the last take — the
@@ -232,16 +248,22 @@ class RoutingIndex:
         """Queue a newly stored vertex for :meth:`take_new_vertices`."""
         self._new_vertices.append((vid, label_id, partition))
 
-    def _link(self, uid: int, pu: int, vid: int, pv: int) -> None:
-        """A new visible edge ``uid — vid`` between partitions ``pu`` and
-        ``pv``: where a back end that keeps adjacency records it."""
+    def _link(self, uid: int, pu: int, vid: int, pv: int) -> bool:
+        """Record the visible edge ``uid — vid`` between partitions ``pu``
+        and ``pv``; ``False`` if it was already there.  No adjacency here,
+        so nothing to record or check: the front end dedups."""
+        return True
 
     def ingest_edge(self, event: EdgeEvent) -> Optional[Tuple[int, int]]:
         """Admit one streamed edge if both endpoints are placed.
 
+        Each edge once; the front end dedups.  :meth:`ServingFrontEnd.ingest
+        <repro.serving.engine.ServingFrontEnd.ingest>` forwards only the
+        events its graph reports new, so this index keeps no edge set.
         Returns the visible ``(uid, vid)`` id pair when the edge entered the
         index, ``None`` when it parked in the pending buffer (unknown or
-        unassigned endpoint).  Duplicate edges are no-ops returning ``None``.
+        unassigned endpoint) — or, on :class:`ServingStores`, whose
+        adjacency can tell, when the edge was already visible.
         """
         id_of = self.state.interner.id_of
         uid, vid = id_of(event.u), id_of(event.v)
@@ -253,18 +275,15 @@ class RoutingIndex:
         ):
             self._pending.append(event)
             return None
-        ekey = pack_edge(uid, vid)
-        if ekey in self._edges:
-            return None
         self._add_member(uid, event.u_label)
         self._add_member(vid, event.v_label)
-        self._edges.add(ekey)
+        pu = self._partition_of[uid]
+        pv = self._partition_of[vid]
+        if not self._link(uid, pu, vid, pv):
+            return None
         self.num_edges += 1
-        pu = self.state.partition_of_id(uid)
-        pv = self.state.partition_of_id(vid)
         if pu != pv:
             self.num_border_edges += 1
-        self._link(uid, pu, vid, pv)
         return (uid, vid)
 
     def flush_pending(self) -> List[Tuple[int, int]]:
@@ -351,9 +370,11 @@ class ServingStores(RoutingIndex):
     def _announce(self, vid: int, label_id: int, partition: int) -> None:
         """Nobody takes vertex rows from in-process stores: queue none."""
 
-    def _link(self, uid: int, pu: int, vid: int, pv: int) -> None:
-        insort(self.stores[pu]._adj[uid], vid)
+    def _link(self, uid: int, pu: int, vid: int, pv: int) -> bool:
+        if not _insort_new(self.stores[pu]._adj[uid], vid):
+            return False
         insort(self.stores[pv]._adj[vid], uid)
+        return True
 
     # ------------------------------------------------------------------
     # Queries (the engine's inner-loop surface)
@@ -366,7 +387,17 @@ class ServingStores(RoutingIndex):
         return p
 
     def has_edge(self, uid: int, vid: int) -> bool:
-        return pack_edge(uid, vid) in self._edges
+        """Is ``uid — vid`` a visible edge?  ``False`` for unstored ids.
+
+        The executor's closing-edge probe: one bisection of ``uid``'s
+        sorted neighbour list in its owner partition, and no other call.
+        """
+        try:
+            row = self.stores[self._partition_of[uid]]._adj[uid]
+        except (IndexError, KeyError):
+            return False
+        i = bisect_left(row, vid)
+        return i != len(row) and row[i] == vid
 
     def neighbors(self, vid: int) -> List[int]:
         """All visible neighbours of ``vid`` (via its owner store), sorted."""
@@ -414,13 +445,16 @@ class ShardStores:
     * a *member*'s adjacency is complete w.r.t. the visible subgraph (the
       driver sends every visible edge incident to an owned partition), so
       ``has_edge_local`` answers definitively whenever either endpoint is
-      a member and returns ``None`` only for remote–remote pairs;
+      a member — by bisecting that member's list — and returns ``None``
+      only for remote–remote pairs;
     * every vertex the executor can name (a member's neighbour) has label
       and partition recorded — ghost metadata arrived in the snapshot or on
       the edge row that made it adjacent;
     * adjacency lists are sorted (booted sorted, then insort-maintained),
       so candidate iteration order matches the single-process
-      :class:`ServingStores` bit for bit.
+      :class:`ServingStores` bit for bit, and membership — of a probe or
+      of a duplicate row — is one bisection.  These two facts replace an
+      edge-key set: each edge is held once per member endpoint.
     """
 
     __slots__ = (
@@ -430,7 +464,6 @@ class ShardStores:
         "_adj",
         "_label_of",
         "_partition_of",
-        "_edges",
         "num_edges",
         "num_border_edges",
         "num_ghosts",
@@ -446,8 +479,6 @@ class ShardStores:
         self._label_of: Dict[int, int] = {}
         #: vid → partition, members *and* ghosts.
         self._partition_of: Dict[int, int] = {}
-        #: packed keys of every edge with at least one member endpoint.
-        self._edges: Set[int] = set()
         self.num_edges = 0
         self.num_border_edges = 0
         self.num_ghosts = 0
@@ -479,16 +510,15 @@ class ShardStores:
         for vid, label_id, partition in ghosts:
             label_of[vid] = label_id
             partition_of[vid] = partition
-        edges = stores._edges
-        border = 0
+        edges = border = 0
         for vid, _label_id, partition, nbrs in members:
             for wid in nbrs:
                 if wid < vid and wid in adj:
                     continue  # a member–member edge, counted from its lower end
-                edges.add(pack_edge(vid, wid))
+                edges += 1
                 if partition_of[wid] != partition:
                     border += 1
-        stores.num_edges = len(edges)
+        stores.num_edges = edges
         stores.num_border_edges = border
         stores.num_ghosts = len(ghosts)
         return stores
@@ -529,19 +559,20 @@ class ShardStores:
         """Apply one EdgeUpdate edge row; at least one endpoint is owned.
 
         Returns the ``(uid, vid)`` pair when the edge was new (the cache
-        invalidation seeds for this round), ``None`` on duplicates.
+        invalidation seeds for this round), ``None`` on duplicates — found
+        by bisecting a member endpoint's sorted list.
         """
-        ekey = pack_edge(uid, vid)
-        if ekey in self._edges:
-            return None
         self._register(uid, u_label, u_part)
         self._register(vid, v_label, v_part)
-        self._edges.add(ekey)
+        u_row, v_row = self._adj.get(uid), self._adj.get(vid)
+        if u_row is not None:
+            if not _insort_new(u_row, vid):
+                return None
+            if v_row is not None:
+                insort(v_row, uid)
+        elif not _insort_new(v_row, uid):
+            return None
         self.num_edges += 1
-        if uid in self._adj:
-            insort(self._adj[uid], vid)
-        if vid in self._adj:
-            insort(self._adj[vid], uid)
         if u_part != v_part:
             self.num_border_edges += 1
         return (uid, vid)
@@ -559,11 +590,17 @@ class ShardStores:
         return self._partition_of[vid]
 
     def has_edge_local(self, uid: int, vid: int) -> Optional[bool]:
-        """Definitive membership test when either endpoint is a member;
-        ``None`` when both are remote (only their owners can decide)."""
-        if uid in self._adj or vid in self._adj:
-            return pack_edge(uid, vid) in self._edges
-        return None
+        """Definitive membership test when either endpoint is a member —
+        one bisection of that member's sorted list; ``None`` when both are
+        remote (only their owners can decide)."""
+        row = self._adj.get(uid)
+        if row is None:
+            row = self._adj.get(vid)
+            if row is None:
+                return None
+            vid = uid
+        i = bisect_left(row, vid)
+        return i != len(row) and row[i] == vid
 
     def bfs_forward(
         self,

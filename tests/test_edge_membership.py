@@ -66,9 +66,11 @@ def _check_membership(graph, state, stores, shards, stored):
                 assert shard.has_edge_local(a, b) is want, (shard_id, a, b)
     spanning = sum(part_of(u) % num_shards != part_of(v) % num_shards for u, v in visible)
     assert sum(shard.num_edges for shard in shards) == len(visible) + spanning
-    border = sum(part_of(u) != part_of(v) for u, v in visible)
-    assert stores.num_border_edges == border
-    assert all(shard.num_border_edges <= border for shard in shards)
+    cut = [(part_of(u), part_of(v)) for u, v in visible if part_of(u) != part_of(v)]
+    assert stores.num_border_edges == len(cut)
+    for shard_id, shard in enumerate(shards):
+        touching = sum(shard_id in (pu % num_shards, pv % num_shards) for pu, pv in cut)
+        assert shard.num_border_edges == touching
 
 
 @settings(max_examples=60, deadline=None)

@@ -184,33 +184,6 @@ def test_loom_parity_neighbor_aware_bids(graph, workload):
     assert new.assignment() == old.assignment()
 
 
-def test_loom_assignments_bit_identical_pre_post_compile():
-    """Full-pipeline pre/post compile parity on a labelled random graph.
-
-    The digest was produced by the pre-plan object-walking matcher
-    (commit c3a4385) on this exact seeded configuration; the compiled
-    MotifPlan pipeline must reproduce it bit for bit — with the deferral
-    queue off, which that matcher never had.  (The synthetic stream twins
-    live in ``tests/test_plan.py``, which also pins the default.)
-    """
-    import hashlib
-    import json
-
-    from repro.datasets.figure1 import figure1_workload
-
-    g = make_random_labelled_graph(num_vertices=250, num_edges=600, seed=21)
-    events = list(stream_edges(g, "random", seed=5))
-    state = PartitionState.for_graph(5, g.num_vertices)
-    LoomPartitioner(
-        state, figure1_workload(), window_size=120, seed=3, defer_motif_vertices=False
-    ).ingest_all(events)
-    blob = json.dumps(sorted((repr(v), p) for v, p in state.assignment().items())).encode()
-    assert (
-        hashlib.sha256(blob).hexdigest()
-        == "29ef5bbfad7b167448f3ed8454f5a58a99300a937f33c5da4f1ffebf5c3f1bd2"
-    )
-
-
 def test_parity_on_synthetic_stream():
     """The benchmark's stream generator feeds both stacks identically."""
     events = list(synthetic_stream(500, 1_500, seed=9))

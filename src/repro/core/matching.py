@@ -150,9 +150,6 @@ class Match:
         quantity the incremental factor computation needs (Sec. 2.1)."""
         return self._degrees.get(vid, 0)
 
-    def contains_edge(self, ekey: int) -> bool:
-        return ekey in self.edges
-
     def __hash__(self) -> int:
         return hash((self.edges, self.state))
 
@@ -342,7 +339,7 @@ class StreamMatcher:
 
     Constructed from a compiled :class:`~repro.core.plan.MotifPlan`; a
     :class:`~repro.core.motifs.MotifIndex` is accepted and compiled on the
-    spot for convenience (tests, the frozen legacy glue).
+    spot for convenience (tests).
     """
 
     def __init__(

@@ -88,10 +88,6 @@ class TrieNode:
         self.children.add(child)
         child.parents.add(self)
 
-    def children_for_delta(self, delta: FactorMultiset) -> List["TrieNode"]:
-        """Children whose signature is exactly ``self.signature ⊎ delta``."""
-        return self.children_by_delta.get(delta.key, [])
-
     def __hash__(self) -> int:
         return self.node_id
 

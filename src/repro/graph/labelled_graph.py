@@ -30,10 +30,12 @@ def normalize_edge(u: Vertex, v: Vertex) -> Edge:
     that ``(2, 1)`` and ``(1, 2)`` denote the same edge.
     """
     # detlint's DET-repr would normally reject this repr ordering, but it is
-    # frozen seed semantics: stable_hash and the legacy parity suite depend
-    # on it, and value-typed dataset vertices (ints/strings) repr
-    # deterministically.  Hot paths compare packed interned ids instead
-    # (core/window.py pack_edge), never these tuples.
+    # frozen seed semantics: like stable_hash, which hashes a vertex's repr,
+    # it ties placements to repr, and the golden assignment digests
+    # (tests/test_golden_assignments.py) pin them; value-typed dataset
+    # vertices (ints/strings) repr deterministically.  Hot paths compare
+    # packed interned ids instead (core/window.py pack_edge), never these
+    # tuples.
     return (u, v) if repr(u) <= repr(v) else (v, u)  # detlint: disable=DET-repr (frozen seed semantics)
 
 

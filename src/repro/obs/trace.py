@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import time
 from collections import deque
-from typing import Dict, Iterator, List
+from typing import Dict, List
 
 
 class Tracer:
@@ -55,9 +55,6 @@ class Tracer:
 
     def events(self) -> List[Dict[str, object]]:
         return list(self._ring)
-
-    def iter_events(self) -> Iterator[Dict[str, object]]:
-        return iter(self._ring)
 
     def clear(self) -> None:
         self._ring.clear()

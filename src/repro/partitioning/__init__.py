@@ -16,9 +16,8 @@ paper's evaluation live on the same abstractions defined here:
 * :mod:`repro.partitioning.metrics` — edge-cut, balance and communication
   volume.
 
-The pre-interning dict-based implementations are frozen in
-:mod:`repro.partitioning.legacy` (parity tests and the before/after
-throughput benchmark only — not exported here on purpose).
+``tests/test_golden_assignments.py`` pins every system's placements as
+sha256 assignment digests.
 """
 
 from repro.partitioning.base import PartitionerStats, StreamingPartitioner, run_partitioner

@@ -88,8 +88,8 @@ class FennelPartitioner(StreamingPartitioner):
     def _place_id(self, vid: int, neighbor_id: int) -> None:
         # At placement time the vertex's only seen neighbour is the other
         # endpoint of its first edge (assignments are permanent and happen
-        # on first sight) — see the LDGPartitioner docstring; the parity
-        # suite pins this equivalence against the seed's adjacency version.
+        # on first sight) — see the LDGPartitioner docstring; the golden
+        # assignment digests pin the placements the seed's adjacency version made.
         state = self.state
         sizes = state._sizes
         capacity = state.capacity

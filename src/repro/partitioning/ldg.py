@@ -44,8 +44,8 @@ def ldg_choose_ids(
     :meth:`~repro.partitioning.state.PartitionState.neighbor_partition_counts`
     pass; the per-candidate residual and fullness arithmetic is inlined over
     the state's live size list (the expressions match
-    ``residual_capacity``/``is_full`` exactly, which the parity suite
-    depends on).
+    ``residual_capacity``/``is_full`` exactly, which the golden assignment
+    digests depend on).
     """
     sizes = state._sizes
     capacity = state.capacity
@@ -90,7 +90,7 @@ class LDGPartitioner(StreamingPartitioner):
     vertex is placed the moment its first edge arrives, the only neighbour
     a vertex can have at placement time is the other endpoint of that first
     edge.  Scoring over exactly that endpoint is therefore identical to the
-    dict-of-sets bookkeeping the seed carried (the parity suite proves it)
+    dict-of-sets bookkeeping the seed carried (the golden digests pin it)
     at O(V) instead of O(E) memory.  Loom's deferred-placement path is the
     one that needs real neighbourhoods; it keeps its own adjacency and
     calls :func:`ldg_choose_ids` with them.

@@ -25,8 +25,6 @@ this package the partitioners additionally bind the live
 :attr:`assignment_vector` / ``_sizes`` references once and read them
 directly in their inner loops — per-edge method dispatch is the dominant
 cost at streaming rates.  Outside code must stick to the public methods.
-The dict-based implementation this replaced is frozen in
-:mod:`repro.partitioning.legacy` as the parity/benchmark reference.
 """
 
 from __future__ import annotations

@@ -66,10 +66,6 @@ class ExecutionReport:
         return sum(q.weighted_ipt for q in self.queries)
 
     @property
-    def total_traversals(self) -> int:
-        return sum(q.traversals for q in self.queries)
-
-    @property
     def total_cut_traversals(self) -> int:
         return sum(q.cut_traversals for q in self.queries)
 

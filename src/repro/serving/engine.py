@@ -89,10 +89,6 @@ class QueryServeReport:
         """Frequency-weighted hops — the serving twin of ``weighted_ipt``."""
         return self.frequency * self.hops
 
-    @property
-    def hops_per_embedding(self) -> float:
-        return self.hops / self.embeddings if self.embeddings else 0.0
-
 
 @dataclass
 class ServeReport:
@@ -110,10 +106,6 @@ class ServeReport:
     @property
     def total_hops(self) -> int:
         return sum(q.hops for q in self.queries)
-
-    @property
-    def total_embeddings(self) -> int:
-        return sum(q.embeddings for q in self.queries)
 
     @property
     def total_partitions_contacted(self) -> int:

@@ -526,9 +526,6 @@ class ShardStores:
     def owns_partition(self, partition: int) -> bool:
         return partition % self.num_shards == self.shard_id
 
-    def is_member(self, vid: int) -> bool:
-        return vid in self._adj
-
     def _register(self, vid: int, label_id: int, partition: int) -> None:
         """Record a vertex's metadata; promote ghost → member if owned."""
         if vid not in self._label_of:
@@ -652,9 +649,6 @@ class ShardStores:
     @property
     def num_members(self) -> int:
         return len(self._adj)
-
-    def owned_partitions(self) -> List[int]:
-        return [p for p in range(self.k) if self.owns_partition(p)]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -230,3 +230,17 @@ class TestAllocate:
         eo = EqualOpportunism(state)
         decision = eo.allocate([single_match(state, ab_node)])
         assert decision.winner == 1
+
+    def test_spill_tiebreak_follows_interner_order(self, ab_node):
+        """When the winner fills mid-cluster, *which* vertices spill depends
+        on the assignment order: the allocator sorts interner ids, so the
+        last slot goes to 9 even though repr order would put '10' first."""
+        state = PartitionState(2, 4)
+        state.assign(1, 0)  # overlap pulls the auction to partition 0
+        state.assign(("pad", 0), 0)
+        state.assign(("pad", 1), 0)  # partition 0 now 3/4: one slot left
+        match = id_match(state, ab_node, (1, 9), (1, 10), (1, 2))  # id order: 9, 10, 2
+        EqualOpportunism(state).allocate([match])
+        assignment = state.assignment()
+        assert sum(1 for v in (9, 10, 2) if assignment[v] == 0) == 1  # spill happened
+        assert assignment[9] == 0  # id order: 9 takes the last slot, 10 and 2 spill

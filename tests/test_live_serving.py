@@ -56,7 +56,7 @@ from repro.runtime.server import ShardServer
 from repro.serving import RootResult, ServingEngine
 from repro.serving.execution import CompiledPlan, Continuation, LiteralSegment
 from repro.serving.router import BUILTIN_ROUTERS
-from repro.serving.stores import RoutingIndex, ServingStores, ShardStores
+from repro.serving.stores import RoutingIndex, ShardStores
 from repro.serving.traffic import TrafficDriver
 
 
@@ -862,18 +862,20 @@ def test_detlint_mp_pickle_scope_covers_live_modules():
 
 
 # ----------------------------------------------------------------------
-# RoutingIndex: the driver's adjacency-free twin of ServingStores
+# RoutingIndex: the driver's index is the engine's, built three ways
 # ----------------------------------------------------------------------
 def test_routing_index_agrees_with_serving_stores():
+    """``RoutingIndex.from_state``, a cluster's boot snapshot and an
+    engine's cold build index the same vertices, edges and candidates."""
     graph, workload = _random_case()
     state = _partition("fennel", graph, workload, k=4)
-    stores = ServingStores.from_state(graph, state)
-    index = RoutingIndex.from_state(graph, state)
-    assert index.num_vertices == stores.num_vertices
-    assert index.num_edges == stores.num_edges
-    assert index.num_border_edges == stores.num_border_edges
-    for label_id in range(len(graph.label_set())):
-        assert index.all_candidates(label_id) == stores.all_candidates(label_id)
-        assert index.candidate_counts(label_id) == stores.candidate_counts(label_id)
-        for p in range(state.k):
-            assert index.candidates(p, label_id) == stores.candidates(p, label_id)
+    stores = ServingEngine(graph, state, workload).stores
+    for index in (RoutingIndex.from_state(graph, state), boot_snapshot(graph, state, 2)[0]):
+        assert index.num_vertices == stores.num_vertices
+        assert index.num_edges == stores.num_edges
+        assert index.num_border_edges == stores.num_border_edges
+        for label_id in range(len(graph.label_set())):
+            assert index.all_candidates(label_id) == stores.all_candidates(label_id)
+            assert index.candidate_counts(label_id) == stores.candidate_counts(label_id)
+            for p in range(state.k):
+                assert index.candidates(p, label_id) == stores.candidates(p, label_id)

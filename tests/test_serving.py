@@ -10,17 +10,17 @@ from repro.graph.labelled_graph import LabelledGraph
 from repro.graph.stream import EdgeEvent, stream_edges
 from repro.partitioning import registry
 from repro.partitioning.state import UNASSIGNED, PartitionState
+from repro.runtime.live import boot_snapshot
 from repro.serving import (
     ResultCache,
     ServingEngine,
-    ServingStores,
     TrafficDriver,
     available_routers,
     create_router,
     register_router,
 )
 from repro.serving.router import BUILTIN_ROUTERS, Router, unregister_router
-from repro.serving.stores import RoutingIndex
+from repro.serving.stores import RoutingIndex, ShardStores
 from repro.serving.traffic import percentile
 
 
@@ -35,18 +35,31 @@ def _partitioned_figure1(system="ldg", k=2, seed=0):
     return graph, workload, state
 
 
+def _one_shard(graph, state):
+    """The adjacency a one-shard cluster boots from ``graph``: every
+    partition's members with their sorted neighbour lists."""
+    _index, members, ghosts = boot_snapshot(graph, state, 1)
+    return ShardStores.from_rows(0, 1, state.k, members[0], ghosts[0])
+
+
 class TestServingStores:
+    """What an engine serves through, read from its public surface: the
+    routing index (``engine.stores``), and the adjacency of a one-shard
+    boot of the same graph."""
+
     def test_materialises_every_vertex_and_edge(self):
-        graph, _workload, state = _partitioned_figure1()
-        stores = ServingStores.from_state(graph, state)
+        graph, workload, state = _partitioned_figure1()
+        stores = ServingEngine(graph, state, workload).stores
         assert stores.num_vertices == graph.num_vertices
         assert stores.num_edges == graph.num_edges
         assert stores.num_pending == 0
         assert sum(s.num_members for s in stores.stores) == graph.num_vertices
+        shard = _one_shard(graph, state)
+        assert (shard.num_members, shard.num_edges) == (graph.num_vertices, graph.num_edges)
 
     def test_border_index_matches_cut_edges(self):
-        graph, _workload, state = _partitioned_figure1()
-        stores = ServingStores.from_state(graph, state)
+        graph, workload, state = _partitioned_figure1()
+        stores = ServingEngine(graph, state, workload).stores
         cut = sum(
             1
             for u, v in graph.edges()
@@ -55,16 +68,15 @@ class TestServingStores:
         assert stores.num_border_edges == cut
         # Each cut edge appears in both endpoints' adjacency lists.
         listed = sum(
-            state.partition_of_id(other) != store.partition
-            for store in stores.stores
-            for row in store._adj.values()
+            state.partition_of_id(other) != state.partition_of_id(vid)
+            for vid, row in _one_shard(graph, state)._adj.items()
             for other in row
         )
         assert listed == 2 * cut
 
     def test_label_index_feeds_candidates(self):
-        graph, _workload, state = _partitioned_figure1()
-        stores = ServingStores.from_state(graph, state)
+        graph, workload, state = _partitioned_figure1()
+        stores = ServingEngine(graph, state, workload).stores
         lid = stores.labels.id_of("a")
         expected = sorted(
             state.interner.id_of(v) for v in graph.vertices_with_label("a")
@@ -74,7 +86,7 @@ class TestServingStores:
 
     def test_unassigned_endpoint_parks_pending(self):
         state = PartitionState(2, capacity=4)
-        stores = ServingStores(state)
+        stores = RoutingIndex(state)
         state.assign("x", 0)
         assert stores.ingest_edge(EdgeEvent("x", "a", "y", "b")) is None
         assert stores.num_pending == 1
@@ -85,33 +97,51 @@ class TestServingStores:
         assert stores.num_border_edges == 1
 
     def test_duplicate_edges_are_noops(self):
-        state = PartitionState(2, capacity=4)
-        state.assign("x", 0)
-        state.assign("y", 0)
-        stores = ServingStores(state)
-        assert stores.ingest_edge(EdgeEvent("x", "a", "y", "b")) is not None
-        assert stores.ingest_edge(EdgeEvent("y", "b", "x", "a")) is None
-        assert stores.num_edges == 1
+        """The front end admits an edge once, in either orientation and in
+        any round; a shard refuses a repeated wire row on its own."""
+        state = PartitionState.for_graph(2, 4)
+        engine = ServingEngine(
+            LabelledGraph("live"),
+            state,
+            figure1_workload(),
+            partitioner=registry.create("ldg", state),
+        )
+        xy, yx = EdgeEvent("x", "a", "y", "b"), EdgeEvent("y", "b", "x", "a")
+        assert engine.ingest([xy, yx, xy]) == 1
+        assert engine.ingest([yx]) == 0
+        assert engine.stores.num_edges == 1
+        shard = ShardStores(0, 1, 2)
+        assert shard.apply_edge(0, 0, 0, 1, 1, 0) == (0, 1)
+        assert shard.apply_edge(1, 1, 0, 0, 0, 0) is None
+        assert shard.num_edges == 1
 
     def test_in_process_stores_queue_no_vertex_rows(self):
-        """Only a live driver takes vertex announcements; stores nobody
-        drains must not grow a row per vertex with the stream."""
-        graph, _workload, state = _partitioned_figure1()
-        stores, index = ServingStores(state), RoutingIndex(state)
+        """Only a live driver ships vertex announcements, once per round;
+        an engine's index must not grow a row per vertex with the stream."""
+        graph, workload, state = _partitioned_figure1()
+        assert ServingEngine(graph, state, workload).stores._new_vertices == []
+        live_state = PartitionState.for_graph(2, graph.num_vertices)
+        engine = ServingEngine(
+            LabelledGraph("live"),
+            live_state,
+            workload,
+            partitioner=registry.create("ldg", live_state),
+        )
+        index = RoutingIndex(live_state)
         for u, v in graph.edges():
             event = EdgeEvent(u, graph.label(u), v, graph.label(v))
-            assert stores.ingest_edge(event) == index.ingest_edge(event)
-        assert stores.num_vertices == index.num_vertices == graph.num_vertices
-        assert stores._new_vertices == []
-        assert ServingStores.from_state(graph, state)._new_vertices == []
+            engine.ingest([event])
+            index.ingest_edge(event)
+        assert engine.stores.num_vertices == index.num_vertices == graph.num_vertices
+        assert engine.stores._new_vertices == []
         assert len(index.take_new_vertices()) == graph.num_vertices
 
 
-def _replay(cls, graph, state):
+def _replay(graph, state):
     """What ``from_state`` must equal — the definition of a cold build: the
     placed vertices join, then ``graph.edges()`` streams through
     ``ingest_edge``."""
-    built = cls(state)
+    built = RoutingIndex(state)
     for v in graph.vertices():
         vid = state.interner.id_of(v)
         if vid is not None and state.partition_of_id(vid) != UNASSIGNED:
@@ -159,33 +189,27 @@ def _visible_edges(graph, state):
     return out
 
 
-def _adjacency_edges(stores):
-    """Every edge the partitions' adjacency holds, as ``(low, high)`` pairs."""
-    return {
-        (min(vid, wid), max(vid, wid))
-        for store in stores.stores
-        for vid, row in store._adj.items()
-        for wid in row
-    }
+def _adjacency_edges(shard):
+    """Every edge a shard's adjacency holds, as ``(low, high)`` pairs."""
+    return {(min(vid, wid), max(vid, wid)) for vid, row in shard._adj.items() for wid in row}
 
 
 def test_fields_cover_adjacency_and_counters():
-    """The cold-build property below compares what ``_fields`` lists, and
-    the adjacency it lists holds exactly the visible edges."""
+    """The cold-build property below compares what ``_fields`` lists; the
+    adjacency beside the index holds exactly the visible edges."""
     graph, _workload, state = _partitioned_figure1()
-    stores = ServingStores.from_state(graph, state)
-    fields = _fields(stores)
+    index = RoutingIndex.from_state(graph, state)
+    fields = _fields(index)
     assert {"_label_of", "_pending", "num_edges", "num_border_edges"} <= set(fields)
-    assert all({"_adj", "_by_label", "num_members"} <= set(store) for store in fields["stores"])
+    assert all({"_by_label", "num_members"} <= set(store) for store in fields["stores"])
     visible = _visible_edges(graph, state)
-    assert _adjacency_edges(stores) == visible
-    assert stores.num_edges == len(visible)
+    assert _adjacency_edges(_one_shard(graph, state)) == visible
+    assert index.num_edges == len(visible)
 
 
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 10_000), k=st.integers(1, 5))
-@pytest.mark.parametrize("cls", [ServingStores, RoutingIndex])
-def test_from_state_equals_replaying_the_edges(cls, seed, k):
+def test_from_state_equals_replaying_the_edges(seed, k):
     rng = random.Random(seed)
     # Ids run past 9 so repr order (which orients graph.edges()) and id
     # order disagree; insertion order is shuffled; some vertices isolated.
@@ -208,12 +232,9 @@ def test_from_state_equals_replaying_the_edges(cls, seed, k):
         elif fate < 0.8:
             state.interner.intern(v)
 
-    built, reference = cls.from_state(graph, state), _replay(cls, graph, state)
+    built, reference = RoutingIndex.from_state(graph, state), _replay(graph, state)
     assert _fields(built) == _fields(reference)
-    visible = _visible_edges(graph, state)
-    assert built.num_edges == len(visible)
-    if cls is ServingStores:
-        assert _adjacency_edges(built) == visible
+    assert built.num_edges == len(_visible_edges(graph, state))
 
     for v in vertices:
         if not state.is_assigned(v):
@@ -221,8 +242,6 @@ def test_from_state_equals_replaying_the_edges(cls, seed, k):
     assert built.flush_pending() == reference.flush_pending()
     assert _fields(built) == _fields(reference)
     assert built.num_edges == graph.num_edges and built.num_pending == 0
-    if cls is ServingStores:
-        assert _adjacency_edges(built) == _visible_edges(graph, state)
 
 
 class TestRouterRegistry:

@@ -36,7 +36,7 @@ segments; every embedded :class:`~repro.serving.execution.Continuation`
 becomes a :class:`~repro.runtime.messages.StepRequest` to the shard that
 owns the next expansion — the cross-partition hop as an actual message —
 and the driver splices resolved subtrees back in DFS order, so the final
-:class:`~repro.serving.engine.RootResult` is bit-identical to the
+:class:`~repro.serving.execution.RootResult` is bit-identical to the
 single-process engine's.  Up to ``inflight`` roots are outstanding at
 once (the closed-loop traffic mode); results assembled from multiple
 shards are written back to the root owner's cache with an epoch guard.
@@ -66,7 +66,6 @@ from repro.runtime.liveness import describe_exit, failure_from_process, raise_fa
 from repro.runtime.messages import (
     END_OF_STREAM,
     CachePut,
-    EdgeUpdate,
     IngestAck,
     InvalidationHops,
     QueryRequest,
@@ -77,10 +76,12 @@ from repro.runtime.messages import (
     StatsRequest,
     StepReply,
     StepRequest,
+    edge_updates,
+    shard_of_partition,
 )
 from repro.runtime.server import shard_server_main
-from repro.serving.engine import RootResult, ServingFrontEnd
-from repro.serving.execution import Continuation, splice_segments
+from repro.serving.engine import ServingFrontEnd
+from repro.serving.execution import Continuation, RootResult, splice_segments
 from repro.serving.router import Router
 from repro.serving.stores import RoutingIndex, cold_rows
 
@@ -90,11 +91,6 @@ DEFAULT_QUEUE_DEPTH = 16
 #: A shard's boot snapshot rows (:class:`~repro.runtime.messages.ServeSpec`).
 MemberRow = Tuple[int, int, int, List[int]]
 GhostRow = Tuple[int, int, int]
-
-
-def shard_of_partition(partition: int, num_shards: int) -> int:
-    """The shard that owns ``partition`` — the cluster's placement rule."""
-    return partition % num_shards
 
 
 def boot_snapshot(
@@ -379,16 +375,8 @@ class LiveCluster(ServingFrontEnd):
     # ------------------------------------------------------------------
     def _publish(self, new_edges: Sequence[Tuple[int, int]], dropped: Tuple[str, ...]) -> None:
         """Ship the round's delta as one barriered EdgeUpdate round — also
-        when nothing became visible, so the epoch advances uniformly."""
-        self._send_round(self.index.take_new_vertices(), new_edges, dropped)
-
-    def _send_round(
-        self,
-        vertex_rows: List[Tuple[int, int, int]],
-        edge_pairs: Sequence[Tuple[int, int]],
-        drop_queries: Tuple[str, ...],
-    ) -> None:
-        """One barriered EdgeUpdate round + its invalidation waves.
+        when nothing became visible, so the epoch advances uniformly — and
+        relay its invalidation waves.
 
         Until the first :meth:`submit` no shard has executed a root or
         accepted a :class:`CachePut`, so every cache is empty and the round
@@ -396,32 +384,13 @@ class LiveCluster(ServingFrontEnd):
         a shard whose own cache is empty still has to run its BFS, because
         the ghosts it settles may be cached roots on another shard.
         """
-        n = self.num_shards
         self._seq += 1
-        invalidate = self._next_request_id > 0
-        per_shard_vertices: List[List[Tuple[int, int, int]]] = [[] for _ in range(n)]
-        per_shard_edges: List[List[Tuple[int, int, int, int, int, int]]] = [[] for _ in range(n)]
-        label_of = self.index.label_id_of
-        part_of = self.state.partition_of_id
-        for row in vertex_rows:
-            per_shard_vertices[shard_of_partition(row[2], n)].append(row)
-        for uid, vid in edge_pairs:
-            up, vp = part_of(uid), part_of(vid)
-            row = (uid, label_of(uid), up, vid, label_of(vid), vp)
-            su, sv = shard_of_partition(up, n), shard_of_partition(vp, n)
-            per_shard_edges[su].append(row)
-            if sv != su:
-                per_shard_edges[sv].append(row)
-        for shard in range(n):
-            update = EdgeUpdate(
-                self._seq,
-                tuple(per_shard_vertices[shard]),
-                tuple(per_shard_edges[shard]),
-                drop_queries,
-                invalidate,
-            )
+        updates = edge_updates(
+            self.index, self.num_shards, self._seq, new_edges, dropped, self._next_request_id > 0
+        )
+        for shard, update in enumerate(updates):
             self._put(self._ingest_queues, shard, update)
-        self._barrier(set(range(n)))
+        self._barrier(set(range(self.num_shards)))
 
     def _barrier(self, expected: set) -> None:
         """Collect one IngestAck per contacted shard; relay invalidation

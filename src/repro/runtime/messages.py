@@ -44,7 +44,7 @@ technique — nothing is reflected per call), so adding a field is one row.
 from __future__ import annotations
 
 import reprlib
-from typing import Dict, List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 #: Version of the wire protocol defined by this module.  Bump on any
 #: field change; :func:`check_schema` rejects mismatched peers.
@@ -260,7 +260,7 @@ class StepReply(_Wire):
     """One step's output, server → driver.
 
     For a root step answered from the shard cache, ``result`` carries the
-    complete :class:`~repro.serving.engine.RootResult` and ``segments`` is
+    complete :class:`~repro.serving.execution.RootResult` and ``segments`` is
     empty; otherwise ``segments`` is the ordered literal/continuation list
     from :func:`~repro.serving.execution.execute_step`.  ``seq`` is the
     server's applied ingest sequence at execution time — the driver only
@@ -361,3 +361,44 @@ class ServerFailure(_Wire):
 
 #: Every class that may cross a queue — the wire tests sample each one.
 WIRE_TYPES: Tuple[type, ...] = tuple(_WireType.declared)
+
+
+def shard_of_partition(partition: int, num_shards: int) -> int:
+    """The shard that owns ``partition`` — the cluster's placement rule."""
+    return partition % num_shards
+
+
+def edge_updates(
+    index,
+    num_shards: int,
+    seq: int,
+    edge_pairs: Sequence[Tuple[int, int]],
+    drop_queries: Tuple[str, ...],
+    invalidate: bool,
+) -> List[EdgeUpdate]:
+    """One ingest round as an :class:`EdgeUpdate` per shard, every serving
+    back end's one way to ship a round.
+
+    ``index`` is the front end's :class:`~repro.serving.stores.RoutingIndex`:
+    the vertex rows it queued since the last round are drained here and go
+    to their partition's shard; each visible new edge in ``edge_pairs``
+    becomes one row, sent to the shard of each endpoint's partition (once
+    when both are the same shard).
+    """
+    vertices: List[List[Tuple[int, int, int]]] = [[] for _ in range(num_shards)]
+    edges: List[List[Tuple[int, int, int, int, int, int]]] = [[] for _ in range(num_shards)]
+    label_of = index.label_id_of
+    part_of = index.state.partition_of_id
+    for row in index.take_new_vertices():
+        vertices[shard_of_partition(row[2], num_shards)].append(row)
+    for uid, vid in edge_pairs:
+        up, vp = part_of(uid), part_of(vid)
+        row = (uid, label_of(uid), up, vid, label_of(vid), vp)
+        su, sv = shard_of_partition(up, num_shards), shard_of_partition(vp, num_shards)
+        edges[su].append(row)
+        if sv != su:
+            edges[sv].append(row)
+    return [
+        EdgeUpdate(seq, tuple(vertices[shard]), tuple(edges[shard]), drop_queries, invalidate)
+        for shard in range(num_shards)
+    ]

@@ -28,7 +28,9 @@ the driver re-raises instead of deadlocking — during boot as in any
 later round.
 
 The serving logic itself is :class:`ShardServer`, a plain object with no
-process machinery — the protocol tests drive it in-process.
+process machinery — the protocol tests drive it in-process, and the
+in-process :class:`~repro.serving.engine.ServingEngine` serves through one
+(shard 0 of 1, owning every partition).
 
 Caching runs shard-local: each server owns the
 :class:`~repro.serving.cache.ResultCache` slice for roots in its owned
@@ -68,9 +70,9 @@ from repro.runtime.messages import (
     check_schema,
 )
 from repro.serving.cache import ResultCache
-from repro.serving.engine import RootResult
 from repro.serving.execution import (
     Continuation,
+    RootResult,
     ShardView,
     enumerate_root,
     execute_step,
@@ -83,14 +85,16 @@ from repro.serving.stores import ShardStores
 REQUEST_POLL_SECONDS = 0.005
 
 
-def _reject_continuation(continuation):  # pragma: no cover - invariant guard
-    raise RuntimeError(f"local splice hit a continuation: {continuation!r}")
-
-
 class ShardServer:
-    """The per-shard serving logic, free of any process/queue machinery."""
+    """The per-shard serving logic, free of any process/queue machinery.
 
-    def __init__(self, spec: ServeSpec) -> None:
+    Its stores boot from the spec's snapshot unless ``stores`` is given —
+    the in-process engine passes the one-shard slice it filled beside its
+    routing index (:meth:`ShardStores.beside
+    <repro.serving.stores.ShardStores.beside>`).
+    """
+
+    def __init__(self, spec: ServeSpec, stores: Optional[ShardStores] = None) -> None:
         self.spec = spec
         # Spec-driven obs opt-in: with the spawn start method the child
         # imports fresh, so the driver's enable() does not carry over —
@@ -98,9 +102,11 @@ class ShardServer:
         if spec.obs_enabled and not obs.enabled():
             obs.enable()
         self.shard_id = spec.shard_id
-        self.stores = ShardStores.from_rows(
-            spec.shard_id, spec.num_shards, spec.k, spec.members, spec.ghosts
-        )
+        if stores is None:
+            stores = ShardStores.from_rows(
+                spec.shard_id, spec.num_shards, spec.k, spec.members, spec.ghosts
+            )
+        self.stores = stores
         self.view = ShardView(self.stores)
         self.cache: Optional[ResultCache] = (
             ResultCache(spec.cache_capacity) if spec.cache_enabled else None
@@ -218,7 +224,7 @@ class ShardServer:
         if self.cache is not None and not any(isinstance(s, Continuation) for s in segments):
             # Fully shard-local: assemble and cache here; results that
             # needed other shards come back later as a CachePut.
-            embeddings, hops, border = splice_segments(list(segments), _reject_continuation)
+            embeddings, hops, border = splice_segments(segments)
             result = RootResult(plan.name, root, tuple(embeddings), hops, border)
             self.cache.put((plan.name, root), result)
         return StepReply(

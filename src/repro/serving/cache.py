@@ -1,7 +1,7 @@
 """The ``(query, root)`` embedding-result cache and its invalidation rule.
 
 Serving traffic is skewed — the same roots get asked about again and again
-(the traffic driver's Zipf mode models exactly that) — so the engine caches
+(the traffic driver's Zipf mode models exactly that) — so serving caches
 the full per-root result of a query.  Streaming makes caching dangerous:
 a newly arrived edge can create embeddings that a cached entry predates.
 The invalidation rule is *sound* and derives from the query shape:
@@ -11,41 +11,29 @@ The invalidation rule is *sound* and derives from the query shape:
     ``|Eq|`` data edges — so only roots within distance ``|Eq|`` of a new
     edge's endpoints (in the *updated* visible subgraph) can gain results.
 
-:func:`affected_roots` runs that bounded multi-source BFS; the engine
-invalidates every cached ``(q, r)`` whose root falls inside query ``q``'s
-radius.  Edges only ever arrive (the streaming model has no deletions), so
-cached results can become stale only by *missing* embeddings — staleness
-by deletion cannot happen, and entries outside the radius stay exact.
+Each shard server keeps one cache for the roots it owns and runs that
+bounded multi-source BFS over its adjacency each ingest round
+(:meth:`ShardStores.bfs_forward <repro.serving.stores.ShardStores.bfs_forward>`,
+forwarding the wave to other shards across border edges); it invalidates
+every cached ``(q, r)`` whose root falls inside query ``q``'s radius.  The
+in-process engine is one such shard.  Edges only ever arrive (the
+streaming model has no deletions), so cached results can become stale
+only by *missing* embeddings — staleness by deletion cannot happen, and
+entries outside the radius stay exact.
 
 What the cache does **not** promise: entries are whole per-root results
 (hit or recompute — no partial reuse), and it knows nothing about plan
-changes — the engine drops a query's entries itself when graph growth
+changes — the server drops a query's entries itself when graph growth
 shifts the query's compiled root slot.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, Hashable, Iterable, List, Optional, Set, Tuple
-
-from repro.serving.stores import ServingStores
+from typing import Dict, Hashable, Iterable, Optional, Tuple
 
 CacheKey = Tuple[str, int]
 """``(query name, root vertex id)``."""
-
-
-def affected_roots(
-    stores: ServingStores,
-    endpoints: Iterable[int],
-    depth: int,
-) -> Dict[int, int]:
-    """Root id → distance for every stored vertex within ``depth`` hops of
-    any new-edge endpoint, over the current (post-update) visible subgraph.
-
-    Call *after* the stores absorbed the new edges: the connecting path may
-    itself use edges from the same batch.
-    """
-    return stores.bfs_within(endpoints, depth)
 
 
 class ResultCache:
@@ -133,25 +121,3 @@ class ResultCache:
             f"misses={self.misses} invalidations={self.invalidations}>"
         )
 
-
-def invalidation_sets(
-    stores: ServingStores,
-    new_edges: Iterable[Tuple[int, int]],
-    query_depths: Dict[str, int],
-) -> Dict[str, Set[int]]:
-    """Per-query root sets to invalidate for a batch of newly visible edges.
-
-    One BFS to the *largest* query radius serves every query: each query
-    then takes the roots within its own depth.
-    """
-    endpoints: List[int] = []
-    for uid, vid in new_edges:
-        endpoints.append(uid)
-        endpoints.append(vid)
-    if not endpoints or not query_depths:
-        return {name: set() for name in query_depths}
-    reach = affected_roots(stores, endpoints, max(query_depths.values()))
-    return {
-        name: {vid for vid, dist in reach.items() if dist <= depth}
-        for name, depth in query_depths.items()
-    }

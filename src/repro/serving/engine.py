@@ -20,14 +20,17 @@ offline score never sees.)
 
 The engine is online: :meth:`ServingEngine.ingest` feeds a batch to the
 attached :class:`~repro.partitioning.base.StreamingPartitioner` (via
-``ingest_batch``), admits the newly placed edges into the stores, and
-invalidates exactly the cached ``(query, root)`` results the new edges can
-have changed (:mod:`repro.serving.cache`).
+``ingest_batch``), admits the newly placed edges into the index, and ships
+the round to the stores, which invalidate exactly the cached ``(query,
+root)`` results the new edges can have changed (:mod:`repro.serving.cache`).
 
 Whatever here does not depend on where the adjacency lives — plans,
 admission, whole-workload execution, hop attribution — is
-:class:`ServingFrontEnd`; the engine is its in-process back end and
-:class:`~repro.runtime.live.LiveCluster` its sharded one.
+:class:`ServingFrontEnd`.  Its two back ends keep the adjacency, the
+result cache and the invalidation BFS in the same place, a
+:class:`~repro.runtime.server.ShardServer`: :class:`ServingEngine` runs one
+in process that owns every partition, and
+:class:`~repro.runtime.live.LiveCluster` runs one per shard process.
 """
 
 from __future__ import annotations
@@ -44,29 +47,9 @@ from repro.partitioning.base import StreamingPartitioner
 from repro.partitioning.state import PartitionState
 from repro.query.isomorphism import search_plan
 from repro.query.workload import Workload
-from repro.serving.cache import ResultCache, invalidation_sets
-from repro.serving.execution import CompiledPlan, GlobalView, enumerate_root, splice_segments
+from repro.serving.execution import CompiledPlan, RootResult, splice_segments
 from repro.serving.router import Router, create_router
-from repro.serving.stores import RoutingIndex, ServingStores
-
-
-@dataclass(frozen=True)
-class RootResult:
-    """Everything one ``(query, root)`` request returns — the cached unit."""
-
-    query: str
-    root: int
-    #: Complete embeddings, each a tuple of vertex ids in plan-slot order.
-    embeddings: Tuple[Tuple[int, ...], ...]
-    #: Border crossings inside the returned embeddings (the ipt share).
-    hops: int
-    #: Search steps that followed a border edge while generating candidates,
-    #: including ones that never completed an embedding.
-    border_expansions: int
-
-    @property
-    def num_embeddings(self) -> int:
-        return len(self.embeddings)
+from repro.serving.stores import RoutingIndex, ShardStores
 
 
 @dataclass
@@ -110,10 +93,6 @@ class ServeReport:
     @property
     def total_partitions_contacted(self) -> int:
         return sum(q.partitions_contacted for q in self.queries)
-
-
-def _reject_continuation(continuation):  # pragma: no cover - invariant guard
-    raise RuntimeError(f"global view emitted a continuation: {continuation!r}")
 
 
 class _CompiledQuery:
@@ -164,19 +143,17 @@ class ServingFrontEnd:
     """Every driver-side serving job that does not depend on where the
     adjacency lives, written once.
 
-    Two back ends stand behind it: :class:`ServingEngine` keeps the
-    adjacency in process (:class:`~repro.serving.stores.ServingStores`);
-    :class:`~repro.runtime.live.LiveCluster` keeps only the
-    :class:`~repro.serving.stores.RoutingIndex` and shards the adjacency
-    across server processes.  The front end owns plan compilation, the
-    traffic surface, batch admission (:meth:`ingest` / :meth:`finalize`),
-    whole-workload execution and hop attribution; a back end supplies
-    ``index``, the request protocol (:meth:`submit` /
-    :meth:`poll_completed`, which :class:`~repro.serving.traffic.TrafficDriver`
-    drives) and :meth:`serve_root`, :meth:`_publish` and
-    :meth:`_cache_counts` — so the two deployments answer, admit and
-    account identically by construction.  :meth:`close` releases what a
-    back end holds.
+    Both back ends keep the :class:`~repro.serving.stores.RoutingIndex`
+    here and the adjacency in shard servers: :class:`ServingEngine` in one,
+    in process; :class:`~repro.runtime.live.LiveCluster` in one per server
+    process.  The front end owns plan compilation, the traffic surface,
+    batch admission (:meth:`ingest` / :meth:`finalize`), whole-workload
+    execution and hop attribution; a back end supplies ``index``, the
+    request protocol (:meth:`submit` / :meth:`poll_completed`, which
+    :class:`~repro.serving.traffic.TrafficDriver` drives) and
+    :meth:`serve_root`, :meth:`_publish` and :meth:`_cache_counts` — so the
+    two deployments answer, admit and account identically by construction.
+    :meth:`close` releases what a back end holds.
     """
 
     #: First component of this deployment's obs names (``<prefix>.hops.*``).
@@ -348,20 +325,19 @@ class ServingFrontEnd:
         This is the one dedup point: only the events the graph reports new
         reach the index, so a repeated edge — within a batch, across
         batches, or of an edge the cold build holds — is neither admitted
-        nor buffered twice.
+        nor buffered twice.  A batch holding an event the graph would
+        refuse raises ``ValueError`` before anything changes.
         """
         if self.partitioner is None:
             raise ValueError(f"{type(self).__name__} has no partitioner attached; cannot ingest")
         batch = list(events)
+        new_labels = self._new_vertex_labels(batch)
         self.partitioner.ingest_batch(batch)
         label_counts = self._label_counts
-        fresh = []
-        for event in batch:
-            for v, label in ((event.u, event.u_label), (event.v, event.v_label)):
-                if not self.graph.has_vertex(v):
-                    label_counts[label] = label_counts.get(label, 0) + 1
-            if self.graph.add_edge(event.u, event.v, event.u_label, event.v_label):
-                fresh.append(event)
+        for label in new_labels:
+            label_counts[label] = label_counts.get(label, 0) + 1
+        add_edge = self.graph.add_edge
+        fresh = [e for e in batch if add_edge(e.u, e.v, e.u_label, e.v_label)]
         new_edges = []
         for event in fresh:
             pair = self.index.ingest_edge(event)
@@ -374,6 +350,34 @@ class ServingFrontEnd:
         if self._trace_on:
             self._trace.event("serve.ingest", n=len(batch), visible=len(new_edges))
         return len(new_edges)
+
+    def _new_vertex_labels(self, batch: List[EdgeEvent]) -> List[str]:
+        """The label of each vertex of ``batch`` the graph does not hold yet.
+
+        Checks the whole batch first, so that a bad event mutates nothing:
+        ``ValueError`` names the first self-loop, or the first vertex
+        labelled unlike the graph or an earlier event of the batch.
+        """
+        graph = self.graph
+        seen: Dict[Vertex, str] = {}
+        new_labels: List[str] = []
+        for event in batch:
+            if event.u == event.v:
+                raise ValueError(f"ingest batch holds a self-loop: {event!r}")
+            for v, label in ((event.u, event.u_label), (event.v, event.v_label)):
+                known = seen.get(v)
+                if known is None:
+                    if graph.has_vertex(v):
+                        known = graph.label(v)
+                    else:
+                        known = label
+                        new_labels.append(label)
+                    seen[v] = known
+                if known != label:
+                    raise ValueError(
+                        f"ingest batch relabels vertex {v!r} from {known!r} to {label!r}: {event!r}"
+                    )
+        return new_labels
 
     def finalize(self) -> int:
         """Drain the partitioner (Loom's window) and flush pending edges."""
@@ -403,7 +407,15 @@ class ServingFrontEnd:
 
 
 class ServingEngine(ServingFrontEnd):
-    """Serve a :class:`Workload` through per-partition stores.
+    """Serve a :class:`Workload` in process, through one shard server.
+
+    The server is shard 0 of 1 — it owns every partition, so no request
+    ever hands off a continuation — and holds the adjacency, the result
+    cache and the invalidation BFS exactly as each server of a
+    :class:`~repro.runtime.live.LiveCluster` does.  ``stores`` is the
+    routing index, ``server`` the :class:`~repro.runtime.server.ShardServer`
+    and ``cache`` its :class:`~repro.serving.cache.ResultCache` (``None``
+    when off).
 
     Parameters
     ----------
@@ -416,11 +428,10 @@ class ServingEngine(ServingFrontEnd):
     workload:
         The queries and their frequencies.
     router:
-        A :class:`~repro.serving.router.Router` instance or a registered
-        router name (default ``"candidate-count"``).
+        A :class:`~repro.serving.router.Router` instance or a router name
+        (default ``"candidate-count"``).
     cache:
-        A :class:`~repro.serving.cache.ResultCache`, ``True`` for a default
-        unbounded one, or ``None``/``False`` to serve uncached.
+        Serve through an unbounded ``(query, root)`` result cache.
     partitioner:
         Optional streaming partitioner fed by :meth:`ingest`; it must share
         ``state`` (and therefore the interner) with the engine.
@@ -432,17 +443,26 @@ class ServingEngine(ServingFrontEnd):
         state: PartitionState,
         workload: Workload,
         router: Union[Router, str] = "candidate-count",
-        cache: Union[ResultCache, bool, None] = None,
+        cache: bool = False,
         partitioner: Optional[StreamingPartitioner] = None,
     ) -> None:
-        if cache is True:
-            self.cache: Optional[ResultCache] = ResultCache()
-        elif cache is False or cache is None:
-            self.cache = None
-        else:
-            self.cache = cache  # a caller-configured ResultCache (even an empty one)
-        self.stores = ServingStores.from_state(graph, state)
-        super().__init__(graph, state, workload, self.stores, router, partitioner)
+        # Imported here: repro.runtime imports this module (LiveCluster is
+        # a ServingFrontEnd), so a module-level import would be a cycle.
+        from repro.runtime.messages import QueryRequest, ServeSpec
+        from repro.runtime.server import ShardServer
+
+        if cache is not None and not isinstance(cache, bool):
+            # An empty ResultCache is falsy: as a flag it would turn caching off.
+            raise TypeError(f"cache is a bool, not {type(cache).__name__}")
+        index = RoutingIndex(state)
+        shard = ShardStores.beside(index, graph)
+        super().__init__(graph, state, workload, index, router, partitioner)
+        depths = tuple(sorted((name, plan.depth) for name, plan in self._queries.items()))
+        self.server = ShardServer(ServeSpec(0, 1, state.k, depths, bool(cache)), shard)
+        self.stores = index
+        self.cache = self.server.cache
+        #: Bound once: an import statement per request costs ~1 µs.
+        self._query_request = QueryRequest
         # The per-request path stays lean on purpose: one window record,
         # one attribution add, one (guarded) trace event.  Request totals
         # and latency percentiles come from the windowed rollup; cache
@@ -475,39 +495,43 @@ class ServingEngine(ServingFrontEnd):
         if not self._queue:
             return []
         request_id, query_name, root = self._queue.popleft()
-        hits0 = self._cache_counts()[0]
-        result = self.serve_root(query_name, root)
-        cached = None if self.cache is None else self._cache_counts()[0] > hits0
-        return [(request_id, result, cached)]
+        return [(request_id, *self._serve(query_name, root))]
 
     def serve_root(self, query_name: str, root: int) -> RootResult:
         """Serve one ``(query, root vertex id)`` request, through the cache."""
+        return self._serve(query_name, root)[0]
+
+    def _serve(self, query_name: str, root: int) -> Tuple[RootResult, Optional[bool]]:
+        """One request through the server: its result, and True on a cache
+        hit, False on a miss, None with the cache off."""
         plan = self._plan(query_name)
         obs_on = self._obs_on
         t0 = time.perf_counter() if obs_on else 0.0
-        hit = False
-        result: Optional[RootResult] = None
-        if self.cache is not None:
-            result = self.cache.get((query_name, root))
-            hit = result is not None  # a hit answers locally: no partitions touched
+        # An unplaced root (never interned, negative, unassigned) lands on
+        # p-1, never on a real partition; the server finds no such root.
+        partition = self.state.partition_of_id(root)
+        reply = self.server.handle_query(self._query_request(0, plan.compiled, root, partition))
+        result = reply.result
         if result is None:
-            result = self._enumerate_root(plan, root)
-            if self.cache is not None:
-                self.cache.put((query_name, root), result)
+            embeddings, hops, border = splice_segments(reply.segments)
+            result = RootResult(plan.name, root, tuple(embeddings), hops, border)
         if obs_on:
-            self._record_serve(plan, root, result, hit, t0)
-        return result
+            self._record_serve(plan, root, partition, result, reply.cached is True, t0)
+        return result, reply.cached
 
     def _record_serve(
-        self, plan: _CompiledQuery, root: int, result: RootResult, hit: bool, t0: float
+        self,
+        plan: _CompiledQuery,
+        root: int,
+        partition: int,
+        result: RootResult,
+        hit: bool,
+        t0: float,
     ) -> None:
         """Out-of-band per-request telemetry (obs enabled only): windowed
         rollup, hop attribution, one trace event when tracing is on.  Every
         trace field is deterministic; the clock feeds only latency metrics."""
         latency_us = int((time.perf_counter() - t0) * 1e6)
-        # An unplaced root (never interned, negative, unassigned) lands on
-        # p-1, never on a real partition.
-        partition = self.state.partition_of_id(root)
         self._attribute_hops(plan, partition, result.hops)
         self._obs_window.record(plan.name, result.hops, latency_us)
         if self._trace_on:
@@ -528,41 +552,15 @@ class ServingEngine(ServingFrontEnd):
             raise KeyError(f"unknown root vertex {root_vertex!r}")
         return self.serve_root(query_name, vid)
 
-    def _enumerate_root(self, plan: _CompiledQuery, root: int) -> RootResult:
-        """Enumerate every embedding whose plan-root slot maps to ``root``.
-
-        The expansion mirrors ``find_embeddings`` exactly — same plan, same
-        injectivity/label/anchor checks — but runs through the shared step
-        executor (:mod:`repro.serving.execution`) on the partition stores:
-        candidates come from the owner store's adjacency, and each anchor
-        edge whose endpoints live in different partitions is a hop.  Under
-        the global view every edge is decidable and every partition owned,
-        so the step never emits a continuation — the same code path a shard
-        server runs, minus the wire.
-        """
-        stores = self.stores
-        if stores._label_of.get(root) != plan.label_ids[0]:
-            return RootResult(plan.name, root, (), 0, 0)
-        view = GlobalView(stores, self.state)
-        segments = enumerate_root(view, plan.compiled, root, self.state.assignment_vector[root])
-        embeddings, hops_total, border_expansions = splice_segments(segments, _reject_continuation)
-        return RootResult(plan.name, root, tuple(embeddings), hops_total, border_expansions)
-
     def _cache_counts(self) -> Tuple[int, int]:
         return (self.cache.hits, self.cache.misses) if self.cache is not None else (0, 0)
 
     def _publish(self, new_edges: Sequence[Tuple[int, int]], dropped: Tuple[str, ...]) -> None:
-        if self.cache is None or not new_edges:
-            return
-        # Re-rooted queries lose their entries wholesale; the radius rule
-        # covers everything still cached: only roots within |Eq| hops of a
-        # new edge can have gained embeddings.
-        for name in dropped:
-            self.cache.drop_query(name)
-        depths = {name: plan.depth for name, plan in self._queries.items()}
-        for name, roots in invalidation_sets(self.stores, new_edges, depths).items():
-            if roots:
-                self.cache.invalidate_roots(name, roots)
+        """Apply the round to the server, which invalidates its cache."""
+        from repro.runtime.messages import edge_updates  # see __init__
+
+        (update,) = edge_updates(self.index, 1, self.server.seq + 1, new_edges, dropped, True)
+        self.server.apply_update(update)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

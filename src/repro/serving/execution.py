@@ -1,32 +1,25 @@
-"""Shard-local pattern-match execution: one step engine, two deployments.
+"""Shard-local pattern-match execution: one step engine for every deployment.
 
-This module is the split the live-serving runtime demanded out of
-:mod:`repro.serving.engine`: the embedding DFS that used to live inside
-``ServingEngine._enumerate_root`` now runs as :func:`execute_step` against
-a *view* — an object describing how much of the graph the executing party
-can see.  Two views exist:
-
-* the single-process engine's global view (everything local, every edge
-  decidable), under which :func:`execute_step` reproduces the old
-  recursion bit for bit and never emits a continuation;
-* a shard server's partial view (:class:`repro.serving.stores.ShardStores`
-  wrapped in :class:`ShardView`): only the adjacency of its *own*
-  partitions' members is present, so the DFS runs as far as local
-  knowledge reaches and **hands off** the rest as
-  :class:`Continuation` records — the wire-level "hop" of the live
-  runtime, dispatched by the driver to the shard that owns the next
-  expansion vertex.
+The embedding DFS runs as :func:`execute_step` against a
+:class:`ShardView` — a shard server's view of its
+:class:`repro.serving.stores.ShardStores`: only the adjacency of its *own*
+partitions' members is present, so the DFS runs as far as local knowledge
+reaches and **hands off** the rest as :class:`Continuation` records — the
+wire-level "hop" of the live runtime, dispatched by the driver to the
+shard that owns the next expansion vertex.  The in-process engine runs one
+shard that owns every partition: every edge is decidable there, so its
+DFS never emits a continuation.
 
 The contract that makes the distributed execution bit-match the
-single-process engine (tested in ``tests/test_live_serving.py``):
-``execute_step`` visits candidates in exactly the old order (sorted
-adjacency of the first anchor), charges ``hops``/``border_expansions``
-with exactly the old arithmetic, and emits its output as an *ordered*
-list of segments — literal results interleaved with continuations at the
-precise DFS positions where the handed-off subtrees' results belong.
-Splicing resolved continuations back in order (:func:`splice_segments`)
-therefore reassembles the exact embedding tuple, hop total and
-border-expansion count a global enumeration would have produced.
+single-shard one (tested in ``tests/test_live_serving.py``):
+``execute_step`` visits candidates in one fixed order (sorted adjacency of
+the first anchor), charges ``hops``/``border_expansions`` with one
+arithmetic, and emits its output as an *ordered* list of segments —
+literal results interleaved with continuations at the precise DFS
+positions where the handed-off subtrees' results belong.  Splicing
+resolved continuations back in order (:func:`splice_segments`) therefore
+reassembles the exact embedding tuple, hop total and border-expansion
+count of a one-shard enumeration, as a :class:`RootResult`.
 
 A continuation is emitted in exactly two situations:
 
@@ -43,10 +36,30 @@ A continuation is emitted in exactly two situations:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Sequence, Tuple
 
-#: Slot sentinel in a partial mapping (mirrors the engine's old ``-1``).
+#: Slot sentinel in a partial mapping.
 UNMAPPED = -1
+
+
+@dataclass(frozen=True)
+class RootResult:
+    """Everything one ``(query, root)`` request returns — the cached unit."""
+
+    query: str
+    root: int
+    #: Complete embeddings, each a tuple of vertex ids in plan-slot order.
+    embeddings: Tuple[Tuple[int, ...], ...]
+    #: Border crossings inside the returned embeddings (the ipt share).
+    hops: int
+    #: Search steps that followed a border edge while generating candidates,
+    #: including ones that never completed an embedding.
+    border_expansions: int
+
+    @property
+    def num_embeddings(self) -> int:
+        return len(self.embeddings)
 
 
 class CompiledPlan:
@@ -196,22 +209,6 @@ def _rebuild_literal(embeddings, hops, border):
 Segment = "LiteralSegment | Continuation"
 
 
-class GlobalView:
-    """The single-process engine's view: everything local, everything known."""
-
-    __slots__ = ("neighbors", "label_of", "partition_of", "has_edge")
-
-    def __init__(self, stores, state) -> None:
-        self.neighbors = stores.neighbors
-        self.label_of: Dict[int, int] = stores._label_of
-        self.partition_of = state.assignment_vector.__getitem__
-        self.has_edge = stores.has_edge
-
-    @staticmethod
-    def owns(partition: int) -> bool:
-        return True
-
-
 class ShardView:
     """A shard server's view over its :class:`~repro.serving.stores.ShardStores`.
 
@@ -227,9 +224,10 @@ class ShardView:
     __slots__ = ("neighbors", "label_of", "partition_of", "owns", "has_edge")
 
     def __init__(self, stores) -> None:
-        self.neighbors = stores.neighbors
-        self.label_of = stores.label_of
-        self.partition_of = stores.partition_of
+        # Bound lookups, not methods: these run once per DFS candidate.
+        self.neighbors = stores._adj.__getitem__
+        self.label_of = stores._label_of
+        self.partition_of = stores._partition_of.__getitem__
         self.owns = stores.owns_partition
         self.has_edge = stores.has_edge_local
 
@@ -386,12 +384,20 @@ def enumerate_root(view, plan: CompiledPlan, root: int, root_partition: int) -> 
     return execute_step(view, plan, 1, mapping, parts, 0)
 
 
-def splice_segments(segments: List[object], resolve) -> Tuple[List[Tuple[int, ...]], int, int]:
+def _unresolved(continuation):
+    raise RuntimeError(f"no resolver for continuation {continuation!r}")
+
+
+def splice_segments(
+    segments: Sequence[object], resolve=_unresolved
+) -> Tuple[List[Tuple[int, ...]], int, int]:
     """Fold an ordered segment list into ``(embeddings, hops, border)``.
 
     ``resolve(continuation)`` must return the already-folded
     ``(embeddings, hops, border)`` triple of the handed-off subtree — the
     driver resolves continuations bottom-up, so splicing stays iterative.
+    Without one, a continuation raises: a shard that splices its own
+    output has nothing to resolve it with.
     """
     embeddings: List[Tuple[int, ...]] = []
     hops = 0

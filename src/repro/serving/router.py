@@ -8,28 +8,17 @@ nothing) — it changes how much dispatch work the engine does: the naive
 broadcast baseline contacts every partition, the smart routers skip the
 ones that cannot start the query ("On Smart Query Routing", PAPERS.md).
 
-The registry mirrors :mod:`repro.partitioning.registry`: every call site
-that turns a router *name* into an instance goes through :func:`create_router`,
-so a new policy plugs in with one :func:`register_router` call and is
-immediately selectable from the CLI, the traffic driver and the serving
-benchmark::
-
-    from repro.serving.router import register_router
-
-    @register_router("my-policy")
-    def _build():
-        return MyRouter()
+Every call site that turns a router *name* into an instance goes through
+:func:`create_router`, over the fixed table of the three policies below;
+a front end also takes a :class:`Router` instance directly.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple, Type
 
-from repro.serving.stores import ServingStores
-
-BUILTIN_ROUTERS: Tuple[str, ...] = ("broadcast", "candidate-count", "label-selectivity")
-"""The built-in policies, naive baseline first."""
+from repro.serving.stores import RoutingIndex
 
 
 class Router(abc.ABC):
@@ -38,7 +27,7 @@ class Router(abc.ABC):
     name: str = "abstract"
 
     @abc.abstractmethod
-    def route(self, stores: ServingStores, root_label_id: int) -> List[int]:
+    def route(self, index: RoutingIndex, root_label_id: int) -> List[int]:
         """The partitions to dispatch a root scan to, in contact order."""
 
 
@@ -47,8 +36,8 @@ class BroadcastRouter(Router):
 
     name = "broadcast"
 
-    def route(self, stores: ServingStores, root_label_id: int) -> List[int]:
-        return list(range(stores.k))
+    def route(self, index: RoutingIndex, root_label_id: int) -> List[int]:
+        return list(range(index.k))
 
 
 class CandidateCountRouter(Router):
@@ -61,8 +50,8 @@ class CandidateCountRouter(Router):
 
     name = "candidate-count"
 
-    def route(self, stores: ServingStores, root_label_id: int) -> List[int]:
-        counts = stores.candidate_counts(root_label_id)
+    def route(self, index: RoutingIndex, root_label_id: int) -> List[int]:
+        counts = index.candidate_counts(root_label_id)
         ranked = [(count, p) for p, count in enumerate(counts) if count > 0]
         ranked.sort(key=lambda item: (-item[0], item[1]))
         return [p for _count, p in ranked]
@@ -79,9 +68,9 @@ class LabelSelectivityRouter(Router):
 
     name = "label-selectivity"
 
-    def route(self, stores: ServingStores, root_label_id: int) -> List[int]:
+    def route(self, index: RoutingIndex, root_label_id: int) -> List[int]:
         ranked = []
-        for p, store in enumerate(stores.stores):
+        for p, store in enumerate(index.stores):
             count = store.candidate_count(root_label_id)
             if count > 0:
                 ranked.append((-count / max(1, store.num_members), p))
@@ -89,60 +78,26 @@ class LabelSelectivityRouter(Router):
         return [p for _density, p in ranked]
 
 
-RouterFactory = Callable[[], Router]
+_ROUTERS: Dict[str, Type[Router]] = {
+    cls.name: cls for cls in (BroadcastRouter, CandidateCountRouter, LabelSelectivityRouter)
+}
 
-_REGISTRY: Dict[str, RouterFactory] = {}
-_builtins_loaded = False
-
-
-def register_router(name: str, factory: Optional[RouterFactory] = None):
-    """Register ``factory`` under ``name``; usable as a decorator.
-
-    Re-registering a name replaces the old factory; registration order is
-    preserved by :func:`available_routers`.
-    """
-    if not name or not isinstance(name, str):
-        raise ValueError("router name must be a non-empty string")
-    _ensure_builtins()  # builtins always precede user registrations
-
-    def _register(fn: RouterFactory) -> RouterFactory:
-        _REGISTRY[name] = fn
-        return fn
-
-    if factory is not None:
-        return _register(factory)
-    return _register
-
-
-def unregister_router(name: str) -> None:
-    """Remove ``name`` from the registry (no-op if absent)."""
-    _REGISTRY.pop(name, None)
+BUILTIN_ROUTERS: Tuple[str, ...] = tuple(_ROUTERS)
+"""The built-in policies, naive baseline first."""
 
 
 def available_routers() -> Tuple[str, ...]:
-    """All registered router names, builtins first."""
-    _ensure_builtins()
-    return tuple(_REGISTRY)
+    """Every router name :func:`create_router` accepts."""
+    return BUILTIN_ROUTERS
 
 
 def create_router(name: str) -> Router:
-    """Instantiate the router registered under ``name``.
+    """Instantiate the router named ``name``.
 
-    Unknown names raise ``ValueError`` listing every registered name,
-    mirroring the partitioner registry's misuse error.
+    Unknown names raise ``ValueError`` listing every known name, mirroring
+    the partitioner registry's misuse error.
     """
-    _ensure_builtins()
-    factory = _REGISTRY.get(name)
-    if factory is None:
-        raise ValueError(f"unknown router {name!r}; expected one of {available_routers()}")
-    return factory()
-
-
-def _ensure_builtins() -> None:
-    global _builtins_loaded
-    if _builtins_loaded:
-        return
-    _builtins_loaded = True
-    _REGISTRY["broadcast"] = BroadcastRouter
-    _REGISTRY["candidate-count"] = CandidateCountRouter
-    _REGISTRY["label-selectivity"] = LabelSelectivityRouter
+    cls = _ROUTERS.get(name)
+    if cls is None:
+        raise ValueError(f"unknown router {name!r}; expected one of {BUILTIN_ROUTERS}")
+    return cls()

@@ -1,17 +1,18 @@
-"""Per-partition subgraph stores: the data layer of the serving engine.
+"""The serving data layer: one routing index, one adjacency store.
 
-One admission index, two back ends.  A :class:`RoutingIndex` is built from
-a :class:`~repro.graph.labelled_graph.LabelledGraph` plus a
+A :class:`RoutingIndex` is built from a
+:class:`~repro.graph.labelled_graph.LabelledGraph` plus a
 :class:`~repro.partitioning.state.PartitionState` assignment and keeps what
 routing and request admission need: per partition a label index (label id
 → sorted member ids) that feeds root-candidate scans and the routers, plus
-the pending buffer.  A live driver uses it as is; :class:`ServingStores` is
-the same index over :class:`PartitionStore` partitions, which also hold the
-adjacency of their member vertices on dense interner ids (sorted neighbour
-arrays, CSR in spirit: the flat sorted runs are what the engine's inner
-loop scans).  :class:`ShardStores` is the slice of that adjacency one shard
-server owns: booted from the driver's cold pass in one go, then grown by
-wire rows.
+the pending buffer.  Every serving front end stands on one.
+:class:`ShardStores` holds the adjacency of the partitions one shard
+server owns, on dense interner ids (sorted neighbour lists: the flat
+sorted runs are what the executor's inner loop scans).  A live cluster's
+shards boot their slices from the driver's cold pass and grow by wire
+rows; the in-process engine runs one shard that owns every partition,
+whose slice (:meth:`ShardStores.beside`) is filled by the same pass that
+fills the index.
 
 Each visible edge is held once per endpoint, in the endpoints' sorted
 neighbour lists, and nowhere else: edge membership is a bisection of one
@@ -37,7 +38,7 @@ label strings survive only at the boundary.
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.graph.interning import LabelInterner
 from repro.graph.labelled_graph import LabelledGraph, Vertex
@@ -58,8 +59,9 @@ def _insort_new(row: List[int], vid: int) -> bool:
 def cold_rows(
     target: "RoutingIndex", graph: LabelledGraph
 ) -> Iterator[Tuple[int, int, int, List[int]]]:
-    """The one id-space pass behind every cold build: both ``from_state``
-    builds and a live cluster's boot snapshot
+    """The one id-space pass behind every cold build:
+    :meth:`RoutingIndex.from_state`, the engine's
+    :meth:`ShardStores.beside` and a live cluster's boot snapshot
     (:func:`repro.runtime.live.boot_snapshot`).
 
     Per *placed* vertex, in ``graph.vertices()`` order, yields ``(vid,
@@ -149,43 +151,19 @@ class _PartitionIndex:
         return f"<{type(self).__name__} p={self.partition} members={self.num_members}>"
 
 
-class PartitionStore(_PartitionIndex):
-    """One partition's vertex-local view: the membership index plus the
-    adjacency of its members."""
-
-    __slots__ = ("_adj",)
-
-    def __init__(self, partition: int) -> None:
-        super().__init__(partition)
-        #: member id → sorted ids of *all* its neighbours (local and remote).
-        self._adj: Dict[int, List[int]] = {}
-
-    def add_member(self, label_id: int, vid: int) -> None:
-        super().add_member(label_id, vid)
-        self._adj[vid] = []
-
-    def neighbors(self, vid: int) -> List[int]:
-        """All neighbours of member ``vid``, sorted.  Do not mutate."""
-        return self._adj[vid]
-
-    def __contains__(self, vid: int) -> bool:
-        return vid in self._adj
-
-
 class RoutingIndex:
     """The admission and routing index both serving back ends stand on.
 
     Holds exactly what routing and request admission need — vertex → label
     id, per-partition label indexes and the pending buffer — and no
-    adjacency, hence no edge set: a live driver uses it as is, with the
-    adjacency sharded across the servers, and :class:`ServingStores` is
-    this index *plus* adjacency.  Every routing policy and the traffic
-    drivers therefore see one surface (``k``, ``stores``,
-    ``candidate_counts``, ``candidates``, ``all_candidates``), and there is
-    one admission rule (both endpoints placed; duplicates are dropped
-    before the index, by the front end): a live cluster and a
-    single-process engine fed the same stream admit the identical edge
-    sequence — the bedrock of the equivalence suites.
+    adjacency, hence no edge set: the adjacency lives in the
+    :class:`ShardStores` of whichever server owns each partition.  Every
+    routing policy and the traffic driver therefore see one surface
+    (``k``, ``stores``, ``candidate_counts``, ``candidates``,
+    ``all_candidates``), and there is one admission rule (both endpoints
+    placed; duplicates are dropped before the index, by the front end): a
+    live cluster and a single-process engine fed the same stream admit the
+    identical edge sequence — the bedrock of the equivalence suites.
     """
 
     __slots__ = (
@@ -200,22 +178,19 @@ class RoutingIndex:
         "num_border_edges",
     )
 
-    #: The per-partition view this index keeps.
-    _partition_type = _PartitionIndex
-
     def __init__(self, state: PartitionState, labels: Optional[LabelInterner] = None) -> None:
         self.state = state
         #: Label ↔ id bijection shared with the front end's compiled plans.
         self.labels = labels if labels is not None else LabelInterner()
-        self.stores = [self._partition_type(p) for p in range(state.k)]
+        self.stores = [_PartitionIndex(p) for p in range(state.k)]
         #: vertex id → label id, for every stored vertex.
         self._label_of: Dict[int, int] = {}
         #: vertex id → partition: the state's live assignment vector.
         self._partition_of = state.assignment_vector
         #: events whose endpoint was unassigned on arrival, in arrival order.
         self._pending: List[EdgeEvent] = []
-        #: (vid, label_id, partition) rows stored since the last take — the
-        #: live driver turns these into EdgeUpdate vertex rows each round.
+        #: (vid, label_id, partition) rows stored since the last take — each
+        #: front end turns these into EdgeUpdate vertex rows every round.
         self._new_vertices: List[Tuple[int, int, int]] = []
         self.num_edges = 0
         self.num_border_edges = 0
@@ -242,17 +217,7 @@ class RoutingIndex:
         self._label_of[vid] = lid
         partition = self.state.partition_of_id(vid)
         self.stores[partition].add_member(lid, vid)
-        self._announce(vid, lid, partition)
-
-    def _announce(self, vid: int, label_id: int, partition: int) -> None:
-        """Queue a newly stored vertex for :meth:`take_new_vertices`."""
-        self._new_vertices.append((vid, label_id, partition))
-
-    def _link(self, uid: int, pu: int, vid: int, pv: int) -> bool:
-        """Record the visible edge ``uid — vid`` between partitions ``pu``
-        and ``pv``; ``False`` if it was already there.  No adjacency here,
-        so nothing to record or check: the front end dedups."""
-        return True
+        self._new_vertices.append((vid, lid, partition))
 
     def ingest_edge(self, event: EdgeEvent) -> Optional[Tuple[int, int]]:
         """Admit one streamed edge if both endpoints are placed.
@@ -262,8 +227,7 @@ class RoutingIndex:
         events its graph reports new, so this index keeps no edge set.
         Returns the visible ``(uid, vid)`` id pair when the edge entered the
         index, ``None`` when it parked in the pending buffer (unknown or
-        unassigned endpoint) — or, on :class:`ServingStores`, whose
-        adjacency can tell, when the edge was already visible.
+        unassigned endpoint).
         """
         id_of = self.state.interner.id_of
         uid, vid = id_of(event.u), id_of(event.v)
@@ -277,12 +241,8 @@ class RoutingIndex:
             return None
         self._add_member(uid, event.u_label)
         self._add_member(vid, event.v_label)
-        pu = self._partition_of[uid]
-        pv = self._partition_of[vid]
-        if not self._link(uid, pu, vid, pv):
-            return None
         self.num_edges += 1
-        if pu != pv:
+        if self._partition_of[uid] != self._partition_of[vid]:
             self.num_border_edges += 1
         return (uid, vid)
 
@@ -348,99 +308,17 @@ class RoutingIndex:
         )
 
 
-class ServingStores(RoutingIndex):
-    """The k per-partition stores over one shared assignment and id space:
-    a :class:`RoutingIndex` whose partitions also hold their members'
-    adjacency (the engine's inner-loop surface)."""
-
-    __slots__ = ()
-
-    _partition_type = PartitionStore
-
-    @classmethod
-    def from_state(cls, graph: LabelledGraph, state: PartitionState) -> "ServingStores":
-        """Materialise stores for every placed vertex/edge of ``graph`` —
-        the same pass, and the same contract, as :meth:`RoutingIndex.from_state`."""
-        stores = cls(state)
-        for vid, _label_id, partition, nbrs in cold_rows(stores, graph):
-            nbrs.sort()
-            stores.stores[partition]._adj[vid] = nbrs
-        return stores
-
-    def _announce(self, vid: int, label_id: int, partition: int) -> None:
-        """Nobody takes vertex rows from in-process stores: queue none."""
-
-    def _link(self, uid: int, pu: int, vid: int, pv: int) -> bool:
-        if not _insort_new(self.stores[pu]._adj[uid], vid):
-            return False
-        insort(self.stores[pv]._adj[vid], uid)
-        return True
-
-    # ------------------------------------------------------------------
-    # Queries (the engine's inner-loop surface)
-    # ------------------------------------------------------------------
-    def owner(self, vid: int) -> int:
-        """The partition storing ``vid``; raises ``KeyError`` if unstored."""
-        p = self.state.partition_of_id(vid)
-        if p == UNASSIGNED or vid not in self._label_of:
-            raise KeyError(f"vertex id {vid} is not stored in any partition")
-        return p
-
-    def has_edge(self, uid: int, vid: int) -> bool:
-        """Is ``uid — vid`` a visible edge?  ``False`` for unstored ids.
-
-        The executor's closing-edge probe: one bisection of ``uid``'s
-        sorted neighbour list in its owner partition, and no other call.
-        """
-        try:
-            row = self.stores[self._partition_of[uid]]._adj[uid]
-        except (IndexError, KeyError):
-            return False
-        i = bisect_left(row, vid)
-        return i != len(row) and row[i] == vid
-
-    def neighbors(self, vid: int) -> List[int]:
-        """All visible neighbours of ``vid`` (via its owner store), sorted."""
-        return self.stores[self.owner(vid)].neighbors(vid)
-
-    def bfs_within(self, sources: Iterable[int], depth: int) -> Dict[int, int]:
-        """Id → distance for every stored id within ``depth`` hops of
-        ``sources`` over the visible subgraph (distance 0 at the sources).
-
-        This powers cache invalidation: any embedding using a new edge is
-        rooted within pattern-diameter distance of one of its endpoints.
-        """
-        dist: Dict[int, int] = {}
-        frontier: List[int] = []
-        for s in sources:
-            if s in self._label_of and s not in dist:
-                dist[s] = 0
-                frontier.append(s)
-        d = 0
-        while frontier and d < depth:
-            d += 1
-            nxt: List[int] = []
-            for vid in frontier:
-                for w in self.neighbors(vid):
-                    if w not in dist:
-                        dist[w] = d
-                        nxt.append(w)
-            frontier = nxt
-        return dist
-
-    def vertex(self, vid: int) -> Vertex:
-        return self.state.interner.vertex(vid)
-
-
 class ShardStores:
     """One shard server's slice of the serving data: the partitions whose
     index ``p % num_shards == shard_id``, with full member adjacency plus
     **ghost metadata** (label and partition) for every remote vertex seen
     on a border edge.
 
-    Booted from the driver's cold snapshot (:meth:`from_rows`), then grown
-    by EdgeUpdate wire rows — the shard never touches the interner or the
-    graph.  The invariants the distributed executor leans on:
+    Booted from the driver's cold snapshot (:meth:`from_rows`) — or, for
+    the in-process engine's one shard, filled beside its routing index
+    (:meth:`beside`) — then grown by EdgeUpdate wire rows; the shard never
+    touches the interner or the graph.  The invariants the distributed
+    executor leans on:
 
     * a *member*'s adjacency is complete w.r.t. the visible subgraph (the
       driver sends every visible edge incident to an owned partition), so
@@ -451,10 +329,10 @@ class ShardStores:
       and partition recorded — ghost metadata arrived in the snapshot or on
       the edge row that made it adjacent;
     * adjacency lists are sorted (booted sorted, then insort-maintained),
-      so candidate iteration order matches the single-process
-      :class:`ServingStores` bit for bit, and membership — of a probe or
-      of a duplicate row — is one bisection.  These two facts replace an
-      edge-key set: each edge is held once per member endpoint.
+      so candidate iteration order is the same for every shard count, bit
+      for bit, and membership — of a probe or of a duplicate row — is one
+      bisection.  These two facts replace an edge-key set: each edge is
+      held once per member endpoint.
     """
 
     __slots__ = (
@@ -466,7 +344,6 @@ class ShardStores:
         "_partition_of",
         "num_edges",
         "num_border_edges",
-        "num_ghosts",
     )
 
     def __init__(self, shard_id: int, num_shards: int, k: int) -> None:
@@ -477,11 +354,11 @@ class ShardStores:
         self._adj: Dict[int, List[int]] = {}
         #: vid → label id, members *and* ghosts.
         self._label_of: Dict[int, int] = {}
-        #: vid → partition, members *and* ghosts.
-        self._partition_of: Dict[int, int] = {}
+        #: vid → partition, members *and* ghosts (on the engine's slice,
+        #: the state's assignment vector, indexed by vid).
+        self._partition_of: Union[Dict[int, int], List[int]] = {}
         self.num_edges = 0
         self.num_border_edges = 0
-        self.num_ghosts = 0
 
     @classmethod
     def from_rows(
@@ -520,25 +397,41 @@ class ShardStores:
                     border += 1
         stores.num_edges = edges
         stores.num_border_edges = border
-        stores.num_ghosts = len(ghosts)
+        return stores
+
+    @classmethod
+    def beside(cls, index: RoutingIndex, graph: LabelledGraph) -> "ShardStores":
+        """Fill an empty ``index`` and the one-shard slice beside it (shard
+        0 of 1: it owns every partition) in one cold pass over ``graph``.
+
+        The slice keeps only the adjacency of its own: it shares the
+        index's label map and the state's assignment vector instead of
+        copying them, so the index's admissions are its vertex metadata.
+        Field for field what :meth:`from_rows` builds from a one-shard
+        :func:`~repro.runtime.live.boot_snapshot`, but for those two maps.
+        """
+        stores = cls(0, 1, index.k)
+        stores._label_of = index._label_of
+        stores._partition_of = index.state.assignment_vector
+        adj = stores._adj
+        for vid, _label_id, _partition, nbrs in cold_rows(index, graph):
+            nbrs.sort()
+            adj[vid] = nbrs
+        stores.num_edges = index.num_edges
+        stores.num_border_edges = index.num_border_edges
         return stores
 
     def owns_partition(self, partition: int) -> bool:
         return partition % self.num_shards == self.shard_id
 
     def _register(self, vid: int, label_id: int, partition: int) -> None:
-        """Record a vertex's metadata; promote ghost → member if owned."""
+        """Record a vertex's metadata unless known; an owned vertex is (or
+        becomes, if it was a ghost on an earlier border edge) a member."""
         if vid not in self._label_of:
             self._label_of[vid] = label_id
             self._partition_of[vid] = partition
-            if self.owns_partition(partition):
-                self._adj[vid] = []
-            else:
-                self.num_ghosts += 1
-        elif self.owns_partition(partition) and vid not in self._adj:
-            # Announced earlier as a ghost on a border edge, now owned.
+        if vid not in self._adj and self.owns_partition(partition):
             self._adj[vid] = []
-            self.num_ghosts -= 1
 
     def add_vertex(self, vid: int, label_id: int, partition: int) -> None:
         """Apply one EdgeUpdate vertex row (always an owned vertex)."""
@@ -575,10 +468,6 @@ class ShardStores:
         return (uid, vid)
 
     # -- the executor's view surface ------------------------------------
-    def neighbors(self, vid: int) -> List[int]:
-        """All visible neighbours of member ``vid``, sorted.  Do not mutate."""
-        return self._adj[vid]
-
     @property
     def label_of(self) -> Dict[int, int]:
         return self._label_of
@@ -649,6 +538,11 @@ class ShardStores:
     @property
     def num_members(self) -> int:
         return len(self._adj)
+
+    @property
+    def num_ghosts(self) -> int:
+        """Off-shard vertices with metadata here: named, never members."""
+        return len(self._label_of) - len(self._adj)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -29,7 +29,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
-from repro.serving.engine import RootResult, ServingFrontEnd
+from repro.serving.engine import ServingFrontEnd
+from repro.serving.execution import RootResult
 
 
 def percentile(sorted_values: Sequence[float], q: float) -> float:
@@ -204,7 +205,7 @@ class TrafficDriver:
         replaces ``num_requests``) and ``system`` to label the report.
         ``rate`` switches to open-loop arrivals at that many requests per
         second.  ``collect_results=True`` additionally keeps each
-        request's :class:`~repro.serving.engine.RootResult` in
+        request's :class:`~repro.serving.execution.RootResult` in
         ``report.results`` (stream order), which is how tests assert
         bit-identical answers across back ends.
         """

@@ -21,6 +21,7 @@ import random
 import tracemalloc
 from contextlib import closing
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import make_random_labelled_graph
@@ -216,6 +217,52 @@ def test_front_end_dedups_every_repeat_once_for_both_back_ends():
     expected, repeated = transcript(engine)
     assert repeated > 0  # some repeat did arrive while an endpoint was unplaced
     assert transcript(cluster) == (expected, repeated)
+
+
+def _admission(server):
+    """Everything a batch can change on either back end."""
+    index = server.index
+    return (
+        server.state.assignment(),
+        sorted(server.graph.edges()),
+        dict(server.graph.label_counts()),
+        dict(server._label_counts),
+        (index.num_vertices, index.num_edges, index.num_border_edges, index.num_pending),
+    )
+
+
+@pytest.mark.parametrize("system", ["ldg", "hash"])
+@pytest.mark.parametrize("back_end", ["engine", "cluster"])
+def test_front_end_refuses_a_bad_batch_whole(back_end, system):
+    """A batch holding a self-loop, or a vertex labelled unlike the graph
+    or an earlier event of the batch, raises ``ValueError`` naming that
+    event before anything changes; its good events are admitted on retry."""
+    workload = Workload([(path_pattern(["a", "b"], name="ab"), 1.0)], name="ab")
+    state = PartitionState(4, capacity=16)
+    partitioner = registry.create(system, state, seed=0)
+    graph = LabelledGraph("live")
+    if back_end == "engine":
+        server = ServingEngine(graph, state, workload, partitioner=partitioner)
+    else:
+        server = LiveCluster(graph, state, workload, num_shards=2, partitioner=partitioner)
+    with closing(server):
+        assert server.ingest([EdgeEvent(0, "a", 10, "b")]) == 1
+        good = [EdgeEvent(1, "a", 2, "b"), EdgeEvent(3, "a", 4, "b")]
+        for bad in (
+            EdgeEvent(5, "a", 5, "a"),  # a self-loop
+            EdgeEvent(0, "b", 6, "a"),  # 0 is an a in the graph
+            EdgeEvent(5, "a", 1, "b"),  # 1 is an a earlier in the batch
+        ):
+            before = _admission(server)
+            with pytest.raises(ValueError) as err:
+                server.ingest(good + [bad, EdgeEvent(7, "a", 8, "b")])
+            assert repr(bad) in str(err.value)
+            assert _admission(server) == before
+        assert server.ingest(good) == 2
+        assert server.index.num_edges == server.graph.num_edges == 3
+        assert server._label_counts == server.graph.label_counts() == {"a": 3, "b": 3}
+        answers = {root: server.serve_root("ab", root) for root in server.root_candidates("ab")}
+        assert sum(result.num_embeddings for result in answers.values()) == 3
 
 
 # ----------------------------------------------------------------------

@@ -107,6 +107,27 @@ class TestWorkloadSensitivity:
         assert state_a.assignment() != state_b.assignment()
 
 
+# The engine serves through repro.runtime's shard server while repro.runtime
+# imports the engine's front end: whether a module-level cycle between them
+# fails depends on which module a process imports first, so each entry
+# point goes first in a fresh interpreter of its own.
+@pytest.mark.parametrize(
+    "module",
+    ["repro.serving.engine", "repro.serving", "repro.runtime.server", "repro.runtime.live"],
+)
+def test_each_serving_entry_point_imports_first(module):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c", f"import {module}"],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+
+
 # Every process of a deployment (driver, shard servers, CLI) starts by
 # importing the package; numpy used to ride along (16 MB resident, 140 ms)
 # for a matcher path that measured no faster.  Run in a fresh interpreter:

@@ -517,6 +517,34 @@ def test_boot_snapshot_equals_replaying_edge_rows(seed, system, k, num_shards, c
     assert index.num_pending > 0
 
 
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 10_000), k=st.integers(1, 5), complete=st.booleans())
+def test_engine_slice_equals_a_one_shard_boot(seed, k, complete):
+    """The engine's one shard shares the routing index's label map and the
+    state's assignment vector instead of copying them; otherwise it is
+    field for field the slice a one-shard cluster boots from the same
+    graph — fully or partly placed."""
+    graph, workload = make_random_labelled_graph(30, 60, seed=seed), _random_case()[1]
+    events = list(stream_edges(graph, "random", seed=seed))
+    state = PartitionState.for_graph(k, graph.num_vertices)
+    partitioner = registry.create(
+        "loom", state, graph=graph, workload=workload, window_size=10, seed=seed
+    )
+    partitioner.ingest_batch(events if complete else events[: len(events) // 2])
+
+    engine = ServingEngine(graph, state, workload)
+    shard = engine.server.stores
+    assert shard._label_of is engine.stores._label_of
+    assert shard._partition_of is state.assignment_vector
+    _index, members, ghosts = boot_snapshot(graph, state, 1)
+    booted = ShardStores.from_rows(0, 1, k, members[0], ghosts[0])
+    for name in _SHARD_FIELDS:
+        if name != "_partition_of":
+            assert getattr(shard, name) == getattr(booted, name), name
+    assert {vid: shard.partition_of(vid) for vid in shard._label_of} == booted._partition_of
+    assert engine.stores.take_new_vertices() == []  # the cold pass queues no rows
+
+
 @pytest.mark.skipif("fork" not in mp.get_all_start_methods(), reason="needs fork")
 def test_spawn_boot_matches_fork():
     """Under spawn the snapshot is pickled into each server — the only boot

@@ -17,9 +17,8 @@ from repro.serving import (
     TrafficDriver,
     available_routers,
     create_router,
-    register_router,
 )
-from repro.serving.router import BUILTIN_ROUTERS, Router, unregister_router
+from repro.serving.router import BUILTIN_ROUTERS
 from repro.serving.stores import RoutingIndex, ShardStores
 from repro.serving.traffic import percentile
 
@@ -246,9 +245,9 @@ def test_from_state_equals_replaying_the_edges(seed, k):
 
 class TestRouterRegistry:
     def test_builtins_available(self):
-        names = available_routers()
+        assert available_routers() == BUILTIN_ROUTERS
         for name in BUILTIN_ROUTERS:
-            assert name in names
+            assert create_router(name).name == name
 
     def test_unknown_router_raises_with_names(self):
         with pytest.raises(ValueError) as err:
@@ -257,26 +256,6 @@ class TestRouterRegistry:
         assert "no-such-router" in message
         for name in BUILTIN_ROUTERS:
             assert name in message
-
-    def test_register_and_unregister(self):
-        class _First(Router):
-            name = "first-only"
-
-            def route(self, stores, root_label_id):
-                counts = stores.candidate_counts(root_label_id)
-                return [p for p, c in enumerate(counts) if c > 0][:1]
-
-        register_router("first-only", _First)
-        try:
-            assert "first-only" in available_routers()
-            assert isinstance(create_router("first-only"), _First)
-        finally:
-            unregister_router("first-only")
-        assert "first-only" not in available_routers()
-
-    def test_invalid_name_rejected(self):
-        with pytest.raises(ValueError):
-            register_router("", lambda: None)
 
 
 class TestRouters:
@@ -396,15 +375,19 @@ class TestResultCache:
         with pytest.raises(ValueError):
             ResultCache(max_entries=0)
 
-    def test_engine_keeps_caller_supplied_empty_cache(self):
-        """An empty ResultCache is falsy (``__len__``) — the engine must
-        still adopt it rather than silently serving uncached."""
+    def test_engine_cache_is_its_servers(self):
+        """``cache=True`` serves through the one shard server's unbounded
+        cache, which holds entries once served; ``cache=False`` has none;
+        a cache object, which an empty one would read as off, is refused."""
         graph, workload, state = _partitioned_figure1()
-        cache = ResultCache(max_entries=64)
-        engine = ServingEngine(graph, state, workload, cache=cache)
-        assert engine.cache is cache
+        engine = ServingEngine(graph, state, workload, cache=True)
+        assert engine.cache is engine.server.cache
+        assert engine.cache.max_entries is None and len(engine.cache) == 0
         engine.execute_query("q2")
-        assert len(cache) > 0
+        assert len(engine.cache) > 0
+        assert ServingEngine(graph, state, workload, cache=False).cache is None
+        with pytest.raises(TypeError):
+            ServingEngine(graph, state, workload, cache=ResultCache())
 
 
 class TestTrafficDriver:

@@ -8,7 +8,11 @@ suite's, historically) wins the ``sys.modules['conftest']`` slot.
 
 import random
 
+from repro.datasets import load_dataset
 from repro.graph.labelled_graph import LabelledGraph
+from repro.graph.stream import stream_edges
+from repro.partitioning import registry
+from repro.partitioning.state import PartitionState
 from repro.query.pattern import path_pattern
 from repro.query.workload import Workload
 
@@ -43,3 +47,30 @@ def random_path_workload(rng: random.Random, alphabet) -> Workload:
         labels = [rng.choice(alphabet) for _ in range(rng.randint(2, 4))]
         entries.append((path_pattern(labels, name=f"q{i}"), float(rng.randint(1, 10))))
     return Workload(entries, name="random")
+
+
+#: The reference benchmark's Loom input (``benchmarks/e2e``): musicbrainz,
+#: BFS order, k = 8, window |E| / 8, seed 7, 2048-edge batches.
+BENCH_SEED = 7
+BENCH_K = 8
+BENCH_BATCH_EDGES = 2048
+
+
+def bench_loom_input(vertices: int = 8_000):
+    """``(dataset, events)`` of the benchmark-shaped stream, built through
+    ``repro`` alone."""
+    dataset = load_dataset("musicbrainz", vertices, seed=BENCH_SEED)
+    return dataset, list(stream_edges(dataset.graph, "bfs", seed=BENCH_SEED))
+
+
+def new_bench_loom(dataset, events):
+    """A fresh Loom over a fresh state, configured as the benchmark's."""
+    state = PartitionState.for_graph(BENCH_K, dataset.graph.num_vertices)
+    return registry.create(
+        "loom",
+        state,
+        graph=dataset.graph,
+        workload=dataset.workload,
+        window_size=len(events) // 8,
+        seed=BENCH_SEED,
+    )

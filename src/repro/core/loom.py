@@ -282,11 +282,29 @@ class LoomPartitioner(StreamingPartitioner):
     def finalize(self) -> None:
         """Drain ``Ptemp``: every remaining edge leaves via the normal
         eviction/allocation path (the stream has ended).  Then nothing can
-        claim a parked vertex any more: the queue is settled oldest first."""
-        while self.matcher.pending() > 0:
+        claim a parked vertex any more: the queue is settled oldest first.
+
+        The window, the matchList's indexes and the queue are empty then,
+        but a dict keeps the table of its high-water mark as it empties;
+        they are cleared in place (bound references stay valid), so a
+        finished partitioner holds no window-sized tables.  Ingest may go
+        on afterwards exactly as before."""
+        matcher = self.matcher
+        while matcher.pending() > 0:
             self._evict_once()
         # Draining the window is one full turnover: every deadline is due.
-        self._release_due(self.matcher.stats.root_hits + self._window_capacity)
+        self._release_due(matcher.stats.root_hits + self._window_capacity)
+        window = matcher.window
+        matchlist = matcher.matchlist
+        for table in (
+            window._events,
+            window._labels,
+            window._degree,
+            matchlist._ids,
+            matchlist._by_vertex,
+            self._parked,
+        ):
+            table.clear()
 
     # ------------------------------------------------------------------
     # Internals
@@ -380,7 +398,7 @@ class LoomPartitioner(StreamingPartitioner):
                     assigned=len(decision.assigned_edges),
                     fallback=decision.fallback,
                 )
-            self.matcher.remove_cluster(decision.assigned_edges)
+            self.matcher.remove_cluster(decision.assigned_edges, eviction)
         else:
             # Defensive: a window edge always has at least its single-edge
             # match, but if it somehow lost it, place its endpoints now —

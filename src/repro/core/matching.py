@@ -63,8 +63,8 @@ A per-vertex match cap (``max_matches_per_vertex``) bounds the combinatorial
 worst case on dense, label-homogeneous hubs.  The default of 64 is *not*
 generous: on the reference graph ``capped_registrations / matches_created``
 is 0.33–0.35 (the e2e benchmark's ``core.matching.capped_share``), so every
-quality number this repo reports is Loom under that cap.  Sweeping it is
-ROADMAP item 1e.
+quality number this repo reports is Loom under that cap.  Whether the cap
+costs quality is ROADMAP item 3b.
 """
 
 from __future__ import annotations
@@ -102,44 +102,51 @@ class Match:
     ``edges`` holds packed edge keys as a **sorted tuple** (canonical — two
     matches are equal iff their states and edge tuples are) and ``state`` a
     dense :class:`~repro.core.plan.MotifPlan` state id; all integers end to
-    end.  ``support`` is the state's support, denormalised into the match
-    because the auction and every sort key read it.  Any iterable of packed
-    keys is accepted and canonicalised.
+    end.  Any iterable of packed keys is accepted and canonicalised.
 
     Matches are the bulk of the window's resident state, so each fact is
-    held once (ARCHITECTURE.md, "Resident state"): ``vertices`` returns the
-    degree map, and the hash is computed from ``(edges, state)`` on demand
-    — the matchList's indexes key that tuple, not the match."""
+    held once (ARCHITECTURE.md, "Resident state").  Besides ``edges`` and
+    ``state`` a match stores two tuples:
 
-    __slots__ = ("edges", "state", "support", "_degrees", "_sort_key")
+    * ``_ends``, the endpoint ids of its edges in the order it grew — two
+      per edge, so an id occurs once per edge at it.  ``degree_of`` is one
+      C-level ``count`` over it and ``vertices`` its distinct ids in
+      first-seen order; no per-match degree map is kept.
+    * ``_sort_key``, the eviction/auction order ``(-support, |E|, edges)``,
+      whose first field is the plan's one float per state
+      (``plan.neg_support``); ``support`` is read back from it.
 
-    def __init__(
-        self,
-        edges: Iterable[int],
-        state: int,
-        support: float,
-        _degrees: Optional[Dict[int, int]] = None,
-    ) -> None:
+    The hash is computed from ``(edges, state)`` on demand — the
+    matchList's indexes key that tuple, not the match."""
+
+    __slots__ = ("edges", "state", "_ends", "_sort_key")
+
+    def __init__(self, edges: Iterable[int], state: int, support: float) -> None:
         edges = tuple(sorted(edges))
         self.edges = edges
         self.state = state
-        self.support = support
-        # The matcher's construction sites already hold the degree map
-        # (extension adds one edge to a known match; _grow threads degrees
-        # through its backtracking) and pass it in; it is never mutated
-        # after construction, so sharing is safe.
-        self._degrees = _edge_set_degrees(edges) if _degrees is None else _degrees
+        # The matcher grows its matches edge by edge and stores the
+        # endpoints in that order; a match built here has only its sorted
+        # edges to go by.
+        self._ends = tuple(
+            vid for ekey in edges for vid in (ekey >> EDGE_SHIFT, ekey & EDGE_MASK)
+        )
         # Support-descending order with deterministic tie-breaks (Sec. 4):
         # smaller matches first among equals, then by the canonical edge
         # tuple — an integer comparison, stable across runs and hash seeds.
-        # Eager: the edges are already sorted, so this is three refs.
         self._sort_key: Tuple[float, int, EdgeTuple] = (-support, len(edges), edges)
 
     @property
-    def vertices(self) -> Dict[int, int]:
-        """The match's vertex ids, first-seen order: the degree map itself
-        (iterate it or test membership; never mutate it)."""
-        return self._degrees
+    def support(self) -> float:
+        """The state's support (negation is exact, so this is the plan's
+        value bit for bit)."""
+        return -self._sort_key[0]
+
+    @property
+    def vertices(self) -> Dict[int, None]:
+        """The match's distinct vertex ids, first-seen order, as a fresh
+        dict's keys (iterate it or test membership)."""
+        return dict.fromkeys(self._ends)
 
     @property
     def num_edges(self) -> int:
@@ -148,7 +155,7 @@ class Match:
     def degree_of(self, vid: int) -> int:
         """Degree of id ``vid`` *within this match* (0 if absent) — the
         quantity the incremental factor computation needs (Sec. 2.1)."""
-        return self._degrees.get(vid, 0)
+        return self._ends.count(vid)
 
     def __hash__(self) -> int:
         return hash((self.edges, self.state))
@@ -183,6 +190,13 @@ class MatchList:
     callers never see ids.  Ids of dropped matches are recycled through a
     free list, which bounds the arena at the live high-water mark on
     unbounded streams.
+
+    Per live match the matchList holds the :class:`Match` (its edge tuple,
+    endpoint tuple and shared-float sort key), one arena slot, one
+    ``_keys`` slot referencing that same sort key, one ``_ids`` entry and
+    one id in each of its vertices' buckets — nothing else.  The arena and
+    the free list keep their high-water length once the window drains:
+    the order ids are recycled in decides sort-key ties, so it is kept.
     """
 
     def __init__(self) -> None:
@@ -212,7 +226,9 @@ class MatchList:
         assert match is not None
         del self._ids[(match.edges, match.state)]
         by_vertex = self._by_vertex
-        for vid in match.vertices:
+        # An id repeats in _ends once per further edge at it; by then its
+        # bucket no longer holds mid (or is gone), so a repeat is a no-op.
+        for vid in match._ends:
             bucket = by_vertex.get(vid)
             if bucket is not None:
                 bucket.discard(mid)
@@ -235,10 +251,21 @@ class MatchList:
         arena = self._arena
         return {mid for mid in at_u & at_v if ekey in arena[mid].edges}
 
-    def _evict_edges(self, ekeys: Iterable[int]) -> List[Match]:
+    def _evict_edges(
+        self, ekeys: Iterable[int], eviction: Optional["Eviction"] = None
+    ) -> List[Match]:
         """Remove every match containing any of ``ekeys``, in ascending id
-        order (canonical: it fixes the free list, hence id recycling)."""
-        doomed: Set[int] = set().union(*map(self._mids_with_edge, ekeys))
+        order (canonical: it fixes the free list, hence id recycling).
+        Given the :class:`Eviction` the edges were auctioned from, the ids
+        it found at its edge stand in for looking that edge up again."""
+        if eviction is None or eviction.ekey not in ekeys:
+            doomed: Set[int] = set().union(*map(self._mids_with_edge, ekeys))
+        else:
+            known = eviction.ekey
+            mids_with_edge = self._mids_with_edge
+            doomed = set(eviction.mids).union(
+                *[mids_with_edge(ekey) for ekey in ekeys if ekey != known]
+            )
         evict = self._evict_mid
         return [evict(mid) for mid in sorted(doomed)]
 
@@ -293,14 +320,18 @@ class MatchList:
         return {m for m in self._arena if m is not None}
 
 
-@dataclass
+@dataclass(slots=True)
 class Eviction:
     """What leaves the window when it slides: the oldest edge and the
-    support-sorted motif matches containing it (``Me`` of Sec. 4)."""
+    support-sorted motif matches containing it (``Me`` of Sec. 4), with
+    their matchList ids in the same order — handed back to
+    :meth:`StreamMatcher.remove_cluster` so removal need not find them
+    again."""
 
     event: EdgeEvent
     matches: List[Match]
     ekey: int
+    mids: List[int]
 
 
 @dataclass(slots=True)
@@ -377,7 +408,7 @@ class StreamMatcher:
         # streaming rates (in-package inner-loop binding, ARCHITECTURE.md).
         self._root_entry = plan.root_entry
         self._root_memo = plan._root_memo
-        self._support = plan.support
+        self._neg_support = plan.neg_support
         self._extensible = plan.extensible
         self._successor_rows = plan.successor_rows
         self._delta_shift = plan._delta_shift
@@ -509,7 +540,7 @@ class StreamMatcher:
         register = self._register
         # The single-edge match is never capped: eviction relies on every
         # window edge having at least one match (its allocation handle).
-        base = register((ekey,), root, {uid: 1, vid: 1}, mandatory=True)
+        base = register((ekey,), root, (uid, vid), mandatory=True)
         new_matches: List[Match] = [base] if base is not None else []
 
         # -- extension: add e to every connected existing match (lines 3-8),
@@ -535,9 +566,9 @@ class StreamMatcher:
                 if not extensible[m_state]:
                     leaf_skips += 1
                     continue  # leaf motif: no successor could absorb the edge
-                degrees = m._degrees
-                du = degrees.get(uid, 0)
-                dv = degrees.get(vid, 0)
+                ends = m._ends
+                du = ends.count(uid)
+                dv = ends.count(vid)
                 delta = delta_memo.get((lu, lv, du, dv))
                 if delta is None:
                     delta = delta_slow(lu, lv, du, dv)
@@ -555,11 +586,9 @@ class StreamMatcher:
                     capped += len(children)
                     continue
                 extended_edges = m.edges + (ekey,)
-                new_degrees = dict(degrees)
-                new_degrees[uid] = du + 1
-                new_degrees[vid] = dv + 1
+                extended_ends = ends + (uid, vid)
                 for child in children:
-                    nm = register(extended_edges, child, new_degrees)
+                    nm = register(extended_edges, child, extended_ends)
                     if nm is not None:
                         new_matches.append(nm)
             stats.leaf_gate_skips += leaf_skips
@@ -577,9 +606,9 @@ class StreamMatcher:
         #    join replays an extension verbatim.  Joins only exist when
         #    some motif outgrows the largest match seen so far, so
         #    size-gate the quadratic loop.  The one-edge-remaining case
-        #    dominates and is inlined (no recursion, no degree-map copy on
-        #    the failure paths); the single-edge ``m_old`` sub-case reuses
-        #    its edge tuple as the remainder key outright.
+        #    dominates and is inlined (no recursion); the single-edge
+        #    ``m_old`` sub-case reuses its edge tuple as the remainder key
+        #    outright.
         if existing and new_matches:
             extensible = self._extensible
             max_edges = self._max_motif_edges
@@ -600,7 +629,7 @@ class StreamMatcher:
                 for m_new in frontier:
                     n_new = len(m_new.edges)
                     m_new_edges = m_new.edges
-                    m_new_degrees = m_new._degrees
+                    m_new_ends = m_new._ends
                     state = m_new.state
                     tried: Set[EdgeTuple] = set()
                     for m_old in existing:
@@ -633,8 +662,8 @@ class StreamMatcher:
                             e2 = remaining[0]
                             u = e2 >> EDGE_SHIFT
                             v = e2 & EDGE_MASK
-                            du = m_new_degrees.get(u, 0)
-                            dv = m_new_degrees.get(v, 0)
+                            du = m_new_ends.count(u)
+                            dv = m_new_ends.count(v)
                             if not du and not dv:
                                 continue
                             delta = delta_memo.get((labels[u], labels[v], du, dv))
@@ -646,20 +675,11 @@ class StreamMatcher:
                             children = successor_rows[(state << shift) | delta]
                             if children is None:
                                 continue
-                            degrees = dict(m_new_degrees)
-                            degrees[u] = du + 1
-                            degrees[v] = dv + 1
                             joined = register(
-                                m_new_edges + (e2,), children[0], degrees
+                                m_new_edges + (e2,), children[0], m_new_ends + (u, v)
                             )
                         else:
-                            grown = self._grow(
-                                m_new_edges,
-                                state,
-                                remaining,
-                                m_new_degrees,
-                                owned=False,
-                            )
+                            grown = self._grow(m_new_edges, state, remaining, m_new_ends)
                             joined = (
                                 register(grown[0], grown[1], grown[2])
                                 if grown is not None
@@ -679,7 +699,7 @@ class StreamMatcher:
         self,
         edges: Iterable[int],
         state: int,
-        degrees: Dict[int, int],
+        ends: Tuple[int, ...],
         mandatory: bool = False,
     ) -> Optional[Match]:
         # Inlined MatchList.add fused with the per-vertex cap, on match
@@ -689,7 +709,7 @@ class StreamMatcher:
         # checking bucket sizes, rolling back on a cap hit.  A cap hit is
         # not rare: with the default cap of 64, capped_registrations /
         # matches_created is 0.33–0.35 on the reference graph (the e2e
-        # benchmark's core.matching.capped_share; ROADMAP item 1e sweeps
+        # benchmark's core.matching.capped_share; ROADMAP item 3b weighs
         # the cap).  The extension loop therefore skips registrations it
         # can see are doomed before building them; what reaches here pays
         # one pass on success.  The Match object is only constructed once
@@ -710,17 +730,19 @@ class StreamMatcher:
             self._ml_keys.append(None)
         cap = -1 if mandatory else self.max_matches_per_vertex
         inserted = 0
-        for vid in degrees:
+        for vid in ends:
             bucket = by_vertex.get(vid)
             if bucket is None:
                 by_vertex[vid] = {mid}
+            elif mid in bucket:
+                continue  # a repeated id: inserted at its first occurrence
             elif cap < 0 or len(bucket) < cap:
                 bucket.add(mid)
             else:
                 # Cap hit: undo this id's inserts (bucket sizes are
                 # pre-insert sizes for every vertex either way, so the
                 # verdict is identical to a check-then-insert pass).
-                for undo_vid in degrees:
+                for undo_vid in ends:
                     if inserted == 0:
                         break
                     undo_bucket = by_vertex.get(undo_vid)
@@ -734,15 +756,13 @@ class StreamMatcher:
                 return None
             inserted += 1
         # Direct slot stores: edges is already the canonical sorted tuple
-        # and the degree map is in hand, so Match.__init__ would only redo
-        # work (this is the per-match allocation hot spot).
-        support = self._support[state]
+        # and the endpoints are in hand, in growth order, so Match.__init__
+        # would only redo work (this is the per-match allocation hot spot).
         match = Match.__new__(Match)
         match.edges = edges
         match.state = state
-        match.support = support
-        match._degrees = degrees
-        match._sort_key = sort_key = (-support, len(edges), edges)
+        match._ends = ends
+        match._sort_key = sort_key = (self._neg_support[state], len(edges), edges)
         self._ml_arena[mid] = match
         self._ml_keys[mid] = sort_key
         ids[key] = mid
@@ -754,28 +774,22 @@ class StreamMatcher:
         edges: EdgeTuple,
         state: int,
         remaining: EdgeTuple,
-        degrees: Dict[int, int],
-        owned: bool = True,
-    ) -> Optional[Tuple[EdgeTuple, int, Dict[int, int]]]:
+        ends: Tuple[int, ...],
+    ) -> Optional[Tuple[EdgeTuple, int, Tuple[int, ...]]]:
         """Grow a match by ``remaining`` edges one at a time (Alg. 2 lines
         13-18); ``None`` unless *all* of them can be added through plan
-        successors, else the ``(edges, state, degrees)`` of the fully grown
+        successors, else the ``(edges, state, ends)`` of the fully grown
         match (the caller registers it — growth itself allocates no Match).
 
         ``remaining`` arrives as a sorted tuple of packed keys (the
         canonical match edge order; slicing preserves it down the
         recursion, so the edge order is identical to re-sorting at every
-        level).  ``degrees`` is threaded through the backtracking search
-        (mutated on descent, undone on a failed branch) instead of being
-        rebuilt from the edge set at every level; on success the final map
-        is handed to the caller as-is — every frame up the success path
-        returns immediately, so nothing mutates it afterwards.  The
-        top-level caller passes ``owned=False`` to lend the source match's
-        live map: it is copied only if a descent actually mutates it, so
-        failed join attempts (the overwhelming majority) allocate nothing.
+        level).  ``ends`` is the endpoint tuple (see :class:`Match`): a
+        descent appends the added edge's endpoints to a new tuple, so a
+        failed branch has nothing to undo.
         """
         if not remaining:
-            return (edges, state, degrees)
+            return (edges, state, ends)
         if not self._extensible[state]:
             self.stats.leaf_gate_skips += 1
             return None  # leaf motif: no edge can be added through the plan
@@ -788,8 +802,8 @@ class StreamMatcher:
         for i, e2 in enumerate(remaining):  # packed keys: (min_id, max_id) order
             u = e2 >> EDGE_SHIFT
             v = e2 & EDGE_MASK
-            du = degrees.get(u, 0)
-            dv = degrees.get(v, 0)
+            du = ends.count(u)
+            dv = ends.count(v)
             if not du and not dv:
                 continue  # not incident yet; a different order may reach it
             delta = delta_memo.get((labels[u], labels[v], du, dv))
@@ -801,25 +815,13 @@ class StreamMatcher:
             children = successor_rows[(state << shift) | delta]
             if children is None:
                 continue
-            if not owned:
-                degrees = dict(degrees)
-                owned = True
-            degrees[u] = du + 1
-            degrees[v] = dv + 1
             rest = remaining[:i] + remaining[i + 1 :]
             grown = edges + (e2,)
+            grown_ends = ends + (u, v)
             for child in children:
-                result = self._grow(grown, child, rest, degrees)
+                result = self._grow(grown, child, rest, grown_ends)
                 if result is not None:
                     return result
-            if du:
-                degrees[u] = du
-            else:
-                del degrees[u]
-            if dv:
-                degrees[v] = dv
-            else:
-                del degrees[v]
         return None
 
     # ------------------------------------------------------------------
@@ -839,14 +841,20 @@ class StreamMatcher:
         """
         ekey, event = self.window.oldest_item()
         arena = self._ml_arena
-        mids = self.matchlist._mids_with_edge(ekey)
-        matches = [arena[mid] for mid in sorted(mids, key=self._ml_keys.__getitem__)]
-        return Eviction(event=event, matches=matches, ekey=ekey)
+        mids = sorted(self.matchlist._mids_with_edge(ekey), key=self._ml_keys.__getitem__)
+        return Eviction(event=event, matches=[arena[mid] for mid in mids], ekey=ekey, mids=mids)
 
-    def remove_cluster(self, ekeys: Iterable[int]) -> List[EdgeEvent]:
+    def remove_cluster(
+        self, ekeys: Iterable[int], eviction: Optional[Eviction] = None
+    ) -> List[EdgeEvent]:
         """Remove assigned edges from the window and drop every match that
-        contains any of them (Sec. 4: those matches lost constituent edges)."""
-        self.matchlist._evict_edges(ekeys)
+        contains any of them (Sec. 4: those matches lost constituent edges).
+
+        Loom passes the :class:`Eviction` the cluster was auctioned from:
+        the matches at its edge are then dropped by the ids it carries.
+        Nothing may change the matchList between :meth:`next_eviction` and
+        this call (the auction does not)."""
+        self.matchlist._evict_edges(ekeys, eviction)
         return self.window.remove_ekeys(ekeys)
 
     # ------------------------------------------------------------------
@@ -879,12 +887,3 @@ class StreamMatcher:
         boundary; pairs with ``plan.node_of``)."""
         return self.plan.node_of(match.state)
 
-
-def _edge_set_degrees(edges: Iterable[int]) -> Dict[int, int]:
-    degrees: Dict[int, int] = {}
-    for ekey in edges:
-        u = ekey >> EDGE_SHIFT
-        v = ekey & EDGE_MASK
-        degrees[u] = degrees.get(u, 0) + 1
-        degrees[v] = degrees.get(v, 0) + 1
-    return degrees

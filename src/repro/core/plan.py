@@ -28,8 +28,8 @@ query-aware precomputation TAPER performs offline, moved to ingest time):
   the object index's semantics exactly — including the (improbable)
   signature-collision false positives the paper licenses, which a naive
   by-label-pair table would drop;
-* per-state **metadata arrays** (``support``, ``num_edges``,
-  ``extensible``, ``max_degree``) replace attribute chases through
+* per-state **metadata arrays** (``support``, ``neg_support``,
+  ``num_edges``, ``extensible``, ``max_degree``) replace attribute chases through
   ``TrieNode`` objects.
 
 Every lookup agrees with the object :class:`~repro.core.motifs.MotifIndex`
@@ -76,6 +76,7 @@ class MotifPlan:
         "threshold",
         "num_states",
         "support",
+        "neg_support",
         "num_edges",
         "extensible",
         "max_degree",
@@ -112,6 +113,9 @@ class MotifPlan:
 
         # Per-state metadata arrays (Alg. 2 reads these once per match).
         self.support: List[float] = [n.support for n in motifs]
+        #: ``-support``, one float per state: the first field of every
+        #: match's sort key, shared by all matches of the state.
+        self.neg_support: List[float] = [-s for s in self.support]
         self.num_edges: List[int] = [n.num_edges for n in motifs]
         extensible_ids = index.extensible_ids
         self.extensible: List[bool] = [n.node_id in extensible_ids for n in motifs]

@@ -401,11 +401,13 @@ class TestMatchAndMatchList:
         assert match.degree_of(9) == 0
 
     def test_match_contract_holds_each_fact_once(self, fig5_workload):
-        """A match stores no vertex tuple and no cached hash: ``vertices``
-        is the degree map's keys in first-seen order and the hash is that
-        of ``(edges, state)`` — for constructed matches and for those the
+        """A match stores no vertex set, degree map, support or cached
+        hash: ``vertices`` and ``degree_of`` are read off its endpoint
+        tuple (first-seen order), its sort key leads with the plan's one
+        negated support float of its state, and the hash is that of
+        ``(edges, state)`` — for constructed matches and for those the
         matcher registers through its slot-store fast path alike."""
-        assert not {"vertices", "_hash"} & set(Match.__slots__)
+        assert set(Match.__slots__) == {"edges", "state", "_ends", "_sort_key"}
         built = Match([pack_edge(5, 2), pack_edge(2, 1)], 3, 0.5)
         assert list(built.vertices) == [1, 2, 5]  # over the sorted edges
         assert [built.degree_of(v) for v in (1, 2, 5, 9)] == [1, 2, 1, 0]
@@ -421,7 +423,10 @@ class TestMatchAndMatchList:
             assert twin == match and hash(twin) == hash(match)
             assert hash(match) == hash((match.edges, match.state))
             assert len({match, twin}) == 1
-            assert list(match.vertices) == list(match._degrees)
+            assert len(match._ends) == 2 * match.num_edges
+            assert sum(map(match.degree_of, match.vertices)) == 2 * match.num_edges
+            assert match._sort_key[0] is m.plan.neg_support[match.state]
+            assert match.support == m.plan.support[match.state]
             assert sorted(match.vertices) == sorted(twin.vertices)
             assert all(match.degree_of(v) == twin.degree_of(v) for v in twin.vertices)
         # First-seen order is stream order along the extension: the a-b-c

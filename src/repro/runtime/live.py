@@ -196,6 +196,10 @@ class LiveCluster(ServingFrontEnd):
     ) -> None:
         if num_shards < 1:
             raise ValueError("num_shards must be at least 1")
+        if cache is not None and not isinstance(cache, bool):
+            # An empty ResultCache is falsy: as a flag it would turn caching
+            # off.  Refused before the snapshot is cut or a server starts.
+            raise TypeError(f"cache is a bool, not {type(cache).__name__}")
         index, members, ghosts = boot_snapshot(graph, state, num_shards)
         super().__init__(graph, state, workload, index, router, partitioner)
         self.num_shards = num_shards

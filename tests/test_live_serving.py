@@ -54,6 +54,7 @@ from repro.runtime.messages import (
 )
 from repro.runtime.server import ShardServer
 from repro.serving import RootResult, ServingEngine
+from repro.serving.cache import ResultCache
 from repro.serving.execution import CompiledPlan, Continuation, LiteralSegment
 from repro.serving.router import BUILTIN_ROUTERS
 from repro.serving.stores import RoutingIndex, ShardStores
@@ -766,6 +767,26 @@ def test_shard_failing_at_boot_raises_and_leaves_no_server(monkeypatch):
     assert time.monotonic() - start < 10.0
     assert excinfo.value.shard_id == 1
     assert "injected boot failure" in excinfo.value.remote_traceback
+    assert not [p for p in mp.active_children() if p.name.startswith("loom-serve-")]
+
+
+@pytest.mark.parametrize("backend", ["engine", "cluster"])
+def test_cache_object_is_refused_before_anything_starts(backend, monkeypatch):
+    """``cache`` is a flag on both back ends.  A ``ResultCache`` — falsy
+    while empty, so it would have read as "off" — raises ``TypeError``
+    before the cluster cuts its snapshot or starts a server."""
+    graph, workload = _random_case()
+    state = _partition("hash", graph, workload, k=4)
+
+    def no_snapshot(*args):
+        raise AssertionError("boot_snapshot ran before the cache check")
+
+    monkeypatch.setattr("repro.runtime.live.boot_snapshot", no_snapshot)
+    with pytest.raises(TypeError, match="cache is a bool, not ResultCache"):
+        if backend == "engine":
+            ServingEngine(graph, state, workload, cache=ResultCache(64))
+        else:
+            LiveCluster(graph, state, workload, num_shards=2, cache=ResultCache(64))
     assert not [p for p in mp.active_children() if p.name.startswith("loom-serve-")]
 
 

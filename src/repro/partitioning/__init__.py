@@ -4,8 +4,8 @@ Loom (in :mod:`repro.core.loom`) and the three comparison systems of the
 paper's evaluation live on the same abstractions defined here:
 
 * :class:`PartitionState` — a vertex-centric k-way partitioning under a
-  capacity constraint (Sec. 1.3), backed by an interned assignment vector,
-  per-partition counts and membership bitsets,
+  capacity constraint (Sec. 1.3), backed by an interned assignment vector
+  and per-partition counts,
 * :class:`StreamingPartitioner` — the one-pass ingest protocol,
 * :class:`HashPartitioner` — the naive baseline used by production graph
   databases,

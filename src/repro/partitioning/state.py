@@ -13,9 +13,9 @@ Internally the state runs on dense integer ids from a
 
 * an **assignment vector** (``array('i')``, ``-1`` = unassigned) indexed by
   vertex id,
-* **per-partition counts** (a plain list of ints),
-* **membership bitsets** (one ``bytearray`` per partition) for O(1)
-  membership tests without touching the assignment vector.
+* **per-partition counts** (a plain list of ints).
+
+Membership is read off the assignment vector; nothing else records it.
 
 The historical ``Vertex``-keyed API (``assign``, ``partition_of``,
 ``count_in_partition``, …) is preserved as a thin translation layer; the
@@ -42,7 +42,7 @@ UNASSIGNED = -1
 class PartitionState:
     """Mutable state of a k-way vertex partitioning under construction."""
 
-    __slots__ = ("k", "capacity", "interner", "_assignment", "_sizes", "_member_bits")
+    __slots__ = ("k", "capacity", "interner", "_assignment", "_sizes")
 
     def __init__(
         self,
@@ -64,7 +64,6 @@ class PartitionState:
         # cached small ints without unboxing.
         self._assignment: List[int] = []
         self._sizes: List[int] = [0] * k
-        self._member_bits: List[bytearray] = [bytearray() for _ in range(k)]
 
     @classmethod
     def for_graph(
@@ -149,11 +148,6 @@ class PartitionState:
             return
         assignment[vid] = partition
         self._sizes[partition] += 1
-        bits = self._member_bits[partition]
-        byte = vid >> 3
-        if byte >= len(bits):
-            bits.extend(b"\x00" * (byte + 1 - len(bits)))
-        bits[byte] |= 1 << (vid & 7)
 
     # ------------------------------------------------------------------
     # Id-keyed queries (hot paths)
@@ -169,10 +163,8 @@ class PartitionState:
         return self.partition_of_id(vid) != UNASSIGNED
 
     def in_partition_id(self, vid: int, partition: int) -> bool:
-        """Bitset membership test: is id ``vid`` in ``partition``?"""
-        bits = self._member_bits[partition]
-        byte = vid >> 3
-        return byte < len(bits) and bool(bits[byte] & (1 << (vid & 7)))
+        """Is id ``vid`` in ``partition``?"""
+        return self.partition_of_id(vid) == partition
 
     def neighbor_partition_counts(self, ids: Iterable[int]) -> List[int]:
         """``N(Si, ·)`` for every partition in one pass over ``ids``.
@@ -194,14 +186,9 @@ class PartitionState:
 
     def count_ids_in_partition(self, ids: Iterable[int], partition: int) -> int:
         """Id-keyed :meth:`count_in_partition`."""
-        bits = self._member_bits[partition]
-        n = len(bits)
-        total = 0
-        for vid in ids:
-            byte = vid >> 3
-            if byte < n and bits[byte] & (1 << (vid & 7)):
-                total += 1
-        return total
+        assignment = self._assignment
+        n = len(assignment)
+        return sum(1 for vid in ids if 0 <= vid < n and assignment[vid] == partition)
 
     # ------------------------------------------------------------------
     # Vertex-keyed queries (public boundary)
@@ -254,16 +241,8 @@ class PartitionState:
     def count_in_partition(self, vertices: Iterable[Vertex], partition: int) -> int:
         """``N(Si, ·)``: how many of ``vertices`` are already in ``partition``."""
         id_of = self.interner.id_of
-        bits = self._member_bits[partition]
-        n = len(bits)
-        total = 0
-        for v in vertices:
-            vid = id_of(v)
-            if vid is not None:
-                byte = vid >> 3
-                if byte < n and bits[byte] & (1 << (vid & 7)):
-                    total += 1
-        return total
+        ids = (id_of(v) for v in vertices)
+        return self.count_ids_in_partition((vid for vid in ids if vid is not None), partition)
 
     def assignment(self) -> Dict[Vertex, int]:
         """A *copy* of the full vertex → partition map."""

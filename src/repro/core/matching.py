@@ -128,9 +128,7 @@ class Match:
         # The matcher grows its matches edge by edge and stores the
         # endpoints in that order; a match built here has only its sorted
         # edges to go by.
-        self._ends = tuple(
-            vid for ekey in edges for vid in (ekey >> EDGE_SHIFT, ekey & EDGE_MASK)
-        )
+        self._ends = tuple(vid for ekey in edges for vid in (ekey >> EDGE_SHIFT, ekey & EDGE_MASK))
         # Support-descending order with deterministic tie-breaks (Sec. 4):
         # smaller matches first among equals, then by the canonical edge
         # tuple — an integer comparison, stable across runs and hash seeds.
@@ -252,7 +250,7 @@ class MatchList:
         return {mid for mid in at_u & at_v if ekey in arena[mid].edges}
 
     def _evict_edges(
-        self, ekeys: Iterable[int], eviction: Optional["Eviction"] = None
+        self, ekeys: Iterable[int], eviction: Optional[Eviction] = None
     ) -> List[Match]:
         """Remove every match containing any of ``ekeys``, in ascending id
         order (canonical: it fixes the free list, hence id recycling).
@@ -675,9 +673,7 @@ class StreamMatcher:
                             children = successor_rows[(state << shift) | delta]
                             if children is None:
                                 continue
-                            joined = register(
-                                m_new_edges + (e2,), children[0], m_new_ends + (u, v)
-                            )
+                            joined = register(m_new_edges + (e2,), children[0], m_new_ends + (u, v))
                         else:
                             grown = self._grow(m_new_edges, state, remaining, m_new_ends)
                             joined = (

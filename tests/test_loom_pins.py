@@ -82,9 +82,7 @@ def full_pass(bench_input):
 
     def recording_next_eviction():
         eviction = next_eviction()
-        evictions.append(
-            (eviction.ekey, [(m.edges, m.state) for m in eviction.matches])
-        )
+        evictions.append((eviction.ekey, [(m.edges, m.state) for m in eviction.matches]))
         return eviction
 
     matcher.next_eviction = recording_next_eviction

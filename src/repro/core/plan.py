@@ -29,8 +29,8 @@ query-aware precomputation TAPER performs offline, moved to ingest time):
   signature-collision false positives the paper licenses, which a naive
   by-label-pair table would drop;
 * per-state **metadata arrays** (``support``, ``neg_support``,
-  ``num_edges``, ``extensible``, ``max_degree``) replace attribute chases through
-  ``TrieNode`` objects.
+  ``num_edges``, ``extensible``, ``max_degree``) replace attribute
+  chases through ``TrieNode`` objects.
 
 Every lookup agrees with the object :class:`~repro.core.motifs.MotifIndex`
 bit for bit (``tests/test_plan.py`` proves it exhaustively and on

@@ -186,9 +186,7 @@ class PartitionState:
 
     def count_ids_in_partition(self, ids: Iterable[int], partition: int) -> int:
         """Id-keyed :meth:`count_in_partition`."""
-        assignment = self._assignment
-        n = len(assignment)
-        return sum(1 for vid in ids if 0 <= vid < n and assignment[vid] == partition)
+        return sum(1 for vid in ids if self.partition_of_id(vid) == partition)
 
     # ------------------------------------------------------------------
     # Vertex-keyed queries (public boundary)
@@ -240,9 +238,7 @@ class PartitionState:
 
     def count_in_partition(self, vertices: Iterable[Vertex], partition: int) -> int:
         """``N(Si, ·)``: how many of ``vertices`` are already in ``partition``."""
-        id_of = self.interner.id_of
-        ids = (id_of(v) for v in vertices)
-        return self.count_ids_in_partition((vid for vid in ids if vid is not None), partition)
+        return sum(1 for v in vertices if self.partition_of(v) == partition)
 
     def assignment(self) -> Dict[Vertex, int]:
         """A *copy* of the full vertex → partition map."""

@@ -132,8 +132,9 @@ class EqualOpportunism:
     # ------------------------------------------------------------------
     # Eq. 1: bids
     # ------------------------------------------------------------------
-    def _overlap_counts(self, match: Match) -> List[int]:
-        """``N(Si, Ek)`` for every partition at once.
+    def _overlap_counts(self, match_ids: Dict[int, None]) -> List[int]:
+        """``N(Si, Ek)`` for every partition at once, given a match's
+        distinct ids (``match.vertices``).
 
         Counts the match's own assigned vertices and, when a neighbour
         function is available, the assigned neighbours of the match — one
@@ -144,7 +145,6 @@ class EqualOpportunism:
         counts = [0] * self.state.k
         assignment = self._assignment
         n = len(assignment)
-        match_ids = match.vertices
         for vid in match_ids:
             if vid < n:
                 p = assignment[vid]
@@ -164,7 +164,7 @@ class EqualOpportunism:
 
     def bid(self, partition: int, match: Match) -> float:
         """``bid(Si, ⟨Ek, mk⟩)`` — Eq. 1."""
-        overlap = self._overlap_counts(match)[partition]
+        overlap = self._overlap_counts(match.vertices)[partition]
         if overlap == 0:
             return 0.0
         residual = self.state.residual_capacity(partition)
@@ -226,6 +226,8 @@ class EqualOpportunism:
         # replaces, so the bids are bit-identical, k× cheaper.  Zero-count
         # partitions contribute an exact 0.0 term and are skipped, so the
         # overlaps are accumulated sparsely (matches touch few partitions).
+        # Each scored match's distinct ids are built once and kept: the
+        # assigned matches are a prefix of the scored ones.
         scored = max(max(prefix_lengths), 1)
         residuals = [max(0.0, 1.0 - size / capacity) for size in sizes]
         support_weighting = self.support_weighting
@@ -235,12 +237,15 @@ class EqualOpportunism:
         n = len(assignment)
         row: List[float] = [0.0] * k
         prefix_rows: List[List[float]] = [row]
+        scored_ids: List[Dict[int, None]] = []
         for m in matches[:scored]:
             support = m.support if support_weighting else 1.0
+            match_ids = m.vertices
+            scored_ids.append(match_ids)
             row = row[:]
             if sparse_overlaps:
                 counts: Dict[int, int] = {}
-                for vid in m.vertices:
+                for vid in match_ids:
                     if vid < n:
                         p = assignment[vid]
                         if p >= 0:
@@ -248,7 +253,7 @@ class EqualOpportunism:
                 for p, c in counts.items():
                     row[p] += c * residuals[p] * support
             else:
-                full_counts = overlap_counts(m)
+                full_counts = overlap_counts(match_ids)
                 for p in range(k):
                     c = full_counts[p]
                     if c:
@@ -260,7 +265,9 @@ class EqualOpportunism:
         fallback = bids[winner] <= 0.0
         if fallback:
             cluster_ids: Set[int] = set()
-            for m in matches:
+            for match_ids in scored_ids:
+                cluster_ids.update(match_ids)
+            for m in matches[scored:]:
                 cluster_ids.update(m.vertices)
             if fallback_chooser is not None:
                 winner = fallback_chooser(cluster_ids)
@@ -272,9 +279,9 @@ class EqualOpportunism:
         assigned = list(matches[:take])
         edges: Set[int] = set()
         vertices: Set[int] = set()
-        for m in assigned:
+        for m, match_ids in zip(assigned, scored_ids):
             edges.update(m.edges)
-            vertices.update(m.vertices)
+            vertices.update(match_ids)
         assign_id = self.state.assign_id
         for vid in sorted(vertices):  # id order: deterministic, repr-free
             if vid < n and assignment[vid] >= 0:

@@ -109,13 +109,13 @@ class _StickyLoom(LoomPartitioner):
         self._stickiness = stickiness
         base_counts = self.allocator._overlap_counts
 
-        def sticky_counts(match):
+        def sticky_counts(match_ids):
             # Match vertices are interner ids (shared with the fresh
             # state); the previous assignment is vertex-keyed, so resolve
             # through the interner at this boundary only.
-            counts = base_counts(match)
+            counts = base_counts(match_ids)
             vertex = self.state.interner.vertex
-            for vid in match.vertices:
+            for vid in match_ids:
                 prev = self._previous.get(vertex(vid))
                 if prev is not None and not self.state.is_assigned_id(vid):
                     counts[prev] += self._stickiness

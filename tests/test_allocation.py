@@ -115,9 +115,9 @@ class TestBid:
         uid, vid, nid = (state.interner.id_of(x) for x in (1, 2, 99))
         adj = {uid: {vid, nid}, vid: {uid, nid}}
         eo = EqualOpportunism(state, neighbor_ids_fn=lambda i: adj.get(i, ()))
-        assert eo._overlap_counts(match) == [1, 0]
+        assert eo._overlap_counts(match.vertices) == [1, 0]
         state.assign(2, 1)  # a match vertex: counted as assigned, not as adjacent
-        assert eo._overlap_counts(match) == [1, 1]
+        assert eo._overlap_counts(match.vertices) == [1, 1]
 
     def test_neighbor_ids_fn_counts_adjacency(self, ab_node):
         """The id-keyed twin of the neighbour-aware bid (Loom's path)."""

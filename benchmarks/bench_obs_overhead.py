@@ -20,15 +20,15 @@ timing is reported — the ingest leg compares the exported assignment
 vector, the serving leg total hops and embeddings — so an observability
 change that perturbs placements or answers fails here before it can skew
 a headline benchmark.  Overheads are computed on best-of-N per mode
-(best-of absorbs scheduler noise better than means); the committed
-``BENCH_obs_overhead.json`` is the standing proof that the **metrics**
-cost is within ``--budget-pct`` (default 2%) — full tracing is reported
-alongside but not budgeted (a diagnostic mode, not a production default).
+(best-of absorbs scheduler noise better than means) and judged against
+``--budget-pct`` (default 2%) on the **metrics** mode — full tracing is
+reported alongside but not budgeted (a diagnostic mode, not a production
+default).  A single run does not prove that budget: one default run read
+7.26% metrics overhead on the serving leg and exited 1, so the verdict
+is noise-bound until the budget is re-proved with alternating pairs.
 
 The enabled run's registry snapshot — counters, latency histograms, and
-the ``windowed.serving.*`` rollups — is embedded in the results tree, so
-the experiment DB ingests the windowed per-query stats as ordinary dotted
-metrics and the nightly report renders them.
+the ``windowed.serving.*`` rollups — is embedded in the results payload.
 
 Run from the repository root::
 
@@ -49,15 +49,13 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 if str(SRC) not in sys.path:
     sys.path.insert(0, str(SRC))
 
-from bench_util import bench_workload, load_baseline, require_baseline
-
-from repro.experiment.registry import namespace_from_parser, trial
-
 from repro import obs
 from repro.graph.stream import stream_to_graph, synthetic_stream
 from repro.obs.format import render_table
 from repro.partitioning import registry
 from repro.partitioning.state import PartitionState
+from repro.query.pattern import path_pattern
+from repro.query.workload import Workload
 from repro.serving import ServingEngine, TrafficDriver
 
 DEFAULT_VERTICES = 900
@@ -69,6 +67,31 @@ DEFAULT_ZIPF = 1.1
 DEFAULT_BUDGET_PCT = 2.0
 
 CONFIG_KEYS = ("vertices", "edges", "k", "window", "requests", "zipf", "seed")
+
+
+def bench_workload() -> Workload:
+    """The two-pattern workload Loom runs here.
+
+    The committed ``BENCH_obs_overhead.json`` is comparable to a fresh run
+    only while both measure this query mix.
+    """
+    return Workload(
+        [
+            (path_pattern(["a", "b", "a", "b"], name="abab"), 0.5),
+            (path_pattern(["a", "b", "c"], name="abc"), 0.5),
+        ],
+        name="bench",
+    )
+
+
+def load_baseline(path):
+    """The previously committed results payload, or ``None`` when the file
+    is missing or unreadable (first run, CI scratch dirs)."""
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            return json.load(f)
+    except (OSError, ValueError):
+        return None
 
 
 def _timed(fn):
@@ -220,8 +243,7 @@ def run(args, baseline=None) -> dict:
     results["max_overhead_pct"] = round(worst, 2)
     results["budget_pct"] = args.budget_pct
     results["within_budget"] = worst <= args.budget_pct
-    # The enabled snapshot — including windowed.serving.* rollups — rides
-    # into the experiment DB as flat dotted metrics.
+    # The enabled snapshot, including the windowed.serving.* rollups.
     results["obs"] = {key: value for key, value in snapshot.items() if not isinstance(value, str)}
     rendered = "\n".join(
         render_table(
@@ -262,18 +284,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@trial("obs-overhead")
-def obs_overhead_trial(ctx):
-    """The experiment-service adapter: params → args → one ``run()``.
-
-    Unlike the script, the trial never writes a payload file — the runner
-    persists whatever this returns to the results DB — and a ``baseline``
-    param that names a missing file fails the trial by name.
-    """
-    args = namespace_from_parser(build_parser(), ctx.params, seed=ctx.seed)
-    return run(args, require_baseline(args.baseline))
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     baseline = load_baseline(args.baseline if args.baseline is not None else args.out)
@@ -293,9 +303,7 @@ def main(argv=None) -> int:
         json.dump(payload, f, indent=2)
         f.write("\n")
     print(f"written: {args.out}")
-    # Standalone runs are the committed proof — fail loudly when the
-    # metrics mode is over budget.  (Experiment trials record the
-    # overhead as metrics instead; reduced-scale smoke runs are noisy.)
+    # Fail loudly when the metrics mode is over budget.
     return 0 if results["within_budget"] else 1
 
 

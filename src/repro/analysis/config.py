@@ -61,10 +61,6 @@ ORDERING_SENSITIVE_MODULES: Tuple[str, ...] = (
     "src/repro/partitioning/*",
     "src/repro/runtime/*",
     "src/repro/serving/*",
-    # The experiment service: matrix expansion order and trial ids must be
-    # identical on every machine (resume keys on them), so set iteration
-    # may not leak into anything it emits.
-    "src/repro/experiment/*",
     # The observability layer: snapshots, trace exports and stats lines
     # are compared byte-for-byte by the double-run suite
     # (tests/test_obs_determinism.py), so every emitted ordering must be
@@ -109,10 +105,6 @@ RANDOM_EXEMPT: Tuple[str, ...] = (
 TIME_EXEMPT: Tuple[str, ...] = (
     "src/repro/bench/*",
     "benchmarks/*",
-    # The experiment runner stamps DB rows (created_at) and times trials;
-    # wall clocks never reach a result metric.  It stays under DET-random:
-    # per-trial seeds are derived from the spec via SHA-256, never rolled.
-    "src/repro/experiment/*",
 )
 
 #: Method names known to return sets in this codebase (a graph's or

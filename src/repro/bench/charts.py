@@ -12,27 +12,6 @@ from typing import Dict, List, Mapping, Optional, Sequence
 
 BAR_CHARS = "█"
 
-SPARK_CHARS = "▁▂▃▄▅▆▇█"
-
-
-def sparkline(values: Sequence[float], width: int = 60) -> str:
-    """One-line trend rendering: each value is one eighth-block character.
-
-    The scale is per-call min→max (a sparkline shows *shape*, not
-    magnitude — pair it with printed first/last values).  Longer series
-    keep their most recent ``width`` points.
-    """
-    vals = [float(v) for v in values][-width:]
-    if not vals:
-        return "(no data)"
-    lo, hi = min(vals), max(vals)
-    if hi == lo:
-        return SPARK_CHARS[3] * len(vals)
-    top = len(SPARK_CHARS) - 1
-    return "".join(
-        SPARK_CHARS[min(top, int((v - lo) / (hi - lo) * len(SPARK_CHARS)))] for v in vals
-    )
-
 
 def bar_chart(
     values: Mapping[str, float],

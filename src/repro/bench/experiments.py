@@ -67,23 +67,6 @@ class ExperimentResult:
             out += f"\n\n{self.notes}"
         return out
 
-    def metrics(self) -> Dict[str, object]:
-        """The result as flat metric rows for the experiment results DB.
-
-        Numeric cells become ``rowNN.column`` metrics (queryable across
-        runs); the fully rendered table travels along as the ``rendered``
-        text metric so reports can quote the figure verbatim.
-        """
-        flat: Dict[str, object] = {"rendered": self.render()}
-        for index, row in enumerate(self.rows):
-            for key, value in row.items():
-                name = f"row{index:02d}.{key}"
-                if isinstance(value, (int, float, bool)):
-                    flat[name] = value
-                else:
-                    flat[name] = str(value)
-        return flat
-
 
 def _scaled(sizes: Optional[Dict[str, int]], scale: float) -> Dict[str, int]:
     base = dict(DEFAULT_SIZES if sizes is None else sizes)

@@ -15,7 +15,11 @@ monotonic family (``time.monotonic_ns`` for trace timestamps) — never
 calendar time — which is why trace content is deterministic *modulo* the
 ``ts`` field.
 
-Cost model (the ≤2% budget ``bench_obs_overhead`` enforces):
+Cost model, budgeted at ≤2% for the enabled metrics mode.
+``benchmarks/bench_obs_overhead.py`` prices that budget but does not prove
+it: its verdict is one best-of-N wall-clock comparison, and single default
+runs read anywhere from below zero to 7.26% on the serving leg.
+
 
 * Disabled (the default): every accessor returns a shared NULL stub
   whose methods are no-ops — components bind them once at construction,

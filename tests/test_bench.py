@@ -1,7 +1,5 @@
 """Tests for the harness, experiments and reporting (small scales)."""
 
-from pathlib import Path
-
 import pytest
 
 from repro.bench import experiments
@@ -14,7 +12,6 @@ from repro.bench.harness import (
 )
 from repro.bench.reporting import render_series, render_table
 from repro.datasets.registry import load_dataset
-from repro.experiment.spec import load_spec
 from repro.graph.stream import stream_edges
 from repro.partitioning.state import PartitionState
 from repro.query.executor import WorkloadExecutor
@@ -124,12 +121,6 @@ class TestExperiments:
             "ablation",
             "stability",
         }
-
-    def test_nightly_matrix_runs_every_experiment(self):
-        nightly = Path(__file__).resolve().parent.parent / "experiments" / "nightly.toml"
-        spec, _ = load_spec(nightly)
-        axis = [t.params["experiment"] for t in spec.trials if t.bench == "paper"]
-        assert sorted(axis) == sorted(experiments.EXPERIMENTS)
 
     def test_stability_smoke(self):
         result = experiments.stability(

@@ -15,7 +15,9 @@ Two properties carry the whole layer and get gated here:
 """
 
 import gc
+import importlib.util
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -505,66 +507,20 @@ class TestCliSurfaces:
         assert all(line.startswith("loom.matcher.") for line in lines)
 
 
-class TestTrendSurfaces:
-    def test_sparkline_shape(self):
-        from repro.bench.charts import SPARK_CHARS, sparkline
-
-        line = sparkline([1, 2, 3, 4])
-        assert len(line) == 4
-        assert line[0] == SPARK_CHARS[0]
-        assert line[-1] == SPARK_CHARS[-1]
-        assert sparkline([5, 5, 5]) == SPARK_CHARS[3] * 3
-        assert sparkline([]) == "(no data)"
-        assert len(sparkline(list(range(100)), width=10)) == 10
-
-    @pytest.fixture()
-    def history_db(self, tmp_path):
-        from repro.experiment.db import ResultsDB
-
-        db = ResultsDB(tmp_path / "results.db")
-        experiment_id = db.ensure_experiment("nightly", "hash", "{}")
-        for value in (100.0, 110.0, 121.0):
-            db.record_trial(
-                experiment_id,
-                "matcher",
-                "matcher",
-                {},
-                0,
-                "ok",
-                1.0,
-                {"edges_per_sec": value, "note": "text rows are skipped"},
-            )
-        db.record_trial(
-            experiment_id, "matcher", "matcher", {}, 0, "failed", 1.0, {}, "boom"
+class TestObsOverheadScript:
+    def test_reduced_run_keeps_results_and_reports_every_rate(self):
+        """``benchmarks/bench_obs_overhead.py``'s ``run()`` raises when obs
+        changes the Loom assignment or the served hops / embeddings; a
+        reduced single run is too noisy to judge the 2% budget, so only
+        the rates are checked."""
+        path = Path(__file__).resolve().parent.parent / "benchmarks" / "bench_obs_overhead.py"
+        spec = importlib.util.spec_from_file_location("bench_obs_overhead", path)
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        args = script.build_parser().parse_args(
+            "--vertices 300 --edges 1800 --window 300 --requests 300 --repeats 1 --seed 0".split()
         )
-        yield db, tmp_path / "results.db"
-        db.close()
-
-    def test_metric_history_keeps_every_ok_row(self, history_db):
-        db, _ = history_db
-        history = db.metric_history("matcher", "edges_per_sec")
-        assert [value for _, value in history] == [100.0, 110.0, 121.0]
-        assert db.metric_history("matcher", "absent") == []
-        assert db.trial_ids_with_metric("edges_per_sec") == ["matcher"]
-
-    def test_trend_command_renders_sparkline(self, history_db, capsys):
-        from repro.experiment.__main__ import main as experiment_main
-
-        _, db_path = history_db
-        rc = experiment_main(["trend", "edges_per_sec", "--db", str(db_path)])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "matcher" in out
-        assert "21" in out  # delta %: (121-100)/100
-        assert any(ch in out for ch in "▁▂▃▄▅▆▇█")
-
-    def test_trend_command_without_history(self, tmp_path, capsys):
-        from repro.experiment.__main__ import main as experiment_main
-        from repro.experiment.db import ResultsDB
-
-        ResultsDB(tmp_path / "empty.db").close()
-        rc = experiment_main(
-            ["trend", "edges_per_sec", "--db", str(tmp_path / "empty.db")]
-        )
-        assert rc == 1
-        assert "no numeric history" in capsys.readouterr().err
+        results = script.run(args)
+        for leg, unit in (("ingest", "edges_per_sec"), ("serving", "requests_per_sec")):
+            for mode in ("off", "metrics", "trace"):
+                assert results[leg][mode][unit] > 0, (leg, mode)

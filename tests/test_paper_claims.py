@@ -1,8 +1,8 @@
 """The paper's evaluation claims, asserted on every PR, and their values pinned.
 
-One of three thin callers of :mod:`repro.bench.experiments` (``python -m
-repro.bench`` prints the same rows for a human, the nightly ``paper`` trial
-stores them): each figure is computed once per module at scale 0.5, seed 0
+One of two thin callers of :mod:`repro.bench.experiments` (``python -m
+repro.bench`` prints the same rows for a human and for CI's nightly job):
+each figure is computed once per module at scale 0.5, seed 0
 — 1 000–1 600 vertices, Loom's window 12 % of the stream — and every cell
 of it is one test id.
 

@@ -10,13 +10,19 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import make_random_labelled_graph, random_path_workload
+from helpers import (
+    BENCH_BATCH_EDGES,
+    bench_loom_input,
+    make_random_labelled_graph,
+    new_bench_loom,
+    random_path_workload,
+)
 from repro.core.matching import Match, MatchList, StreamMatcher
 from repro.core.motifs import MotifIndex
 from repro.core.tpstry import TPSTry
 from repro.core.window import LabelConflictError
 from repro.graph.interning import pack_edge
-from repro.graph.stream import EdgeEvent, stream_edges
+from repro.graph.stream import EdgeEvent, batched, stream_edges
 
 
 def build_matcher(workload, window=100, **kwargs) -> StreamMatcher:
@@ -442,7 +448,7 @@ class TestMatchAndMatchList:
     def test_sort_key_is_integer_based(self):
         """No repr() strings on the hot path: tie-breaks compare packed ids."""
         match = Match(frozenset([pack_edge(2, 1), pack_edge(2, 3)]), 0, 0.7)
-        support, size, ties = match.sort_key()
+        support, size, ties = match.sort_key()[:3]
         assert support == -0.7
         assert size == 2
         assert ties == (pack_edge(1, 2), pack_edge(2, 3))
@@ -468,3 +474,50 @@ class TestMatchAndMatchList:
         dropped = ml.drop_edges([e1])
         assert dropped == {m1}
         assert m2 in ml
+
+
+def assert_index_matches_arena(matchlist: MatchList, cap: int) -> None:
+    """Rebuild the matchList's vertex index and id table from its arena
+    and hold the live ones to them: buckets equal the rebuilt index as
+    sets, none is empty or holds an id twice, only mandatory single-edge
+    matches take a bucket past ``cap``, and ``_ids`` maps each live
+    match's key to its id and nothing else."""
+    arena = matchlist._arena
+    live = {mid: match for mid, match in enumerate(arena) if match is not None}
+    rebuilt = {}
+    for mid, match in live.items():
+        for vid in match.vertices:
+            rebuilt.setdefault(vid, set()).add(mid)
+    by_vertex = matchlist._by_vertex
+    assert {vid: set(bucket) for vid, bucket in by_vertex.items()} == rebuilt
+    for vid, bucket in by_vertex.items():
+        assert bucket, vid
+        assert len(set(bucket)) == len(bucket), vid
+        # A multi-edge match registers only into buckets below the cap, so
+        # however many single-edge matches arrive later, at most ``cap``
+        # multi-edge ones share a bucket.
+        assert sum(live[mid].num_edges > 1 for mid in bucket) <= cap, vid
+    assert len(matchlist._ids) == len(live)
+    for key, mid in matchlist._ids.items():
+        assert key[-2:] == (live[mid].edges, live[mid].state)
+    assert sorted(matchlist._free + list(live)) == list(range(len(arena)))
+
+
+class TestMatchListIndexOracle:
+    def test_index_equals_the_arena_after_every_benchmark_batch(self):
+        """The 8k benchmark Loom pass (the shape of ``tests/test_loom_pins.py``),
+        checked against :func:`assert_index_matches_arena` after every
+        2048-edge batch and once more after ``finalize``."""
+        dataset, events = bench_loom_input()
+        loom = new_bench_loom(dataset, events)
+        matchlist = loom.matcher.matchlist
+        cap = loom.matcher.max_matches_per_vertex
+        fullest = 0
+        for batch in batched(events, BENCH_BATCH_EDGES):
+            loom.ingest_batch(batch)
+            assert_index_matches_arena(matchlist, cap)
+            fullest = max([fullest, *map(len, matchlist._by_vertex.values())])
+        assert fullest >= cap  # the cap binds on this pass
+        loom.finalize()
+        assert_index_matches_arena(matchlist, cap)
+        assert not matchlist._by_vertex and not matchlist._ids

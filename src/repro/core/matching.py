@@ -33,10 +33,11 @@ against tables the plan pre-computed from the TPSTry++.  Per-state facts
 
 The matchList itself runs on **dense match ids**: every registered match
 gets a small integer handle into an arena
-(:class:`MatchList`), the per-vertex index holds *sets of ints* rather than
+(:class:`MatchList`), the per-vertex index holds *lists of ints* rather than
 sets of :class:`Match` objects, and duplicate detection is one dict probe
-keyed by the match's canonical ``(edges, state)`` pair (the matches
-containing an edge are read off its endpoints' buckets at eviction).
+keyed by the match's sort key, which ends in its canonical ``(edges,
+state)`` pair (the matches containing an edge are read off its endpoints'
+buckets at eviction).
 That keeps Python-level ``__hash__``/``__eq__`` dispatch — which dominated
 the object-keyed matchList — entirely off the per-edge path: every hot
 container operation hashes machine ints or flat int tuples in C.  A match's
@@ -92,6 +93,10 @@ EdgeTuple = Tuple[int, ...]
 """A match's edge set: packed edge keys (see
 :func:`~repro.graph.interning.pack_edge`), sorted ascending (canonical)."""
 
+SortKey = Tuple[float, int, EdgeTuple, int]
+"""A match's ``(-support, |E|, edges, state)``: its eviction/auction order
+and its key in the matchList's id table."""
+
 _NO_MATCHES: Set["Match"] = set()
 """Shared empty result for matchList misses — the lookups run per candidate
 edge, and allocating a fresh ``set()`` default per miss was measurable."""
@@ -112,12 +117,15 @@ class Match:
       per edge, so an id occurs once per edge at it.  ``degree_of`` is one
       C-level ``count`` over it and ``vertices`` its distinct ids in
       first-seen order; no per-match degree map is kept.
-    * ``_sort_key``, the eviction/auction order ``(-support, |E|, edges)``,
-      whose first field is the plan's one float per state
-      (``plan.neg_support``); ``support`` is read back from it.
+    * ``_sort_key``, the eviction/auction order ``(-support, |E|, edges,
+      state)``, whose first field is the plan's one float per state
+      (``plan.neg_support``); ``support`` is read back from it.  The
+      matchList keys its id table by this same tuple: support is a
+      function of the state, so two keys are equal iff their
+      ``(edges, state)`` pairs are.
 
     The hash is computed from ``(edges, state)`` on demand — the
-    matchList's indexes key that tuple, not the match."""
+    matchList's indexes key the sort key, not the match."""
 
     __slots__ = ("edges", "state", "_ends", "_sort_key")
 
@@ -131,8 +139,9 @@ class Match:
         self._ends = tuple(vid for ekey in edges for vid in (ekey >> EDGE_SHIFT, ekey & EDGE_MASK))
         # Support-descending order with deterministic tie-breaks (Sec. 4):
         # smaller matches first among equals, then by the canonical edge
-        # tuple — an integer comparison, stable across runs and hash seeds.
-        self._sort_key: Tuple[float, int, EdgeTuple] = (-support, len(edges), edges)
+        # tuple, then the state — integer comparisons, stable across runs
+        # and hash seeds.
+        self._sort_key: SortKey = (-support, len(edges), edges, state)
 
     @property
     def support(self) -> float:
@@ -165,7 +174,7 @@ class Match:
             and self.edges == other.edges
         )
 
-    def sort_key(self) -> Tuple[float, int, EdgeTuple]:
+    def sort_key(self) -> SortKey:
         """The eviction/auction sort key (see ``_sort_key`` above)."""
         return self._sort_key
 
@@ -177,10 +186,13 @@ class MatchList:
     """The matchList map of Sec. 3, indexed by vertex id.
 
     Internally an **arena**: each live match owns a dense int id; the vertex
-    index (Alg. 2's "matches connected to this edge") holds sets of those
-    ids, and duplicate detection is one dict probe keyed ``(edges, state)``.
-    Eviction's "matches containing this edge" is derived, not stored: such
-    a match holds both endpoints, so it sits in both their buckets
+    index (Alg. 2's "matches connected to this edge") holds a list of those
+    ids per vertex, in registration order and each id once, and duplicate
+    detection is one dict probe keyed by the match's sort key.  Buckets
+    are small (capped, five ids on average at the benchmark's peak), where
+    a list costs a quarter of a set and a scan beats a hash.  Eviction's
+    "matches containing this edge" is derived, not stored: such a match
+    holds both endpoints, so it sits in both their buckets
     (:meth:`_mids_with_edge`).  Hot container operations therefore hash
     ints and int tuples in C — the matcher binds the id-level internals
     directly (in-package inner-loop binding, ARCHITECTURE.md).  The public
@@ -191,7 +203,7 @@ class MatchList:
 
     Per live match the matchList holds the :class:`Match` (its edge tuple,
     endpoint tuple and shared-float sort key), one arena slot, one
-    ``_keys`` slot referencing that same sort key, one ``_ids`` entry and
+    ``_keys`` slot and one ``_ids`` entry keyed by that same sort key, and
     one id in each of its vertices' buckets — nothing else.  The arena and
     the free list keep their high-water length once the window drains:
     the order ids are recycled in decides sort-key ties, so it is kept.
@@ -199,9 +211,9 @@ class MatchList:
 
     def __init__(self) -> None:
         self._arena: List[Optional[Match]] = []
-        self._keys: List[Optional[Tuple[float, int, EdgeTuple]]] = []
-        self._ids: Dict[Tuple[EdgeTuple, int], int] = {}
-        self._by_vertex: Dict[int, Set[int]] = {}
+        self._keys: List[Optional[SortKey]] = []
+        self._ids: Dict[SortKey, int] = {}
+        self._by_vertex: Dict[int, List[int]] = {}
         self._free: List[int] = []
 
     # -- id plumbing (shared with StreamMatcher's inlined register) -------
@@ -215,39 +227,41 @@ class MatchList:
 
     def _install(self, mid: int, match: Match) -> None:
         self._arena[mid] = match
-        self._keys[mid] = match._sort_key
-        self._ids[(match.edges, match.state)] = mid
+        self._keys[mid] = key = match._sort_key
+        self._ids[key] = mid
 
     def _evict_mid(self, mid: int) -> Match:
         """Remove one live match by id from the indexes; returns it."""
         match = self._arena[mid]
         assert match is not None
-        del self._ids[(match.edges, match.state)]
+        del self._ids[match._sort_key]
         by_vertex = self._by_vertex
-        # An id repeats in _ends once per further edge at it; by then its
-        # bucket no longer holds mid (or is gone), so a repeat is a no-op.
-        for vid in match._ends:
-            bucket = by_vertex.get(vid)
-            if bucket is not None:
-                bucket.discard(mid)
-                if not bucket:
-                    del by_vertex[vid]
+        # Each distinct vertex's bucket holds mid exactly once.
+        for vid in match.vertices:
+            bucket = by_vertex[vid]
+            if len(bucket) == 1:
+                del by_vertex[vid]
+            else:
+                bucket.remove(mid)
         self._arena[mid] = None
         self._keys[mid] = None
         self._free.append(mid)
         return match
 
-    def _mids_with_edge(self, ekey: int) -> Set[int]:
-        """Ids of the live matches containing edge ``ekey``: the members of
-        both endpoints' buckets whose edge tuple holds it.  Buckets are
-        capped, so this is one small C intersection per evicted edge, where
-        an edge index cost two set inserts and two discards per match."""
+    def _mids_with_edge(self, ekey: int) -> List[int]:
+        """Ids of the live matches containing edge ``ekey``, in bucket
+        order: a match holding the edge sits in both endpoints' buckets, so
+        the shorter one filtered by edge membership is all of them.
+        Buckets are capped, so this is one short scan per evicted edge,
+        where an edge index cost two inserts and two removals per match."""
         at_u = self._by_vertex.get(ekey >> EDGE_SHIFT)
         at_v = self._by_vertex.get(ekey & EDGE_MASK)
         if not at_u or not at_v:
-            return set()
+            return []
+        if len(at_v) < len(at_u):
+            at_u = at_v
         arena = self._arena
-        return {mid for mid in at_u & at_v if ekey in arena[mid].edges}
+        return [mid for mid in at_u if ekey in arena[mid].edges]
 
     def _evict_edges(
         self, ekeys: Iterable[int], eviction: Optional[Eviction] = None
@@ -269,7 +283,7 @@ class MatchList:
 
     # -- public object-level API ------------------------------------------
     def add(self, match: Match) -> bool:
-        if (match.edges, match.state) in self._ids:
+        if match._sort_key in self._ids:
             return False
         mid = self._alloc_mid()
         self._install(mid, match)
@@ -277,13 +291,13 @@ class MatchList:
         for vid in match.vertices:
             bucket = by_vertex.get(vid)
             if bucket is None:
-                by_vertex[vid] = {mid}
+                by_vertex[vid] = [mid]
             else:
-                bucket.add(mid)
+                bucket.append(mid)
         return True
 
     def discard(self, match: Match) -> None:
-        mid = self._ids.get((match.edges, match.state))
+        mid = self._ids.get(match._sort_key)
         if mid is not None:
             self._evict_mid(mid)
 
@@ -312,7 +326,7 @@ class MatchList:
         return len(self._ids)
 
     def __contains__(self, match: Match) -> bool:
-        return (match.edges, match.state) in self._ids
+        return match._sort_key in self._ids
 
     def all_matches(self) -> Set[Match]:
         return {m for m in self._arena if m is not None}
@@ -525,7 +539,7 @@ class StreamMatcher:
         bucket_u = by_vertex.get(uid)
         bucket_v = by_vertex.get(vid)
         if bucket_u:
-            pool = (bucket_u | bucket_v) if bucket_v else bucket_u
+            pool = set(bucket_u).union(bucket_v) if bucket_v else bucket_u
         else:
             pool = bucket_v
         if not pool:
@@ -699,10 +713,10 @@ class StreamMatcher:
         mandatory: bool = False,
     ) -> Optional[Match]:
         # Inlined MatchList.add fused with the per-vertex cap, on match
-        # ids: duplicates are rejected up front by one canonical-key dict
-        # probe (a duplicate is already registered, so the cap holds for it
-        # by construction), then a single pass inserts the id while
-        # checking bucket sizes, rolling back on a cap hit.  A cap hit is
+        # ids: duplicates are rejected up front by one sort-key dict probe
+        # (a duplicate is already registered, so the cap holds for it by
+        # construction), then a single pass appends the id while checking
+        # bucket sizes, rolling back on a cap hit.  A cap hit is
         # not rare: with the default cap of 64, capped_registrations /
         # matches_created is 0.33–0.35 on the reference graph (the e2e
         # benchmark's core.matching.capped_share; ROADMAP item 3b weighs
@@ -710,11 +724,11 @@ class StreamMatcher:
         # can see are doomed before building them; what reaches here pays
         # one pass on success.  The Match object is only constructed once
         # registration is certain, so duplicate and capped attempts
-        # allocate nothing.
+        # allocate no more than the key.
         edges = tuple(sorted(edges))
         ids = self._ml_ids
-        key = (edges, state)
-        if key in ids:
+        sort_key = (self._neg_support[state], len(edges), edges, state)
+        if sort_key in ids:
             return None
         by_vertex = self._ml_by_vertex
         free = self._ml_free
@@ -726,26 +740,29 @@ class StreamMatcher:
             self._ml_keys.append(None)
         cap = -1 if mandatory else self.max_matches_per_vertex
         inserted = 0
+        # mid is fresh, so it is in no bucket yet, and a bucket this pass
+        # appended it to ends with it: a repeated id reads it at [-1].
         for vid in ends:
             bucket = by_vertex.get(vid)
             if bucket is None:
-                by_vertex[vid] = {mid}
-            elif mid in bucket:
+                by_vertex[vid] = [mid]
+            elif bucket[-1] == mid:
                 continue  # a repeated id: inserted at its first occurrence
             elif cap < 0 or len(bucket) < cap:
-                bucket.add(mid)
+                bucket.append(mid)
             else:
-                # Cap hit: undo this id's inserts (bucket sizes are
+                # Cap hit: undo this id's appends (bucket sizes are
                 # pre-insert sizes for every vertex either way, so the
                 # verdict is identical to a check-then-insert pass).
                 for undo_vid in ends:
                     if inserted == 0:
                         break
                     undo_bucket = by_vertex.get(undo_vid)
-                    if undo_bucket is not None and mid in undo_bucket:
-                        undo_bucket.discard(mid)
-                        if not undo_bucket:
+                    if undo_bucket is not None and undo_bucket[-1] == mid:
+                        if len(undo_bucket) == 1:
                             del by_vertex[undo_vid]
+                        else:
+                            undo_bucket.pop()
                         inserted -= 1
                 free.append(mid)
                 self.stats.capped_registrations += 1
@@ -758,10 +775,10 @@ class StreamMatcher:
         match.edges = edges
         match.state = state
         match._ends = ends
-        match._sort_key = sort_key = (self._neg_support[state], len(edges), edges)
+        match._sort_key = sort_key
         self._ml_arena[mid] = match
         self._ml_keys[mid] = sort_key
-        ids[key] = mid
+        ids[sort_key] = mid
         self.stats.matches_created += 1
         return match
 

@@ -19,10 +19,11 @@ from repro.graph.stream import batched
 
 from helpers import BENCH_BATCH_EDGES, bench_loom_input, new_bench_loom
 
-#: Traced peak ÷ peak live matches on CPython 3.11: 1094 B (5.41 MiB over
-#: 5179 matches); the bound is that plus 10 %.  With a degree map and a
-#: support float per match it read 1260 B.
-BYTES_PER_PEAK_MATCH = 1200
+#: Traced peak ÷ peak live matches on CPython 3.11: 868 B (4.29 MiB over
+#: 5179 matches); the bound is that plus 10 %.  With a set per vertex
+#: bucket and an ``(edges, state)`` id key beside each sort key it read
+#: 1091 B, and with a degree map and a support float per match 1260 B.
+BYTES_PER_PEAK_MATCH = 955
 
 #: Bytes still traced once ``finalize`` returns, partitioner alive: 1.57
 #: MiB on CPython 3.11; the bound is that plus 10 %.  With the emptied

@@ -67,6 +67,7 @@ DEFAULT_ZIPF = 1.1
 DEFAULT_BUDGET_PCT = 2.0
 
 CONFIG_KEYS = ("vertices", "edges", "k", "window", "requests", "zipf", "seed")
+MODES = ("off", "metrics", "trace")
 
 
 def bench_workload() -> Workload:
@@ -136,6 +137,14 @@ def _serve_once(graph, state, workload, requests, args):
     return driver.run(0, requests=requests, system="loom")
 
 
+def mode_order(repeat):
+    """The order the modes run in on repeat ``repeat``: :data:`MODES`
+    rotated by one per repeat, so each mode leads equally often and no
+    mode always runs first after the warm-up or right after another."""
+    shift = repeat % len(MODES)
+    return MODES[shift:] + MODES[:shift]
+
+
 def _mode_row(seconds, work, unit):
     best = min(seconds)
     median = statistics.median(seconds)
@@ -171,20 +180,18 @@ def run(args, baseline=None) -> dict:
     warm_report = _serve_once(graph, state, workload, requests, args)
     serve_totals_off = (warm_report.hops, warm_report.embeddings)
 
-    # Interleave modes per repeat (off, metrics, trace, off, …) so
-    # clock-frequency drift and cache warming hit every mode equally;
-    # components bind their counters (real or NULL) at construction, so
+    # Interleave modes per repeat, rotating which one leads (off, metrics,
+    # trace; metrics, trace, off; …) so clock-frequency drift, cache
+    # warming and position after the warm-up hit every mode equally over
+    # a multiple of three repeats; components bind their counters (real or NULL) at construction, so
     # each call prices exactly the mode in force when it ran.  The ≤2%
     # budget is judged on **metrics** (enabled but unsampled tracing);
     # the trace mode — every serve/hop/batch event recorded — is reported
     # alongside as the price of a full diagnostic run.
-    timings = {
-        leg: {mode: [] for mode in ("off", "metrics", "trace")}
-        for leg in ("ingest", "serving")
-    }
+    timings = {leg: {mode: [] for mode in MODES} for leg in ("ingest", "serving")}
     snapshot = {}
-    for _ in range(repeats):
-        for mode in ("off", "metrics", "trace"):
+    for repeat in range(repeats):
+        for mode in mode_order(repeat):
             if mode != "off":
                 obs.enable(trace=mode == "trace")
             try:
@@ -273,8 +280,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--requests", type=int, default=DEFAULT_REQUESTS)
     parser.add_argument("--zipf", type=float, default=DEFAULT_ZIPF)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--repeats", type=int, default=5,
-                        help="timings per (leg, mode); overhead compares best-of-N")
+    parser.add_argument("--repeats", type=int, default=6,
+                        help="timings per (leg, mode); overhead compares best-of-N; "
+                        "a multiple of three lets each mode lead equally often")
     parser.add_argument("--budget-pct", dest="budget_pct", type=float,
                         default=DEFAULT_BUDGET_PCT,
                         help="the enabled-overhead budget the run is judged against")

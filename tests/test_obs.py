@@ -507,16 +507,21 @@ class TestCliSurfaces:
         assert all(line.startswith("loom.matcher.") for line in lines)
 
 
+def _load_obs_overhead_script():
+    path = Path(__file__).resolve().parent.parent / "benchmarks" / "bench_obs_overhead.py"
+    spec = importlib.util.spec_from_file_location("bench_obs_overhead", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    return script
+
+
 class TestObsOverheadScript:
     def test_reduced_run_keeps_results_and_reports_every_rate(self):
         """``benchmarks/bench_obs_overhead.py``'s ``run()`` raises when obs
         changes the Loom assignment or the served hops / embeddings; a
         reduced single run is too noisy to judge the 2% budget, so only
         the rates are checked."""
-        path = Path(__file__).resolve().parent.parent / "benchmarks" / "bench_obs_overhead.py"
-        spec = importlib.util.spec_from_file_location("bench_obs_overhead", path)
-        script = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(script)
+        script = _load_obs_overhead_script()
         args = script.build_parser().parse_args(
             "--vertices 300 --edges 1800 --window 300 --requests 300 --repeats 1 --seed 0".split()
         )
@@ -524,3 +529,33 @@ class TestObsOverheadScript:
         for leg, unit in (("ingest", "edges_per_sec"), ("serving", "requests_per_sec")):
             for mode in ("off", "metrics", "trace"):
                 assert results[leg][mode][unit] > 0, (leg, mode)
+
+    def test_modes_rotate_per_repeat(self, monkeypatch):
+        """Each repeat starts one mode later than the one before, so over
+        three repeats every mode leads once and none always follows the
+        warm-up; ``run()`` times the ingest leg in exactly that order."""
+        script = _load_obs_overhead_script()
+        orders = [script.mode_order(repeat) for repeat in range(4)]
+        assert orders[:3] == [
+            ("off", "metrics", "trace"),
+            ("metrics", "trace", "off"),
+            ("trace", "off", "metrics"),
+        ]
+        assert orders[3] == orders[0]
+
+        seen = []
+        ingest_once = script._ingest_once
+
+        def recording(*args, **kwargs):
+            if not obs.enabled():
+                seen.append("off")
+            else:
+                seen.append("trace" if obs.tracer().enabled else "metrics")
+            return ingest_once(*args, **kwargs)
+
+        monkeypatch.setattr(script, "_ingest_once", recording)
+        args = script.build_parser().parse_args(
+            "--vertices 150 --edges 600 --window 100 --requests 60 --repeats 3 --seed 0".split()
+        )
+        script.run(args)
+        assert seen == ["off", *orders[0], *orders[1], *orders[2]]  # warm-up first

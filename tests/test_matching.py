@@ -521,3 +521,17 @@ class TestMatchListIndexOracle:
         loom.finalize()
         assert_index_matches_arena(matchlist, cap)
         assert not matchlist._by_vertex and not matchlist._ids
+
+    @pytest.mark.parametrize("cap", [2, 5, 64])
+    def test_index_equals_the_arena_through_cap_rollbacks(self, fig5_workload, cap):
+        """The Fig. 5 workload over a random graph grows matches past two
+        edges, so a cap hit can land after some of a match's buckets took
+        its id and roll them back: the oracle holds after every edge."""
+        graph = make_random_labelled_graph(60, 300, seed=8)
+        m = build_matcher(fig5_workload, 80, max_matches_per_vertex=cap)
+        for event in stream_edges(graph, "bfs", seed=8):
+            m.offer(event)
+            while m.needs_eviction():
+                m.remove_cluster(m.next_eviction().matches[0].edges)
+            assert_index_matches_arena(m.matchlist, cap)
+        assert m.stats.capped_registrations > 0

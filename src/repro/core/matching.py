@@ -189,8 +189,8 @@ class MatchList:
     index (Alg. 2's "matches connected to this edge") holds a list of those
     ids per vertex, in registration order and each id once, and duplicate
     detection is one dict probe keyed by the match's sort key.  Buckets
-    are small (capped, five ids on average at the benchmark's peak), where
-    a list costs a quarter of a set and a scan beats a hash.  Eviction's
+    are small (capped, about five ids at the benchmark's peak), and a
+    list of five costs 120 B where a set costs 728 B.  Eviction's
     "matches containing this edge" is derived, not stored: such a match
     holds both endpoints, so it sits in both their buckets
     (:meth:`_mids_with_edge`).  Hot container operations therefore hash

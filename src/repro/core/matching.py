@@ -539,7 +539,7 @@ class StreamMatcher:
         bucket_u = by_vertex.get(uid)
         bucket_v = by_vertex.get(vid)
         if bucket_u:
-            pool = set(bucket_u).union(bucket_v) if bucket_v else bucket_u
+            pool = {*bucket_u, *bucket_v} if bucket_v else bucket_u
         else:
             pool = bucket_v
         if not pool:

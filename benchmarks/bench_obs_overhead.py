@@ -183,8 +183,9 @@ def run(args, baseline=None) -> dict:
     # Interleave modes per repeat, rotating which one leads (off, metrics,
     # trace; metrics, trace, off; …) so clock-frequency drift, cache
     # warming and position after the warm-up hit every mode equally over
-    # a multiple of three repeats; components bind their counters (real or NULL) at construction, so
-    # each call prices exactly the mode in force when it ran.  The ≤2%
+    # a multiple of three repeats; components bind their counters (real
+    # or NULL) at construction, so each call prices exactly the mode in
+    # force when it ran.  The ≤2%
     # budget is judged on **metrics** (enabled but unsampled tracing);
     # the trace mode — every serve/hop/batch event recorded — is reported
     # alongside as the price of a full diagnostic run.

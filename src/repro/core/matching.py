@@ -65,7 +65,7 @@ worst case on dense, label-homogeneous hubs.  The default of 64 is *not*
 generous: on the reference graph ``capped_registrations / matches_created``
 is 0.33–0.35 (the e2e benchmark's ``core.matching.capped_share``), so every
 quality number this repo reports is Loom under that cap.  Whether the cap
-costs quality is ROADMAP item 3b.
+costs quality is ROADMAP item 8.
 """
 
 from __future__ import annotations
@@ -719,7 +719,7 @@ class StreamMatcher:
         # bucket sizes, rolling back on a cap hit.  A cap hit is
         # not rare: with the default cap of 64, capped_registrations /
         # matches_created is 0.33–0.35 on the reference graph (the e2e
-        # benchmark's core.matching.capped_share; ROADMAP item 3b weighs
+        # benchmark's core.matching.capped_share; ROADMAP item 8 weighs
         # the cap).  The extension loop therefore skips registrations it
         # can see are doomed before building them; what reaches here pays
         # one pass on success.  The Match object is only constructed once

@@ -1,13 +1,13 @@
-"""The live ingest-and-serve cluster — the one multi-process harness.
+"""The serving driver, its shard servers and the transports between them.
 
-:class:`LiveCluster` is the only thing in this package that starts a
-process: one driver owns the streaming partitioner, plan compilation and
-routing; ``num_shards`` long-lived shard servers (:mod:`repro.runtime.server`)
-own the adjacency and the result-cache slice of the partitions with
-``p % num_shards == shard_id`` (:func:`shard_of_partition`).  Everything
-that crosses a queue is declared in :mod:`repro.runtime.messages`; a dead
-or failed server surfaces as :class:`ShardProcessError`
-(:mod:`repro.runtime.liveness`).
+One driver (:mod:`repro.runtime.frontend`) reaches shard servers
+(:mod:`repro.runtime.server`, each owning the partitions with
+``p % num_shards == shard_id``: :func:`shard_of_partition`) through a
+transport (:mod:`repro.runtime.transport`): :class:`LiveCluster` one
+server process per shard, :class:`~repro.serving.engine.ServingEngine`
+one in-process server.  Everything that crosses a transport is declared
+in :mod:`repro.runtime.messages`; a dead or failed server process
+surfaces as :class:`ShardProcessError` (:mod:`repro.runtime.liveness`).
 
 Quickstart (see ``examples/live_serving.py`` for a narrated version)::
 

@@ -259,8 +259,10 @@ class StepRequest(_Wire):
 class StepReply(_Wire):
     """One step's output, server → driver.
 
-    For a root step answered from the shard cache, ``result`` carries the
-    complete :class:`~repro.serving.execution.RootResult` and ``segments`` is
+    For a root step the shard answered whole — from its cache, or, with
+    the cache on, by a fully shard-local execution it just cached —
+    ``result`` carries the complete
+    :class:`~repro.serving.execution.RootResult` and ``segments`` is
     empty; otherwise ``segments`` is the ordered literal/continuation list
     from :func:`~repro.serving.execution.execute_step`.  ``seq`` is the
     server's applied ingest sequence at execution time — the driver only

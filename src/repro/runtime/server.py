@@ -30,12 +30,14 @@ later round.
 The serving logic itself is :class:`ShardServer`, a plain object with no
 process machinery — the protocol tests drive it in-process, and the
 in-process :class:`~repro.serving.engine.ServingEngine` serves through one
-(shard 0 of 1, owning every partition).
+(shard 0 of 1, owning every partition) behind a
+:class:`~repro.runtime.transport.LocalTransport`.
 
 Caching runs shard-local: each server owns the
 :class:`~repro.serving.cache.ResultCache` slice for roots in its owned
-partitions.  Fully-local results are cached at execution time; results
-that needed cross-shard continuations come back from the driver as
+partitions.  Fully-local results are assembled, cached and returned whole
+at execution time; results that needed cross-shard continuations come
+back from the driver as
 :class:`CachePut` messages, **epoch-guarded**: the put carries the ingest
 sequence number every contributing step reported, and the server accepts
 only if that is uniform and still current — a result assembled across an
@@ -221,20 +223,17 @@ class ShardServer:
             segments: Tuple = ()
         else:
             segments = tuple(enumerate_root(self.view, plan, root, request.root_partition))
-        if self.cache is not None and not any(isinstance(s, Continuation) for s in segments):
-            # Fully shard-local: assemble and cache here; results that
-            # needed other shards come back later as a CachePut.
-            embeddings, hops, border = splice_segments(segments)
-            result = RootResult(plan.name, root, tuple(embeddings), hops, border)
-            self.cache.put((plan.name, root), result)
-        return StepReply(
-            request.request_id,
-            0,
-            self.shard_id,
-            self.seq,
-            segments,
-            cached=False if self.cache is not None else None,
-        )
+        if self.cache is None:
+            return StepReply(request.request_id, 0, self.shard_id, self.seq, segments)
+        if any(isinstance(s, Continuation) for s in segments):
+            # Other shards must finish it; the driver's assembled result
+            # comes back later as a CachePut.
+            return StepReply(request.request_id, 0, self.shard_id, self.seq, segments, False)
+        # Fully shard-local: assemble once, cache it and reply with it.
+        embeddings, hops, border = splice_segments(segments)
+        result = RootResult(plan.name, root, tuple(embeddings), hops, border)
+        self.cache.put((plan.name, root), result)
+        return StepReply(request.request_id, 0, self.shard_id, self.seq, (), False, result)
 
     def handle_step(self, request: StepRequest) -> StepReply:
         """Execute a handed-off DFS subtree — the receiving end of a hop."""

@@ -10,11 +10,12 @@ partitions a query starts in; one step executor
 charges an explicit **hop** whenever expansion follows a border edge — on
 full enumeration the hop total of a query is bit-identical to the
 executor's ``cut_traversals``.  The engine (:mod:`repro.serving.engine`)
-runs that through one in-process shard server, with a ``(query, root)``
-result cache (:mod:`repro.serving.cache`) that composes with
-``StreamingPartitioner.ingest_batch``, and one traffic driver
-(:mod:`repro.serving.traffic`) measures wall-clock throughput and latency
-percentiles against the engine or a live shard cluster alike.
+runs :mod:`repro.runtime`'s one serving driver over one in-process shard
+server, with a ``(query, root)`` result cache (:mod:`repro.serving.cache`)
+that composes with ``StreamingPartitioner.ingest_batch``; a
+:class:`~repro.runtime.live.LiveCluster` runs the same driver over shard
+processes.  One traffic driver (:mod:`repro.serving.traffic`) measures
+wall-clock throughput and latency percentiles against either alike.
 
 Quickstart (see ``examples/serving_demo.py`` for a narrated version)::
 
@@ -27,7 +28,6 @@ Quickstart (see ``examples/serving_demo.py`` for a narrated version)::
 """
 
 from repro.serving.cache import ResultCache
-from repro.serving.engine import QueryServeReport, ServeReport, ServingEngine
 from repro.serving.execution import RootResult
 from repro.serving.router import Router, available_routers, create_router
 from repro.serving.stores import RoutingIndex, ShardStores
@@ -48,3 +48,17 @@ __all__ = [
     "create_router",
     "sample_requests",
 ]
+
+#: Names of :mod:`repro.serving.engine`, imported on first use: the engine
+#: is a deployment of :mod:`repro.runtime`'s driver, which is built on this
+#: package's kernels, so importing it here would make the two packages'
+#: import order matter.
+_ENGINE_NAMES = frozenset({"QueryServeReport", "ServeReport", "ServingEngine"})
+
+
+def __getattr__(name: str):
+    if name in _ENGINE_NAMES:
+        from repro.serving import engine
+
+        return getattr(engine, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

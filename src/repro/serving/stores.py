@@ -18,7 +18,7 @@ Each visible edge is held once per endpoint, in the endpoints' sorted
 neighbour lists, and nowhere else: edge membership is a bisection of one
 endpoint's list.  The routing index keeps no adjacency and therefore no
 edge set; it relies on the front end (:meth:`ServingFrontEnd.ingest
-<repro.serving.engine.ServingFrontEnd.ingest>`) forwarding each edge once,
+<repro.runtime.frontend.ServingFrontEnd.ingest>`) forwarding each edge once,
 which the graph's own ``add_edge`` decides.
 
 The index is **online**: :meth:`RoutingIndex.ingest_edge` admits a
@@ -223,7 +223,7 @@ class RoutingIndex:
         """Admit one streamed edge if both endpoints are placed.
 
         Each edge once; the front end dedups.  :meth:`ServingFrontEnd.ingest
-        <repro.serving.engine.ServingFrontEnd.ingest>` forwards only the
+        <repro.runtime.frontend.ServingFrontEnd.ingest>` forwards only the
         events its graph reports new, so this index keeps no edge set.
         Returns the visible ``(uid, vid)`` id pair when the edge entered the
         index, ``None`` when it parked in the pending buffer (unknown or

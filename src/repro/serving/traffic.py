@@ -3,13 +3,14 @@
 Models the ROADMAP's "heavy traffic" scenario at benchmark scale: one
 :class:`TrafficDriver` issues ``(query, root)`` requests — each one user
 asking for the embeddings of one workload query rooted at one vertex —
-against any :class:`~repro.serving.engine.ServingFrontEnd` through its
-request protocol, ``submit`` / ``poll_completed``.  The in-process
-:class:`~repro.serving.engine.ServingEngine` serves its queue one request
-per poll, oldest first; a :class:`~repro.runtime.live.LiveCluster`
-pipelines requests across shard processes.  Either way every number is
-wall clock: a hop costs what it actually cost, a function call in process
-or a message between processes.
+against any :class:`~repro.runtime.frontend.ServingFrontEnd` through its
+request protocol, ``submit`` / ``poll_completed``.  Both deployments run
+that protocol in the one driver; the in-process
+:class:`~repro.serving.engine.ServingEngine`'s transport answers one
+request per poll, oldest first, while a
+:class:`~repro.runtime.live.LiveCluster` pipelines requests across shard
+processes.  Either way every number is wall clock: a hop costs what it
+actually cost, a function call in process or a message between processes.
 
 Sampling is frequency-weighted and deterministic: queries are drawn by
 their workload frequency, roots by an optional Zipf skew over each query's
@@ -26,11 +27,13 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
-from repro.serving.engine import ServingFrontEnd
 from repro.serving.execution import RootResult
+
+if TYPE_CHECKING:  # the driver is built on this package's kernels
+    from repro.runtime.frontend import ServingFrontEnd
 
 
 def percentile(sorted_values: Sequence[float], q: float) -> float:

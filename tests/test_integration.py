@@ -107,13 +107,20 @@ class TestWorkloadSensitivity:
         assert state_a.assignment() != state_b.assignment()
 
 
-# The engine serves through repro.runtime's shard server while repro.runtime
-# imports the engine's front end: whether a module-level cycle between them
+# The engine is a deployment of repro.runtime's front end, which is built on
+# repro.serving's kernels: whether a module-level cycle between the packages
 # fails depends on which module a process imports first, so each entry
 # point goes first in a fresh interpreter of its own.
 @pytest.mark.parametrize(
     "module",
-    ["repro.serving.engine", "repro.serving", "repro.runtime.server", "repro.runtime.live"],
+    [
+        "repro.serving.engine",
+        "repro.serving",
+        "repro.runtime.server",
+        "repro.runtime.live",
+        "repro.runtime.frontend",
+        "repro.runtime.transport",
+    ],
 )
 def test_each_serving_entry_point_imports_first(module):
     src = str(Path(__file__).resolve().parent.parent / "src")

@@ -348,6 +348,60 @@ def test_unplaced_root_short_circuits():
         assert result.embeddings == () and result.hops == 0
 
 
+def _lock_step(frontend, requests):
+    """Serve ``requests`` one at a time through the request protocol:
+    ``(query, root, embeddings, hops, cached)`` per request."""
+    answers = []
+    for name, root in requests:
+        request_id = frontend.submit(name, root)
+        ((done, result, cached),) = frontend.poll_completed()
+        assert done == request_id
+        answers.append((name, root, result.embeddings, result.hops, cached))
+    return answers
+
+
+def _cache_totals(frontend):
+    caches = [shard.cache_stats for shard in frontend.shard_stats()]
+    return {key: sum(c[key] for c in caches) for key in ("entries", "hits", "misses")}
+
+
+def test_unplaced_roots_follow_one_rule_on_every_back_end():
+    """A root that is negative, never interned or interned but still in
+    Loom's window is answered by the driver on the engine and on a 1- and
+    2-shard cluster alike: empty, 0 hops, no shard contacted, no cache
+    entry, neither a hit nor a miss — while placed roots miss, then hit."""
+    graph, workload = _random_case()
+    events = list(stream_edges(graph, "random", seed=3))
+    state = PartitionState.for_graph(4, graph.num_vertices)
+    partitioner = registry.create(
+        "loom", state, graph=graph, workload=workload, window_size=20, seed=0
+    )
+    partitioner.ingest_batch(events[:100])
+    streamed = LabelledGraph("live")
+    for event in events[:100]:
+        streamed.add_edge(event.u, event.v, event.u_label, event.v_label)
+    windowed = [vid for vid in range(len(state.interner)) if state.partition_of_id(vid) < 0]
+    assert windowed, "the window holds no vertex"
+
+    engine = ServingEngine(streamed, state, workload, cache=True)
+    requests = []
+    for name in engine.query_names():
+        placed = engine.root_candidates(name)[:3]
+        requests += [(name, root) for root in placed + [-1, 10**6, -1] + windowed[:2] + placed]
+    expected = _lock_step(engine, requests)
+    unplaced = [row for row in expected if row[1] < 0 or row[1] >= 10**6 or row[1] in windowed]
+    assert [row[2:] for row in unplaced] == [((), 0, None)] * 5 * len(engine.query_names())
+    flags = [row[4] for row in expected if row not in unplaced]
+    assert flags.count(True) == flags.count(False) > 0
+    misses = flags.count(False)
+    totals = {"entries": misses, "hits": flags.count(True), "misses": misses}
+    assert _cache_totals(engine) == totals
+    for num_shards in (1, 2):
+        with LiveCluster(streamed, state, workload, num_shards=num_shards) as cluster:
+            assert _lock_step(cluster, requests) == expected, num_shards
+            assert _cache_totals(cluster) == totals, num_shards
+
+
 def _offline_root_answer(server, name, root):
     """``(embeddings, hops)`` the offline executor's enumeration gives one
     root: the query's embeddings in the *visible* graph (edges with both
@@ -567,21 +621,32 @@ def test_spawn_boot_matches_fork():
 # ----------------------------------------------------------------------
 # Rounds before the first request: nothing cached, nothing to invalidate
 # ----------------------------------------------------------------------
+class _Tap:
+    """A transport that records every message through it, both ways."""
+
+    def __init__(self, transport):
+        self.transport, self.sent, self.received = transport, [], []
+
+    def put(self, shard, message):
+        self.sent.append(message)
+        self.transport.put(shard, message)
+
+    def next_message(self, deadline, soft=False):
+        message = self.transport.next_message(deadline, soft)
+        self.received.append(message)
+        return message
+
+    def __getattr__(self, name):  # queue_depths, close
+        return getattr(self.transport, name)
+
+
 class _TappedCluster(LiveCluster):
     """Records every message the driver sends and receives, boot included."""
 
-    def __init__(self, *args, **kwargs):
-        self.sent, self.received = [], []
-        super().__init__(*args, **kwargs)
-
-    def _put(self, queues, shard, item):
-        self.sent.append(item)
-        super()._put(queues, shard, item)
-
-    def _next_message(self, deadline, soft=False):
-        message = super()._next_message(deadline, soft)
-        self.received.append(message)
-        return message
+    def _boot(self, transport):
+        tap = _Tap(transport)
+        self.sent, self.received = tap.sent, tap.received
+        super()._boot(tap)
 
 
 def _wave_traffic(cluster):
@@ -732,7 +797,7 @@ def test_killed_server_raises_with_signal_name_quickly():
     with LiveCluster(graph, state, workload, num_shards=2) as cluster:
         driver = TrafficDriver(cluster, seed=2)
         requests = driver.sample(200)
-        victim = cluster._servers[0]
+        victim = cluster._transport._servers[0]
         os.kill(victim.pid, signal.SIGKILL)
         start = time.monotonic()
         with pytest.raises(ShardProcessError) as excinfo:
@@ -794,7 +859,7 @@ def test_poison_message_surfaces_remote_traceback():
     graph, workload = _random_case()
     state = _partition("ldg", graph, workload, k=4)
     with LiveCluster(graph, state, workload, num_shards=2) as cluster:
-        cluster._request_queues[0].put("not a wire message")
+        cluster._transport._request_queues[0].put("not a wire message")
         with pytest.raises(ShardProcessError) as excinfo:
             # Keep serving until the failure envelope comes back.
             deadline = time.monotonic() + 30.0
@@ -906,6 +971,8 @@ def test_detlint_mp_pickle_scope_covers_live_modules():
         "src/repro/runtime/server.py",
         "src/repro/runtime/live.py",
         "src/repro/runtime/messages.py",
+        "src/repro/runtime/frontend.py",
+        "src/repro/runtime/transport.py",
     ):
         assert rule_applies("MP-pickle", path), path
 

@@ -5,6 +5,9 @@ state under test so match ids index its assignment vector, exactly as the
 matcher-sharing Loom pipeline does.
 """
 
+import math
+import random
+
 import pytest
 
 from repro.core.allocation import EqualOpportunism
@@ -244,3 +247,63 @@ class TestAllocate:
         assignment = state.assignment()
         assert sum(1 for v in (9, 10, 2) if assignment[v] == 0) == 1  # spill happened
         assert assignment[9] == 0  # id order: 9 takes the last slot, 10 and 2 spill
+
+
+class TestAllocateOracle:
+    """``allocate`` scores every partition in one pass over the cluster;
+    :meth:`~EqualOpportunism.bid` and :meth:`~EqualOpportunism.ration` are
+    the per-partition forms of Eqs. 1 and 2.  The two must agree exactly:
+    partition ``i``'s bid is the sum of its per-match bids over the prefix
+    its ration allows, in support order."""
+
+    SUPPORTS = (1.0, 0.75, 0.6, 0.45, 1.0 / 3.0, 0.2)
+
+    def _case(self, rng: random.Random):
+        k = rng.randint(2, 6)
+        capacity = rng.randint(4, 40)
+        state = PartitionState(k, capacity)
+        pool = list(range(rng.randint(3, 16)))
+        # Some cluster vertices are placed already (the overlap N), the
+        # rest of each partition's size is padding (only |V(Si)| counts).
+        for v in pool:
+            if rng.random() < 0.4:
+                p = rng.randrange(k)
+                if state.size(p) < capacity:
+                    state.assign(v, p)
+        for p in range(k):
+            target = rng.randint(0, capacity)
+            pad = 0
+            while state.size(p) < target:
+                state.assign(("pad", p, pad), p)
+                pad += 1
+        matches = []
+        for _ in range(rng.randint(1, 8)):
+            pairs = set()
+            for _ in range(rng.randint(1, 4)):
+                u, v = rng.sample(pool, 2)
+                pairs.add((u, v))
+            matches.append(
+                Match(
+                    frozenset(pack_edge(state.intern(u), state.intern(v)) for u, v in pairs),
+                    0,
+                    rng.choice(self.SUPPORTS),
+                )
+            )
+        matches.sort(key=lambda m: m._sort_key)
+        return state, matches
+
+    def test_bids_equal_rationed_prefix_sums(self):
+        rng = random.Random(20260727)
+        binding = 0
+        for _ in range(400):
+            state, matches = self._case(rng)
+            eo = EqualOpportunism(state)
+            expected = []
+            for i in range(state.k):
+                r = eo.ration(i)
+                prefix = len(matches) if r >= 1.0 else math.ceil(r * len(matches))
+                binding += prefix < len(matches)
+                expected.append(sum(eo.bid(i, m) for m in matches[:prefix]))
+            decision = eo.allocate(matches)
+            assert decision.bids == expected
+        assert binding > 100  # the rationed prefixes are exercised, not just full ones

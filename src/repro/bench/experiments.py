@@ -280,7 +280,7 @@ def ablation(
     scale: float = 1.0,
     order: str = "random",
 ) -> ExperimentResult:
-    """Loom design-choice ablations: deferral, rationing, support weighting, bids."""
+    """Loom design-choice ablations: deferral, window size, match cap."""
     n = num_vertices if num_vertices is not None else DEFAULT_SIZES.get(dataset, 3_200)
     n = max(300, int(n * scale))
     ds = load_dataset(dataset, n, seed)
@@ -292,9 +292,6 @@ def ablation(
     variants: Dict[str, Dict] = {
         "loom (full)": {},
         "no deferral": {"defer_motif_vertices": False},
-        "no rationing (l=1)": {"rationing_enabled": False},
-        "no support weighting": {"support_weighting": False},
-        "neighbor-aware bids": {"neighbor_aware_bids": True},
         "tiny window": {},  # window handled below
         "low match cap": {"max_matches_per_vertex": 4},
     }

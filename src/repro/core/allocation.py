@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.matching import Match
 from repro.partitioning.state import PartitionState
@@ -38,9 +38,6 @@ FallbackChooser = Callable[[Set[int]], int]
 
 DEFAULT_ALPHA = 2.0 / 3.0
 """The paper's empirically chosen rationing aggression (Sec. 4)."""
-
-DEFAULT_BALANCE_CAP = 1.1
-"""Maximum imbalance ``b`` — emulates Fennel's ν = 1.1 (Sec. 4)."""
 
 
 @dataclass
@@ -72,19 +69,9 @@ class EqualOpportunism:
     silently.  Build such matchers with ``interner=state.interner``.
     """
 
-    def __init__(
-        self,
-        state: PartitionState,
-        alpha: float = DEFAULT_ALPHA,
-        balance_cap: float = DEFAULT_BALANCE_CAP,
-        rationing_enabled: bool = True,
-        support_weighting: bool = True,
-        neighbor_ids_fn: Optional[Callable[[int], Iterable[int]]] = None,
-    ) -> None:
+    def __init__(self, state: PartitionState, alpha: float = DEFAULT_ALPHA) -> None:
         if not 0.0 < alpha <= 1.0:
             raise ValueError("alpha must lie in (0, 1]")
-        if balance_cap < 1.0:
-            raise ValueError("balance_cap must be at least 1")
         self.state = state
         # Live view of the interned state, bound once: the auction scores
         # every match of every eviction, so per-vertex method dispatch here
@@ -92,21 +79,24 @@ class EqualOpportunism:
         # vertex → id translation happens per auction at all.
         self._assignment = state.assignment_vector
         self.alpha = alpha
-        self.balance_cap = balance_cap
-        # Ablation switches (both True reproduces the paper's heuristic).
-        self.rationing_enabled = rationing_enabled
-        self.support_weighting = support_weighting
-        # N(Si, Ek) generalises LDG's N (paper footnote 8).  With a
-        # neighbour function the overlap counts the match's assigned
-        # vertices *plus* edges from the match into Si — the "most incident
-        # edges" reading of Sec. 4's naive strategy; without one it counts
-        # only the match's own assigned vertices (the literal Eq. 1).
-        # Loom's neighbour-aware ablation passes its id adjacency here.
-        self.neighbor_ids_fn = neighbor_ids_fn
 
     # ------------------------------------------------------------------
     # Eq. 2: the rationing function l
     # ------------------------------------------------------------------
+    def _rations(self) -> List[float]:
+        """``l(Si)`` for every partition at once: one sizes read and one
+        ``min()`` — the form the auction uses, :meth:`ration` one entry of it."""
+        sizes = self.state._sizes
+        capacity = self.state.capacity
+        smallest = max(min(sizes), 1)
+        alpha = self.alpha
+        return [
+            0.0
+            if size >= capacity
+            else (1.0 if size <= smallest else min(1.0, alpha * smallest / size))
+            for size in sizes
+        ]
+
     def ration(self, partition: int) -> float:
         """``l(Si)`` ∈ [0, 1]: how much of a cluster ``Si`` may bid on.
 
@@ -119,57 +109,19 @@ class EqualOpportunism:
         inverse relative size.  The smallest size is floored at 1 so a
         cold-start state rations nobody out.
         """
-        if not self.rationing_enabled:
-            return 1.0
-        size = self.state.size(partition)
-        if self.state.is_full(partition):
-            return 0.0
-        smallest = max(self.state.min_size(), 1)
-        if size <= smallest:
-            return 1.0
-        return min(1.0, self.alpha * smallest / size)
+        return self._rations()[partition]
 
     # ------------------------------------------------------------------
     # Eq. 1: bids
     # ------------------------------------------------------------------
-    def _overlap_counts(self, match_ids: Dict[int, None]) -> List[int]:
-        """``N(Si, Ek)`` for every partition at once, given a match's
-        distinct ids (``match.vertices``).
-
-        Counts the match's own assigned vertices and, when a neighbour
-        function is available, the assigned neighbours of the match — one
-        count per distinct vertex, like LDG counts a vertex's placed
-        neighbours.  Match vertices *are* interner ids, so the base count
-        is a direct index into the assignment vector.
-        """
-        counts = [0] * self.state.k
-        assignment = self._assignment
-        n = len(assignment)
-        for vid in match_ids:
-            if vid < n:
-                p = assignment[vid]
-                if p >= 0:
-                    counts[p] += 1
-        if self.neighbor_ids_fn is not None:
-            seen_ids: Set[int] = set()
-            for vid in match_ids:
-                for wid in self.neighbor_ids_fn(vid):
-                    if wid not in match_ids and wid not in seen_ids:
-                        seen_ids.add(wid)
-                        if wid < n:
-                            p = assignment[wid]
-                            if p >= 0:
-                                counts[p] += 1
-        return counts
-
     def bid(self, partition: int, match: Match) -> float:
-        """``bid(Si, ⟨Ek, mk⟩)`` — Eq. 1."""
-        overlap = self._overlap_counts(match.vertices)[partition]
+        """``bid(Si, ⟨Ek, mk⟩)`` — Eq. 1, where ``N(Si, Ek)`` counts the
+        match's own vertices already in ``Si`` (match vertices *are*
+        interner ids)."""
+        overlap = self.state.count_ids_in_partition(match.vertices, partition)
         if overlap == 0:
             return 0.0
-        residual = self.state.residual_capacity(partition)
-        support = match.support if self.support_weighting else 1.0
-        return overlap * residual * support
+        return overlap * self.state.residual_capacity(partition) * match.support
 
     # ------------------------------------------------------------------
     # Eq. 3: the auction
@@ -196,25 +148,13 @@ class EqualOpportunism:
             raise ValueError("allocate requires at least one match")
 
         total = len(matches)
-        # Inlined Eq. 2 (same arithmetic as :meth:`ration`): one sizes
-        # read and one min() instead of k of each, per auction.  The live
-        # size list is only read before any assignment below mutates it.
+        # The live size list is only read before any assignment below
+        # mutates it.
         k = self.state.k
         sizes = self.state._sizes
         capacity = self.state.capacity
-        if self.rationing_enabled:
-            smallest = max(min(sizes), 1)
-            alpha = self.alpha
-            rations = [
-                0.0
-                if size >= capacity
-                else (1.0 if size <= smallest else min(1.0, alpha * smallest / size))
-                for size in sizes
-            ]
-        else:
-            rations = [1.0] * k
         prefix_lengths = [
-            total if r >= 1.0 else math.ceil(r * total) for r in rations
+            total if r >= 1.0 else math.ceil(r * total) for r in self._rations()
         ]
         # Bids only look at each partition's rationed prefix, so overlap
         # counts beyond the longest prefix are never read — and Me can be
@@ -222,42 +162,32 @@ class EqualOpportunism:
         # matches accumulates every partition's running prefix total;
         # partition i's bid is then the row at its own prefix length.  The
         # term grouping ((overlap · residual) · support) and the ascending
-        # summation order are those of the per-partition sums this
-        # replaces, so the bids are bit-identical, k× cheaper.  Zero-count
+        # summation order are those of summing :meth:`bid` over the prefix,
+        # so the bids are bit-identical, k× cheaper.  Zero-count
         # partitions contribute an exact 0.0 term and are skipped, so the
         # overlaps are accumulated sparsely (matches touch few partitions).
         # Each scored match's distinct ids are built once and kept: the
         # assigned matches are a prefix of the scored ones.
         scored = max(max(prefix_lengths), 1)
         residuals = [max(0.0, 1.0 - size / capacity) for size in sizes]
-        support_weighting = self.support_weighting
-        sparse_overlaps = self.neighbor_ids_fn is None
-        overlap_counts = self._overlap_counts
         assignment = self._assignment
         n = len(assignment)
         row: List[float] = [0.0] * k
         prefix_rows: List[List[float]] = [row]
         scored_ids: List[Dict[int, None]] = []
         for m in matches[:scored]:
-            support = m.support if support_weighting else 1.0
+            support = m.support
             match_ids = m.vertices
             scored_ids.append(match_ids)
             row = row[:]
-            if sparse_overlaps:
-                counts: Dict[int, int] = {}
-                for vid in match_ids:
-                    if vid < n:
-                        p = assignment[vid]
-                        if p >= 0:
-                            counts[p] = counts.get(p, 0) + 1
-                for p, c in counts.items():
-                    row[p] += c * residuals[p] * support
-            else:
-                full_counts = overlap_counts(match_ids)
-                for p in range(k):
-                    c = full_counts[p]
-                    if c:
-                        row[p] += c * residuals[p] * support
+            counts: Dict[int, int] = {}
+            for vid in match_ids:
+                if vid < n:
+                    p = assignment[vid]
+                    if p >= 0:
+                        counts[p] = counts.get(p, 0) + 1
+            for p, c in counts.items():
+                row[p] += c * residuals[p] * support
             prefix_rows.append(row)
         bids: List[float] = [prefix_rows[prefix_lengths[i]][i] for i in range(k)]
 
@@ -304,10 +234,8 @@ class EqualOpportunism:
             fallback=fallback,
         )
 
-    def _pick_winner(self, bids: List[float], sizes: Optional[List[int]] = None) -> int:
+    def _pick_winner(self, bids: List[float], sizes: List[int]) -> int:
         """Highest bid; ties go to the smaller partition, then lower index."""
-        if sizes is None:
-            sizes = self.state.sizes()
         best = 0
         best_key: Optional[Tuple[float, int, int]] = None
         for i, b in enumerate(bids):

@@ -25,7 +25,9 @@ vertex placement for a workload ``Q`` of pattern-matching queries:
 4. When the stream ends, :meth:`finalize` drains the window through the same
    eviction path, then LDG-places whatever is still parked.
 
-The defaults mirror the paper: α = 2/3, b = 1.1, p = 251, T = 40%.
+The defaults mirror the paper: α = 2/3, p = 251, T = 40%; b = 1.1 is
+:class:`~repro.partitioning.state.PartitionState`'s ``imbalance`` (the
+``for_graph`` default), which sets the capacity ``C`` bids and rations read.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set
 
-from repro.core.allocation import DEFAULT_ALPHA, DEFAULT_BALANCE_CAP, EqualOpportunism
+from repro.core.allocation import DEFAULT_ALPHA, EqualOpportunism
 from repro.core.matching import StreamMatcher
 from repro.core.motifs import MotifIndex
 from repro.core.signature import DEFAULT_PRIME, SignatureScheme
@@ -67,12 +69,8 @@ class LoomPartitioner(StreamingPartitioner):
         prime: int = DEFAULT_PRIME,
         seed: int = 0,
         alpha: float = DEFAULT_ALPHA,
-        balance_cap: float = DEFAULT_BALANCE_CAP,
         max_matches_per_vertex: int = 64,
         scheme: Optional[SignatureScheme] = None,
-        rationing_enabled: bool = True,
-        support_weighting: bool = True,
-        neighbor_aware_bids: bool = False,
         defer_motif_vertices: bool = True,
     ) -> None:
         super().__init__(state)
@@ -93,12 +91,12 @@ class LoomPartitioner(StreamingPartitioner):
         )
         # Seen-so-far adjacency over interned ids, for vertices whose label
         # occurs in a motif: only those can wait (parked or windowed) for a
-        # later LDG placement, and only those reach the zero-bid fallback
-        # and the neighbour-aware bids.  Any other vertex is placed at its
-        # first edge, over that edge's far endpoint.  The one structure here
-        # that grows with the stream (ARCHITECTURE.md, "Resident state"), so
-        # a list: every motif-label edge appends, while reads are rare and
-        # deduplicate (a raw stream may repeat an edge).
+        # later LDG placement, and only those reach the zero-bid fallback.
+        # Any other vertex is placed at its first edge, over that edge's far
+        # endpoint.  The one structure here that grows with the stream
+        # (ARCHITECTURE.md, "Resident state"), so a list: every motif-label
+        # edge appends, while reads are rare and deduplicate (a raw stream
+        # may repeat an edge).
         self._adj: Dict[int, List[int]] = {}
         # Live views bound once for the per-event fast path (in-package
         # inner-loop binding, ARCHITECTURE.md): the assignment vector grows
@@ -117,19 +115,7 @@ class LoomPartitioner(StreamingPartitioner):
         self._park_labels: FrozenSet[str] = (
             self.plan.motif_labels if defer_motif_vertices else frozenset()
         )
-        # The literal Eq. 1 (vertex overlap) measures best and is the
-        # default; neighbour-aware bids are kept as an ablation (footnote 8
-        # reading — see repro.bench.experiments.ablation).
-        self.allocator = EqualOpportunism(
-            state,
-            alpha=alpha,
-            balance_cap=balance_cap,
-            rationing_enabled=rationing_enabled,
-            support_weighting=support_weighting,
-            neighbor_ids_fn=(
-                (lambda vid: self._adj.get(vid, ())) if neighbor_aware_bids else None
-            ),
-        )
+        self.allocator = EqualOpportunism(state, alpha=alpha)
         self.stats = {
             # Non-motif *edges* that bypassed the window; either endpoint may
             # have been placed earlier, be held by the window, or be parked.

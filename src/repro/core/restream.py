@@ -7,8 +7,10 @@ workload-aware repartitioner, or "some form of restreaming approach [11]"
 implements the restreaming remedy on top of the existing machinery:
 
 * :func:`restream` replays a graph stream through a *fresh* partitioner
-  whose placement decisions are biased toward the previous assignment by a
-  stickiness weight, trading migration volume against ipt improvement;
+  whose LDG placements are biased toward the previous assignment by a
+  stickiness weight, trading migration volume against ipt improvement
+  (the motif clusters' auction is Eqs. 1–3 unbiased, so a vertex a cluster
+  takes goes wherever its workload signal says);
 * :class:`RestreamedLoom` wires that into Loom so a drifted workload can be
   re-optimised without starting from scratch;
 * :func:`migration_volume` quantifies how many vertices moved — the cost a
@@ -82,14 +84,15 @@ def migration_volume(old: PartitionState, new: PartitionState) -> int:
 
 
 class _StickyLoom(LoomPartitioner):
-    """Loom whose LDG placement and cluster auction are biased toward a
-    previous assignment.  Only the placement choice differs: which vertices
-    are placed at once, parked or left to the window is the base class's.
+    """Loom whose LDG placement is biased toward a previous assignment.
+    Only that choice differs: which vertices are placed at once, parked or
+    left to the window is the base class's, and the cluster auction is the
+    base class's too — stickiness never enters a bid.
 
-    Stickiness is implemented as phantom neighbours: when scoring a vertex
-    (or a cluster), its previous partition receives ``stickiness`` extra
-    overlap votes, so ties and weak preferences resolve toward staying put
-    while strong workload signals can still move vertices.
+    Stickiness is implemented as phantom neighbours: when LDG places a
+    vertex, its previous partition receives ``stickiness`` extra neighbour
+    votes, so ties and weak preferences resolve toward staying put while
+    strong neighbourhood signals can still move vertices.
     """
 
     name = "loom-restream"
@@ -107,21 +110,6 @@ class _StickyLoom(LoomPartitioner):
             raise ValueError("stickiness must be non-negative")
         self._previous = previous
         self._stickiness = stickiness
-        base_counts = self.allocator._overlap_counts
-
-        def sticky_counts(match_ids):
-            # Match vertices are interner ids (shared with the fresh
-            # state); the previous assignment is vertex-keyed, so resolve
-            # through the interner at this boundary only.
-            counts = base_counts(match_ids)
-            vertex = self.state.interner.vertex
-            for vid in match_ids:
-                prev = self._previous.get(vertex(vid))
-                if prev is not None and not self.state.is_assigned_id(vid):
-                    counts[prev] += self._stickiness
-            return counts
-
-        self.allocator._overlap_counts = sticky_counts  # type: ignore[method-assign]
 
     def _place_now(self, v: Vertex, vid: int, neighbor_ids: Iterable[int]) -> None:
         prev = self._previous.get(v)

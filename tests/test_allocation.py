@@ -71,19 +71,10 @@ class TestRation:
         eo = EqualOpportunism(state)
         assert eo.ration(0) == 0.0
 
-    def test_rationing_disabled(self, ab_node):
-        state = PartitionState(2, 1000)
-        for v in range(40):
-            state.assign(v, 0)
-        eo = EqualOpportunism(state, rationing_enabled=False)
-        assert eo.ration(0) == 1.0
-
     def test_alpha_validation(self):
         state = PartitionState(2, 10)
         with pytest.raises(ValueError):
             EqualOpportunism(state, alpha=0.0)
-        with pytest.raises(ValueError):
-            EqualOpportunism(state, balance_cap=0.9)
 
 
 class TestBid:
@@ -100,38 +91,6 @@ class TestBid:
         state = PartitionState(2, 10)
         eo = EqualOpportunism(state)
         assert eo.bid(0, single_match(state, ab_node)) == 0.0
-
-    def test_support_weighting_off(self, abc_node):
-        state = PartitionState(2, 10)
-        state.assign(1, 0)
-        match = id_match(state, abc_node, (1, 2), (2, 3))
-        on = EqualOpportunism(state, support_weighting=True).bid(0, match)
-        off = EqualOpportunism(state, support_weighting=False).bid(0, match)
-        assert on == pytest.approx(off * abc_node.support)
-
-    def test_neighbor_aware_bid_counts_adjacency(self, ab_node):
-        """Each distinct placed neighbour counts once, however many match
-        vertices it touches; the match's own vertices are not neighbours."""
-        state = PartitionState(2, 10)
-        state.assign(99, 0)  # adjacent to both match vertices, already placed
-        match = single_match(state, ab_node)
-        uid, vid, nid = (state.interner.id_of(x) for x in (1, 2, 99))
-        adj = {uid: {vid, nid}, vid: {uid, nid}}
-        eo = EqualOpportunism(state, neighbor_ids_fn=lambda i: adj.get(i, ()))
-        assert eo._overlap_counts(match.vertices) == [1, 0]
-        state.assign(2, 1)  # a match vertex: counted as assigned, not as adjacent
-        assert eo._overlap_counts(match.vertices) == [1, 1]
-
-    def test_neighbor_ids_fn_counts_adjacency(self, ab_node):
-        """The id-keyed twin of the neighbour-aware bid (Loom's path)."""
-        state = PartitionState(2, 10)
-        state.assign(99, 0)
-        nid = state.interner.id_of(99)
-        match = single_match(state, ab_node)
-        uid = state.interner.id_of(1)
-        adj = {uid: {nid}}
-        eo = EqualOpportunism(state, neighbor_ids_fn=lambda vid: adj.get(vid, ()))
-        assert eo.bid(0, match) > 0.0
 
 
 class TestAllocate:

@@ -108,7 +108,7 @@ class TestExperiments:
         variants = {r["variant"] for r in result.rows}
         assert "loom (full)" in variants
         assert "no deferral" in variants
-        assert "no rationing (l=1)" in variants
+        assert "low match cap" in variants
 
     def test_registry_of_experiments(self):
         assert set(experiments.EXPERIMENTS) == {

@@ -10,11 +10,11 @@ Two groups:
 
 * **Fixed configurations** on a random labelled graph (300 vertices, 700
   edges, ``K = 4``) and the ``abab`` / ``abc`` workload: LDG, Fennel, Hash
-  and Loom, plus the zero-slack capacity that forces auction spills, the
-  neighbour-aware bid ablation and the benchmark's synthetic stream.  The
-  Loom cases run with the deferral queue off.  Every digest in this group
-  was pinned while the frozen dict-based seed implementation still
-  checked the live stack bit for bit, so each is the seed's answer too.
+  and Loom, plus the zero-slack capacity that forces auction spills and
+  the benchmark's synthetic stream.  The Loom cases run with the deferral
+  queue off.  Every digest in this group was pinned while the frozen
+  dict-based seed implementation still checked the live stack bit for
+  bit, so each is the seed's answer too.
 * **The Fig. 7 grid**: Hash, LDG, Fennel and Loom with its defaults —
   deferral on, the placement Loom ships — × the four ipt datasets × three
   stream orders at k = 8, sized and partitioned exactly as
@@ -58,7 +58,6 @@ FIXED_DIGESTS = {
     "loom-random-200": "37375ddabfb9b9c9defa78da909539df50757e28db3ef935e1ae036e71af040d",
     "loom-tight-bfs": "fcc230efa48d1374c40c43822594d2bc567097d52f4812a65dee94d0d1577ef3",
     "loom-tight-random": "972941f2c6d202914ce47d8de406aa5f60c2ec8187ca6b1e5469bb8608bfc001",
-    "loom-neighbor-aware": "e972329b083b1f9b9a81c56ab3ba1cf1451f006083147cb5ec8cef0bf7ecce09",
     "ldg-synthetic": "e22d8d4e4d2dee4934d4b17f3e702f2549d61b762c80047c836b89252abff392",
 }
 
@@ -191,20 +190,6 @@ def test_loom_tight_capacity_digest(graph, workload, order):
         state, workload, window_size=150, seed=0, defer_motif_vertices=False
     ).ingest_all(_events(graph, order))
     assert _digest(state.assignment()) == FIXED_DIGESTS[f"loom-tight-{order}"]
-
-
-def test_loom_neighbor_aware_bids_digest(graph, workload):
-    """The ablation's bid path, which also counts placed neighbours."""
-    state = _state(graph)
-    LoomPartitioner(
-        state,
-        workload,
-        window_size=150,
-        seed=0,
-        neighbor_aware_bids=True,
-        defer_motif_vertices=False,
-    ).ingest_all(_events(graph, "random", seed=5))
-    assert _digest(state.assignment()) == FIXED_DIGESTS["loom-neighbor-aware"]
 
 
 def test_synthetic_stream_digest():

@@ -216,7 +216,7 @@ class TestFullStream:
         vertex of any other label is placed at its first edge and never
         asked about again — and what it holds is the vertex's whole seen
         neighbourhood, non-motif neighbours included (the zero-bid
-        fallback and the neighbour-aware bids score all of it).  Each list
+        fallback scores all of it).  Each list
         holds a neighbour once per edge, so on a simple graph's stream no
         list repeats an id."""
         dataset = load_dataset("musicbrainz", 600, seed=2)
@@ -244,9 +244,6 @@ class TestFullStream:
     def test_ablation_flags_accepted(self, fig1_workload):
         g = make_random_labelled_graph(num_vertices=40, num_edges=80, seed=9)
         for kwargs in (
-            {"rationing_enabled": False},
-            {"support_weighting": False},
-            {"neighbor_aware_bids": True},
             {"max_matches_per_vertex": 2},
             {"defer_motif_vertices": False},
         ):

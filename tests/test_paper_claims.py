@@ -50,9 +50,6 @@ FIG9 = {
 ABLATION = {
     "loom (full)": 44.7,
     "no deferral": 65.7,
-    "no rationing (l=1)": 41.3,
-    "no support weighting": 44.5,
-    "neighbor-aware bids": 42.4,
     "tiny window": 70.0,
     "low match cap": 47.8,
 }

@@ -105,8 +105,8 @@ def test_extra_kwargs_reach_loom(tiny_dataset):
     state = PartitionState.for_graph(2, g.num_vertices)
     loom = registry.create(
         "loom", state, graph=g, workload=wl, window_size=25,
-        support_threshold=0.2, rationing_enabled=False,
+        support_threshold=0.2, defer_motif_vertices=False,
     )
     assert loom.index.threshold == 0.2
-    assert loom.allocator.rationing_enabled is False
+    assert loom._park_labels == frozenset()
     assert loom.matcher.window.capacity == 25

@@ -6,13 +6,13 @@ workload-aware repartitioner, or "some form of restreaming approach [11]"
 (Leopard; also Nishimura & Ugander's restreaming partitioning).  This module
 implements the restreaming remedy on top of the existing machinery:
 
-* :func:`restream` replays a graph stream through a *fresh* partitioner
-  whose LDG placements are biased toward the previous assignment by a
-  stickiness weight, trading migration volume against ipt improvement
-  (the motif clusters' auction is Eqs. 1–3 unbiased, so a vertex a cluster
-  takes goes wherever its workload signal says);
-* :class:`RestreamedLoom` wires that into Loom so a drifted workload can be
-  re-optimised without starting from scratch;
+* :func:`restream` replays a graph stream through a *fresh* Loom
+  (:class:`_StickyLoom`) whose LDG placements are biased toward the
+  previous assignment by a stickiness weight, trading migration volume
+  against ipt improvement, so a drifted workload can be re-optimised
+  without starting from scratch.  Stickiness biases the LDG placement
+  only: the motif clusters' auction is Eqs. 1–3 unbiased, so a vertex a
+  cluster takes goes where its workload signal says;
 * :func:`migration_volume` quantifies how many vertices moved — the cost a
   production system would pay in data shipping.
 

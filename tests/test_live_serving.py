@@ -23,6 +23,7 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import make_random_labelled_graph
 
+from repro import obs
 from repro.graph.interning import pack_edge, unpack_edge
 from repro.graph.labelled_graph import LabelledGraph
 from repro.graph.stream import batched, stream_edges
@@ -786,6 +787,38 @@ def test_cluster_stats_surface_cache_rejects():
     state = _partition("hash", graph, workload, k=4)
     with LiveCluster(graph, state, workload, num_shards=2) as cluster:
         assert [shard["cache_rejects"] for shard in cluster.stats()["shards"]] == [0, 0]
+
+
+@pytest.mark.parametrize("obs_on", [True, False])
+def test_shards_report_stats_every_fourth_round_only_with_obs(obs_on):
+    """With obs on, every shard ships a StatsReport after each fourth
+    ingest round (the boot snapshot is round 1, so the third ``ingest``
+    triggers the first) and ``stats()`` folds them in under ``reports``;
+    with obs off no shard ever ships one."""
+    graph, workload = _random_case()
+    rounds = list(batched(list(stream_edges(graph, "random", seed=3)), 45))
+    if obs_on:
+        obs.enable()
+    try:
+        state = PartitionState.for_graph(4, graph.num_vertices)
+        partitioner = registry.create("hash", state, graph=graph, workload=workload, seed=0)
+        with LiveCluster(
+            LabelledGraph("live"), state, workload, num_shards=2, partitioner=partitioner
+        ) as cluster:
+            for chunk in rounds[:2]:
+                cluster.ingest(chunk)
+            cluster.stats()
+            assert cluster.stats_reports == {}
+            cluster.ingest(rounds[2])
+            stats = cluster.stats()
+            if obs_on:
+                assert sorted(stats["reports"]) == ["shard0", "shard1"]
+                assert [m.seq for _, m in sorted(cluster.stats_reports.items())] == [3, 3]
+            else:
+                assert "reports" not in stats
+                assert cluster.stats_reports == {}
+    finally:
+        obs.disable()
 
 
 # ----------------------------------------------------------------------

@@ -9,7 +9,7 @@ two instrumented legs:
 * **ingest** — a full Loom partitioner over a synthetic stream
   (offer/extend/evict plus placement), timing ``ingest_all`` in three
   modes: obs **off** (NULL stubs), **metrics**
-  (counters/gauges/histograms/windows, no tracing — the budgeted mode),
+  (counters/gauges/windows, no tracing — the budgeted mode),
   and **trace** (metrics plus every structured event);
 * **serving** — a closed-loop ``TrafficDriver`` run against a
   ``ServingEngine`` over that partitioning, same three modes, timed on
@@ -27,8 +27,9 @@ default).  A single run does not prove that budget: one default run read
 7.26% metrics overhead on the serving leg and exited 1, so the verdict
 is noise-bound until the budget is re-proved with alternating pairs.
 
-The enabled run's registry snapshot — counters, latency histograms, and
-the ``windowed.serving.*`` rollups — is embedded in the results payload.
+The enabled run's registry snapshot — counters, gauges, and the
+``windowed.serving.*`` rollups with their latency percentiles — is
+embedded in the results payload.
 
 Run from the repository root::
 

@@ -46,34 +46,6 @@ def render_table(
     return "\n".join(lines)
 
 
-def render_markdown_table(
-    rows: Sequence[Mapping[str, object]],
-    columns: Optional[Sequence[str]] = None,
-    title: str = "",
-) -> str:
-    """The GitHub-flavoured twin of :func:`render_table`.
-
-    The experiment service's report generator quotes these in CI job
-    summaries (``$GITHUB_STEP_SUMMARY`` renders Markdown, not aligned
-    text); the cells are formatted by the same rules as the text tables
-    so both renderings of one result agree digit for digit.
-    """
-    if not rows:
-        return f"**{title}**\n\n(no rows)" if title else "(no rows)"
-    if columns is None:
-        columns = list(rows[0].keys())
-    lines: List[str] = []
-    if title:
-        lines.append(f"**{title}**")
-        lines.append("")
-    lines.append("| " + " | ".join(str(c) for c in columns) + " |")
-    lines.append("|" + "|".join(" --- " for _ in columns) + "|")
-    for row in rows:
-        cells = [_format_cell(row.get(col, "")).replace("|", "\\|") for col in columns]
-        lines.append("| " + " | ".join(cells) + " |")
-    return "\n".join(lines)
-
-
 def render_series(
     series: Mapping[str, Sequence[float]],
     x_values: Sequence[object],

@@ -36,7 +36,7 @@ from repro.partitioning.state import PartitionState
 FallbackChooser = Callable[[Set[int]], int]
 """Given a cluster's vertex-id set, pick a partition when every bid is zero."""
 
-DEFAULT_ALPHA = 2.0 / 3.0
+ALPHA = 2.0 / 3.0
 """The paper's empirically chosen rationing aggression (Sec. 4)."""
 
 
@@ -69,16 +69,13 @@ class EqualOpportunism:
     silently.  Build such matchers with ``interner=state.interner``.
     """
 
-    def __init__(self, state: PartitionState, alpha: float = DEFAULT_ALPHA) -> None:
-        if not 0.0 < alpha <= 1.0:
-            raise ValueError("alpha must lie in (0, 1]")
+    def __init__(self, state: PartitionState) -> None:
         self.state = state
         # Live view of the interned state, bound once: the auction scores
         # every match of every eviction, so per-vertex method dispatch here
         # is measurable at streaming rates.  Matches arrive id-keyed, so no
         # vertex → id translation happens per auction at all.
         self._assignment = state.assignment_vector
-        self.alpha = alpha
 
     # ------------------------------------------------------------------
     # Eq. 2: the rationing function l
@@ -89,11 +86,10 @@ class EqualOpportunism:
         sizes = self.state._sizes
         capacity = self.state.capacity
         smallest = max(min(sizes), 1)
-        alpha = self.alpha
         return [
             0.0
             if size >= capacity
-            else (1.0 if size <= smallest else min(1.0, alpha * smallest / size))
+            else (1.0 if size <= smallest else min(1.0, ALPHA * smallest / size))
             for size in sizes
         ]
 

@@ -149,8 +149,8 @@ def smallest_acceptable_prime(
 def validate_prime_choice(p: int, largest_query_edges: int = 16) -> float:
     """Acceptance probability of ``p`` at the paper's 5% tolerance.
 
-    Convenience check used by :class:`repro.core.loom.LoomPartitioner` when a
-    caller overrides the default prime.
+    A check for any prime; :class:`repro.core.loom.LoomPartitioner` always
+    uses :data:`~repro.core.signature.DEFAULT_PRIME`.
     """
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")

@@ -33,9 +33,9 @@ The defaults mirror the paper: α = 2/3, p = 251, T = 40%; b = 1.1 is
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set
+from typing import Dict, FrozenSet, Iterable, List, Set
 
-from repro.core.allocation import DEFAULT_ALPHA, EqualOpportunism
+from repro.core.allocation import EqualOpportunism
 from repro.core.matching import StreamMatcher
 from repro.core.motifs import MotifIndex
 from repro.core.signature import DEFAULT_PRIME, SignatureScheme
@@ -66,16 +66,13 @@ class LoomPartitioner(StreamingPartitioner):
         workload: Workload,
         window_size: int = DEFAULT_WINDOW_SIZE,
         support_threshold: float = DEFAULT_SUPPORT_THRESHOLD,
-        prime: int = DEFAULT_PRIME,
         seed: int = 0,
-        alpha: float = DEFAULT_ALPHA,
         max_matches_per_vertex: int = 64,
-        scheme: Optional[SignatureScheme] = None,
         defer_motif_vertices: bool = True,
     ) -> None:
         super().__init__(state)
         self.workload = workload
-        self.scheme = scheme or SignatureScheme(workload.label_set(), p=prime, seed=seed)
+        self.scheme = SignatureScheme(workload.label_set(), p=DEFAULT_PRIME, seed=seed)
         self.trie = TPSTry.from_workload(workload, self.scheme)
         self.index = MotifIndex(self.trie, support_threshold)
         # Compile boundary: the object DAG stays for introspection/drift
@@ -115,7 +112,7 @@ class LoomPartitioner(StreamingPartitioner):
         self._park_labels: FrozenSet[str] = (
             self.plan.motif_labels if defer_motif_vertices else frozenset()
         )
-        self.allocator = EqualOpportunism(state, alpha=alpha)
+        self.allocator = EqualOpportunism(state)
         self.stats = {
             # Non-motif *edges* that bypassed the window; either endpoint may
             # have been placed earlier, be held by the window, or be parked.

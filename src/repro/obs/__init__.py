@@ -1,10 +1,11 @@
 """repro.obs — process-local metrics, structured tracing, windowed rollups.
 
 The observability layer ROADMAP items 2 and 3 consume: a metrics registry
-(counters, gauges, fixed-bucket histograms), a ring-buffer trace of the
-hot boundaries (ingest batches, queue waits, per-query serving lifecycle),
+(counters, gauges, lazy collectors), a ring-buffer trace of the hot
+boundaries (ingest batches, queue waits, per-query serving lifecycle),
 and :class:`~repro.obs.windowed.WindowedStats` sliding-interval rollups
-(per-query frequency, hops/query, latency percentiles) — the exact input
+(per-query frequency, hops/query, latency percentiles — the one place a
+latency is recorded) — the exact input
 a drift detector needs (TAPER, arXiv:1603.04626; Smart Query Routing,
 arXiv:1611.03959).
 
@@ -41,17 +42,13 @@ import os
 from typing import Callable, Dict, Mapping, Optional, Union
 
 from repro.obs.registry import (
-    LATENCY_BUCKETS_US,
     NULL_COUNTER,
     NULL_GAUGE,
-    NULL_HISTOGRAM,
     Counter,
     Gauge,
-    Histogram,
     MetricsRegistry,
     NullCounter,
     NullGauge,
-    NullHistogram,
 )
 from repro.obs.trace import NULL_TRACER, NullTracer, Tracer
 from repro.obs.windowed import NULL_WINDOW, NullWindow, WindowedStats
@@ -59,19 +56,15 @@ from repro.obs.windowed import NULL_WINDOW, NullWindow, WindowedStats
 __all__ = [
     "Counter",
     "Gauge",
-    "Histogram",
     "MetricsRegistry",
     "NullCounter",
     "NullGauge",
-    "NullHistogram",
     "NullTracer",
     "NullWindow",
     "Tracer",
     "WindowedStats",
-    "LATENCY_BUCKETS_US",
     "NULL_COUNTER",
     "NULL_GAUGE",
-    "NULL_HISTOGRAM",
     "NULL_TRACER",
     "NULL_WINDOW",
     "counter",
@@ -80,7 +73,6 @@ __all__ = [
     "enabled",
     "export_trace",
     "gauge",
-    "histogram",
     "register_collector",
     "registry",
     "snapshot",
@@ -88,15 +80,11 @@ __all__ = [
     "window",
 ]
 
-#: Default trace ring capacity — big enough for a full CI smoke, bounded
-#: so a long soak cannot grow without limit (oldest events are dropped).
-DEFAULT_TRACE_CAPACITY = 65_536
-
 _registry = MetricsRegistry(enabled=False)
 _tracer: Union[Tracer, NullTracer] = NULL_TRACER
 
 
-def enable(trace: bool = False, trace_capacity: int = DEFAULT_TRACE_CAPACITY) -> None:
+def enable(trace: bool = False) -> None:
     """Switch the process-local registry on (and optionally the tracer).
 
     Must run before the instrumented components are constructed: they
@@ -107,7 +95,7 @@ def enable(trace: bool = False, trace_capacity: int = DEFAULT_TRACE_CAPACITY) ->
     if not _registry.enabled:
         _registry = MetricsRegistry(enabled=True)
     if trace and not isinstance(_tracer, Tracer):
-        _tracer = Tracer(capacity=trace_capacity)
+        _tracer = Tracer()
 
 
 def disable() -> None:
@@ -135,10 +123,6 @@ def counter(name: str) -> Union[Counter, NullCounter]:
 
 def gauge(name: str) -> Union[Gauge, NullGauge]:
     return _registry.gauge(name)
-
-
-def histogram(name: str, buckets=LATENCY_BUCKETS_US) -> Union[Histogram, NullHistogram]:
-    return _registry.histogram(name, buckets)
 
 
 def window(

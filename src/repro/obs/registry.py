@@ -1,4 +1,4 @@
-"""The metrics registry: counters, gauges, fixed-bucket histograms.
+"""The metrics registry: counters, gauges, windows and collectors.
 
 Plain-int, lock-free, process-local.  Instruments are memoized by name so
 two components naming the same counter share one int; collectors let
@@ -19,26 +19,7 @@ process's single ingest/serve thread.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Mapping, Sequence, Tuple, Union
-
-#: Default histogram buckets for latencies in microseconds: upper bounds,
-#: plus an implicit overflow bucket.  Spanning 50µs .. 1s covers in-process
-#: cache hits through multi-hop sharded queries.
-LATENCY_BUCKETS_US: Tuple[int, ...] = (
-    50,
-    100,
-    250,
-    500,
-    1_000,
-    2_500,
-    5_000,
-    10_000,
-    25_000,
-    50_000,
-    100_000,
-    250_000,
-    1_000_000,
-)
+from typing import Callable, Dict, List, Mapping, Union
 
 
 class Counter:
@@ -71,55 +52,6 @@ class Gauge:
             self.value = value
 
 
-class Histogram:
-    """Fixed upper-bound buckets over ints; one overflow bucket at the end.
-
-    ``observe`` takes pre-scaled ints (microseconds for latencies) so the
-    counts stay plain int arrays; percentiles are nearest-rank estimates
-    quoted at the crossing bucket's upper bound.
-    """
-
-    __slots__ = ("name", "bounds", "counts", "count", "total")
-
-    def __init__(self, name: str, bounds: Sequence[int] = LATENCY_BUCKETS_US) -> None:
-        self.name = name
-        self.bounds = tuple(bounds)
-        self.counts = [0] * (len(self.bounds) + 1)
-        self.count = 0
-        self.total = 0
-
-    def observe(self, value: int) -> None:
-        i = 0
-        for bound in self.bounds:
-            if value <= bound:
-                break
-            i += 1
-        self.counts[i] += 1
-        self.count += 1
-        self.total += value
-
-    def percentile(self, q: float) -> int:
-        """Nearest-rank percentile as the crossing bucket's upper bound
-        (the last finite bound for the overflow bucket); 0 when empty."""
-        if self.count == 0:
-            return 0
-        rank = max(1, -(-int(q * self.count) // 100))  # ceil(q/100 * count)
-        seen = 0
-        for i, n in enumerate(self.counts):
-            seen += n
-            if seen >= rank:
-                return self.bounds[i] if i < len(self.bounds) else self.bounds[-1]
-        return self.bounds[-1]
-
-    def as_metrics(self) -> Dict[str, int]:
-        return {
-            "count": self.count,
-            "total": self.total,
-            "p50": self.percentile(50),
-            "p95": self.percentile(95),
-        }
-
-
 class NullCounter:
     __slots__ = ()
 
@@ -137,30 +69,21 @@ class NullGauge:
         pass
 
 
-class NullHistogram:
-    __slots__ = ()
-
-    def observe(self, value: int) -> None:
-        pass
-
-
 #: The shared disabled-path singletons.  Identity matters: the overhead
 #: gate test asserts a disabled registry hands out exactly these objects.
 NULL_COUNTER = NullCounter()
 NULL_GAUGE = NullGauge()
-NULL_HISTOGRAM = NullHistogram()
 
 
 class MetricsRegistry:
     """Name → instrument store with lazy collectors and a flat snapshot."""
 
-    __slots__ = ("enabled", "_counters", "_gauges", "_histograms", "_collectors", "_windows")
+    __slots__ = ("enabled", "_counters", "_gauges", "_collectors", "_windows")
 
     def __init__(self, enabled: bool = False) -> None:
         self.enabled = enabled
         self._counters: Dict[str, Counter] = {}
         self._gauges: Dict[str, Gauge] = {}
-        self._histograms: Dict[str, Histogram] = {}
         # prefix → fn; keyed so a re-constructed component (new matcher per
         # bench repeat) replaces its collector instead of stacking dupes.
         self._collectors: Dict[str, Callable[[], Mapping[str, object]]] = {}
@@ -181,16 +104,6 @@ class MetricsRegistry:
         if g is None:
             g = self._gauges[name] = Gauge(name)
         return g
-
-    def histogram(
-        self, name: str, bounds: Sequence[int] = LATENCY_BUCKETS_US
-    ) -> Union[Histogram, NullHistogram]:
-        if not self.enabled:
-            return NULL_HISTOGRAM
-        h = self._histograms.get(name)
-        if h is None:
-            h = self._histograms[name] = Histogram(name, bounds)
-        return h
 
     def window(self, name: str, interval: int = 256, intervals: int = 4):
         """A named :class:`~repro.obs.windowed.WindowedStats` (or the NULL
@@ -213,7 +126,7 @@ class MetricsRegistry:
     def snapshot(self) -> Dict[str, object]:
         """Everything, flat, under sorted dotted names.
 
-        Histograms expand to ``name.count/.total/.p50/.p95``; windows to
+        Collectors expand to ``<prefix>.<key>``; windows to
         ``windowed.<name>.<query>.*`` (see ``WindowedStats.as_metrics``).
         Key order is sorted, so two runs that counted the same things
         render byte-identical.
@@ -223,9 +136,6 @@ class MetricsRegistry:
             out[name] = c.value
         for name, g in self._gauges.items():
             out[name] = g.value
-        for name, h in self._histograms.items():
-            for key, value in h.as_metrics().items():
-                out[f"{name}.{key}"] = value
         for prefix, fn in self._collectors.items():
             for key, value in fn().items():
                 out[f"{prefix}.{key}"] = value

@@ -113,8 +113,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--obs",
         action="store_true",
         help="enable the repro.obs metrics registry for this run and print "
-        "its snapshot to stderr (counters, gauges, latency histograms, "
-        "windowed rollups); placements are bit-identical with or without it",
+        "its snapshot to stderr (counters, gauges, windowed rollups with "
+        "latency percentiles); placements are bit-identical with or without it",
     )
     parser.add_argument(
         "--trace-out",
@@ -131,6 +131,15 @@ def main(argv: Optional[list] = None) -> int:
         # Enable before any pipeline object exists: components bind their
         # counters (or the free NULL stubs) at construction time.
         obs.enable(trace=bool(args.trace_out))
+    for flag, value, least in (
+        ("--k", args.k, 1),
+        ("--imbalance", args.imbalance, 1),
+        ("--serve", args.serve, 0),
+        ("--serve-shards", args.serve_shards, 0),
+    ):
+        if value < least:
+            print(f"error: {flag} must be at least {least}", file=sys.stderr)
+            return 2
     if args.system == "loom" and not args.workload:
         print("error: --system loom requires --workload", file=sys.stderr)
         return 2

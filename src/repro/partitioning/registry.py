@@ -45,8 +45,8 @@ class PartitionerContext:
     workload: Optional[object] = None
     window_size: Optional[int] = None
     seed: int = 0
-    #: Strategy-specific keyword arguments (e.g. Loom's ``alpha`` or
-    #: ``defer_motif_vertices``).
+    #: Strategy-specific keyword arguments (e.g. Loom's
+    #: ``max_matches_per_vertex`` or ``defer_motif_vertices``).
     extra: Dict[str, object] = field(default_factory=dict)
 
 

@@ -76,8 +76,13 @@ class PartitionState:
 
         This classmethod owns that formula: the CLI, the harness and the
         benchmarks all size their states here, so they can never drift
-        apart.
+        apart.  ``imbalance`` is the slack b = ν, so it is at least 1: below
+        that the partitions together could not hold the graph.
         """
+        if k < 1:
+            raise ValueError("k must be at least 1")
+        if imbalance < 1:
+            raise ValueError("imbalance must be at least 1")
         if expected_vertices < 1:
             raise ValueError("expected_vertices must be positive")
         return cls(k, math.ceil(imbalance * expected_vertices / k))

@@ -6,10 +6,11 @@ the *decisions* — the single streaming partitioner, the graph, plan
 compilation and routing over an adjacency-free
 :class:`~repro.serving.stores.RoutingIndex` — while ``num_shards``
 long-lived :mod:`repro.runtime.server` processes own the *data*: each
-holds the :class:`~repro.serving.stores.ShardStores` (and the
+holds the :class:`~repro.serving.stores.ShardStores` (and the unbounded
 :class:`~repro.serving.cache.ResultCache` slice) of the partitions with
 ``p % num_shards == shard_id``, reached through a
-:class:`~repro.runtime.transport.QueueTransport`.
+:class:`~repro.runtime.transport.QueueTransport` whose queues hold
+:data:`~repro.runtime.transport.QUEUE_DEPTH` messages each.
 
 Boot is **one cold pass** (:func:`boot_snapshot`); each shard's slice
 rides in its :class:`~repro.runtime.messages.ServeSpec` (a ``Process``
@@ -37,9 +38,6 @@ from repro.runtime.messages import ServeSpec, shard_of_partition
 from repro.runtime.transport import QueueTransport
 from repro.serving.router import Router
 from repro.serving.stores import RoutingIndex, cold_rows
-
-DEFAULT_QUEUE_DEPTH = 16
-"""Messages a server queue buffers before the driver's put blocks."""
 
 #: A shard's boot snapshot rows (:class:`~repro.runtime.messages.ServeSpec`).
 MemberRow = Tuple[int, int, int, List[int]]
@@ -80,10 +78,10 @@ class LiveCluster(ServingFrontEnd):
 
     ``router``, ``cache`` and ``partitioner`` mean what they mean on
     :class:`~repro.serving.engine.ServingEngine`; ``num_shards`` picks the
-    process topology and ``cache_capacity`` bounds each shard's cache.
-    ``stats_every`` makes each shard ship a StatsReport every N ingest
-    rounds (default: 4 with obs enabled, else never).  Use as a context
-    manager, or call :meth:`close` — servers are long-lived processes.
+    process topology.  With obs enabled each shard ships a StatsReport
+    every :data:`~repro.runtime.server.STATS_EVERY` ingest rounds.  Use as
+    a context manager, or call :meth:`close` — servers are long-lived
+    processes.
     """
 
     obs_prefix = "live"
@@ -98,12 +96,9 @@ class LiveCluster(ServingFrontEnd):
         num_shards: int,
         router: Union[Router, str] = "candidate-count",
         cache: bool = True,
-        cache_capacity: Optional[int] = None,
         partitioner: Optional[StreamingPartitioner] = None,
         start_method: Optional[str] = None,
-        queue_depth: int = DEFAULT_QUEUE_DEPTH,
         request_timeout: float = 120.0,
-        stats_every: Optional[int] = None,
     ) -> None:
         if num_shards < 1:
             raise ValueError("num_shards must be at least 1")
@@ -120,8 +115,6 @@ class LiveCluster(ServingFrontEnd):
             cache=cache,
             request_timeout=request_timeout,
         )
-        if stats_every is None:
-            stats_every = 4 if self._obs_on else 0
         depths = self._query_depths()
         specs = [
             ServeSpec(
@@ -130,12 +123,10 @@ class LiveCluster(ServingFrontEnd):
                 k=state.k,
                 query_depths=depths,
                 cache_enabled=self.cache_enabled,
-                cache_capacity=cache_capacity,
                 obs_enabled=self._obs_on,
-                stats_every=stats_every,
                 members=members[shard_id],
                 ghosts=ghosts[shard_id],
             )
             for shard_id in range(num_shards)
         ]
-        self._boot(QueueTransport(specs, start_method, queue_depth, request_timeout))
+        self._boot(QueueTransport(specs, start_method, request_timeout))

@@ -48,7 +48,7 @@ from typing import Dict, List, Sequence, Tuple
 
 #: Version of the wire protocol defined by this module.  Bump on any
 #: field change; :func:`check_schema` rejects mismatched peers.
-SCHEMA_VERSION = 6
+SCHEMA_VERSION = 7
 
 #: Shutdown sentinel on both input queues of a shard server.
 END_OF_STREAM = None
@@ -163,12 +163,9 @@ class ServeSpec(_Wire):
         ("k", REQUIRED, None),
         ("query_depths", REQUIRED, tuple),
         ("cache_enabled", True, None),
-        ("cache_capacity", None, None),
-        #: Switch the server process's repro.obs registry on at boot.
+        #: Switch the server process's repro.obs registry on at boot, and
+        #: with it the periodic :class:`StatsReport`.
         ("obs_enabled", False, None),
-        #: Ship a :class:`StatsReport` after every N ingest rounds
-        #: (0 = never) — telemetry piggybacked on the reply queue.
-        ("stats_every", 0, None),
         ("members", (), tuple),
         ("ghosts", (), tuple),
     )
@@ -335,7 +332,8 @@ class StatsReport(_Wire):
 
     Unlike the request/response :class:`StatsRequest`/:class:`ServerStats`
     pair, these ride the existing reply queue on the server's own cadence
-    (``ServeSpec.stats_every`` ingest rounds) and the driver's message
+    (every :data:`~repro.runtime.server.STATS_EVERY` ingest rounds, sent
+    only when ``ServeSpec.obs_enabled``) and the driver's message
     loop absorbs them out-of-band — they never interleave with, block, or
     reorder serving replies, so enabling them cannot change results.
     ``metrics`` is a flat dotted-name dict (the shard's obs snapshot

@@ -86,6 +86,10 @@ from repro.serving.stores import ShardStores
 #: ingest round arriving during a poll waits out the remainder.
 REQUEST_POLL_SECONDS = 0.005
 
+#: With obs enabled, a server ships a StatsReport after every this many
+#: ingest rounds (the boot snapshot counts as the first).
+STATS_EVERY = 4
+
 
 class ShardServer:
     """The per-shard serving logic, free of any process/queue machinery.
@@ -111,7 +115,7 @@ class ShardServer:
         self.stores = stores
         self.view = ShardView(self.stores)
         self.cache: Optional[ResultCache] = (
-            ResultCache(spec.cache_capacity) if spec.cache_enabled else None
+            ResultCache() if spec.cache_enabled else None
         )
         #: query name → invalidation radius |Eq| (never changes).
         self.query_depths: Dict[str, int] = dict(spec.query_depths)
@@ -358,7 +362,7 @@ def shard_server_main(spec: ServeSpec, ingest_queue, request_queue, out_queue) -
         check_schema(spec)
         server = ShardServer(spec)
         out_queue.put(IngestAck(server.shard_id, server.seq, server.stores.num_edges))
-        stats_every = spec.stats_every
+        report_stats = spec.obs_enabled
         while True:
             while True:
                 try:
@@ -372,9 +376,9 @@ def shard_server_main(spec: ServeSpec, ingest_queue, request_queue, out_queue) -
                 # Piggyback periodic telemetry on the reply queue, after
                 # the ack so the driver's barrier never waits on it.
                 if (
-                    stats_every
+                    report_stats
                     and isinstance(message, EdgeUpdate)
-                    and server.ingest_rounds % stats_every == 0
+                    and server.ingest_rounds % STATS_EVERY == 0
                 ):
                     out_queue.put(server.stats_report())
             try:

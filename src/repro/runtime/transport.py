@@ -36,11 +36,14 @@ from repro.runtime.server import ShardServer, shard_server_main
 #: Messages a shard takes on its ingest side, ahead of any request.
 INGEST_MESSAGES = (EdgeUpdate, InvalidationHops)
 
+QUEUE_DEPTH = 16
+"""Messages a server queue buffers before the driver's put blocks."""
+
 
 class QueueTransport:
     """One shard server process per spec, behind bounded queues.
 
-    Each shard has an ingest and a request queue of ``queue_depth``
+    Each shard has an ingest and a request queue of :data:`QUEUE_DEPTH`
     messages; every shard replies on one shared queue.  Processes start
     in the constructor — a failed start closes those already running —
     and each acks its boot snapshot as round 0 on the reply queue.
@@ -50,7 +53,6 @@ class QueueTransport:
         self,
         specs: Sequence[ServeSpec],
         start_method: Optional[str],
-        queue_depth: int,
         request_timeout: float,
     ) -> None:
         ctx = mp.get_context(
@@ -60,8 +62,8 @@ class QueueTransport:
         )
         #: Only names the timeout in the error a hard deadline raises.
         self.request_timeout = request_timeout
-        self._ingest_queues = [ctx.Queue(maxsize=queue_depth) for _ in specs]
-        self._request_queues = [ctx.Queue(maxsize=queue_depth) for _ in specs]
+        self._ingest_queues = [ctx.Queue(maxsize=QUEUE_DEPTH) for _ in specs]
+        self._request_queues = [ctx.Queue(maxsize=QUEUE_DEPTH) for _ in specs]
         self._out_queue = ctx.Queue()
         #: Replies read while waiting on a full queue, oldest first.
         self._inbox: "deque[object]" = deque()

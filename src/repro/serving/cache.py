@@ -29,7 +29,6 @@ shifts the query's compiled root slot.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import Dict, Hashable, Iterable, Optional, Tuple
 
 CacheKey = Tuple[str, int]
@@ -37,20 +36,16 @@ CacheKey = Tuple[str, int]
 
 
 class ResultCache:
-    """An LRU-bounded map from :data:`CacheKey` to a per-root result.
+    """An unbounded map from :data:`CacheKey` to a per-root result.
 
-    ``max_entries=None`` means unbounded (the tests' default); a bound makes
-    the least-recently-*used* entry fall out first, which under Zipf traffic
-    keeps the heavy roots resident.
+    Entries leave only by invalidation: a shard holds at most one result
+    per ``(query, owned root)``.
     """
 
-    __slots__ = ("max_entries", "_entries", "hits", "misses", "invalidations")
+    __slots__ = ("_entries", "hits", "misses", "invalidations")
 
-    def __init__(self, max_entries: Optional[int] = None) -> None:
-        if max_entries is not None and max_entries < 1:
-            raise ValueError("max_entries must be positive (or None for unbounded)")
-        self.max_entries = max_entries
-        self._entries: "OrderedDict[CacheKey, object]" = OrderedDict()
+    def __init__(self) -> None:
+        self._entries: Dict[CacheKey, object] = {}
         self.hits = 0
         self.misses = 0
         self.invalidations = 0
@@ -61,15 +56,11 @@ class ResultCache:
         if entry is None:
             self.misses += 1
             return None
-        self._entries.move_to_end(key)
         self.hits += 1
         return entry
 
     def put(self, key: CacheKey, value: object) -> None:
         self._entries[key] = value
-        self._entries.move_to_end(key)
-        if self.max_entries is not None and len(self._entries) > self.max_entries:
-            self._entries.popitem(last=False)
 
     def __contains__(self, key: CacheKey) -> bool:
         return key in self._entries

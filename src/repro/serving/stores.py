@@ -178,10 +178,10 @@ class RoutingIndex:
         "num_border_edges",
     )
 
-    def __init__(self, state: PartitionState, labels: Optional[LabelInterner] = None) -> None:
+    def __init__(self, state: PartitionState) -> None:
         self.state = state
         #: Label ↔ id bijection shared with the front end's compiled plans.
-        self.labels = labels if labels is not None else LabelInterner()
+        self.labels = LabelInterner()
         self.stores = [_PartitionIndex(p) for p in range(state.k)]
         #: vertex id → label id, for every stored vertex.
         self._label_of: Dict[int, int] = {}

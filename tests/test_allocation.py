@@ -60,7 +60,7 @@ class TestRation:
             state.assign(("s1", v), 0)
         for v in range(30):
             state.assign(("s2", v), 1)
-        eo = EqualOpportunism(state, alpha=2.0 / 3.0)
+        eo = EqualOpportunism(state)
         assert eo.ration(0) == pytest.approx(0.5)
         assert eo.ration(1) == 1.0
 
@@ -70,11 +70,6 @@ class TestRation:
             state.assign(v, 0)
         eo = EqualOpportunism(state)
         assert eo.ration(0) == 0.0
-
-    def test_alpha_validation(self):
-        state = PartitionState(2, 10)
-        with pytest.raises(ValueError):
-            EqualOpportunism(state, alpha=0.0)
 
 
 class TestBid:

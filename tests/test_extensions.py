@@ -261,8 +261,26 @@ class TestPartitionCli:
                 ["--workload", "no-such-workload.txt", "--serve", "5", "--inflight", "0"],
                 "--inflight must be at least 1",
             ),
+            (["--system", "ldg", "--k", "0"], "--k must be at least 1"),
+            (["--system", "ldg", "--imbalance", "0.5"], "--imbalance must be at least 1"),
+            (
+                ["--workload", "no-such-workload.txt", "--serve", "-3"],
+                "--serve must be at least 0",
+            ),
+            (
+                ["--workload", "no-such-workload.txt", "--serve", "5", "--serve-shards", "-1"],
+                "--serve-shards must be at least 0",
+            ),
         ],
-        ids=["execute-without-workload", "inflight-zero", "inflight-zero-in-process"],
+        ids=[
+            "execute-without-workload",
+            "inflight-zero",
+            "inflight-zero-in-process",
+            "k-zero",
+            "imbalance-below-one",
+            "serve-negative",
+            "serve-shards-negative",
+        ],
     )
     def test_flag_errors_come_before_the_graph_is_read(self, flags, message, capsys):
         """A bad flag combination is rejected before any file is opened —

@@ -882,9 +882,9 @@ def test_cache_object_is_refused_before_anything_starts(backend, monkeypatch):
     monkeypatch.setattr("repro.runtime.live.boot_snapshot", no_snapshot)
     with pytest.raises(TypeError, match="cache is a bool, not ResultCache"):
         if backend == "engine":
-            ServingEngine(graph, state, workload, cache=ResultCache(64))
+            ServingEngine(graph, state, workload, cache=ResultCache())
         else:
-            LiveCluster(graph, state, workload, num_shards=2, cache=ResultCache(64))
+            LiveCluster(graph, state, workload, num_shards=2, cache=ResultCache())
     assert not [p for p in mp.active_children() if p.name.startswith("loom-serve-")]
 
 

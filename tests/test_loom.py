@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.allocation import ALPHA
 from repro.core.loom import LoomPartitioner
 from repro.datasets.registry import load_dataset
 from repro.graph.stream import EdgeEvent, stream_edges
@@ -32,7 +33,7 @@ class TestConstruction:
         assert loom.matcher.window.capacity == 10_000
         assert loom.index.threshold == pytest.approx(0.4)
         assert loom.scheme.p == 251
-        assert loom.allocator.alpha == pytest.approx(2.0 / 3.0)
+        assert ALPHA == pytest.approx(2.0 / 3.0)
 
 
 class TestStreamingBehaviour:

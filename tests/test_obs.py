@@ -28,8 +28,6 @@ from repro.obs.format import flatten, render_lines, render_table
 from repro.obs.registry import (
     NULL_COUNTER,
     NULL_GAUGE,
-    NULL_HISTOGRAM,
-    Histogram,
     MetricsRegistry,
 )
 from repro.obs.trace import NULL_TRACER, NullTracer, Tracer, load_jsonl, masked
@@ -64,7 +62,6 @@ class TestRegistry:
         reg = MetricsRegistry(enabled=True)
         assert reg.counter("a") is reg.counter("a")
         assert reg.gauge("g") is reg.gauge("g")
-        assert reg.histogram("h") is reg.histogram("h")
         assert reg.window("w") is reg.window("w")
 
     def test_counter_and_gauge(self):
@@ -80,31 +77,15 @@ class TestRegistry:
         assert snap["c"] == 5
         assert snap["depth"] == 7
 
-    def test_histogram_buckets_and_percentiles(self):
-        h = Histogram("lat", bounds=(10, 100, 1000))
-        for value in (1, 5, 50, 50, 200, 5000):
-            h.observe(value)
-        # 2 in ≤10, 2 in ≤100, 1 in ≤1000, 1 overflow
-        assert h.counts == [2, 2, 1, 1]
-        assert h.count == 6
-        assert h.total == 5306
-        assert h.percentile(50) == 100
-        # Overflow quotes the last finite bound rather than inventing one.
-        assert h.percentile(99) == 1000
-        assert h.as_metrics() == {"count": 6, "total": 5306, "p50": 100, "p95": 1000}
-
-    def test_empty_histogram_percentile_zero(self):
-        assert Histogram("lat").percentile(95) == 0
-
     def test_snapshot_flat_and_sorted(self):
         reg = MetricsRegistry(enabled=True)
         reg.counter("z.late").inc()
         reg.counter("a.early").inc(2)
-        reg.histogram("lat", (10,)).observe(3)
+        reg.gauge("m.depth").set(3)
         snap = reg.snapshot()
         assert list(snap) == sorted(snap)
         assert snap["a.early"] == 2
-        assert snap["lat.count"] == 1
+        assert snap["m.depth"] == 3
 
     def test_collector_replace_semantics(self):
         """Re-registering a prefix replaces the collector — a bench loop
@@ -119,7 +100,6 @@ class TestRegistry:
         reg = MetricsRegistry(enabled=False)
         assert reg.counter("c") is NULL_COUNTER
         assert reg.gauge("g") is NULL_GAUGE
-        assert reg.histogram("h") is NULL_HISTOGRAM
         assert reg.window("w") is NULL_WINDOW
 
     def test_disabled_collector_is_noop(self):
@@ -134,16 +114,15 @@ class TestNullStubCost:
     def test_disabled_stubs_allocate_nothing(self):
         """The zero-allocation gate: a hot loop hammering every disabled
         stub must not grow the interpreter's allocated-block count."""
-        stubs = (NULL_COUNTER, NULL_GAUGE, NULL_HISTOGRAM, NULL_WINDOW, NULL_TRACER)
+        stubs = (NULL_COUNTER, NULL_GAUGE, NULL_WINDOW, NULL_TRACER)
 
         def hammer(n):
-            counter, gauge, histogram, window, tracer_ = stubs
+            counter, gauge, window, tracer_ = stubs
             for i in range(n):
                 counter.inc()
                 counter.inc(3)
                 gauge.set(i)
                 gauge.high_water(i)
-                histogram.observe(i)
                 window.record("q", 2, i)
                 tracer_.event("kind", a=i)
 

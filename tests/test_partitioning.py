@@ -26,6 +26,16 @@ class TestPartitionState:
         state = PartitionState.for_graph(4, 100, imbalance=1.1)
         assert state.capacity == 28  # ceil(1.1 * 100 / 4)
 
+    @pytest.mark.parametrize(
+        "k, imbalance, message",
+        [(0, 1.1, "k must be at least 1"), (4, 0.5, "imbalance must be at least 1")],
+    )
+    def test_for_graph_rejects_bad_k_and_imbalance(self, k, imbalance, message):
+        """``k`` is checked before it divides, and a slack below 1 would
+        leave the partitions too small to hold the graph."""
+        with pytest.raises(ValueError, match=message):
+            PartitionState.for_graph(k, 100, imbalance=imbalance)
+
     def test_assign_and_lookup(self):
         state = PartitionState(2, 10)
         state.assign("v", 1)

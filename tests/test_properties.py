@@ -107,9 +107,8 @@ def test_property_loom_total_and_balanced(seed, k, window):
 @settings(max_examples=25, deadline=None)
 @given(
     sizes=st.lists(st.integers(0, 50), min_size=2, max_size=8),
-    alpha=st.floats(0.1, 1.0),
 )
-def test_property_ration_bounds(sizes, alpha):
+def test_property_ration_bounds(sizes):
     """l(Si) always lies in [0, 1], is 1 for the smallest partition and 0
     for full partitions."""
     from repro.core.allocation import EqualOpportunism
@@ -119,7 +118,7 @@ def test_property_ration_bounds(sizes, alpha):
     for i, size in enumerate(sizes):
         for j in range(size):
             state.assign((i, j), i)
-    eo = EqualOpportunism(state, alpha=alpha)
+    eo = EqualOpportunism(state)
     rations = [eo.ration(i) for i in range(len(sizes))]
     assert all(0.0 <= r <= 1.0 for r in rations)
     smallest = min(range(len(sizes)), key=lambda i: sizes[i])

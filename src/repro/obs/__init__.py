@@ -5,9 +5,8 @@ The observability layer ROADMAP items 2 and 3 consume: a metrics registry
 boundaries (ingest batches, queue waits, per-query serving lifecycle),
 and :class:`~repro.obs.windowed.WindowedStats` sliding-interval rollups
 (per-query frequency, hops/query, latency percentiles — the one place a
-latency is recorded) — the exact input
-a drift detector needs (TAPER, arXiv:1603.04626; Smart Query Routing,
-arXiv:1611.03959).
+latency is recorded) — the exact input a drift detector needs (TAPER,
+arXiv:1603.04626; Smart Query Routing, arXiv:1611.03959).
 
 Everything here is strictly out-of-band: telemetry never feeds a
 placement, a tie-break or a cache key, so instrumented runs stay

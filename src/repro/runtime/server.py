@@ -362,7 +362,6 @@ def shard_server_main(spec: ServeSpec, ingest_queue, request_queue, out_queue) -
         check_schema(spec)
         server = ShardServer(spec)
         out_queue.put(IngestAck(server.shard_id, server.seq, server.stores.num_edges))
-        report_stats = spec.obs_enabled
         while True:
             while True:
                 try:
@@ -376,7 +375,7 @@ def shard_server_main(spec: ServeSpec, ingest_queue, request_queue, out_queue) -
                 # Piggyback periodic telemetry on the reply queue, after
                 # the ack so the driver's barrier never waits on it.
                 if (
-                    report_stats
+                    spec.obs_enabled
                     and isinstance(message, EdgeUpdate)
                     and server.ingest_rounds % STATS_EVERY == 0
                 ):

@@ -10,8 +10,7 @@ shard-server processes, each owning the serving stores of its partitions
    each cross-partition hop was an actual inter-process message,
 2. interleaved ingest/serve in lock-step keeps the same guarantee while
    the distributed cache invalidates across shard boundaries,
-3. live traffic — closed loop with overlapping in-flight requests, then
-   an open loop paced at a fixed arrival rate.
+3. live traffic — a closed loop with overlapping in-flight requests.
 
 Run:  python examples/live_serving.py
 """
@@ -87,9 +86,7 @@ def main() -> None:
         print(f"  finalize: summed shard cache hits {hits}")
 
     # 3. Live traffic. Closed loop: up to `inflight` requests overlap, so
-    #    throughput is requests over wall time. Open loop: requests arrive
-    #    on a fixed schedule and latency is measured from the *scheduled*
-    #    arrival — a stalled server accrues the queueing delay it caused.
+    #    throughput is requests over wall time.
     print("\nlive traffic (2 shard servers, zipf 1.1):")
     with LiveCluster(graph, state, workload, num_shards=2) as cluster:
         driver = TrafficDriver(cluster, seed=0, zipf_s=1.1)
@@ -97,11 +94,6 @@ def main() -> None:
         print(
             f"  closed loop, inflight 8: {closed.requests_per_sec:>8,.0f} q/s, "
             f"p99 {closed.p99_ms:.3f} ms, hit rate {closed.cache_hit_rate:.2f}"
-        )
-        open_ = driver.run(200, system="loom", inflight=8, rate=500.0)
-        print(
-            f"  open loop @ 500 req/s:   {open_.requests_per_sec:>8,.0f} q/s, "
-            f"p99 {open_.p99_ms:.3f} ms (from scheduled arrival)"
         )
 
 

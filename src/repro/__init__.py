@@ -7,8 +7,8 @@ The package provides:
 * :mod:`repro.core` — signatures, TPSTry++, stream motif matching, equal
   opportunism and the :class:`~repro.core.loom.LoomPartitioner`,
 * :mod:`repro.partitioning` — interned, array-backed partition state,
-  metrics, the Hash / LDG / Fennel comparison systems and the pluggable
-  partitioner registry (:mod:`repro.partitioning.registry`),
+  metrics, the Hash / LDG / Fennel comparison systems and the table that
+  builds each system by name (:mod:`repro.partitioning.registry`),
 * :mod:`repro.query` — pattern graphs, workloads, sub-graph isomorphism and
   the inter-partition-traversal (ipt) executor,
 * :mod:`repro.datasets` — synthetic stand-ins for the paper's five datasets,
@@ -30,7 +30,7 @@ Quickstart::
     print(report.weighted_ipt)
 
 See ``ARCHITECTURE.md`` for the layer diagram, the vertex-interning
-boundary, and how to register a custom partitioner.
+boundary, and how to add a partitioner.
 """
 
 from repro.core.allocation import EqualOpportunism
@@ -44,7 +44,6 @@ from repro.core.signature import FactorMultiset, SignatureScheme
 from repro.core.tpstry import TPSTry
 from repro.graph.labelled_graph import LabelledGraph
 from repro.graph.stream import EdgeEvent, StreamOrder, stream_edges
-from repro.partitioning.base import run_partitioner
 from repro.partitioning.fennel import FennelPartitioner
 from repro.partitioning.hash_partitioner import HashPartitioner
 from repro.partitioning.ldg import LDGPartitioner
@@ -84,7 +83,6 @@ __all__ = [
     "migration_volume",
     "path_pattern",
     "restream",
-    "run_partitioner",
     "star_pattern",
     "stream_edges",
     "__version__",

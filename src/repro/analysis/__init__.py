@@ -10,9 +10,9 @@ invariants static: 7 AST rules (:mod:`repro.analysis.rules`), scoped per layer i
 
     python -m repro.analysis [paths...]
 
-with text or JSON output, ``# detlint: disable=RULE`` pragmas and a
-committed-baseline mechanism for grandfathered findings.  CI runs it
-strict beside ruff.  See ARCHITECTURE.md "Static invariants".
+with text or JSON output and ``# detlint: disable=RULE`` pragmas, the
+one way to suppress a finding.  CI runs it strict beside ruff.  See
+ARCHITECTURE.md "Static invariants".
 """
 
 from repro.analysis.engine import (  # noqa: F401

@@ -1,7 +1,7 @@
 """CLI for detlint: ``python -m repro.analysis [paths...]``.
 
-Exit status: 0 — clean (grandfathered/suppressed findings allowed);
-1 — new findings; 2 — files that failed to parse.
+Exit status: 0 — clean (findings suppressed by pragma allowed);
+1 — findings; 2 — files that failed to parse.
 
 Examples::
 
@@ -9,8 +9,6 @@ Examples::
     python -m repro.analysis src tests             # lint specific paths
     python -m repro.analysis --format json         # JSON report on stdout
     python -m repro.analysis --json-report out.json  # text + JSON artifact
-    python -m repro.analysis --write-baseline detlint_baseline.json
-    python -m repro.analysis --baseline detlint_baseline.json
     python -m repro.analysis --list-rules
 """
 
@@ -22,7 +20,7 @@ import sys
 from typing import List, Optional
 
 from repro.analysis import config
-from repro.analysis.engine import all_rules, lint_paths, load_baseline, write_baseline
+from repro.analysis.engine import all_rules, lint_paths
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -46,16 +44,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--json-report",
         metavar="FILE",
         help="additionally write the JSON report to FILE (CI artifact)",
-    )
-    parser.add_argument(
-        "--baseline",
-        metavar="FILE",
-        help="baseline file of grandfathered findings to subtract",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        metavar="FILE",
-        help="write current findings to FILE as the new baseline and exit 0",
     )
     parser.add_argument(
         "--rule",
@@ -92,24 +80,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             return 2
         rules = [by_id[rid] for rid in sorted(set(args.rule))]
 
-    baseline = None
-    if args.baseline:
-        try:
-            baseline = load_baseline(args.baseline)
-        except (OSError, ValueError, KeyError) as exc:
-            print(f"cannot load baseline {args.baseline}: {exc}", file=sys.stderr)
-            return 2
-
     paths = args.paths if args.paths else list(config.DEFAULT_PATHS)
-    report = lint_paths(paths, rules=rules, baseline=baseline)
-
-    if args.write_baseline:
-        write_baseline(report.findings, args.write_baseline)
-        print(
-            f"detlint: wrote {len(report.findings)} finding(s) to baseline "
-            f"{args.write_baseline}"
-        )
-        return 0
+    report = lint_paths(paths, rules=rules)
 
     if args.json_report:
         with open(args.json_report, "w", encoding="utf-8") as fh:
@@ -128,8 +100,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             f"{len(report.findings)} finding(s)",
             f"{report.files_checked} file(s) checked",
         ]
-        if report.grandfathered:
-            bits.append(f"{len(report.grandfathered)} grandfathered by baseline")
         if report.suppressed:
             bits.append(f"{len(report.suppressed)} suppressed by pragma")
         if report.errors:

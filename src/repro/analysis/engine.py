@@ -1,4 +1,4 @@
-"""detlint's engine: file walker, rule registry, findings, pragmas, baseline.
+"""detlint's engine: file walker, rule registry, findings, pragmas.
 
 The rules themselves live in :mod:`repro.analysis.rules`; this module is
 the machinery they plug into:
@@ -14,11 +14,8 @@ the machinery they plug into:
 * Pragmas — ``# detlint: disable=RULE[,RULE]`` on a finding's line
   suppresses it there; ``# detlint: disable-file=RULE`` anywhere in the
   file suppresses the rule file-wide; ``all`` works in both forms.
-  Suppressions are counted, never silent.
-* Baseline — a committed JSON file of grandfathered findings keyed by
-  ``(path, rule, stripped source line)``.  Matching findings are demoted
-  (reported separately, exit 0); the key includes the code text so a
-  grandfathered line that *changes* loses its grandfather status.
+  Suppressions are counted, never silent, and are the one way to
+  suppress a finding.
 
 Everything here is stdlib-only and deterministic by construction: the
 walker sorts directory entries, findings sort before emission, and no
@@ -30,7 +27,6 @@ from __future__ import annotations
 import ast
 import fnmatch
 import io
-import json
 import os
 import re
 import tokenize
@@ -39,8 +35,8 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tupl
 
 from repro.analysis import config
 
-#: Bumped when the JSON report/baseline schema changes shape.
-SCHEMA_VERSION = 1
+#: Bumped when the JSON report schema changes shape.
+SCHEMA_VERSION = 2
 
 _PRAGMA_RE = re.compile(r"#\s*detlint:\s*(disable(?:-file)?)\s*=\s*([A-Za-z0-9_\-,\s]+)")
 
@@ -55,17 +51,13 @@ class Finding:
     rule: str
     message: str
     hint: str = ""
-    #: The stripped source text of ``line`` — the baseline match key, and
-    #: context for humans reading a JSON report away from the checkout.
+    #: The stripped source text of ``line``: context for humans reading a
+    #: JSON report away from the checkout.
     code: str = ""
 
     @property
     def sort_key(self) -> Tuple[str, int, int, str]:
         return (self.path, self.line, self.col, self.rule)
-
-    @property
-    def baseline_key(self) -> Tuple[str, str, str]:
-        return (self.path, self.rule, self.code)
 
     def format_text(self) -> str:
         text = f"{self.path}:{self.line}:{self.col}: {self.rule}: {self.message}"
@@ -217,53 +209,6 @@ def _suppressed(
 
 
 # ----------------------------------------------------------------------
-# Baseline
-# ----------------------------------------------------------------------
-def load_baseline(path: str) -> Dict[Tuple[str, str, str], int]:
-    """Load a baseline file into a ``key -> remaining count`` multiset."""
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    counts: Dict[Tuple[str, str, str], int] = {}
-    for entry in payload.get("entries", []):
-        key = (entry["path"], entry["rule"], entry.get("code", ""))
-        counts[key] = counts.get(key, 0) + 1
-    return counts
-
-
-def write_baseline(findings: Sequence[Finding], path: str) -> None:
-    """Write ``findings`` as a baseline file (grandfathering them)."""
-    entries = [
-        {"path": f.path, "rule": f.rule, "code": f.code}
-        for f in sorted(findings, key=lambda f: f.sort_key)
-    ]
-    payload = {"schema_version": SCHEMA_VERSION, "entries": entries}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def apply_baseline(
-    findings: Sequence[Finding], baseline: Dict[Tuple[str, str, str], int]
-) -> Tuple[List[Finding], List[Finding]]:
-    """Split findings into ``(new, grandfathered)`` against a baseline.
-
-    Matching consumes baseline entries one-for-one, so N grandfathered
-    findings on identical lines stay grandfathered but an N+1th is new.
-    """
-    remaining = dict(baseline)
-    new: List[Finding] = []
-    grandfathered: List[Finding] = []
-    for finding in sorted(findings, key=lambda f: f.sort_key):
-        key = finding.baseline_key
-        if remaining.get(key, 0) > 0:
-            remaining[key] -= 1
-            grandfathered.append(finding)
-        else:
-            new.append(finding)
-    return new, grandfathered
-
-
-# ----------------------------------------------------------------------
 # Linting
 # ----------------------------------------------------------------------
 @dataclass
@@ -326,7 +271,6 @@ class Report:
     """One lint run over a set of paths."""
 
     findings: List[Finding] = field(default_factory=list)
-    grandfathered: List[Finding] = field(default_factory=list)
     suppressed: List[Finding] = field(default_factory=list)
     errors: List[str] = field(default_factory=list)
     files_checked: int = 0
@@ -342,12 +286,10 @@ class Report:
             "files_checked": self.files_checked,
             "counts": {
                 "findings": len(self.findings),
-                "grandfathered": len(self.grandfathered),
                 "suppressed": len(self.suppressed),
                 "errors": len(self.errors),
             },
             "findings": [f.to_dict() for f in self.findings],
-            "grandfathered": [f.to_dict() for f in self.grandfathered],
             "suppressed": [f.to_dict() for f in self.suppressed],
             "errors": list(self.errors),
         }
@@ -356,9 +298,8 @@ class Report:
 def lint_paths(
     paths: Sequence[str],
     rules: Optional[Sequence[Type[Rule]]] = None,
-    baseline: Optional[Dict[Tuple[str, str, str], int]] = None,
 ) -> Report:
-    """Lint every ``.py`` file under ``paths`` and fold in the baseline."""
+    """Lint every ``.py`` file under ``paths``."""
     report = Report()
     active = list(rules) if rules is not None else all_rules()
     for file_path in iter_python_files(paths):
@@ -374,10 +315,7 @@ def lint_paths(
             report.errors.append(result.error)
         report.findings.extend(result.findings)
         report.suppressed.extend(result.suppressed)
-    if baseline:
-        report.findings, report.grandfathered = apply_baseline(report.findings, baseline)
-    else:
-        report.findings.sort(key=lambda f: f.sort_key)
+    report.findings.sort(key=lambda f: f.sort_key)
     return report
 
 

@@ -194,8 +194,8 @@ def table2(
 ) -> ExperimentResult:
     """Table 2: milliseconds to partition 10k edges, per system and dataset."""
     for system in systems:
-        if not registry.is_registered(system):
-            raise ValueError(f"unknown system {system!r}; registered: {registry.available()}")
+        if system not in registry.available():
+            raise ValueError(f"unknown system {system!r}; expected one of {registry.available()}")
     sizes = _scaled(THROUGHPUT_SIZES if sizes is None else sizes, scale)
     result = ExperimentResult(
         name="table2",

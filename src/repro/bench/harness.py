@@ -24,7 +24,6 @@ from repro.datasets.registry import Dataset
 from repro.graph.labelled_graph import LabelledGraph
 from repro.graph.stream import EdgeEvent, StreamOrder, stream_edges
 from repro.partitioning import registry
-from repro.partitioning.base import StreamingPartitioner
 from repro.partitioning.metrics import partition_quality_summary
 from repro.partitioning.state import PartitionState
 from repro.query.executor import ExecutionReport, WorkloadExecutor
@@ -100,33 +99,6 @@ class ComparisonResult:
         return out
 
 
-def make_partitioner(
-    system: str,
-    state: PartitionState,
-    graph: LabelledGraph,
-    workload: Workload,
-    window_size: int,
-    seed: int = 0,
-    loom_kwargs: Optional[Dict] = None,
-) -> StreamingPartitioner:
-    """Instantiate ``system`` over ``state`` via the partitioner registry.
-
-    Any strategy registered with
-    :func:`repro.partitioning.registry.register` is available here (and
-    therefore to every experiment and the CLI) by name; ``loom_kwargs``
-    reaches the factory as the context's ``extra`` mapping.
-    """
-    return registry.create(
-        system,
-        state,
-        graph=graph,
-        workload=workload,
-        window_size=window_size,
-        seed=seed,
-        **(loom_kwargs or {}),
-    )
-
-
 def scaled_window(graph: LabelledGraph, fraction: float = 0.12, minimum: int = 200) -> int:
     """A window that is the same *fraction* of the stream as the paper's.
 
@@ -151,7 +123,15 @@ def run_system(
     """Partition ``events`` with ``system`` and (optionally) execute ``workload``."""
     state = PartitionState.for_graph(k, graph.num_vertices, DEFAULT_IMBALANCE)
     window = window_size if window_size is not None else scaled_window(graph)
-    partitioner = make_partitioner(system, state, graph, workload, window, seed, loom_kwargs)
+    partitioner = registry.create(
+        system,
+        state,
+        graph=graph,
+        workload=workload,
+        window_size=window,
+        seed=seed,
+        **(loom_kwargs or {}),
+    )
     start = time.perf_counter()
     partitioner.ingest_all(events)
     elapsed = time.perf_counter() - start

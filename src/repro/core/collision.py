@@ -22,8 +22,6 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
-from repro.core.signature import is_prime
-
 PAPER_FACTOR_COUNTS = (24, 36, 48)
 """Fig. 4's three series: query graphs of 8, 12 and 16 edges."""
 
@@ -144,14 +142,3 @@ def smallest_acceptable_prime(
         f"no prime <= {max_p} reaches acceptance {target_probability} "
         f"for {num_factors} factors at tolerance {tolerance}"
     )
-
-
-def validate_prime_choice(p: int, largest_query_edges: int = 16) -> float:
-    """Acceptance probability of ``p`` at the paper's 5% tolerance.
-
-    A check for any prime; :class:`repro.core.loom.LoomPartitioner` always
-    uses :data:`~repro.core.signature.DEFAULT_PRIME`.
-    """
-    if not is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
-    return acceptance_probability(num_factors_for_edges(largest_query_edges), p, 0.05)

@@ -79,7 +79,6 @@ from typing import (
     Optional,
     Set,
     Tuple,
-    Union,
 )
 
 from repro.core.motifs import MotifIndex
@@ -380,22 +379,19 @@ class MatcherStats:
 class StreamMatcher:
     """Incremental motif matching over a sliding window (Alg. 2).
 
-    Constructed from a compiled :class:`~repro.core.plan.MotifPlan`; a
-    :class:`~repro.core.motifs.MotifIndex` is accepted and compiled on the
-    spot for convenience (tests).
+    Constructed from a compiled :class:`~repro.core.plan.MotifPlan`
+    (:meth:`~repro.core.motifs.MotifIndex.compile`).
     """
 
     def __init__(
         self,
-        plan: Union[MotifPlan, MotifIndex],
+        plan: MotifPlan,
         window_size: int,
         max_matches_per_vertex: int = 64,
         interner: Optional[VertexInterner] = None,
     ) -> None:
         if max_matches_per_vertex < 1:
             raise ValueError("max_matches_per_vertex must be positive")
-        if isinstance(plan, MotifIndex):
-            plan = plan.compile()
         self.plan = plan
         #: Vertex ↔ id bijection shared with the window.  Loom passes the
         #: partition state's interner so match ids index the assignment

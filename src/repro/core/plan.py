@@ -63,10 +63,10 @@ while keeping the hot-path entries plain ints)."""
 class MotifPlan:
     """A compiled, flat-integer view of a support-filtered TPSTry++.
 
-    Build via :meth:`from_index` / :meth:`MotifIndex.compile` /
-    :meth:`TPSTry.compile`.  All state arrays are indexed by dense state
-    id; :meth:`node_of` / :meth:`state_of` translate to and from the object
-    DAG for debugging and tests.
+    Build via :meth:`MotifIndex.compile` / :meth:`TPSTry.compile`.  All
+    state arrays are indexed by dense state id; :meth:`node_of` /
+    :meth:`state_of` translate to and from the object DAG for debugging
+    and tests.
     """
 
     __slots__ = (
@@ -89,7 +89,6 @@ class MotifPlan:
         "_root_memo",
         "_delta_ids",
         "_delta_shift",
-        "_successors",
         "successor_rows",
         "_delta_memo",
     )
@@ -166,23 +165,18 @@ class MotifPlan:
                 delta_id = self._delta_ids.setdefault(packed, len(self._delta_ids))
                 entries.append((state, delta_id, kept))
         self._delta_shift = max(1, (max(len(self._delta_ids) - 1, 1)).bit_length())
-        self._successors: Dict[int, Tuple[int, ...]] = {
-            (state << self._delta_shift) | delta_id: kept
-            for state, delta_id, kept in entries
-        }
         #: The successor table as a dense row array indexed by the packed
         #: ``(state << delta_shift) | delta_id`` key (``None`` rows = no
-        #: successors).  Semantically identical to ``_successors`` — the
-        #: matcher's inner loop reads this (a C list index instead of an
-        #: int-dict probe); the dict stays as the canonical form the
-        #: boundary helpers (:meth:`successors`) answer from.
-        #: Size is ``num_states << delta_shift`` (delta ids never exceed
-        #: ``2**delta_shift``), small for any realistic workload.
+        #: successors): the matcher's inner loop reads it (a C list index
+        #: instead of an int-dict probe), and so do the boundary helpers
+        #: (:meth:`successors`).  Size is ``num_states << delta_shift``
+        #: (delta ids never exceed ``2**delta_shift``), small for any
+        #: realistic workload.
         self.successor_rows: List[Optional[Tuple[int, ...]]] = [None] * (
             self.num_states << self._delta_shift
         )
-        for packed_key, kept in self._successors.items():
-            self.successor_rows[packed_key] = kept
+        for state, delta_id, kept in entries:
+            self.successor_rows[(state << self._delta_shift) | delta_id] = kept
         #: (lu, lv, du, dv) -> delta id, or NO_STATE when the probed factor
         #: triple appears in no successor entry anywhere (a *global* miss:
         #: the object index would return [] for every state, so skipping
@@ -212,14 +206,6 @@ class MotifPlan:
                 for du in range(max_deg + 1):
                     for dv in range(max_deg + 1):
                         delta_id(lu, lv, du, dv)
-
-    # ------------------------------------------------------------------
-    # Construction
-    # ------------------------------------------------------------------
-    @classmethod
-    def from_index(cls, index: "MotifIndex", labels: Optional[LabelInterner] = None) -> "MotifPlan":
-        """Compile ``index`` (see also :meth:`MotifIndex.compile`)."""
-        return cls(index, labels=labels)
 
     # ------------------------------------------------------------------
     # The two hot lookups (Alg. 2)
@@ -269,7 +255,7 @@ class MotifPlan:
         delta = self.delta_id(lu, lv, du, dv)
         if delta < 0:
             return ()
-        return self._successors.get((state << self._delta_shift) | delta, ())
+        return self.successor_rows[(state << self._delta_shift) | delta] or ()
 
     def successors_by_delta_key(self, state: int, delta_key: DeltaKey) -> Tuple[int, ...]:
         """Successor states for an explicit factor-key tuple (test/debug
@@ -278,7 +264,7 @@ class MotifPlan:
         delta = self._delta_ids.get(packed, NO_STATE)
         if delta < 0:
             return ()
-        return self._successors.get((state << self._delta_shift) | delta, ())
+        return self.successor_rows[(state << self._delta_shift) | delta] or ()
 
     # ------------------------------------------------------------------
     # Boundary translation / introspection

@@ -124,10 +124,8 @@ def gauge(name: str) -> Union[Gauge, NullGauge]:
     return _registry.gauge(name)
 
 
-def window(
-    name: str, interval: int = 256, intervals: int = 4
-) -> Union[WindowedStats, NullWindow]:
-    return _registry.window(name, interval, intervals)
+def window(name: str) -> Union[WindowedStats, NullWindow]:
+    return _registry.window(name)
 
 
 def register_collector(prefix: str, fn: Callable[[], Mapping[str, object]]) -> None:

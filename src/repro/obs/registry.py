@@ -105,7 +105,7 @@ class MetricsRegistry:
             g = self._gauges[name] = Gauge(name)
         return g
 
-    def window(self, name: str, interval: int = 256, intervals: int = 4):
+    def window(self, name: str):
         """A named :class:`~repro.obs.windowed.WindowedStats` (or the NULL
         stub while disabled)."""
         from repro.obs.windowed import NULL_WINDOW, WindowedStats
@@ -114,7 +114,7 @@ class MetricsRegistry:
             return NULL_WINDOW
         w = self._windows.get(name)
         if w is None:
-            w = self._windows[name] = WindowedStats(name, interval, intervals)
+            w = self._windows[name] = WindowedStats(name)
         return w
 
     def register_collector(self, prefix: str, fn: Callable[[], Mapping[str, object]]) -> None:

@@ -28,18 +28,19 @@ def _nearest_rank(sorted_values: List[int], q: float) -> int:
 
 
 class WindowedStats:
-    __slots__ = ("name", "interval", "intervals", "recorded", "_current", "_closed")
+    __slots__ = ("name", "recorded", "_current", "_closed")
 
-    def __init__(self, name: str, interval: int = 256, intervals: int = 4) -> None:
-        if interval <= 0:
-            raise ValueError("interval must be a positive request count")
+    #: Recorded requests per interval.
+    INTERVAL = 256
+    #: Closed intervals the window keeps.
+    INTERVALS = 4
+
+    def __init__(self, name: str) -> None:
         self.name = name
-        self.interval = interval
-        self.intervals = intervals
         self.recorded = 0
         # query -> [count, hops, latencies_us]
         self._current: Dict[str, list] = {}
-        self._closed: deque = deque(maxlen=intervals)
+        self._closed: deque = deque(maxlen=self.INTERVALS)
 
     def record(self, query: str, hops: int, latency_us: int = 0) -> None:
         row = self._current.get(query)
@@ -49,7 +50,7 @@ class WindowedStats:
         row[1] += hops
         row[2].append(latency_us)
         self.recorded += 1
-        if self.recorded % self.interval == 0:
+        if self.recorded % self.INTERVAL == 0:
             self._closed.append(self._current)
             self._current = {}
 

@@ -49,8 +49,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("graph", help="graph file in the v/e line format")
     parser.add_argument("--workload", help="workload file in the q/p line format")
-    # Choices come from the registry: a strategy registered by a plugin or
-    # an importing script is immediately selectable here.
     parser.add_argument("--system", choices=registry.available(), default="loom")
     parser.add_argument("--k", type=int, default=8, help="number of partitions")
     parser.add_argument("--order", choices=["bfs", "dfs", "random"], default="bfs")
@@ -136,10 +134,15 @@ def main(argv: Optional[list] = None) -> int:
         ("--imbalance", args.imbalance, 1),
         ("--serve", args.serve, 0),
         ("--serve-shards", args.serve_shards, 0),
+        ("--window", 1 if args.window is None else args.window, 1),
+        ("--zipf", args.zipf, 0),
     ):
-        if value < least:
+        if not value >= least:  # also rejects nan
             print(f"error: {flag} must be at least {least}", file=sys.stderr)
             return 2
+    if not 0 < args.threshold <= 1:
+        print("error: --threshold must lie in (0, 1]", file=sys.stderr)
+        return 2
     if args.system == "loom" and not args.workload:
         print("error: --system loom requires --workload", file=sys.stderr)
         return 2

@@ -11,7 +11,7 @@ paper's evaluation live on the same abstractions defined here:
   databases,
 * :class:`LDGPartitioner` — Linear Deterministic Greedy (Stanton & Kliot),
 * :class:`FennelPartitioner` — Fennel (Tsourakakis et al., γ = 1.5),
-* :mod:`repro.partitioning.registry` — the name → factory registry every
+* :mod:`repro.partitioning.registry` — the name → partitioner table every
   call site (CLI, harness, experiments) instantiates systems through,
 * :mod:`repro.partitioning.metrics` — edge-cut, balance and communication
   volume.
@@ -20,7 +20,7 @@ paper's evaluation live on the same abstractions defined here:
 sha256 assignment digests.
 """
 
-from repro.partitioning.base import PartitionerStats, StreamingPartitioner, run_partitioner
+from repro.partitioning.base import StreamingPartitioner
 from repro.partitioning.state import PartitionState
 from repro.partitioning.hash_partitioner import HashPartitioner
 from repro.partitioning.ldg import LDGPartitioner, ldg_choose, ldg_choose_ids
@@ -38,7 +38,6 @@ __all__ = [
     "HashPartitioner",
     "LDGPartitioner",
     "PartitionState",
-    "PartitionerStats",
     "StreamingPartitioner",
     "communication_volume",
     "cut_fraction",
@@ -47,5 +46,4 @@ __all__ = [
     "ldg_choose",
     "ldg_choose_ids",
     "partition_quality_summary",
-    "run_partitioner",
 ]

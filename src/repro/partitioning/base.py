@@ -1,4 +1,4 @@
-"""The streaming-partitioner protocol and the stream driver.
+"""The streaming-partitioner protocol.
 
 All four systems of the evaluation (Hash, LDG, Fennel, Loom) implement
 :class:`StreamingPartitioner`: a strict one-pass interface that consumes
@@ -10,9 +10,7 @@ drained when the stream ends; the others are no-ops.
 from __future__ import annotations
 
 import abc
-import time
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, Optional
+from typing import Iterable, Optional
 
 from repro.graph.labelled_graph import Vertex
 from repro.graph.stream import EdgeEvent
@@ -72,41 +70,3 @@ class StreamingPartitioner(abc.ABC):
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} k={self.state.k} ingested={self.edges_ingested}>"
-
-
-@dataclass
-class PartitionerStats:
-    """Outcome of driving one partitioner over one stream."""
-
-    name: str
-    state: PartitionState
-    edges: int
-    seconds: float
-    extra: Dict[str, float] = field(default_factory=dict)
-
-    @property
-    def edges_per_second(self) -> float:
-        return self.edges / self.seconds if self.seconds > 0 else float("inf")
-
-    @property
-    def ms_per_10k_edges(self) -> float:
-        """The unit of the paper's Table 2."""
-        if self.edges == 0:
-            return 0.0
-        return (self.seconds / self.edges) * 10_000 * 1000.0
-
-
-def run_partitioner(
-    partitioner: StreamingPartitioner,
-    events: Iterable[EdgeEvent],
-) -> PartitionerStats:
-    """Drive ``partitioner`` over ``events``, timing the whole pass."""
-    start = time.perf_counter()
-    partitioner.ingest_all(events)
-    elapsed = time.perf_counter() - start
-    return PartitionerStats(
-        name=partitioner.name,
-        state=partitioner.state,
-        edges=partitioner.edges_ingested,
-        seconds=elapsed,
-    )

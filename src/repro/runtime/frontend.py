@@ -505,7 +505,7 @@ class ServingFrontEnd:
                 self._transport.put(shard, InvalidationHops(self._seq, tuple(per_shard[shard])))
         self._inbox.extend(stash)
 
-    def _next_message(self, deadline: float, soft: bool = False):
+    def _next_message(self, deadline: float):
         """One *protocol* message: set-aside replies first, then the
         transport's.
 
@@ -517,7 +517,7 @@ class ServingFrontEnd:
         if self._inbox:
             return self._inbox.popleft()
         while True:
-            message = self._transport.next_message(deadline, soft)
+            message = self._transport.next_message(deadline)
             if isinstance(message, StatsReport):
                 self.stats_reports[message.shard_id] = message
                 continue
@@ -558,26 +558,15 @@ class ServingFrontEnd:
         self._transport.put(shard, QueryRequest(request_id, plan, root, partition))
         return request_id
 
-    def poll_completed(
-        self, timeout: Optional[float] = None
-    ) -> List[Tuple[int, RootResult, Optional[bool]]]:
-        """Process replies until at least one request completes (or the
-        optional wait budget runs out); drain every finished request as
-        ``(request_id, result, cached)`` triples — ``cached`` is True on a
-        cache hit, False on a miss and None when the cache is off or the
-        root was answered here.
-
-        With an explicit ``timeout`` the deadline is *soft*: returning an
-        empty list is how "nothing finished yet" reads (the open-loop
-        traffic driver's pacing path); without one the request timeout
-        applies and expiry raises."""
-        soft = timeout is not None
-        deadline = time.monotonic() + (timeout if soft else self.request_timeout)
+    def poll_completed(self) -> List[Tuple[int, RootResult, Optional[bool]]]:
+        """Process replies until at least one request completes; drain
+        every finished request as ``(request_id, result, cached)`` triples
+        — ``cached`` is True on a cache hit, False on a miss and None when
+        the cache is off or the root was answered here.  Past the request
+        timeout it raises."""
+        deadline = time.monotonic() + self.request_timeout
         while not self._completed and self._pending:
-            message = self._next_message(deadline, soft=soft)
-            if message is None:
-                break
-            self._process_reply(message)
+            self._process_reply(self._next_message(deadline))
         finished: List[Tuple[int, RootResult, Optional[bool]]] = []
         while self._completed:
             request_id = self._completed.popleft()

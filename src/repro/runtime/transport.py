@@ -3,9 +3,9 @@
 A transport has ``put(shard, message)`` — an
 :class:`~repro.runtime.messages.EdgeUpdate` or
 :class:`~repro.runtime.messages.InvalidationHops` to the shard's ingest
-side, any other wire message to its request side — ``next_message(deadline,
-soft)``, the next reply of any shard (past the ``time.monotonic()``
-deadline, ``None`` when ``soft``, an error otherwise), and ``close()``.
+side, any other wire message to its request side — ``next_message(deadline)``,
+the next reply of any shard (an error past the ``time.monotonic()``
+deadline), and ``close()``.
 
 :class:`QueueTransport` runs one :func:`~repro.runtime.server.shard_server_main`
 process per shard behind bounded queues; a dead or failed server surfaces
@@ -127,27 +127,14 @@ class QueueTransport:
                         break
                 self._check_servers()
 
-    def next_message(self, deadline: float, soft: bool = False):
-        """One message from the inbox or the shared reply queue.
-
-        ``soft`` makes the deadline a polling budget: return ``None`` when
-        it passes instead of raising (the open-loop driver's pacing path).
-        """
+    def next_message(self, deadline: float):
+        """One message from the inbox or the shared reply queue; past
+        ``deadline`` an error naming each server's state."""
         if self._inbox:
             return self._inbox.popleft()
         while True:
             remaining = deadline - time.monotonic()
             if remaining <= 0:
-                if soft:
-                    # Even a zero budget drains what is already queued:
-                    # an open-loop driver running behind schedule polls
-                    # with budget 0 every iteration, and skipping the
-                    # read entirely would never complete anything.
-                    try:
-                        return self._get(None)
-                    except queue_module.Empty:
-                        self._check_servers()
-                        return None
                 states = ", ".join(
                     f"shard {i}: {describe_exit(p) if p.exitcode is not None else 'alive'}"
                     for i, p in enumerate(self._servers)
@@ -213,9 +200,9 @@ class LocalTransport:
     def put(self, shard: int, message) -> None:
         (self._ingest if isinstance(message, INGEST_MESSAGES) else self._requests).append(message)
 
-    def next_message(self, deadline: float, soft: bool = False):
-        """The next reply; nothing queued is ``None`` when ``soft``, else an
-        error — no message can arrive later in process."""
+    def next_message(self, deadline: float):
+        """The next reply; nothing queued is an error — no message can
+        arrive later in process."""
         server, replies = self.server, self._replies
         while not replies:
             if self._ingest:
@@ -224,8 +211,6 @@ class LocalTransport:
                 reply = server.handle_request_message(self._requests.popleft())
                 if reply is not None:
                     replies.append(reply)
-            elif soft:
-                return None
             else:
                 raise RuntimeError("in-process shard server has nothing to answer")
         return replies.popleft()

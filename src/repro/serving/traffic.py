@@ -1,11 +1,12 @@
 """Traffic driver: sampled query streams, throughput, latency.
 
 Models the ROADMAP's "heavy traffic" scenario at benchmark scale: one
-:class:`TrafficDriver` issues ``(query, root)`` requests — each one user
-asking for the embeddings of one workload query rooted at one vertex —
-against any :class:`~repro.runtime.frontend.ServingFrontEnd` through its
-request protocol, ``submit`` / ``poll_completed``.  Both deployments run
-that protocol in the one driver; the in-process
+closed-loop :class:`TrafficDriver` issues ``(query, root)`` requests —
+each one user asking for the embeddings of one workload query rooted at
+one vertex — against any
+:class:`~repro.runtime.frontend.ServingFrontEnd` through its request
+protocol, ``submit`` / ``poll_completed``.  Both deployments run that
+protocol in the one driver; the in-process
 :class:`~repro.serving.engine.ServingEngine`'s transport answers one
 request per poll, oldest first, while a
 :class:`~repro.runtime.live.LiveCluster` pipelines requests across shard
@@ -91,9 +92,7 @@ class TrafficReport:
     """
 
     system: str
-    mode: str  # "closed" or "open"
     inflight: int
-    rate: Optional[float]  # open-loop arrival rate (req/s); None when closed
     requests: int
     wall_seconds: float
     p50_ms: float
@@ -133,9 +132,7 @@ class TrafficReport:
     def as_dict(self) -> Dict[str, object]:
         return {
             "system": self.system,
-            "mode": self.mode,
             "inflight": self.inflight,
-            "rate": self.rate,
             "requests": self.requests,
             "queries_per_sec": round(self.requests_per_sec, 1),
             "p50_ms": round(self.p50_ms, 4),
@@ -156,20 +153,12 @@ class TrafficReport:
 class TrafficDriver:
     """Sample a request stream and replay it against one front end.
 
-    Two modes share one measurement path:
+    The loop is closed: up to ``inflight`` requests are outstanding, and
+    a completion immediately admits the next request, so throughput is
+    what the back end *can* do at that concurrency.
 
-    * **closed loop** (default): keep up to ``inflight`` requests
-      outstanding; a completion immediately admits the next request.
-      Throughput is what the back end *can* do at that concurrency.
-    * **open loop** (``rate`` set): request *i* is due at ``i / rate``
-      seconds after start, submitted when due regardless of completions
-      (still capped at ``inflight`` outstanding to bound queue growth).
-      Latency is measured from the request's **scheduled arrival**, so a
-      back end that falls behind shows the queueing delay instead of
-      hiding it (no coordinated omission).
-
-    Latencies are wall-clock driver-side: submit (or scheduled arrival)
-    to completion, which includes every queue wait and hop the request
+    Latencies are wall-clock driver-side: from just before submit to
+    completion, which includes every queue wait and hop the request
     incurred.  Sampling is the deterministic :func:`sample_requests`
     stream, so runs against different back ends, shard counts or
     partitionings serve the identical request sequence.
@@ -199,23 +188,19 @@ class TrafficDriver:
         requests: Optional[Sequence[Tuple[str, int]]] = None,
         system: str = "",
         inflight: int = 8,
-        rate: Optional[float] = None,
         collect_results: bool = False,
     ) -> TrafficReport:
         """Issue the stream at concurrency ``inflight``; returns the report.
 
         Pass ``requests`` to replay an externally sampled sequence (it
         replaces ``num_requests``) and ``system`` to label the report.
-        ``rate`` switches to open-loop arrivals at that many requests per
-        second.  ``collect_results=True`` additionally keeps each
-        request's :class:`~repro.serving.execution.RootResult` in
-        ``report.results`` (stream order), which is how tests assert
-        bit-identical answers across back ends.
+        ``collect_results=True`` additionally keeps each request's
+        :class:`~repro.serving.execution.RootResult` in ``report.results``
+        (stream order), which is how tests assert bit-identical answers
+        across back ends.
         """
         if inflight < 1:
             raise ValueError("inflight must be at least 1")
-        if rate is not None and rate <= 0:
-            raise ValueError("rate must be positive")
         if requests is None:
             requests = self.sample(num_requests)
         frontend = self.frontend
@@ -235,32 +220,14 @@ class TrafficDriver:
         submitted = completed = 0
         wall_start = perf_counter()
         while completed < total:
-            now = perf_counter()
-            # Admit every request that is due and fits the in-flight cap.
+            # Admit requests up to the in-flight cap; each latency clock
+            # starts before its submit.
             while submitted < total and submitted - completed < inflight:
-                if rate is not None:
-                    due = wall_start + submitted / rate
-                    if now < due:
-                        break
-                    clock_start = due  # latency from scheduled arrival
-                else:
-                    clock_start = now
                 name, root = requests[submitted]
-                request_id = frontend.submit(name, root)
-                started[request_id] = (submitted, clock_start)
+                clock_start = perf_counter()
+                started[frontend.submit(name, root)] = (submitted, clock_start)
                 submitted += 1
-                now = perf_counter()
-            if rate is not None and submitted < total:
-                if submitted - completed >= inflight:
-                    # The cap, not the schedule, gates the next submit:
-                    # wait for a completion instead of spinning on an
-                    # already-due arrival with a zero budget.
-                    budget = 0.05
-                else:
-                    budget = max(0.0, wall_start + submitted / rate - now)
-                finished = frontend.poll_completed(timeout=min(budget, 0.05))
-            else:
-                finished = frontend.poll_completed()
+            finished = frontend.poll_completed()
             end = perf_counter()
             for request_id, result, cached in finished:
                 index, clock_start = started.pop(request_id)
@@ -283,12 +250,6 @@ class TrafficDriver:
                 elif cached is False:
                     misses += 1
                 completed += 1
-            if rate is not None and submitted == completed and submitted < total:
-                # Nothing outstanding and the next arrival is in the future:
-                # sleep toward it instead of spinning on the clock.
-                pause = wall_start + submitted / rate - perf_counter()
-                if pause > 0:
-                    time.sleep(min(pause, 0.05))
         wall = perf_counter() - wall_start
         latencies.sort()
         per_query: Dict[str, Dict[str, float]] = {}
@@ -304,9 +265,7 @@ class TrafficDriver:
             }
         return TrafficReport(
             system=system,
-            mode="open" if rate is not None else "closed",
             inflight=inflight,
-            rate=rate,
             requests=total,
             wall_seconds=wall,
             p50_ms=percentile(latencies, 0.50) * 1e3,

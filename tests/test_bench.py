@@ -6,13 +6,13 @@ from repro.bench import experiments
 from repro.bench.harness import (
     SYSTEMS,
     compare_systems,
-    make_partitioner,
     run_system,
     scaled_window,
 )
 from repro.bench.reporting import render_series, render_table
 from repro.datasets.registry import load_dataset
 from repro.graph.stream import stream_edges
+from repro.partitioning import registry
 from repro.partitioning.state import PartitionState
 from repro.query.executor import WorkloadExecutor
 
@@ -27,13 +27,13 @@ class TestHarness:
         g, wl = tiny_dataset.graph, tiny_dataset.workload
         for system in SYSTEMS:
             state = PartitionState.for_graph(2, g.num_vertices)
-            p = make_partitioner(system, state, g, wl, window_size=20)
+            p = registry.create(system, state, graph=g, workload=wl, window_size=20)
             assert p.name == system
 
     def test_make_partitioner_unknown(self, tiny_dataset):
         g, wl = tiny_dataset.graph, tiny_dataset.workload
         with pytest.raises(ValueError):
-            make_partitioner("metis", PartitionState(2, 10), g, wl, 10)
+            registry.create("metis", PartitionState(2, 10), graph=g, workload=wl, window_size=10)
 
     def test_scaled_window(self, tiny_dataset):
         w = scaled_window(tiny_dataset.graph, fraction=0.1, minimum=5)

@@ -113,8 +113,3 @@ class TestPrimeSelection:
     def test_unreachable_target_raises(self):
         with pytest.raises(ValueError):
             collision.smallest_acceptable_prime(48, 0.0, 1.0, max_p=10)
-
-    def test_validate_prime_choice(self):
-        assert collision.validate_prime_choice(251) > 0.9
-        with pytest.raises(ValueError):
-            collision.validate_prime_choice(250)

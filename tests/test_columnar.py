@@ -37,7 +37,7 @@ from repro.query.workload import Workload
 
 def build_matcher(workload, window=100, threshold=0.4, **kwargs) -> StreamMatcher:
     trie = TPSTry.from_workload(workload)
-    return StreamMatcher(MotifIndex(trie, threshold), window, **kwargs)
+    return StreamMatcher(MotifIndex(trie, threshold).compile(), window, **kwargs)
 
 
 def evict_once(matcher: StreamMatcher) -> None:
@@ -316,17 +316,6 @@ class TestLoomColumnarEquivalence:
         assert loom_b.matcher.stats.edges_offered == at + 1
         assert loom_observable(loom_a) == loom_observable(loom_b)
         assert loom_a.edges_ingested == loom_b.edges_ingested == at
-
-
-class TestPlanTables:
-    def test_successor_rows_mirror_plan_dense_rows(self, fig5_workload):
-        """plan.successor_rows (the dense list the matcher indexes) and the
-        canonical dict must agree key for key."""
-        plan = MotifIndex(TPSTry.from_workload(fig5_workload), 0.4).compile()
-        for key, kept in plan._successors.items():
-            assert plan.successor_rows[key] == kept
-        hits = sum(1 for row in plan.successor_rows if row is not None)
-        assert hits == len(plan._successors)
 
 
 class TestDeterminism:

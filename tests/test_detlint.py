@@ -1,5 +1,5 @@
 """detlint's own test suite: every rule fires on its bad fixture and
-stays silent on the good twin; pragmas and baselines behave; and — the
+stays silent on the good twin; pragmas behave; and — the
 teeth — the shipped tree is finding-free.
 
 The fixtures lint *virtual* paths (``lint_source`` scopes by the path
@@ -15,14 +15,11 @@ import pytest
 from repro.analysis import config
 from repro.analysis.engine import (
     all_rules,
-    apply_baseline,
     collect_pragmas,
     lint_paths,
     lint_source,
-    load_baseline,
     rule_by_id,
     rule_applies,
-    write_baseline,
 )
 from repro.analysis.__main__ import main as detlint_main
 
@@ -349,42 +346,6 @@ def test_pragma_parser_handles_lists_and_justifications():
 
 
 # ----------------------------------------------------------------------
-# Baseline
-# ----------------------------------------------------------------------
-def test_baseline_roundtrip_and_grandfathering(tmp_path):
-    path, bad, _good = FIXTURES["DET-repr"]
-    findings = _rules_fired(path, bad, "DET-repr")
-    assert len(findings) == 7
-
-    baseline_file = tmp_path / "baseline.json"
-    write_baseline(findings, str(baseline_file))
-    baseline = load_baseline(str(baseline_file))
-
-    new, grandfathered = apply_baseline(findings, baseline)
-    assert new == [] and len(grandfathered) == 7
-
-
-def test_baseline_is_a_multiset_and_keyed_on_code_text(tmp_path):
-    path, bad, _good = FIXTURES["DET-repr"]
-    findings = _rules_fired(path, bad, "DET-repr")
-    baseline_file = tmp_path / "baseline.json"
-    write_baseline(findings[:1], str(baseline_file))
-    baseline = load_baseline(str(baseline_file))
-
-    # Only one entry: the first matching finding is grandfathered, the
-    # rest (different code lines) stay new.
-    new, grandfathered = apply_baseline(findings, baseline)
-    assert len(grandfathered) == 1 and len(new) == 6
-
-    # A grandfathered line that *changes* loses its grandfather status.
-    changed = bad.replace("vs.sort(key=repr)", "vs.sort(key=repr, reverse=True)")
-    refindings = _rules_fired(path, changed, "DET-repr")
-    new, grandfathered = apply_baseline(refindings, baseline)
-    assert all(f.code != "vs.sort(key=repr)" for f in grandfathered)
-    assert len(new) == 7
-
-
-# ----------------------------------------------------------------------
 # Engine plumbing
 # ----------------------------------------------------------------------
 def test_syntax_error_is_reported_not_raised():
@@ -421,23 +382,18 @@ def test_cli_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_cli_json_report_and_baseline_flow(tmp_path, capsys):
+def test_cli_json_report(tmp_path, capsys):
     bad = _write(tmp_path, "src/repro/core/mod.py", FIXTURES["DET-repr"][1])
     report_file = tmp_path / "report.json"
-    baseline_file = tmp_path / "baseline.json"
 
     assert detlint_main([str(bad), "--json-report", str(report_file)]) == 1
     payload = json.loads(report_file.read_text(encoding="utf-8"))
-    assert payload["schema_version"] == 1
+    assert payload["schema_version"] == 2
     assert payload["ok"] is False
-    assert payload["counts"]["findings"] == 7
+    assert payload["counts"] == {"findings": 7, "suppressed": 0, "errors": 0}
     assert all(f["rule"] == "DET-repr" for f in payload["findings"])
-
-    assert detlint_main([str(bad), "--write-baseline", str(baseline_file)]) == 0
-    assert detlint_main([str(bad), "--baseline", str(baseline_file)]) == 0
-
-    out = capsys.readouterr().out
-    assert "grandfathered" in out
+    assert "grandfathered" not in payload
+    capsys.readouterr()
 
 
 def test_cli_rule_filter_and_list_rules(capsys):

@@ -271,6 +271,13 @@ class TestPartitionCli:
                 ["--workload", "no-such-workload.txt", "--serve", "5", "--serve-shards", "-1"],
                 "--serve-shards must be at least 0",
             ),
+            (["--system", "ldg", "--window", "0"], "--window must be at least 1"),
+            (["--system", "ldg", "--threshold", "1.5"], "--threshold must lie in (0, 1]"),
+            (["--system", "ldg", "--threshold", "0"], "--threshold must lie in (0, 1]"),
+            (
+                ["--workload", "no-such-workload.txt", "--serve", "5", "--zipf", "-1"],
+                "--zipf must be at least 0",
+            ),
         ],
         ids=[
             "execute-without-workload",
@@ -280,6 +287,10 @@ class TestPartitionCli:
             "imbalance-below-one",
             "serve-negative",
             "serve-shards-negative",
+            "window-zero",
+            "threshold-above-one",
+            "threshold-zero",
+            "zipf-negative",
         ],
     )
     def test_flag_errors_come_before_the_graph_is_read(self, flags, message, capsys):

@@ -27,7 +27,7 @@ from repro.graph.stream import EdgeEvent, batched, stream_edges
 
 def build_matcher(workload, window=100, **kwargs) -> StreamMatcher:
     trie = TPSTry.from_workload(workload)
-    return StreamMatcher(MotifIndex(trie, 0.4), window, **kwargs)
+    return StreamMatcher(MotifIndex(trie, 0.4).compile(), window, **kwargs)
 
 
 def ek(matcher: StreamMatcher, u, v) -> int:

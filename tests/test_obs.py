@@ -185,42 +185,49 @@ class TestTracer:
 
 
 class TestWindowedStats:
+    # Each test records whole 256-request intervals (WindowedStats.INTERVAL).
+    QUARTER = WindowedStats.INTERVAL // 4
+
     def test_rollup_counts_and_shares(self):
-        w = WindowedStats("serving", interval=4, intervals=4)
-        for _ in range(3):
+        w = WindowedStats("serving")
+        for _ in range(3 * self.QUARTER):
             w.record("abc", 2, 10)
-        w.record("abab", 6, 30)
+        for _ in range(self.QUARTER):
+            w.record("abab", 6, 30)
         roll = w.rollup()
-        assert roll["abc"]["requests"] == 3
+        assert roll["abc"]["requests"] == 3 * self.QUARTER
         assert roll["abc"]["frequency"] == 0.75
         assert roll["abc"]["hops_per_query"] == 2.0
-        assert roll["abab"]["hops"] == 6
+        assert roll["abab"]["hops"] == 6 * self.QUARTER
         assert roll["abab"]["p50_us"] == 30
 
     def test_sliding_window_evicts_old_intervals(self):
-        w = WindowedStats("serving", interval=2, intervals=2)
-        for _ in range(2):
+        w = WindowedStats("serving")
+        assert (WindowedStats.INTERVAL, WindowedStats.INTERVALS) == (256, 4)
+        for _ in range(256):
             w.record("old", 1, 1)
-        for _ in range(4):
+        for _ in range(4 * 256):
             w.record("new", 1, 1)
-        # Two closed 'new' intervals fill the deque; 'old' has slid out.
+        # Four closed 'new' intervals fill the deque; 'old' has slid out.
         assert set(w.rollup()) == {"new"}
-        assert w.recorded == 6
+        assert w.recorded == 5 * 256
 
     def test_deltas_need_two_closed_intervals(self):
-        w = WindowedStats("serving", interval=2, intervals=4)
-        w.record("q", 1, 1)
-        w.record("q", 1, 1)
+        w = WindowedStats("serving")
+        for _ in range(WindowedStats.INTERVAL):
+            w.record("q", 1, 1)
         assert w.deltas() == {}
 
     def test_deltas_flag_heating_query(self):
-        w = WindowedStats("serving", interval=4, intervals=4)
+        w = WindowedStats("serving")
         # Interval 1: cold/hot split 3:1; interval 2: 1:3 with longer hops.
-        for _ in range(3):
+        for _ in range(3 * self.QUARTER):
             w.record("cold", 1, 1)
-        w.record("hot", 1, 1)
-        w.record("cold", 1, 1)
-        for _ in range(3):
+        for _ in range(self.QUARTER):
+            w.record("hot", 1, 1)
+        for _ in range(self.QUARTER):
+            w.record("cold", 1, 1)
+        for _ in range(3 * self.QUARTER):
             w.record("hot", 3, 1)
         deltas = w.deltas()
         assert deltas["hot"]["frequency_delta"] > 0
@@ -228,16 +235,12 @@ class TestWindowedStats:
         assert deltas["hot"]["hops_delta"] > 0
 
     def test_as_metrics_flat_names(self):
-        w = WindowedStats("serving", interval=8)
+        w = WindowedStats("serving")
         w.record("abc", 2, 5)
         metrics = w.as_metrics()
         assert metrics["total_requests"] == 1
         assert metrics["abc.requests"] == 1
         assert metrics["abc.hops_per_query"] == 2.0
-
-    def test_bad_interval_rejected(self):
-        with pytest.raises(ValueError):
-            WindowedStats("w", interval=0)
 
 
 class TestFormat:

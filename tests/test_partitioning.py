@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.graph.stream import EdgeEvent, stream_edges
-from repro.partitioning.base import run_partitioner
 from repro.partitioning.fennel import FennelPartitioner, fennel_alpha
 from repro.partitioning.hash_partitioner import HashPartitioner, stable_hash
 from repro.partitioning.ldg import LDGPartitioner, ldg_choose
@@ -242,16 +241,6 @@ class TestMetrics:
             "communication_volume",
             "assigned_vertices",
         }
-
-
-class TestRunPartitioner:
-    def test_stats(self, random_graph):
-        state = PartitionState.for_graph(2, random_graph.num_vertices)
-        stats = run_partitioner(HashPartitioner(state), stream_edges(random_graph, "bfs"))
-        assert stats.edges == random_graph.num_edges
-        assert stats.seconds >= 0
-        assert stats.ms_per_10k_edges >= 0
-        assert stats.name == "hash"
 
 
 @settings(max_examples=20, deadline=None)

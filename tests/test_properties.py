@@ -71,7 +71,7 @@ def test_property_matcher_is_complete(seed, n_edges):
 
     trie = TPSTry.from_workload(_fig5_workload())
     index = MotifIndex(trie, 0.4)
-    matcher = StreamMatcher(index, window_size=1000, max_matches_per_vertex=10_000)
+    matcher = StreamMatcher(index.compile(), window_size=1000, max_matches_per_vertex=10_000)
     for u, v in sorted(g.edges(), key=repr):
         matcher.offer(EdgeEvent(u, g.label(u), v, g.label(v)))
 

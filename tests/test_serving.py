@@ -465,8 +465,6 @@ class TestTrafficDriver:
         driver = TrafficDriver(engine)
         with pytest.raises(ValueError):
             driver.run(5, inflight=0)
-        with pytest.raises(ValueError):
-            driver.run(5, rate=0)
 
 
 class TestPercentile:

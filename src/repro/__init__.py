@@ -36,7 +36,6 @@ boundary, and how to add a partitioner.
 from repro.core.allocation import EqualOpportunism
 from repro.core.collision import acceptance_probability, figure4_curves
 from repro.core.loom import LoomPartitioner
-from repro.core.restream import migration_stats, migration_volume, restream
 from repro.core.matching import Match, StreamMatcher
 from repro.core.window import LabelConflictError
 from repro.core.motifs import MotifIndex
@@ -79,10 +78,7 @@ __all__ = [
     "cycle_pattern",
     "edge_pattern",
     "figure4_curves",
-    "migration_stats",
-    "migration_volume",
     "path_pattern",
-    "restream",
     "star_pattern",
     "stream_edges",
     "__version__",

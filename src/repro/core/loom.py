@@ -246,8 +246,8 @@ class LoomPartitioner(StreamingPartitioner):
                     # cluster they are part of (Sec. 4's allocation).  Nor
                     # are motif-label endpoints: those are parked.
                     mstats.edges_bypassed += 1
-                    ldg_place(event.u, uid, u_label, vid)
-                    ldg_place(event.v, vid, v_label, uid)
+                    ldg_place(uid, u_label, vid)
+                    ldg_place(vid, v_label, uid)
                     stats["immediate_assignments"] += 1
                 else:
                     mstats.root_hits += 1
@@ -292,8 +292,8 @@ class LoomPartitioner(StreamingPartitioner):
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _ldg_place(self, v: Vertex, vid: int, label: str, other: int) -> None:
-        """Place an endpoint of a non-motif edge ``{v, other}``, unless a
+    def _ldg_place(self, vid: int, label: str, other: int) -> None:
+        """Place an endpoint of a non-motif edge ``{vid, other}``, unless a
         motif edge may still have a say in where it goes.
 
         Vertices currently held in ``Ptemp`` are skipped: every window
@@ -315,7 +315,7 @@ class LoomPartitioner(StreamingPartitioner):
         if vid in self._window_vertices:
             return
         if label not in self._park_labels:
-            self._place_now(v, vid, (other,))
+            self._place_now(vid, (other,))
             return
         parked = self._parked
         if vid not in parked:
@@ -340,12 +340,12 @@ class LoomPartitioner(StreamingPartitioner):
             if state.is_assigned_id(vid) or vid in self._window_vertices:
                 self.stats["deferred_claimed"] += 1
             else:
-                self._place_now(state.interner.vertex(vid), vid, set(self._adj.get(vid, ())))
+                self._place_now(vid, set(self._adj.get(vid, ())))
                 self.stats["deferred_aged_out"] += 1
 
-    def _place_now(self, v: Vertex, vid: int, neighbor_ids: Iterable[int]) -> None:
+    def _place_now(self, vid: int, neighbor_ids: Iterable[int]) -> None:
         """The workload-agnostic placement itself: LDG over the neighbours
-        ``v`` has been seen with.  The one hook restreaming overrides."""
+        vertex ``vid`` has been seen with."""
         self.state.assign_id(vid, ldg_choose_ids(self.state, neighbor_ids))
 
     def _ldg_cluster_choice(self, cluster_ids: Set[int]) -> int:
@@ -389,7 +389,7 @@ class LoomPartitioner(StreamingPartitioner):
             for v in (eviction.event.u, eviction.event.v):
                 vid = self.state.intern(v)
                 if not self.state.is_assigned_id(vid):
-                    self._place_now(v, vid, set(self._adj.get(vid, ())))
+                    self._place_now(vid, set(self._adj.get(vid, ())))
             self.matcher.remove_cluster({eviction.ekey})
 
     # ------------------------------------------------------------------

@@ -7,10 +7,13 @@ in different partitions, one ipt is charged.
 
 :class:`WorkloadExecutor` enumerates every embedding of every workload query
 once (the embedding set depends only on the graph, not on any partitioning)
-and then scores any number of partitionings cheaply by counting, per
-embedding, the traversed edges that cross partitions — weighted by the
-query's frequency, so a workload that is 60% q2 charges q2's crossings at
-0.6, exactly like executing a proportional query mix.
+and keeps, per query, how many of its embeddings traverse each data edge.
+Scoring a partitioning then sums the counts of the cut edges — weighted by
+the query's frequency, so a workload that is 60% q2 charges q2's crossings
+at 0.6, exactly like executing a proportional query mix.  The same counts,
+summed over queries by frequency, are the per-edge traversal weights
+:meth:`WorkloadExecutor.edge_weights` hands to the enhancement pass
+(:mod:`repro.core.enhance`).
 """
 
 from __future__ import annotations
@@ -113,39 +116,48 @@ class WorkloadExecutor:
         self.graph = graph
         self.workload = workload
         self.embedding_limit = embedding_limit
-        # Per query: (name, frequency, traversed-edge lists, capped flag).
-        self._plans: List[Tuple[str, float, List[List[Edge]], bool]] = []
+        # Per query: (name, frequency, {traversed edge: embeddings that
+        # traverse it}, embedding count, capped flag).
+        self._plans: List[Tuple[str, float, Dict[Edge, int], int, bool]] = []
+        # One embedding past the limit tells a truncated enumeration from a
+        # complete one that happens to have exactly ``limit`` embeddings.
+        probe = None if embedding_limit is None else embedding_limit + 1
         for entry in workload:
-            edge_lists: List[List[Edge]] = []
-            for embedding in find_embeddings(graph, entry.pattern, embedding_limit):
-                edge_lists.append(embedding_edges(entry.pattern, embedding))
-            capped = embedding_limit is not None and len(edge_lists) >= embedding_limit
-            self._plans.append((entry.pattern.name, entry.frequency, edge_lists, capped))
+            counts: Dict[Edge, int] = {}
+            embeddings = 0
+            capped = False
+            for embedding in find_embeddings(graph, entry.pattern, probe):
+                if embeddings == embedding_limit:
+                    capped = True
+                    break
+                embeddings += 1
+                for edge in embedding_edges(entry.pattern, embedding):
+                    counts[edge] = counts.get(edge, 0) + 1
+            self._plans.append((entry.pattern.name, entry.frequency, counts, embeddings, capped))
 
     # ------------------------------------------------------------------
     def execute(self, state: PartitionState, system: str = "") -> ExecutionReport:
         """Count ipt for ``state``; every graph vertex must be assigned."""
         report = ExecutionReport(system=system)
         partition_of = state.partition_of
-        for name, frequency, edge_lists, capped in self._plans:
+        for name, frequency, counts, embeddings, capped in self._plans:
             traversals = 0
             cut = 0
-            for edges in edge_lists:
-                traversals += len(edges)
-                for u, v in edges:
-                    pu, pv = partition_of(u), partition_of(v)
-                    if pu is None or pv is None:
-                        raise ValueError(
-                            f"query {name!r} traverses edge ({u!r}, {v!r}) "
-                            "with an unassigned endpoint"
-                        )
-                    if pu != pv:
-                        cut += 1
+            for (u, v), count in counts.items():
+                traversals += count
+                pu, pv = partition_of(u), partition_of(v)
+                if pu is None or pv is None:
+                    raise ValueError(
+                        f"query {name!r} traverses edge ({u!r}, {v!r}) "
+                        "with an unassigned endpoint"
+                    )
+                if pu != pv:
+                    cut += count
             report.queries.append(
                 QueryReport(
                     name=name,
                     frequency=frequency,
-                    embeddings=len(edge_lists),
+                    embeddings=embeddings,
                     traversals=traversals,
                     cut_traversals=cut,
                     capped=capped,
@@ -154,12 +166,15 @@ class WorkloadExecutor:
         return report
 
     # ------------------------------------------------------------------
-    def embeddings_of(self, query_name: str) -> List[List[Edge]]:
-        """The enumerated traversed-edge lists of one query (for tests)."""
-        for name, _freq, edge_lists, _capped in self._plans:
-            if name == query_name:
-                return [list(edges) for edges in edge_lists]
-        raise KeyError(f"no query named {query_name!r} in workload")
+    def edge_weights(self) -> Dict[Edge, float]:
+        """``w(e) = Σ_q freq(q) · count_q(e)``: the workload's traversals of
+        each edge.  Summed over the edges a partitioning cuts, it is that
+        partitioning's :attr:`ExecutionReport.weighted_ipt`."""
+        weights: Dict[Edge, float] = {}
+        for _name, frequency, counts, _embeddings, _capped in self._plans:
+            for edge, count in counts.items():
+                weights[edge] = weights.get(edge, 0.0) + frequency * count
+        return weights
 
     def summary(self) -> Dict[str, int]:
-        return {name: len(edge_lists) for name, _f, edge_lists, _c in self._plans}
+        return {name: embeddings for name, _f, _c, embeddings, _capped in self._plans}

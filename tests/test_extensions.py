@@ -1,20 +1,15 @@
-"""Tests for the future-work extensions: restreaming, workload IO, CLI."""
+"""Tests for the future-work extensions: enhancement, workload IO, CLI."""
 
 import hashlib
 
 import pytest
 
-from repro.core.restream import (
-    RestreamResult,
-    migration_stats,
-    migration_volume,
-    restream,
-    restream_until_stable,
-)
+from repro.core.enhance import MAX_PASSES, enhance
 from repro.datasets.figure1 import figure1_workload
 from repro.datasets.registry import load_dataset
 from repro.graph.io import write_graph
 from repro.graph.stream import stream_edges
+from repro.partitioning.registry import create
 from repro.partitioning.state import PartitionState
 from repro.query.executor import WorkloadExecutor
 from repro.query.io import read_workload, write_workload
@@ -30,132 +25,51 @@ def drift_setup():
     return dataset, events, state
 
 
-class TestMigrationVolume:
-    def test_identical_states_zero(self):
-        a = PartitionState(2, 10)
-        a.assign(1, 0)
-        b = PartitionState(2, 10)
-        b.assign(1, 0)
-        assert migration_volume(a, b) == 0
+class TestEnhance:
+    """The enhancement pass on a drifted workload: the stale Loom state is
+    re-weighted toward the queries that became frequent."""
 
-    def test_counts_moves_only(self):
-        a = PartitionState(2, 10)
-        a.assign(1, 0)
-        a.assign(2, 1)
-        b = PartitionState(2, 10)
-        b.assign(1, 1)  # moved
-        # 2 unassigned in b: not counted as a move
-        assert migration_volume(a, b) == 1
+    @pytest.fixture(scope="class")
+    def drifted(self, drift_setup):
+        dataset, _events, state = drift_setup
+        executor = WorkloadExecutor(dataset.graph, dataset.workload.reweighted({"attribution": 10.0}))
+        return executor, enhance(state, executor.edge_weights())
 
-    def test_migration_stats_separates_dropped(self):
-        """A vertex absent from the new state is *dropped*, not kept —
-        counting it as kept understated the migration fraction."""
-        a = PartitionState(2, 10)
-        a.assign(1, 0)  # kept
-        a.assign(2, 1)  # moved
-        a.assign(3, 0)  # dropped (never re-placed)
-        b = PartitionState(2, 10)
-        b.assign(1, 0)
-        b.assign(2, 0)
-        b.assign(4, 1)  # new vertex: in none of the three counters
-        assert migration_stats(a, b) == (1, 1, 1)
+    def test_lowers_drifted_ipt_within_capacity(self, drift_setup, drifted):
+        dataset, _events, state = drift_setup
+        executor, result = drifted
+        assert executor.execute(result.state).weighted_ipt < executor.execute(state).weighted_ipt
+        assert max(result.state.sizes()) <= state.capacity
+        assert result.state.num_assigned == state.num_assigned == dataset.graph.num_vertices
+        assert result.state.interner is state.interner
+        moved = sum(result.state.partition_of(v) != p for v, p in state.export_assignment())
+        assert result.moved_vertices == moved
+        assert 1 < result.passes <= MAX_PASSES
 
-    def test_migration_fraction_over_coassigned_only(self):
-        result = RestreamResult(
-            state=PartitionState(2, 10),
-            moved_vertices=1,
-            kept_vertices=1,
-            dropped_vertices=8,
-        )
-        assert result.migration_fraction == 0.5
-
-
-class TestRestream:
-    def test_result_accounting(self, drift_setup):
-        dataset, events, state = drift_setup
-        result = restream(events, dataset.workload, state, window_size=120)
-        assert isinstance(result, RestreamResult)
-        assert (
-            result.moved_vertices + result.kept_vertices + result.dropped_vertices
-            == state.num_assigned
-        )
-        # Replaying the same stream re-places every previous vertex.
-        assert result.dropped_vertices == 0
-        assert 0.0 <= result.migration_fraction <= 1.0
-        assert result.state.num_assigned == dataset.graph.num_vertices
-
-    def test_dropped_vertices_on_shrunken_stream(self, drift_setup):
-        """Restreaming a prefix of the original stream leaves the tail's
-        vertices unplaced; they must surface as dropped, not as kept."""
-        dataset, events, state = drift_setup
-        result = restream(events[: len(events) // 2], dataset.workload, state, window_size=120)
-        assert result.dropped_vertices > 0
-        assert (
-            result.moved_vertices + result.kept_vertices + result.dropped_vertices
-            == state.num_assigned
-        )
-
-    def test_stickiness_caps_migration(self, drift_setup):
-        """Higher stickiness must not increase migration volume."""
-        dataset, events, state = drift_setup
-        fractions = []
-        for stickiness in (0, 4):
-            result = restream(
-                events, dataset.workload, state, stickiness=stickiness, window_size=120
-            )
-            fractions.append(result.migration_fraction)
-        assert fractions[1] <= fractions[0] + 0.02
-
-    def test_invalid_stickiness(self, drift_setup):
-        dataset, events, state = drift_setup
-        with pytest.raises(ValueError):
-            restream(events, dataset.workload, state, stickiness=-1)
-
-    def test_restream_under_drifted_workload(self, drift_setup):
-        """After drift, restreaming should not degrade ipt under the new
-        workload (and usually improves it)."""
-        dataset, events, state = drift_setup
-        drifted = dataset.workload.reweighted({"attribution": 10.0})
-        executor = WorkloadExecutor(dataset.graph, drifted)
-        stale_ipt = executor.execute(state).weighted_ipt
-        result = restream(events, drifted, state, window_size=120)
-        new_ipt = executor.execute(result.state).weighted_ipt
-        assert new_ipt <= stale_ipt * 1.10
-
-    def test_sticky_placements_are_pinned(self, drift_setup):
-        """One golden assignment under a drifted workload, where the sticky
-        LDG choice decides a fifth of the vertices.  ``_place_now`` is
-        handed the neighbours it scores (it no longer looks them up), and
-        that must not move a placement: the digest predates the change."""
-        dataset, events, state = drift_setup
-        drifted = dataset.workload.reweighted({"attribution": 10.0})
-        result = restream(events, drifted, state, stickiness=3, window_size=120)
-        assert (result.moved_vertices, result.kept_vertices) == (180, 590)
+    def test_pinned_assignment(self, drifted):
+        """The sweep visits interned ids and sums weights in the executor's
+        enumeration order, so the result holds under any hash seed."""
+        _executor, result = drifted
+        assert result.moved_vertices == 221
         digest = hashlib.sha256(repr(result.state.export_assignment()).encode()).hexdigest()
-        assert digest[:16] == "4d15e08170e510c3"
+        assert digest[:16] == "2f2f8df708d1c466"
 
-    def test_restream_until_stable(self, drift_setup):
-        dataset, events, state = drift_setup
-        executor = WorkloadExecutor(dataset.graph, dataset.workload)
-        result = restream_until_stable(
-            events,
-            dataset.workload,
-            state,
-            max_passes=2,
-            executor=executor,
-            window_size=120,
-        )
-        assert result.state.num_assigned >= state.num_assigned
+    def test_unassigned_endpoint_rejected(self):
+        state = PartitionState(2, 10)
+        state.assign(1, 0)
+        state.intern(2)
+        with pytest.raises(ValueError, match="unassigned endpoint"):
+            enhance(state, {(1, 2): 1.0})
 
-    def test_until_stable_validation(self, drift_setup):
-        dataset, events, state = drift_setup
-        with pytest.raises(ValueError, match="Executor"):
-            restream_until_stable(events, dataset.workload, state)
+    def test_cut_weight_is_weighted_ipt(self, drift_setup):
+        dataset, events, _state = drift_setup
         executor = WorkloadExecutor(dataset.graph, dataset.workload)
-        with pytest.raises(ValueError, match="max_passes"):
-            restream_until_stable(
-                events, dataset.workload, state, max_passes=0, executor=executor
-            )
+        weights = executor.edge_weights()
+        for system in ("hash", "ldg", "loom"):
+            state = PartitionState.for_graph(4, dataset.graph.num_vertices)
+            create(system, state, workload=dataset.workload, window_size=120).ingest_all(events)
+            cut = sum(w for (u, v), w in weights.items() if state.partition_of(u) != state.partition_of(v))
+            assert cut == pytest.approx(executor.execute(state).weighted_ipt), system
 
 
 class TestWorkloadIO:

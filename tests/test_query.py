@@ -222,12 +222,6 @@ class TestExecutor:
         with pytest.raises(ValueError, match="unassigned"):
             executor.execute(PartitionState(2, 100))
 
-    def test_embeddings_of(self, fig1_graph, fig1_workload):
-        executor = WorkloadExecutor(fig1_graph, fig1_workload)
-        assert len(executor.embeddings_of("q2")) == 2
-        with pytest.raises(KeyError):
-            executor.embeddings_of("nope")
-
     def test_summary(self, fig1_graph, fig1_workload):
         executor = WorkloadExecutor(fig1_graph, fig1_workload)
         assert executor.summary() == {"q1": 0, "q2": 2, "q3": 4}
@@ -237,17 +231,20 @@ class TestExecutor:
         for i in range(10):
             g.add_edge(("hub",), ("leaf", i), "h", "x")
         wl = Workload([(edge_pattern("h", "x"), 1.0)])
-        executor = WorkloadExecutor(g, wl, embedding_limit=5)
         state = PartitionState(1, 100)
         for v in g.vertices():
             state.assign(v, 0)
-        report = executor.execute(state)
+        report = WorkloadExecutor(g, wl, embedding_limit=5).execute(state)
         assert report.queries[0].capped
         assert report.queries[0].embeddings == 5
         # The report-level roll-up published tables surface (bench rows,
         # partition_cli --stats): truncation must not pass silently.
         assert report.capped
         assert report.capped_queries == [wl[0].pattern.name]
+        # A limit equal to the embedding count truncates nothing.
+        report = WorkloadExecutor(g, wl, embedding_limit=10).execute(state)
+        assert not report.queries[0].capped
+        assert report.queries[0].embeddings == 10
 
     def test_capped_rollup_false_when_unbound(self, fig1_graph, fig1_workload):
         executor = WorkloadExecutor(fig1_graph, fig1_workload, embedding_limit=None)

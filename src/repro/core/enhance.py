@@ -1,9 +1,9 @@
 """Workload-weighted enhancement: one sweep rule over per-edge traversal counts.
 
 The paper leaves keeping a partitioning current under workload drift to
-future work (Sec. 6): a workload-aware repartitioner, or restreaming.  This
-module is the first remedy in its simplest form, TAPER's move rule: weigh
-every data edge by how often the workload traverses it
+future work (Sec. 6): a workload-aware repartitioner, or replaying the
+stream.  This module is the first remedy in its simplest form, TAPER's move
+rule: weigh every data edge by how often the workload traverses it
 (:meth:`~repro.query.executor.WorkloadExecutor.edge_weights`) and let each
 vertex follow the weight.
 

@@ -32,7 +32,8 @@ class TestEnhance:
     @pytest.fixture(scope="class")
     def drifted(self, drift_setup):
         dataset, _events, state = drift_setup
-        executor = WorkloadExecutor(dataset.graph, dataset.workload.reweighted({"attribution": 10.0}))
+        drifted = dataset.workload.reweighted({"attribution": 10.0})
+        executor = WorkloadExecutor(dataset.graph, drifted)
         return executor, enhance(state, executor.edge_weights())
 
     def test_lowers_drifted_ipt_within_capacity(self, drift_setup, drifted):
@@ -68,7 +69,8 @@ class TestEnhance:
         for system in ("hash", "ldg", "loom"):
             state = PartitionState.for_graph(4, dataset.graph.num_vertices)
             create(system, state, workload=dataset.workload, window_size=120).ingest_all(events)
-            cut = sum(w for (u, v), w in weights.items() if state.partition_of(u) != state.partition_of(v))
+            partition_of = state.partition_of
+            cut = sum(w for (u, v), w in weights.items() if partition_of(u) != partition_of(v))
             assert cut == pytest.approx(executor.execute(state).weighted_ipt), system
 
 
